@@ -373,55 +373,56 @@ def cmd_solve_incentive(args) -> int:
 
 def _simulate_stage(p, gains, fg, inc, man, seed, threads, N, paths,
                     disturbance, figure=True):
-    """Figure series (1 path) plus cost statistics (all paths); incentive-
-    mode population when follower gains are available, else team mode."""
+    """Cost statistics over all paths, figure series from path 0 of the
+    same runs; incentive-mode population when follower gains are
+    available, else team mode."""
     out = {}
-    fig_cfg = sim.SimConfig(N=N, n_paths=1, master_seed=seed, n_threads=1,
-                            disturbance=disturbance)
     cost_cfg = sim.SimConfig(N=N, n_paths=paths, master_seed=seed,
                              n_threads=threads, disturbance=disturbance)
-    lim_fig = sim.simulate_limit(p, gains, fig_cfg)
-    pop_fig = sim.simulate_population(p, gains, fig_cfg, fgains=fg, inc=inc)
-    grid = lim_fig.grid
-
+    # each run's costs are taken and its arrays freed before the next run
+    lim = sim.simulate_limit(p, gains, cost_cfg)
+    lim_costs = sim.eval_costs(lim, p)
+    grid = lim.grid
+    lim_controls = np.concatenate([lim.u0bar[0], lim.u1bar[0], lim.v[0]],
+                                  axis=1)
     if figure:
         path = man.outdir / "limit_states.csv"
         _write_csv(path, ["t"] + _mat_cols("x0", p.n, 1) + _mat_cols("m", p.n, 1),
-                   [[grid.nodes[k]] + list(lim_fig.x0[0, k])
-                    + list(lim_fig.m[0, k]) for k in range(grid.steps + 1)])
+                   [[grid.nodes[k]] + list(lim.x0[0, k])
+                    + list(lim.m[0, k]) for k in range(grid.steps + 1)])
         man.add_output(path)
+    del lim
+    pop = sim.simulate_population(p, gains, cost_cfg, fgains=fg, inc=inc)
+    pop_costs = sim.eval_costs(pop, p)
 
+    if figure:
         path = man.outdir / "controls.csv"
         hdr = (["t"] + _mat_cols("u0_limit", p.mL, 1)
                + _mat_cols("u1_limit", p.mF, 1) + _mat_cols("v_limit", p.nv, 1)
                + _mat_cols("u0_pop", p.mL, 1) + _mat_cols("u1_pop", p.mF, 1)
                + _mat_cols("v_pop", p.nv, 1))
         _write_csv(path, hdr,
-                   [[grid.nodes[k]] + list(lim_fig.u0bar[0, k])
-                    + list(lim_fig.u1bar[0, k]) + list(lim_fig.v[0, k])
-                    + list(pop_fig.u0bar[0, k]) + list(pop_fig.u1bar[0, k])
-                    + list(pop_fig.v[0, k]) for k in range(grid.steps + 1)])
+                   [[grid.nodes[k]] + list(lim_controls[k])
+                    + list(pop.u0bar[0, k]) + list(pop.u1bar[0, k])
+                    + list(pop.v[0, k]) for k in range(grid.steps + 1)])
         man.add_output(path)
 
         path = man.outdir / "population_states.csv"
-        stored = pop_fig.xi.shape[1]
+        stored = pop.xi.shape[1]
         hdr = (["t"] + _mat_cols("x0", p.n, 1) + _mat_cols("m", p.n, 1)
                + _mat_cols("xN", p.n, 1))
-        for i in pop_fig.follower_ids:
+        for i in pop.follower_ids:
             hdr += _mat_cols(f"x{i}", p.n, 1)
         rows = []
         for k in range(grid.steps + 1):
-            row = ([grid.nodes[k]] + list(pop_fig.x0[0, k])
-                   + list(pop_fig.m[0, k]) + list(pop_fig.xN[0, k]))
+            row = ([grid.nodes[k]] + list(pop.x0[0, k])
+                   + list(pop.m[0, k]) + list(pop.xN[0, k]))
             for i in range(stored):
-                row += list(pop_fig.xi[0, i, k])
+                row += list(pop.xi[0, i, k])
             rows.append(row)
         _write_csv(path, hdr, rows)
         man.add_output(path)
-
-    lim_costs = sim.eval_costs(sim.simulate_limit(p, gains, cost_cfg), p)
-    pop_costs = sim.eval_costs(
-        sim.simulate_population(p, gains, cost_cfg, fgains=fg, inc=inc), p)
+    del pop
     out["costs"] = {
         "limit": {"J0_mean": lim_costs.J0_mean,
                   "J0_stderr": lim_costs.J0_stderr,
@@ -496,8 +497,7 @@ def cmd_simulate(args) -> int:
 
 def _sweep_stage(p, gains, man, Ns, paths, seed, threads):
     cfg = sim.SimConfig(n_paths=paths, master_seed=seed, n_threads=threads)
-    mf = sim.sweep_mean_field_gap(p, gains, Ns, cfg)
-    og = sim.sweep_optimality_gap(p, gains, Ns, cfg)
+    mf, og = sim._sweep_gaps(p, gains, Ns, cfg)
     path = man.outdir / "sweep.csv"
     rows = [["mean_field", pt.N, pt.gap, pt.stderr] for pt in mf.points]
     rows += [["optimality", pt.N, pt.gap, pt.stderr] for pt in og.points]

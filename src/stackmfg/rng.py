@@ -5,42 +5,65 @@ agent 0 is the common noise, agents 1..N the followers.  Streams are
 created on demand from the key alone, so results do not depend on how
 paths are scheduled across workers and adding followers never perturbs
 the streams of existing ones.
+
+Bulk draws re-key one Philox bit generator per call instead of building a
+generator for every stream; the draws are bitwise those of a fresh one.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "normals", "brownian_increments"]
+__all__ = ["stream", "normals", "increments", "brownian_increments"]
 
 _U32 = 1 << 32
+_U64 = (1 << 64) - 1
+# read-only, so threads re-keying their own generators can share it
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.flags.writeable = False
 
 
-def stream(master_seed: int, path: int, agent: int) -> np.random.Generator:
-    """Generator for one (path, agent) pair under a master seed."""
+def stream(master_seed: int, path: int, agent: int,
+           gen: np.random.Generator | None = None) -> np.random.Generator:
+    """Generator for one (path, agent) pair under a master seed.
+
+    With gen given, its Philox bit generator is re-keyed in place (zero
+    counter, empty buffer) and gen itself is returned."""
     if not 0 <= path < _U32:
         raise ValueError(f"path index {path} outside [0, 2^32)")
     if not 0 <= agent < _U32:
         raise ValueError(f"agent index {agent} outside [0, 2^32)")
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, (path << 32) | agent],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = (master_seed & _U64, (path << 32) | agent)
+    if gen is None:
+        return np.random.Generator(
+            np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 def normals(master_seed: int, path: int, agent: int, count: int) -> np.ndarray:
     return stream(master_seed, path, agent).standard_normal(count)
 
 
+def increments(master_seed: int, keys, nsteps: int, dt: float) -> np.ndarray:
+    """Increments of independent Brownian motions, one row per
+    (path, agent) key, each the full horizon of that key's stream scaled to
+    variance dt per step.  One generator serves the whole call, so calls
+    on different threads share nothing."""
+    keys = list(keys)
+    out = np.empty((len(keys), nsteps))
+    gen = np.random.Generator(np.random.Philox(0))
+    for row, (path, agent) in enumerate(keys):
+        stream(master_seed, path, agent, gen).standard_normal(out=out[row])
+    out *= np.sqrt(dt)
+    return out
+
+
 def brownian_increments(master_seed: int, path: int, agents, nsteps: int,
                         dt: float) -> np.ndarray:
-    """Increments of independent Brownian motions, one row per agent.
-
-    Row order follows the agents iterable; each row is the full horizon of
-    one stream scaled to variance dt per step.
-    """
-    agents = list(agents)
-    out = np.empty((len(agents), nsteps))
-    root = np.sqrt(dt)
-    for row, agent in enumerate(agents):
-        out[row] = normals(master_seed, path, agent, nsteps)
-    out *= root
-    return out
+    """increments() for several agents of one path, rows in agent order."""
+    return increments(master_seed, ((path, agent) for agent in agents),
+                      nsteps, dt)

@@ -7,6 +7,15 @@ controls, all randomness drawn from counter-based streams keyed by
 Brownian motion is scalar as in the model; each follower's noise is
 n-dimensional so that a matrix diffusion coefficient acts consistently
 (identical to the scalar setup when n = 1).
+
+One kernel steps both systems, a chunk of paths at a time: the leader
+and mean states as (chunk, n) arrays, the followers as (chunk, N, n); the
+limit system is the case with no followers.  A chunk draws its whole
+noise up front, so its path count is sized to keep that buffer near
+_CHUNK_FLOATS floats (2 MB) whatever N and the grid are.  The kernel's
+matrix products bypass BLAS, so a path's values depend neither on the
+chunk size nor on the thread count.  The two N-sweeps (mean-field gap and
+optimality-gap proxy) read one population run per N.
 """
 from __future__ import annotations
 
@@ -38,7 +47,9 @@ __all__ = [
     "sweep_optimality_gap",
 ]
 
-_PATH_CHUNK = 64   # fixed chunking keeps results independent of thread count
+# per-chunk noise budget in floats (2 MB); chunking is fixed by the config,
+# so results do not depend on the thread count
+_CHUNK_FLOATS = 1 << 18
 
 
 class NonFiniteState(Exception):
@@ -159,32 +170,170 @@ class SweepReport:
     caveat: str | None = None
 
 
-def _substep_stack(values: np.ndarray, s: int) -> np.ndarray:
-    """Linear interpolation of nodal matrices onto the s substeps of each
-    interval; shape (M, s, r, c)."""
-    w = (np.arange(s) / s).reshape(1, s, 1, 1)
-    return values[:-1, None] * (1.0 - w) + values[1:, None] * w
+def _substeps(values: np.ndarray, s: int) -> np.ndarray:
+    """A node series (time on axis 0) at the M*s Euler-Maruyama substep
+    starts and then the final node, shape (M*s + 1, ...): node values as
+    they are, linear interpolation inside each interval."""
+    if s == 1:
+        return values
+    w = (np.arange(1, s) / s).reshape((1, s - 1) + (1,) * (values.ndim - 1))
+    inner = values[:-1, None] * (1.0 - w) + values[1:, None] * w
+    steps = np.concatenate([values[:-1, None], inner], axis=1)
+    return np.concatenate([steps.reshape((-1,) + values.shape[1:]),
+                           values[-1:]])
 
 
-def _interp_series(series: np.ndarray, k: int, j: int, s: int) -> np.ndarray:
-    if j == 0:
-        return series[:, k]
-    w = j / s
-    return series[:, k] * (1.0 - w) + series[:, k + 1] * w
+def _apply(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """X @ A.T over the last axis.  Once the inner dimension exceeds 1, a
+    BLAS product may round a row differently depending on how many rows
+    share the call; einsum does not, so a path's values do not depend on
+    the chunk it is stepped in."""
+    if A.shape[1] == 1:
+        return X * A[:, 0]
+    return np.einsum("...j,kj->...k", X, A)
 
 
-def _chunks(total: int, size: int = _PATH_CHUNK):
-    return [(a, min(a + size, total)) for a in range(0, total, size)]
-
-
-def _run_chunked(total: int, n_threads: int, work):
-    parts = _chunks(total)
+def _run_chunked(total: int, size: int, n_threads: int, work):
+    parts = [(a, min(a + size, total)) for a in range(0, total, size)]
     if n_threads == 1 or len(parts) == 1:
         for part in parts:
             work(part)
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(work, parts))
+
+
+def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
+                    N: int = 0, fgains: FollowerGains | None = None,
+                    inc: IncentiveMatrices | None = None, override=None,
+                    dW0: np.ndarray | None = None) -> PathBundle:
+    """The one Euler-Maruyama kernel: the limit system when N = 0, else
+    the N-follower population (team mode, or incentive mode with fgains
+    and inc).
+
+    Each chunk of paths steps at once, the leader and mean states as
+    (chunk, n) arrays and the followers as (chunk, N, n).  Feedback is
+    evaluated at every substep and recorded at the nodes.  override =
+    (u0, u1, v) node series (limit only) replaces the feedback; dW0
+    replaces the common-noise streams with given (paths, M*s) increments.
+    """
+    grid = gains.grid
+    M, s, P = grid.steps, cfg.em_substeps, cfg.n_paths
+    Q, hs = M * s, grid.h / s
+    n, mL, mF, nv = p.n, p.mL, p.mF, p.nv
+    seed = cfg.master_seed
+    worst = cfg.disturbance == "worst"
+    incentive_mode = fgains is not None
+
+    # the feedback terms linear in (x0, m), gains stacked by rows so each
+    # state enters through one product: team (u0, u1[, v]), incentive
+    # (Gx0 x0 + Gm m, zeta x0 + eta m, u1 of the limit[, v])
+    if incentive_mode:
+        pairs = [(fgains.Gx0, fgains.Gm), (inc.zeta, inc.eta),
+                 (fgains.Gx0bar, fgains.Gmbar)]
+        Lq = _substeps(inc.L.values, s)
+        Gxi = _substeps(fgains.Gxi.values, s)
+    else:
+        pairs = [(gains.Theta11, gains.Theta12),
+                 (gains.Theta21, gains.Theta22)]
+    if worst:
+        pairs.append((gains.Vx, gains.Vm))
+    Kx, Km = (_substeps(np.concatenate([pair[i].values for pair in pairs],
+                                       axis=1), s) for i in (0, 1))
+    cols = np.cumsum([0] + [x.values.shape[1] for x, _ in pairs])
+    if override is not None:
+        ov = [_substeps(np.moveaxis(arr, 1, 0), s) for arr in override]
+    # dynamics matrices stacked by the state or control they act on
+    AC = np.vstack([p.A, p.C])
+    BDH = np.vstack([p.B, p.D, p.Ht])
+    HBt = np.vstack([p.H, p.Bt])
+    AtFt = p.At + p.Ft
+
+    stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
+    out = {"x0": np.empty((P, M + 1, n)), "m": np.empty((P, M + 1, n)),
+           "u0bar": np.empty((P, M + 1, mL)), "u1bar": np.empty((P, M + 1, mF)),
+           "v": np.empty((P, M + 1, nv))}
+    if N:
+        out.update(xN=np.empty((P, M + 1, n)),
+                   xi=np.empty((P, stored, M + 1, n)),
+                   u0i=np.empty((P, stored, M + 1, mL)),
+                   u1i=np.empty((P, stored, M + 1, mF)))
+
+    def work(part):
+        a, b = part
+        C = b - a
+        dW = dW0[a:b] if dW0 is not None else rng.increments(
+            seed, ((i, 0) for i in range(a, b)), Q, hs)
+        x0 = np.broadcast_to(p.xi, (C, n)).copy()
+        m = np.broadcast_to(p.x0init, (C, n)).copy()
+        if N:
+            dWi = np.empty((C, N, Q, n))
+            for c in range(C):
+                dWi[c] = rng.brownian_increments(
+                    seed, a + c, range(1, N + 1), Q * n, hs).reshape(N, Q, n)
+            xi = np.broadcast_to(p.x0init, (C, N, n)).copy()
+        for q in range(Q + 1):
+            # u0, u1 are recorded; u0l, u1l and xl drive the leader and
+            # the mean state
+            xN = xi.mean(axis=1) if N else m
+            if override is not None:
+                *lin, v = (arr[q, a:b] for arr in ov)
+            else:
+                X, Mx = _apply(x0, Kx[q]), _apply(m, Km[q])
+                S = X + Mx
+                lin = [S[:, i:j] for i, j in zip(cols, cols[1:])]
+                v = lin.pop() if worst else np.zeros((C, nv))
+            if incentive_mode:
+                gx, zx, u1l = lin
+                u1i = _apply(xi, Gxi[q]) + gx[:, None]
+                u0i = _apply(u1i, Lq[q]) + zx[:, None]
+                u0, u1 = u0i.mean(axis=1), u1i.mean(axis=1)
+                # (L u1 + zeta x0) + eta m, summed in the model's order
+                u0l = _apply(u1l, Lq[q]) + X[:, mF:mF + mL] \
+                    + Mx[:, mF:mF + mL]
+                xl = m
+            else:
+                u0, u1 = lin
+                u0l, u1l, xl = u0, u1, xN
+                u0i, u1i = u0[:, None], u1[:, None]
+            if q % s == 0:
+                k = q // s
+                for name, val in (("x0", x0), ("m", m), ("u0bar", u0),
+                                  ("u1bar", u1), ("v", v)):
+                    out[name][a:b, k] = val
+                if N:
+                    out["xN"][a:b, k] = xN
+                    out["xi"][a:b, :, k] = xi[:, :stored]
+                    out["u0i"][a:b, :, k] = u0i[:, :stored]
+                    out["u1i"][a:b, :, k] = u1i[:, :stored]
+            if q == Q:
+                break
+            XA, UB, UH = _apply(x0, AC), _apply(u0l, BDH), _apply(u1l, HBt)
+            drift0 = XA[:, :n] + UB[:, :n] + _apply(xl, p.F) + UH[:, :n] \
+                + _apply(v, p.E)
+            diff0 = XA[:, n:] + UB[:, n:2 * n]
+            dm = _apply(m, AtFt) + UH[:, n:] + UB[:, 2 * n:]
+            if N:
+                if incentive_mode:
+                    u1_term, u0_term = _apply(u1i, p.Bt), _apply(u0i, p.Ht)
+                else:
+                    u1_term, u0_term = UH[:, None, n:], UB[:, None, 2 * n:]
+                drift_i = _apply(xi, p.At) + u1_term + u0_term \
+                    + _apply(xN, p.Ft)[:, None]
+                xi = xi + hs * drift_i + _apply(dWi[:, :, q], p.Sigma)
+            x0 = x0 + hs * drift0 + diff0 * dW[:, q, None]
+            m = m + hs * dm
+            if (q + 1) % s == 0 and not np.isfinite(
+                    np.sum(x0) + np.sum(m) + (np.sum(xi) if N else 0.0)):
+                raise NonFiniteState(grid.nodes[(q + 1) // s],
+                                     "population state" if N else "limit state")
+
+    # chunks sized so a chunk's noise stays near _CHUNK_FLOATS floats; the
+    # size follows from the config alone, never from the thread count
+    chunk = max(1, _CHUNK_FLOATS // (Q * (1 + N * n)))
+    _run_chunked(P, chunk, cfg.n_threads, work)
+    return PathBundle(grid, cfg, follower_ids=tuple(range(1, stored + 1)),
+                      **out)
 
 
 def simulate_limit(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
@@ -197,98 +346,22 @@ def simulate_limit(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     of a run's own recorded controls reproduces it bitwise, which anchors
     the perturbation margins at exactly zero for eps = 0.
     """
-    grid = gains.grid
-    M = grid.steps
-    s = cfg.em_substeps
-    hs = grid.h / s
-    P = cfg.n_paths
-    n, mL, mF, nv = p.n, p.mL, p.mF, p.nv
-
-    T11 = _substep_stack(gains.Theta11.values, s)
-    T12 = _substep_stack(gains.Theta12.values, s)
-    T21 = _substep_stack(gains.Theta21.values, s)
-    T22 = _substep_stack(gains.Theta22.values, s)
-    Vx = _substep_stack(gains.Vx.values, s)
-    Vm = _substep_stack(gains.Vm.values, s)
-
-    worst = cfg.disturbance == "worst"
-    AtFt = p.At + p.Ft
-
-    x0_out = np.empty((P, M + 1, n))
-    m_out = np.empty((P, M + 1, n))
-    u0_out = np.empty((P, M + 1, mL))
-    u1_out = np.empty((P, M + 1, mF))
-    v_out = np.empty((P, M + 1, nv))
-
-    if w0_increments is None:
-        dW = np.empty((P, M * s))
-        for i in range(P):
-            dW[i] = rng.normals(cfg.master_seed, i, 0, M * s)
-        dW *= np.sqrt(hs)
-    else:
-        dW = np.asarray(w0_increments, dtype=float)
-        if dW.shape != (P, M * s):
-            raise ValueError(f"w0_increments must have shape {(P, M * s)}")
-
+    P, Q = cfg.n_paths, gains.grid.steps * cfg.em_substeps
+    if w0_increments is not None:
+        w0_increments = np.asarray(w0_increments, dtype=float)
+        if w0_increments.shape != (P, Q):
+            raise ValueError(f"w0_increments must have shape {(P, Q)}")
     if controls_override is not None:
-        ov_u0, ov_u1, ov_v = (np.asarray(arr, dtype=float)
-                              for arr in controls_override)
-        for arr, d, what in ((ov_u0, mL, "u0"), (ov_u1, mF, "u1"),
-                             (ov_v, nv, "v")):
-            if arr.shape != (P, M + 1, d):
-                raise ValueError(
-                    f"override {what} must have shape {(P, M + 1, d)}, "
-                    f"got {arr.shape}")
-
-    def work(part):
-        a, b = part
-        x0 = np.broadcast_to(p.xi, (b - a, n)).copy()
-        m = np.broadcast_to(p.x0init, (b - a, n)).copy()
-        for k in range(M + 1):
-            x0_out[a:b, k] = x0
-            m_out[a:b, k] = m
-            if controls_override is None:
-                u0 = x0 @ T11[k, 0].T + m @ T12[k, 0].T if k < M else \
-                    x0 @ gains.Theta11.values[M].T + m @ gains.Theta12.values[M].T
-                u1 = x0 @ T21[k, 0].T + m @ T22[k, 0].T if k < M else \
-                    x0 @ gains.Theta21.values[M].T + m @ gains.Theta22.values[M].T
-                if worst:
-                    v = x0 @ Vx[k, 0].T + m @ Vm[k, 0].T if k < M else \
-                        x0 @ gains.Vx.values[M].T + m @ gains.Vm.values[M].T
-                else:
-                    v = np.zeros((b - a, nv))
-            else:
-                u0 = ov_u0[a:b, k]
-                u1 = ov_u1[a:b, k]
-                v = ov_v[a:b, k]
-            u0_out[a:b, k] = u0
-            u1_out[a:b, k] = u1
-            v_out[a:b, k] = v
-            if k == M:
-                break
-            for j in range(s):
-                if j > 0:
-                    if controls_override is None:
-                        u0 = x0 @ T11[k, j].T + m @ T12[k, j].T
-                        u1 = x0 @ T21[k, j].T + m @ T22[k, j].T
-                        if worst:
-                            v = x0 @ Vx[k, j].T + m @ Vm[k, j].T
-                    else:
-                        u0 = _interp_series(ov_u0, k, j, s)[a:b]
-                        u1 = _interp_series(ov_u1, k, j, s)[a:b]
-                        v = _interp_series(ov_v, k, j, s)[a:b]
-                drift0 = x0 @ p.A.T + u0 @ p.B.T + m @ p.F.T \
-                    + u1 @ p.H.T + v @ p.E.T
-                diff0 = x0 @ p.C.T + u0 @ p.D.T
-                dm = m @ AtFt.T + u1 @ p.Bt.T + u0 @ p.Ht.T
-                x0 = x0 + hs * drift0 + diff0 * dW[a:b, k * s + j, None]
-                m = m + hs * dm
-            if not np.isfinite(np.sum(x0) + np.sum(m)):
-                raise NonFiniteState(grid.nodes[k + 1], "limit state")
-
-    _run_chunked(P, cfg.n_threads, work)
-    return PathBundle(grid, cfg, x0=x0_out, m=m_out,
-                      u0bar=u0_out, u1bar=u1_out, v=v_out)
+        controls_override = [np.asarray(arr, dtype=float)
+                             for arr in controls_override]
+        for arr, d, what in zip(controls_override, (p.mL, p.mF, p.nv),
+                                ("u0", "u1", "v")):
+            want = (P, gains.grid.steps + 1, d)
+            if arr.shape != want:
+                raise ValueError(f"override {what} must have shape {want}, "
+                                 f"got {arr.shape}")
+    return _euler_maruyama(p, gains, cfg, override=controls_override,
+                           dW0=w0_increments)
 
 
 def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
@@ -306,135 +379,9 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     L u1i + zeta x0 + eta m; the leader state then couples to the mean
     field m rather than the empirical average, as in the limiting analysis.
     """
-    incentive_mode = fgains is not None
-    if incentive_mode and inc is None:
+    if fgains is not None and inc is None:
         raise ValueError("incentive mode needs both fgains and inc")
-    grid = gains.grid
-    M = grid.steps
-    s = cfg.em_substeps
-    hs = grid.h / s
-    P = cfg.n_paths
-    N = cfg.N
-    n, mL, mF, nv = p.n, p.mL, p.mF, p.nv
-
-    T11 = _substep_stack(gains.Theta11.values, s)
-    T12 = _substep_stack(gains.Theta12.values, s)
-    T21 = _substep_stack(gains.Theta21.values, s)
-    T22 = _substep_stack(gains.Theta22.values, s)
-    Vx = _substep_stack(gains.Vx.values, s)
-    Vm = _substep_stack(gains.Vm.values, s)
-    if incentive_mode:
-        Lst = _substep_stack(inc.L.values, s)
-        Zst = _substep_stack(inc.zeta.values, s)
-        Est = _substep_stack(inc.eta.values, s)
-        Gxi = _substep_stack(fgains.Gxi.values, s)
-        Gx0 = _substep_stack(fgains.Gx0.values, s)
-        Gm = _substep_stack(fgains.Gm.values, s)
-        Gx0b = _substep_stack(fgains.Gx0bar.values, s)
-        Gmb = _substep_stack(fgains.Gmbar.values, s)
-
-    def at_node(traj, k):
-        return traj.values[k]
-
-    worst = cfg.disturbance == "worst"
-    AtFt = p.At + p.Ft
-    stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
-    ids = tuple(range(1, stored + 1))
-
-    x0_out = np.empty((P, M + 1, n))
-    m_out = np.empty((P, M + 1, n))
-    xN_out = np.empty((P, M + 1, n))
-    xi_out = np.empty((P, stored, M + 1, n))
-    u0_out = np.empty((P, M + 1, mL))
-    u1_out = np.empty((P, M + 1, mF))
-    u0i_out = np.empty((P, stored, M + 1, mL))
-    u1i_out = np.empty((P, stored, M + 1, mF))
-    v_out = np.empty((P, M + 1, nv))
-
-    def controls(k, j, x0, m, xi):
-        """(u0bar, u1bar, v, u0i, u1i) at substep (k, j); node values for
-        j = 0 at k = M."""
-        if k == M:
-            t11, t12 = at_node(gains.Theta11, M), at_node(gains.Theta12, M)
-            t21, t22 = at_node(gains.Theta21, M), at_node(gains.Theta22, M)
-            vx, vm = at_node(gains.Vx, M), at_node(gains.Vm, M)
-            if incentive_mode:
-                lmat, zeta, eta = (at_node(inc.L, M), at_node(inc.zeta, M),
-                                   at_node(inc.eta, M))
-                gxi, gx0, gm = (at_node(fgains.Gxi, M), at_node(fgains.Gx0, M),
-                                at_node(fgains.Gm, M))
-                gx0b, gmb = at_node(fgains.Gx0bar, M), at_node(fgains.Gmbar, M)
-        else:
-            t11, t12, t21, t22 = T11[k, j], T12[k, j], T21[k, j], T22[k, j]
-            vx, vm = Vx[k, j], Vm[k, j]
-            if incentive_mode:
-                lmat, zeta, eta = Lst[k, j], Zst[k, j], Est[k, j]
-                gxi, gx0, gm = Gxi[k, j], Gx0[k, j], Gm[k, j]
-                gx0b, gmb = Gx0b[k, j], Gmb[k, j]
-        v = vx @ x0 + vm @ m if worst else np.zeros(nv)
-        if incentive_mode:
-            u1i = xi @ gxi.T + (gx0 @ x0 + gm @ m)
-            u0i = u1i @ lmat.T + (zeta @ x0 + eta @ m)
-            u1bar_lim = gx0b @ x0 + gmb @ m
-            u0bar_lim = lmat @ u1bar_lim + zeta @ x0 + eta @ m
-            return (u0i.mean(axis=0), u1i.mean(axis=0), v, u0i, u1i,
-                    u0bar_lim, u1bar_lim)
-        u0 = t11 @ x0 + t12 @ m
-        u1 = t21 @ x0 + t22 @ m
-        u0i = np.broadcast_to(u0, (N, mL))
-        u1i = np.broadcast_to(u1, (N, mF))
-        return u0, u1, v, u0i, u1i, u0, u1
-
-    def work(part):
-        a, b = part
-        for path in range(a, b):
-            dW0 = rng.normals(cfg.master_seed, path, 0, M * s) * np.sqrt(hs)
-            dWi = rng.brownian_increments(cfg.master_seed, path,
-                                          range(1, N + 1), M * s * n, hs)
-            dWi = dWi.reshape(N, M * s, n)
-            x0 = p.xi.copy()
-            m = p.x0init.copy()
-            xi = np.broadcast_to(p.x0init, (N, n)).copy()
-            for k in range(M + 1):
-                xN = xi.mean(axis=0)
-                x0_out[path, k] = x0
-                m_out[path, k] = m
-                xN_out[path, k] = xN
-                xi_out[path, :, k] = xi[:stored]
-                u0b, u1b, v, u0i, u1i, u0lim, u1lim = controls(k, 0, x0, m, xi)
-                u0_out[path, k] = u0b
-                u1_out[path, k] = u1b
-                v_out[path, k] = v
-                u0i_out[path, :, k] = u0i[:stored]
-                u1i_out[path, :, k] = u1i[:stored]
-                if k == M:
-                    break
-                for j in range(s):
-                    if j > 0:
-                        xN = xi.mean(axis=0)
-                        u0b, u1b, v, u0i, u1i, u0lim, u1lim = \
-                            controls(k, j, x0, m, xi)
-                    if incentive_mode:
-                        drift0 = p.A @ x0 + p.B @ u0lim + p.F @ m \
-                            + p.H @ u1lim + p.E @ v
-                        diff0 = p.C @ x0 + p.D @ u0lim
-                    else:
-                        drift0 = p.A @ x0 + p.B @ u0b + p.F @ xN \
-                            + p.H @ u1b + p.E @ v
-                        diff0 = p.C @ x0 + p.D @ u0b
-                    dm = AtFt @ m + p.Bt @ u1lim + p.Ht @ u0lim
-                    drift_i = xi @ p.At.T + u1i @ p.Bt.T + u0i @ p.Ht.T \
-                        + (p.Ft @ xN)
-                    x0 = x0 + hs * drift0 + diff0 * dW0[k * s + j]
-                    m = m + hs * dm
-                    xi = xi + hs * drift_i + dWi[:, k * s + j] @ p.Sigma.T
-                if not np.isfinite(np.sum(x0) + np.sum(m) + np.sum(xi)):
-                    raise NonFiniteState(grid.nodes[k + 1], "population state")
-
-    _run_chunked(P, cfg.n_threads, work)
-    return PathBundle(grid, cfg, x0=x0_out, m=m_out, u0bar=u0_out,
-                      u1bar=u1_out, v=v_out, xN=xN_out, xi=xi_out,
-                      u0i=u0i_out, u1i=u1i_out, follower_ids=ids)
+    return _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc)
 
 
 def _quad(x: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -567,19 +514,35 @@ def _fit_slope(Ns, gaps):
     return float(slope), float(1.96 * se)
 
 
-def sweep_mean_field_gap(p: ModelParams, gains: LeaderGains, Ns,
-                         cfg: SimConfig) -> SweepReport:
-    """sup_t of the Monte Carlo mean of |x^(N) - m|^2 against N.
+def _stderr(x: np.ndarray) -> float:
+    return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
 
-    Common random numbers across N: path i reuses the same common-noise
-    stream for every N, and follower streams extend without reshuffling.
-    """
+
+def _report(label: str, Ns, points, caveat: str | None = None) -> SweepReport:
+    # all gaps at float-roundoff scale (e.g. no idiosyncratic noise): a
+    # log-log fit on arithmetic noise is meaningless
+    if all(pt.gap <= _DEGENERATE_FLOOR for pt in points):
+        return SweepReport(label, tuple(points), float("nan"), float("nan"),
+                           degenerate=True, caveat=caveat)
+    slope, half = _fit_slope(Ns, [pt.gap for pt in points])
+    return SweepReport(label, tuple(points), slope, half, caveat=caveat)
+
+
+_OPT_CAVEAT = ("proxy: reference is the limit-system saddle cost, not the "
+               "centralized inf-sup; slope mixes 1/sqrt(N) and 1/N terms")
+
+
+def _sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
+                cfg: SimConfig) -> tuple[SweepReport, SweepReport]:
+    """Both N-sweeps from one team-mode population run per N: the
+    mean-field gap report and the optimality-gap proxy report."""
     Ns = list(Ns)
     if len(Ns) < 3:
         raise ValueError("need at least 3 population sizes")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("population sizes must be strictly increasing")
-    points = []
+    J_lim = _j0_per_path(simulate_limit(p, gains, cfg), p)
+    mf, opt = [], []
     for N in Ns:
         bundle = simulate_population(
             p, gains, SimConfig(N=N, n_paths=cfg.n_paths,
@@ -590,17 +553,21 @@ def sweep_mean_field_gap(p: ModelParams, gains: LeaderGains, Ns,
         sq = np.sum((bundle.xN - bundle.m) ** 2, axis=2)   # (paths, M+1)
         curve = sq.mean(axis=0)
         kstar = int(np.argmax(curve))
-        gap = float(curve[kstar])
-        se = float(sq[:, kstar].std(ddof=1) / np.sqrt(sq.shape[0])) \
-            if sq.shape[0] > 1 else 0.0
-        points.append(SweepPoint(N, gap, se))
-    # all gaps at float-roundoff scale (e.g. no idiosyncratic noise): a
-    # log-log fit on arithmetic noise is meaningless
-    if all(pt.gap <= _DEGENERATE_FLOOR for pt in points):
-        return SweepReport("mean-field gap", tuple(points), float("nan"),
-                           float("nan"), degenerate=True)
-    slope, half = _fit_slope(Ns, [pt.gap for pt in points])
-    return SweepReport("mean-field gap", tuple(points), slope, half)
+        mf.append(SweepPoint(N, float(curve[kstar]), _stderr(sq[:, kstar])))
+        diff = _j0_per_path(bundle, p) - J_lim
+        opt.append(SweepPoint(N, float(abs(diff.mean())), _stderr(diff)))
+    return (_report("mean-field gap", Ns, mf),
+            _report("optimality-gap proxy", Ns, opt, caveat=_OPT_CAVEAT))
+
+
+def sweep_mean_field_gap(p: ModelParams, gains: LeaderGains, Ns,
+                         cfg: SimConfig) -> SweepReport:
+    """sup_t of the Monte Carlo mean of |x^(N) - m|^2 against N.
+
+    Common random numbers across N: path i reuses the same common-noise
+    stream for every N, and follower streams extend without reshuffling.
+    """
+    return _sweep_gaps(p, gains, Ns, cfg)[0]
 
 
 def sweep_optimality_gap(p: ModelParams, gains: LeaderGains, Ns,
@@ -613,36 +580,4 @@ def sweep_optimality_gap(p: ModelParams, gains: LeaderGains, Ns,
     the centralized inf-sup, which is not computable; slopes mix the
     1/sqrt(N) and 1/N contributions.
     """
-    Ns = list(Ns)
-    if len(Ns) < 3:
-        raise ValueError("need at least 3 population sizes")
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("population sizes must be strictly increasing")
-    limit_cfg = SimConfig(N=1, n_paths=cfg.n_paths,
-                          master_seed=cfg.master_seed,
-                          em_substeps=cfg.em_substeps,
-                          n_threads=cfg.n_threads,
-                          disturbance=cfg.disturbance)
-    J_lim = _j0_per_path(simulate_limit(p, gains, limit_cfg), p)
-    points = []
-    for N in Ns:
-        bundle = simulate_population(
-            p, gains, SimConfig(N=N, n_paths=cfg.n_paths,
-                                master_seed=cfg.master_seed,
-                                em_substeps=cfg.em_substeps,
-                                n_threads=cfg.n_threads,
-                                disturbance=cfg.disturbance))
-        diff = _j0_per_path(bundle, p) - J_lim
-        gap = float(abs(diff.mean()))
-        se = float(diff.std(ddof=1) / np.sqrt(diff.size)) \
-            if diff.size > 1 else 0.0
-        points.append(SweepPoint(N, gap, se))
-    caveat = ("proxy: reference is the limit-system saddle cost, not the "
-              "centralized inf-sup; slope mixes 1/sqrt(N) and 1/N terms")
-    if all(pt.gap <= _DEGENERATE_FLOOR for pt in points):
-        return SweepReport("optimality-gap proxy", tuple(points),
-                           float("nan"), float("nan"), degenerate=True,
-                           caveat=caveat)
-    slope, half = _fit_slope(Ns, [pt.gap for pt in points])
-    return SweepReport("optimality-gap proxy", tuple(points), slope, half,
-                       caveat=caveat)
+    return _sweep_gaps(p, gains, Ns, cfg)[1]

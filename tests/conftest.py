@@ -124,12 +124,17 @@ def saddle2000(table1, gains1):
 
 
 @pytest.fixture(scope="session")
-def mf_sweep(table1, gains1):
+def sweeps(table1, gains1):
+    """Mean-field and optimality-gap reports from one population run per N."""
     cfg = sim.SimConfig(N=1, n_paths=200, master_seed=42)
-    return sim.sweep_mean_field_gap(table1, gains1, [10, 40, 160, 640], cfg)
+    return sim._sweep_gaps(table1, gains1, [10, 40, 160, 640], cfg)
 
 
 @pytest.fixture(scope="session")
-def opt_sweep(table1, gains1):
-    cfg = sim.SimConfig(N=1, n_paths=200, master_seed=42)
-    return sim.sweep_optimality_gap(table1, gains1, [10, 40, 160, 640], cfg)
+def mf_sweep(sweeps):
+    return sweeps[0]
+
+
+@pytest.fixture(scope="session")
+def opt_sweep(sweeps):
+    return sweeps[1]

@@ -1,9 +1,12 @@
 """Monte Carlo machinery: path simulation, cost quadrature, saddle
 perturbation battery, population sweeps."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stackmfg import incentive, leader, rng, sim
+from stackmfg.model import ModelParams
 from stackmfg.sim import SimConfig
 
 
@@ -68,6 +71,25 @@ def test_rng_index_bounds():
         rng.stream(1, 2 ** 32, 0)
     with pytest.raises(ValueError):
         rng.stream(1, 0, -1)
+
+
+def test_rng_rekeyed_rows_match_fresh_streams():
+    # one re-keyed generator per call draws what a fresh generator per key
+    # draws, for reordered agent lists and for the edge keys
+    dt = 0.01
+    cases = ((5, 3, [4, 1, 9, 2]), (5, 3, [2, 9, 4]),
+             (2 ** 63 + 11, 2 ** 32 - 1, [0, 7]),
+             (2 ** 64 - 1, 0, [2 ** 32 - 1, 0]))
+    for seed, path, agents in cases:
+        rows = rng.brownian_increments(seed, path, agents, 50, dt)
+        for row, agent in zip(rows, agents):
+            assert np.array_equal(
+                row, rng.normals(seed, path, agent, 50) * np.sqrt(dt))
+    keys = [(2 ** 32 - 1, 0), (0, 3), (7, 0), (0, 3)]
+    rows = rng.increments(2 ** 63, keys, 20, dt)
+    for row, (path, agent) in zip(rows, keys):
+        assert np.array_equal(
+            row, rng.normals(2 ** 63, path, agent, 20) * np.sqrt(dt))
 
 
 # ------------------------------------------------------------ limit paths
@@ -180,6 +202,90 @@ def test_incentive_mode_runs(square, square_sol):
     assert pb.consistency_gap() <= 1e-12
 
 
+_BUNDLE_FIELDS = ("x0", "m", "u0bar", "u1bar", "v", "xN", "xi", "u0i", "u1i")
+
+
+def _population_layouts(monkeypatch, p, gains, cfg, per_chunk, **modes):
+    """The same population run with one path thread and the default chunk
+    size, with four threads over chunks of per_chunk paths, and with one
+    thread over those chunks."""
+    floats = p.grid_steps * cfg.em_substeps * (1 + cfg.N * p.n) * per_chunk
+    runs = [sim.simulate_population(p, gains, cfg, **modes)]
+    with monkeypatch.context() as mp:
+        mp.setattr(sim, "_CHUNK_FLOATS", floats)
+        for threads in (4, 1):
+            runs.append(sim.simulate_population(
+                p, gains, dataclasses.replace(cfg, n_threads=threads),
+                **modes))
+    return runs
+
+
+def _assert_bitwise(runs):
+    for name in _BUNDLE_FIELDS:
+        for other in runs[1:]:
+            assert np.array_equal(getattr(runs[0], name),
+                                  getattr(other, name)), name
+
+
+def test_population_independent_of_threads_and_chunks(table1, gains1,
+                                                      monkeypatch):
+    cfg = SimConfig(N=12, n_paths=7, master_seed=4)
+    _assert_bitwise(_population_layouts(monkeypatch, table1, gains1, cfg, 3))
+
+
+def test_incentive_population_independent_of_threads_and_chunks(
+        square, square_sol, monkeypatch):
+    cfg = SimConfig(N=10, n_paths=7, master_seed=4)
+    _assert_bitwise(_population_layouts(
+        monkeypatch, square, square_sol.gains, cfg, 3,
+        fgains=square_sol.fg, inc=square_sol.inc))
+
+
+def _params_n2() -> ModelParams:
+    # n = 2 with mL = 2n, so the incentive matching is square and solvable
+    return ModelParams(
+        n=2, mL=4, mF=1, nv=2,
+        A=[[-0.2, 0.1], [0.05, -0.3]],
+        B=[[0.4, 0.1, 0.0, 0.2], [0.0, 0.3, 0.2, -0.1]],
+        F=[[0.1, 0.0], [0.05, 0.1]], H=[[0.3], [0.1]],
+        E=[[0.2, 0.0], [0.1, 0.2]], C=[[0.2, 0.05], [0.0, 0.1]],
+        D=[[0.3, -0.1, 0.05, 0.0], [0.1, 0.2, 0.0, -0.15]],
+        At=[[-0.1, 0.05], [0.0, -0.2]], Bt=[[0.4], [0.2]],
+        Ft=[[0.1, 0.0], [0.0, 0.05]],
+        Ht=[[0.45, -0.3, 0.1, 0.05], [0.1, 0.2, -0.25, 0.3]],
+        Sigma=[[0.3, 0.05], [-0.1, 0.2]],
+        Q=[[0.5, 0.1], [0.1, 0.4]], Gamma1=[[0.5, 0.0], [0.1, 0.4]],
+        R0=np.diag([0.5, 0.4, 0.6, 0.45]), R1=0.6,
+        R2=[[0.5, 0.0], [0.0, 0.6]], Gamma2=[[0.1, 0.0], [0.0, 0.2]],
+        G=[[0.4, 0.0], [0.0, 0.3]], Qt=[[0.3, 0.0], [0.0, 0.25]],
+        Gamma1t=[[0.5, 0.1], [0.0, 0.4]],
+        R0t=np.diag([0.3, 0.25, 0.35, 0.2]), R1t=0.5,
+        Gamma2t=[[0.2, 0.0], [0.0, 0.1]], Gt=[[0.3, 0.0], [0.0, 0.2]],
+        xi=[1.0, -0.5], x0init=[0.8, 0.3], T=1.0, gamma=10.0, grid_steps=50,
+    )
+
+
+def test_matrix_population_n2(monkeypatch):
+    # matrix Sigma and a 4-dimensional leader control reach every
+    # transpose of the kernel's matrix products in both modes
+    p = _params_n2()
+    blocks = leader.solve_block_riccati(p)
+    gains = leader.leader_gains(blocks, p)
+    dtheta, inc = incentive.solve_cc_incentive(p, blocks)
+    spp = incentive.solve_sigma_phi_psi(p, blocks, dtheta, inc)
+    fg = incentive.follower_gains(p, blocks, inc, dtheta, spp)
+    cfg = SimConfig(N=8, n_paths=5, master_seed=6, store_all_followers=True)
+    for modes in ({}, {"fgains": fg, "inc": inc}):
+        runs = _population_layouts(monkeypatch, p, gains, cfg, 2, **modes)
+        _assert_bitwise(runs)
+        pb = runs[0]
+        assert pb.xi.shape == (5, 8, p.grid_steps + 1, 2)
+        assert pb.u0i.shape == (5, 8, p.grid_steps + 1, 4)
+        assert pb.consistency_gap() <= 1e-12
+        for name in _BUNDLE_FIELDS:
+            assert np.all(np.isfinite(getattr(pb, name))), name
+
+
 def test_incentive_match_values(gains1, fg1, inc1, square_sol):
     # same quantity as the nodewise matching defect, read off the gains
     assert sim.incentive_match(gains1, fg1) == pytest.approx(inc1.worst,
@@ -198,6 +304,24 @@ def test_sigma_zero_sweeps_degenerate(table1, gains1):
     opt = sim.sweep_optimality_gap(p, gains1, [4, 8, 16], cfg)
     assert not opt.degenerate
     assert all(pt.gap <= 1e-10 for pt in opt.points)
+
+
+def test_shared_sweep_matches_standalone_sweeps(table1, gains1):
+    Ns, cfg = [4, 8, 16], SimConfig(n_paths=4, master_seed=7)
+    mf, opt = sim._sweep_gaps(table1, gains1, Ns, cfg)
+    assert mf == sim.sweep_mean_field_gap(table1, gains1, Ns, cfg)
+    assert opt == sim.sweep_optimality_gap(table1, gains1, Ns, cfg)
+    # each point is read off its own population run
+    J_lim = sim.eval_costs(sim.simulate_limit(table1, gains1, cfg),
+                           table1).J0_mean
+    for N, mf_pt, opt_pt in zip(Ns, mf.points, opt.points):
+        pop = sim.simulate_population(
+            table1, gains1, SimConfig(N=N, n_paths=4, master_seed=7))
+        sq = np.sum((pop.xN - pop.m) ** 2, axis=2).mean(axis=0)
+        assert mf_pt.N == opt_pt.N == N
+        assert mf_pt.gap == float(sq.max())
+        J_pop = sim.eval_costs(pop, table1).J0_mean
+        assert opt_pt.gap == pytest.approx(abs(J_pop - J_lim), rel=1e-9)
 
 
 def test_mean_field_gap_decays_like_one_over_N(mf_sweep):
