@@ -129,10 +129,19 @@ class _Manifest:
         self.doc["failed_stage"] = stage
         self.doc["error"] = f"{type(err).__name__}: {err}"
 
-    def write(self):
+    def write(self, summary=None):
+        """Write summary.json first, if given, then the manifest itself."""
+        if summary is not None:
+            path = self.outdir / "summary.json"
+            _write_json(path, summary)
+            self.add_output(path)
         self.doc["finished"] = datetime.now(timezone.utc).isoformat()
         path = self.outdir / "manifest.json"
         _write_json(path, self.doc)
+
+
+class _StageFailed(Exception):
+    """A subcommand's stage failed; the manifest already records it."""
 
 
 def _store_config(p: ModelParams, man: _Manifest) -> None:
@@ -147,6 +156,8 @@ def _load(args) -> ModelParams:
     p = load_config(cfg_path)
     if args.grid_steps:
         p = p.with_updates(grid_steps=args.grid_steps)
+    if getattr(args, "gamma", None):
+        p = p.with_updates(gamma=args.gamma)
     return p
 
 
@@ -242,6 +253,16 @@ def _leader_stage(p: ModelParams, man: _Manifest):
     return sol, gains, V0
 
 
+def _solved_leader(p: ModelParams, man: _Manifest):
+    """_leader_stage for the subcommands that stop when it fails."""
+    try:
+        return _leader_stage(p, man)
+    except RuntimeError as e:
+        man.fail("solve-leader", e)
+        man.write()
+        raise _StageFailed(f"solve-leader failed: {e}") from e
+
+
 def _leader_checks(p: ModelParams, sol, gains) -> dict:
     block_res = odeint.residual(
         [sol.P1, sol.Pi1, sol.P2, sol.Pi2],
@@ -268,22 +289,11 @@ def _leader_checks(p: ModelParams, sol, gains) -> dict:
 
 def cmd_solve_leader(args) -> int:
     p = _load(args)
-    if args.gamma:
-        p = p.with_updates(gamma=args.gamma)
     man = _Manifest(_outdir(args), "solve-leader", _flag_dict(args))
     _store_config(p, man)
-    try:
-        sol, gains, V0 = _leader_stage(p, man)
-    except RuntimeError as e:
-        man.fail("solve-leader", e)
-        man.write()
-        print(f"solve-leader failed: {e}", file=sys.stderr)
-        return 1
+    sol, gains, V0 = _solved_leader(p, man)
     checks = _leader_checks(p, sol, gains)
-    _write_json(man.outdir / "summary.json",
-                {"V0": V0, "gamma": p.gamma, "checks": checks})
-    man.add_output(man.outdir / "summary.json")
-    man.write()
+    man.write({"V0": V0, "gamma": p.gamma, "checks": checks})
     print(f"V0 = {V0!r}")
     for key, ok_key in (("riccati_residual", "riccati_residual_ok"),
                         ("pi1_p2_gap", "pi1_p2_ok"),
@@ -347,22 +357,11 @@ def _incentive_stage(p: ModelParams, sol, gains, man: _Manifest):
 
 def cmd_solve_incentive(args) -> int:
     p = _load(args)
-    if args.gamma:
-        p = p.with_updates(gamma=args.gamma)
     man = _Manifest(_outdir(args), "solve-incentive", _flag_dict(args))
     _store_config(p, man)
-    try:
-        sol, gains, V0 = _leader_stage(p, man)
-    except RuntimeError as e:
-        man.fail("solve-leader", e)
-        man.write()
-        print(f"solve-leader failed: {e}", file=sys.stderr)
-        return 1
+    sol, gains, V0 = _solved_leader(p, man)
     dtheta, inc, spp, fg, info = _incentive_stage(p, sol, gains, man)
-    _write_json(man.outdir / "summary.json",
-                {"V0": V0, "gamma": p.gamma, "incentive": info})
-    man.add_output(man.outdir / "summary.json")
-    man.write()
+    man.write({"V0": V0, "gamma": p.gamma, "incentive": info})
     print(f"incentive solved: {info['solved']}  "
           f"max residual {info['max_matching_residual']:.3e}  "
           f"matching gap {info['matching_gap']:.3e}")
@@ -455,17 +454,9 @@ def _simulate_stage(p, gains, fg, inc, man, seed, threads, N, paths,
 
 def cmd_simulate(args) -> int:
     p = _load(args)
-    if args.gamma:
-        p = p.with_updates(gamma=args.gamma)
     man = _Manifest(_outdir(args), "simulate", _flag_dict(args))
     _store_config(p, man)
-    try:
-        sol, gains, V0 = _leader_stage(p, man)
-    except RuntimeError as e:
-        man.fail("solve-leader", e)
-        man.write()
-        print(f"solve-leader failed: {e}", file=sys.stderr)
-        return 1
+    sol, gains, V0 = _solved_leader(p, man)
     dtheta, inc, spp, fg, info = _incentive_stage(p, sol, gains, man)
     seed = args.seed if args.seed is not None else 42
     out = _simulate_stage(p, gains, fg, inc, man, seed, args.threads or 1,
@@ -483,9 +474,7 @@ def cmd_simulate(args) -> int:
     _write_csv(path, ["system", "J0_mean", "J0_stderr", "n_paths"], rows)
     man.add_output(path)
 
-    _write_json(man.outdir / "summary.json", out)
-    man.add_output(man.outdir / "summary.json")
-    man.write()
+    man.write(out)
     print(f"J0(limit) = {out['costs']['limit']['J0_mean']:.6f} "
           f"+/- {out['costs']['limit']['J0_stderr']:.6f}   V0 = {V0:.6f}")
     print(f"J0(population, N={args.n}) = "
@@ -530,19 +519,11 @@ def cmd_sweep_n(args) -> int:
     p = _load(args)
     man = _Manifest(_outdir(args), "sweep-n", _flag_dict(args))
     _store_config(p, man)
-    try:
-        sol, gains, V0 = _leader_stage(p, man)
-    except RuntimeError as e:
-        man.fail("solve-leader", e)
-        man.write()
-        print(f"solve-leader failed: {e}", file=sys.stderr)
-        return 1
+    sol, gains, V0 = _solved_leader(p, man)
     Ns = [int(x) for x in args.ns.split(",")]
     seed = args.seed if args.seed is not None else 42
     out = _sweep_stage(p, gains, man, Ns, args.paths, seed, args.threads or 1)
-    _write_json(man.outdir / "summary.json", out)
-    man.add_output(man.outdir / "summary.json")
-    man.write()
+    man.write(out)
     print(f"mean-field slope {out['mean_field']['slope']:.3f}, "
           f"optimality slope {out['optimality']['slope']:.3f}")
     return 0
@@ -590,9 +571,7 @@ def cmd_reproduce_paper(args) -> int:
                                          200, seed, threads)
     except Exception as e:                       # noqa: BLE001
         man.fail(stage, e)
-        _write_json(man.outdir / "summary.json", summary)
-        man.add_output(man.outdir / "summary.json")
-        man.write()
+        man.write(summary)
         print(f"reproduce-paper failed at stage {stage}: {e}", file=sys.stderr)
         return 1
     checks = {
@@ -613,9 +592,7 @@ def cmd_reproduce_paper(args) -> int:
     for name, ok in checks.items():
         if not ok:
             man.warn(f"check failed: {name}")
-    _write_json(man.outdir / "summary.json", summary)
-    man.add_output(man.outdir / "summary.json")
-    man.write()
+    man.write(summary)
     n_bad = sum(not ok for ok in checks.values())
     print(f"reproduce-paper finished: {len(checks) - n_bad}/{len(checks)} "
           f"checks pass; outputs in {man.outdir}")
@@ -704,6 +681,9 @@ def main(argv=None) -> int:
     args = _apply_env(build_parser().parse_args(argv))
     try:
         return args.func(args)
+    except _StageFailed as e:
+        print(e, file=sys.stderr)
+        return 1
     except ParseError as e:
         print(f"ParseError: {e}", file=sys.stderr)
         return 1

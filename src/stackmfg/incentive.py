@@ -8,6 +8,12 @@ held at its nodal value.  The decoupled (Sigma, Phi, Psi) chain is
 co-integrated with (Delta, Theta) so that the structural relations
 Theta = Psi and Delta = Sigma + Phi are preserved to roundoff by
 construction and only genuine transcription errors can break them.
+
+Both sweeps step with odeint.rk4_step, sampling the closed-loop
+coefficients once at each of the three distinct nodes of a step on the
+block solution's doubled grid.  The matching conditions, zeta/eta and the
+follower gains share the leader's gain algebra (leader._gain_terms); its
+L-free parts are solved once per node, outside the Gauss-Newton loop.
 """
 from __future__ import annotations
 
@@ -15,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leader import BlockRiccatiSolution
+from .leader import BlockRiccatiSolution, _gain_terms
 from .model import MatrixTrajectory, ModelParams, TimeGrid
+from .odeint import rk4_step
 
 __all__ = [
     "NoIncentiveSolution",
@@ -133,16 +140,38 @@ class FollowerGains:
     Gmbar: MatrixTrajectory
 
 
+def _nodal_terms(p: ModelParams, P1, Pi1, P2, Pi2):
+    """(S0^-1 V, S0^-1 V2, R1^-1 X, R1^-1 X2) at one node or a stack: the
+    parts of zeta, eta and the matching conditions that do not involve L."""
+    S0, V, V2, X, X2 = _gain_terms(p, P1, Pi1, P2, Pi2)
+    return (np.linalg.solve(S0, V), np.linalg.solve(S0, V2),
+            np.linalg.solve(p.R1, X), np.linalg.solve(p.R1, X2))
+
+
+def _zeta_eta(L, nodal):
+    SiV, SiV2, RiX, RiX2 = nodal
+    return -SiV + L @ RiX, -SiV2 + L @ RiX2
+
+
+def _L_terms(p: ModelParams, L):
+    """(SL, BL, L'R0t) for one L or a stack: the follower's control weight
+    SL = R1t + L'R0t L under the incentive, its input map BL = Bt + Ht L,
+    and the cross weight L'R0t."""
+    LtR0 = np.swapaxes(L, -1, -2) @ p.R0t
+    return p.R1t + LtR0 @ L, p.Bt + p.Ht @ L, LtR0
+
+
 def zeta_eta(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2):
     """State and mean feedthrough of the leader's incentive at one node."""
-    S0 = p.R0 + p.D.T @ P1 @ p.D
-    V = p.B.T @ P1 + p.Ht.T @ P2 + p.D.T @ P1 @ p.C
-    V2 = p.B.T @ Pi1 + p.Ht.T @ Pi2
-    X = p.H.T @ P1 + p.Bt.T @ P2
-    X2 = p.H.T @ Pi1 + p.Bt.T @ Pi2
-    zeta = -np.linalg.solve(S0, V) + L @ np.linalg.solve(p.R1, X)
-    eta = -np.linalg.solve(S0, V2) + L @ np.linalg.solve(p.R1, X2)
-    return zeta, eta
+    return _zeta_eta(L, _nodal_terms(p, P1, Pi1, P2, Pi2))
+
+
+def _matching(p, L, nodal, Delta, Theta):
+    zeta, eta = _zeta_eta(L, nodal)
+    SL, BL, LtR0 = _L_terms(p, L)
+    r1 = np.linalg.solve(SL, LtR0 @ zeta + BL.T @ Theta) - nodal[2]
+    r2 = np.linalg.solve(SL, LtR0 @ eta + BL.T @ Delta) - nodal[3]
+    return r1, r2
 
 
 def matching_residual(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2,
@@ -152,32 +181,19 @@ def matching_residual(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2,
     Returns the pair of mF x n defect matrices; zeros mean the followers'
     aggregated best reply reproduces the leader's team-optimal follower gain.
     """
-    zeta, eta = zeta_eta(p, L, P1, Pi1, P2, Pi2)
-    SL = p.R1t + L.T @ p.R0t @ L
-    BL = p.Bt + p.Ht @ L
-    X = p.H.T @ P1 + p.Bt.T @ P2
-    X2 = p.H.T @ Pi1 + p.Bt.T @ Pi2
-    LtR0 = L.T @ p.R0t
-    r1 = np.linalg.solve(SL, LtR0 @ zeta + BL.T @ Theta) - np.linalg.solve(p.R1, X)
-    r2 = np.linalg.solve(SL, LtR0 @ eta + BL.T @ Delta) - np.linalg.solve(p.R1, X2)
-    return r1, r2
+    return _matching(p, L, _nodal_terms(p, P1, Pi1, P2, Pi2), Delta, Theta)
 
 
 def cc_coefficients(p: ModelParams, gamma: float, L: np.ndarray,
                     P1, Pi1, P2, Pi2) -> CCCoefficients:
     zeta, eta = zeta_eta(p, L, P1, Pi1, P2, Pi2)
-    return _cc_from_zeta_eta(p, gamma, L, zeta, eta, P1, Pi1)
-
-
-def _cc_from_zeta_eta(p, gamma, L, zeta, eta, P1, Pi1) -> CCCoefficients:
     g2 = gamma ** -2
-    ERi = p.E @ np.linalg.solve(p.R2, p.E.T)
-    SL = p.R1t + L.T @ p.R0t @ L
-    BL = p.Bt + p.Ht @ L          # follower-side input map
+    ERi = p.disturbance_weight
+    SL, BL, LtR0 = _L_terms(p, L)  # BL: follower-side input map
     GL = p.H + p.B @ L            # leader-side counterpart
     DL = p.D @ L
-    LtR0z = np.linalg.solve(SL, L.T @ p.R0t @ zeta)
-    LtR0e = np.linalg.solve(SL, L.T @ p.R0t @ eta)
+    LtR0z = np.linalg.solve(SL, LtR0 @ zeta)
+    LtR0e = np.linalg.solve(SL, LtR0 @ eta)
     SLBL = np.linalg.solve(SL, BL.T)
     A1 = p.At + p.Ft + p.Ht @ eta - BL @ LtR0e
     B1 = p.Ht @ zeta - BL @ LtR0z
@@ -280,7 +296,7 @@ def _terminal_candidates(p: ModelParams):
         yield c * base
 
 
-def _cleared_candidate(p, blocks_node, Delta, Theta) -> np.ndarray:
+def _cleared_candidate(p, nodal, Delta, Theta) -> np.ndarray:
     """Least-squares solution of the matching conditions multiplied through
     by SL = R1t + L'R0tL.
 
@@ -289,11 +305,9 @@ def _cleared_candidate(p, blocks_node, Delta, Theta) -> np.ndarray:
     matching solution exists this IS it, and it seeds the damped iteration
     past any spurious stationary point of the scaled objective.
     """
-    P1, Pi1, P2, Pi2 = blocks_node
-
     def cleared(L):
-        SL = p.R1t + L.T @ p.R0t @ L
-        r1, r2 = matching_residual(p, L, P1, Pi1, P2, Pi2, Delta, Theta)
+        SL = _L_terms(p, L)[0]
+        r1, r2 = _matching(p, L, nodal, Delta, Theta)
         return np.concatenate(((SL @ r1).ravel(), (SL @ r2).ravel()))
 
     nvar = p.mL * p.mF
@@ -319,6 +333,14 @@ def _prefer(a, b):
     return a
 
 
+def _cc_stages(p, blocks: BlockRiccatiSolution, L, k: int):
+    """Closed-loop coefficients with L frozen at the start, midpoint and end
+    of the backward step from node k: fine nodes 2k, 2k-1 and 2k-2 of the
+    block solution's doubled grid, so the half-step is an exact sample."""
+    return tuple(cc_coefficients(p, blocks.gamma, L, *blocks.fine_blocks(j))
+                 for j in (2 * k, 2 * k - 1, 2 * k - 2))
+
+
 def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
                        opts: NewtonOpts = NewtonOpts()):
     """Backward sweep for (L, Delta, Theta) along the leader's block solution.
@@ -337,8 +359,6 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
     h = grid.h
     Lsh = (p.mL, p.mF)
     L_store = np.empty((M + 1,) + Lsh)
-    z_store = np.empty((M + 1, p.mL, p.n))
-    e_store = np.empty((M + 1, p.mL, p.n))
     d_store = np.empty((M + 1, p.n, p.n))
     t_store = np.empty((M + 1, p.n, p.n))
     resid = np.empty(M + 1)
@@ -348,15 +368,18 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
     GtG2 = p.Gt @ p.Gamma2t
     Delta = p.Gt - GtG2
     Theta = np.zeros((p.n, p.n))
+    nodal = _nodal_terms(p, *blocks.all_nodes())
+
+    def dtheta_rhs(cc, st):
+        return _delta_theta_rhs(p, cc, *st)
 
     for k in range(M, -1, -1):
-        P1, Pi1, P2, Pi2 = blocks.fine_blocks(2 * k)
+        nk = tuple(a[k] for a in nodal)
 
-        def fun(L, _b=(P1, Pi1, P2, Pi2), _D=Delta, _T=Theta):
-            r1, r2 = matching_residual(p, L, *_b, _D, _T)
+        def fun(L, _n=nk, _D=Delta, _T=Theta):
+            r1, r2 = _matching(p, L, _n, _D, _T)
             return np.concatenate((r1.ravel(), r2.ravel()))
 
-        blocks_node = (P1, Pi1, P2, Pi2)
         if k == M:
             # prefer genuinely stationary candidates: the least-squares
             # objective also drains away along |L| -> inf, and a descent run
@@ -365,7 +388,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
             for cand in _terminal_candidates(p):
                 best = _prefer(best, _gauss_newton(fun, cand, opts))
             best = _prefer(best, _gauss_newton(
-                fun, _cleared_candidate(p, blocks_node, Delta, Theta), opts))
+                fun, _cleared_candidate(p, nk, Delta, Theta), opts))
             Lk, rk, it, ck = best
         else:
             warm = L_store[k + 1]
@@ -375,8 +398,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
                 # is solvable, and a way off spurious minima of the scaled
                 # objective
                 retry = _gauss_newton(
-                    fun, _cleared_candidate(p, blocks_node, Delta, Theta),
-                    opts)
+                    fun, _cleared_candidate(p, nk, Delta, Theta), opts)
                 retry = (retry[0], retry[1], retry[2] + best[2], retry[3])
                 best = _prefer(best, retry)
             Lk, rk, it, ck = best
@@ -390,32 +412,15 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
         resid[k] = rk
         iters[k] = it
         conv[k] = ck
-        zk, ek = zeta_eta(p, Lk, P1, Pi1, P2, Pi2)
-        z_store[k], e_store[k] = zk, ek
         d_store[k], t_store[k] = Delta, Theta
 
         if k == 0:
             break
-        # RK4 step to node k-1 with L frozen; block values read off the
-        # internally doubled grid so the half-steps are exact samples
-        stages = (2 * k, 2 * k - 1, 2 * k - 1, 2 * k - 2)
-        weights = (0.0, 0.5, 0.5, 1.0)
-        kD = []
-        kT = []
-        for idx, (j, w) in enumerate(zip(stages, weights)):
-            if idx == 0:
-                Ds, Ts = Delta, Theta
-            else:
-                prevD, prevT = kD[idx - 1], kT[idx - 1]
-                Ds = Delta - h * w * prevD if idx < 3 else Delta - h * prevD
-                Ts = Theta - h * w * prevT if idx < 3 else Theta - h * prevT
-            cc = cc_coefficients(p, blocks.gamma, Lk, *blocks.fine_blocks(j))
-            dD, dT = _delta_theta_rhs(p, cc, Ds, Ts)
-            kD.append(dD)
-            kT.append(dT)
-        Delta = Delta - (h / 6.0) * (kD[0] + 2.0 * (kD[1] + kD[2]) + kD[3])
-        Theta = Theta - (h / 6.0) * (kT[0] + 2.0 * (kT[1] + kT[2]) + kT[3])
+        # RK4 step to node k-1 with L frozen
+        Delta, Theta = rk4_step(dtheta_rhs, [Delta, Theta], -h,
+                                _cc_stages(p, blocks, Lk, k))
 
+    z_store, e_store = _zeta_eta(L_store, nodal)
     dtheta = DeltaThetaSolution(
         grid,
         Delta=MatrixTrajectory(grid, d_store),
@@ -485,23 +490,8 @@ def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
         sp_gap = max(sp_gap, g1, g2)
         if k == 0:
             break
-        Lk = inc.L.values[k]
-        stages = (2 * k, 2 * k - 1, 2 * k - 1, 2 * k - 2)
-        weights = (0.0, 0.5, 0.5, 1.0)
-        ks = []
-        for idx, (j, w) in enumerate(zip(stages, weights)):
-            if idx == 0:
-                st = state
-            else:
-                prev = ks[idx - 1]
-                step = h * w if idx < 3 else h
-                st = [x - step * d for x, d in zip(state, prev)]
-            cc = cc_coefficients(p, blocks.gamma, Lk, *blocks.fine_blocks(j))
-            ks.append(rhs(cc, st))
-        state = [
-            x - (h / 6.0) * (a + 2.0 * (b + c) + d)
-            for x, a, b, c, d in zip(state, ks[0], ks[1], ks[2], ks[3])
-        ]
+        state = rk4_step(rhs, state, -h,
+                         _cc_stages(p, blocks, inc.L.values[k], k))
 
     # th_gap compares the co-integrated Psi against the co-integrated Theta;
     # sp_gap additionally ties both back to the stored coupled sweep
@@ -526,30 +516,19 @@ def follower_gains(p: ModelParams, blocks: BlockRiccatiSolution,
                    inc: IncentiveMatrices, dtheta: DeltaThetaSolution,
                    spp: SigmaPhiPsiSolution) -> FollowerGains:
     """Nodewise feedback gains of the followers' best replies."""
-    grid = blocks.grid
-    M = grid.steps
-    gxi = np.empty((M + 1, p.mF, p.n))
-    gx0 = np.empty((M + 1, p.mF, p.n))
-    gm = np.empty((M + 1, p.mF, p.n))
-    gx0b = np.empty((M + 1, p.mF, p.n))
-    gmb = np.empty((M + 1, p.mF, p.n))
-    for k in range(M + 1):
-        L = inc.L.values[k]
-        SL = p.R1t + L.T @ p.R0t @ L
-        BL = p.Bt + p.Ht @ L
-        LtR0 = L.T @ p.R0t
-        z = inc.zeta.values[k]
-        e = inc.eta.values[k]
-        gxi[k] = -np.linalg.solve(SL, BL.T @ spp.Sigma.values[k])
-        gx0[k] = -np.linalg.solve(SL, LtR0 @ z + BL.T @ spp.Psi.values[k])
-        gm[k] = -np.linalg.solve(SL, LtR0 @ e + BL.T @ spp.Phi.values[k])
-        gx0b[k] = -np.linalg.solve(SL, LtR0 @ z + BL.T @ dtheta.Theta.values[k])
-        gmb[k] = -np.linalg.solve(SL, LtR0 @ e + BL.T @ dtheta.Delta.values[k])
+    L = inc.L.values
+    SL, BL, LtR0 = _L_terms(p, L)
+    BLt = np.swapaxes(BL, -1, -2)
+    z, e = inc.zeta.values, inc.eta.values
+
+    def gain(rhs):
+        return MatrixTrajectory(blocks.grid, -np.linalg.solve(SL, rhs))
+
     return FollowerGains(
-        grid,
-        Gxi=MatrixTrajectory(grid, gxi),
-        Gx0=MatrixTrajectory(grid, gx0),
-        Gm=MatrixTrajectory(grid, gm),
-        Gx0bar=MatrixTrajectory(grid, gx0b),
-        Gmbar=MatrixTrajectory(grid, gmb),
+        blocks.grid,
+        Gxi=gain(BLt @ spp.Sigma.values),
+        Gx0=gain(LtR0 @ z + BLt @ spp.Psi.values),
+        Gm=gain(LtR0 @ e + BLt @ spp.Phi.values),
+        Gx0bar=gain(LtR0 @ z + BLt @ dtheta.Theta.values),
+        Gmbar=gain(LtR0 @ e + BLt @ dtheta.Delta.values),
     )

@@ -46,11 +46,6 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _disturbance_weight(p: ModelParams) -> np.ndarray:
-    """E R2^{-1} E', the square completed against the attenuation term."""
-    return p.E @ np.linalg.solve(p.R2, p.E.T)
-
-
 @dataclass(frozen=True)
 class ConcavityCertificate:
     gamma: float
@@ -66,7 +61,7 @@ class ConcavityCertificate:
 
 def concavity_problem(p: ModelParams, gamma: float) -> OdeProblem:
     n = p.n
-    ERi = _disturbance_weight(p)
+    ERi = p.disturbance_weight
     g2 = gamma ** -2
     At_ = p.A.T
     Ct_ = p.C.T
@@ -176,48 +171,67 @@ class BlockRiccatiSolution:
         return (self.P1.values[k], self.Pi1.values[k],
                 self.P2.values[k], self.Pi2.values[k])
 
+    def all_nodes(self):
+        """Block values at every published node, as (M+1, n, n) stacks."""
+        return self.P1.values, self.Pi1.values, self.P2.values, self.Pi2.values
+
     def fine_blocks(self, j: int):
         """Block values at fine node j (fine node 2k is published node k)."""
         return (self.fine_P1[j], self.fine_Pi1[j],
                 self.fine_P2[j], self.fine_Pi2[j])
 
 
-def _gain_solve(S0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if np.linalg.cond(S0) > COND_CAP:
+def _gain_terms(p: ModelParams, P1, Pi1, P2, Pi2):
+    """(S0, V, V2, X, X2), the block terms every gain is built from.
+
+    S0 = R0 + D'P1D weighs the leader's control, V and V2 are its
+    feedthrough on (x0, m), X and X2 the follower control's.  The blocks are
+    one node (n, n) or a stack (K, n, n); broadcasting @ keeps each node of
+    a stack bitwise equal to the same node taken alone (einsum does not
+    once an inner dimension exceeds 1).
+    """
+    DtP1 = p.D.T @ P1
+    S0 = p.R0 + DtP1 @ p.D
+    V = p.B.T @ P1 + p.Ht.T @ P2 + DtP1 @ p.C
+    V2 = p.B.T @ Pi1 + p.Ht.T @ Pi2
+    X = p.H.T @ P1 + p.Bt.T @ P2
+    X2 = p.H.T @ Pi1 + p.Bt.T @ Pi2
+    return S0, V, V2, X, X2
+
+
+def _check_gain_weight(S0: np.ndarray, nodes=None) -> None:
+    """Raise SingularGain where S0 = R0 + D'P1D is numerically singular.
+
+    S0 is one node or a stack; nodes, if given, are the stack's times.
+    """
+    conds = np.atleast_1d(np.linalg.cond(S0))
+    k = int(np.argmax(conds))
+    if conds[k] > COND_CAP:
+        at = "" if nodes is None else f" at t={nodes[k]:.6g}"
         raise SingularGain(
-            f"R0 + D'P1D has condition number above {COND_CAP:g}"
-        )
-    return np.linalg.solve(S0, rhs)
+            f"R0 + D'P1D has condition number {conds[k]:.3e}{at}")
 
 
 def block_riccati_problem(p: ModelParams, gamma: float) -> OdeProblem:
     n = p.n
-    ERi = _disturbance_weight(p)
+    ERi = p.disturbance_weight
     g2 = gamma ** -2
     AF = p.At + p.Ft          # follower mean drift A~ + F~
     At_, AFt_, Ct_, Ft_ = p.A.T, AF.T, p.C.T, p.F.T
-    Bt_, Ht_, D_t = p.B.T, p.H.T, p.D.T
-    Btt_, Htt_ = p.Bt.T, p.Ht.T
     QG1 = p.Q @ p.Gamma1
     G1QG1 = p.Gamma1.T @ QG1
     R1inv = np.linalg.inv(p.R1)
-    n_ = n
 
     def rhs(t, state):
         P1, Pi1, P2, Pi2 = state
-        DtP1 = D_t @ P1
+        S0, V, V2, X, X2 = _gain_terms(p, P1, Pi1, P2, Pi2)
         CtP1 = Ct_ @ P1
-        S0 = p.R0 + DtP1 @ p.D
         U = P1 @ p.B + Pi1 @ p.Ht + CtP1 @ p.D
-        V = Bt_ @ P1 + Htt_ @ P2 + DtP1 @ p.C
         W = P1 @ p.H + Pi1 @ p.Bt
-        X = Ht_ @ P1 + Btt_ @ P2
         U2 = P2 @ p.B + Pi2 @ p.Ht
-        V2 = Bt_ @ Pi1 + Htt_ @ Pi2
         W2 = P2 @ p.H + Pi2 @ p.Bt
-        X2 = Ht_ @ Pi1 + Btt_ @ Pi2
         SiVV2 = np.linalg.solve(S0, np.concatenate((V, V2), axis=1))
-        SiV, SiV2 = SiVV2[:, :n_], SiVV2[:, n_:]
+        SiV, SiV2 = SiVV2[:, :n], SiVV2[:, n:]
         RiX = R1inv @ X
         RiX2 = R1inv @ X2
         P1E = g2 * (P1 @ ERi)
@@ -296,14 +310,7 @@ def solve_block_riccati(p: ModelParams, gamma: float | None = None,
     if not res_asm.ok:
         return res_asm.escape
     vals = [tr.values for tr in res.trajectories]
-    # singularity guard on the gain weight, vectorized over the fine nodes
-    S0_all = p.R0 + np.einsum("ij,kjl,lm->kim", p.D.T, vals[0], p.D)
-    conds = np.linalg.cond(S0_all)
-    if np.max(conds) > COND_CAP:
-        k = int(np.argmax(conds))
-        raise SingularGain(
-            f"R0 + D'P1D has condition number {conds[k]:.3e} at t={fine.nodes[k]:.6g}"
-        )
+    _check_gain_weight(_gain_terms(p, *vals)[0], fine.nodes)
     coarse = [MatrixTrajectory(grid, v[::2].copy()) for v in vals]
     asm = MatrixTrajectory(grid, res_asm.trajectories[0].values[::2].copy())
     return BlockRiccatiSolution(
@@ -333,13 +340,10 @@ class LeaderGains:
 
 
 def gain_matrices(p: ModelParams, gamma: float, P1, Pi1, P2, Pi2):
-    """Pointwise gain formulas from block values at one time."""
-    S0 = p.R0 + p.D.T @ P1 @ p.D
-    V = p.B.T @ P1 + p.Ht.T @ P2 + p.D.T @ P1 @ p.C
-    V2 = p.B.T @ Pi1 + p.Ht.T @ Pi2
-    X = p.H.T @ P1 + p.Bt.T @ P2
-    X2 = p.H.T @ Pi1 + p.Bt.T @ Pi2
-    th11 = -_gain_solve(S0, V)
+    """Gain formulas from block values at one node or a stack of nodes."""
+    S0, V, V2, X, X2 = _gain_terms(p, P1, Pi1, P2, Pi2)
+    _check_gain_weight(S0)
+    th11 = -np.linalg.solve(S0, V)
     th12 = -np.linalg.solve(S0, V2)
     th21 = -np.linalg.solve(p.R1, X)
     th22 = -np.linalg.solve(p.R1, X2)
@@ -350,16 +354,9 @@ def gain_matrices(p: ModelParams, gamma: float, P1, Pi1, P2, Pi2):
 
 
 def leader_gains(sol: BlockRiccatiSolution, p: ModelParams) -> LeaderGains:
-    M = sol.grid.steps
-    out = [np.empty((M + 1, r, c)) for r, c in
-           ((p.mL, p.n), (p.mL, p.n), (p.mF, p.n), (p.mF, p.n),
-            (p.nv, p.n), (p.nv, p.n))]
-    for k in range(M + 1):
-        mats = gain_matrices(p, sol.gamma, *sol.blocks_at_node(k))
-        for store, m in zip(out, mats):
-            store[k] = m
-    trajs = [MatrixTrajectory(sol.grid, a) for a in out]
-    return LeaderGains(sol.grid, *trajs)
+    mats = gain_matrices(p, sol.gamma, *sol.all_nodes())
+    return LeaderGains(sol.grid,
+                       *(MatrixTrajectory(sol.grid, m) for m in mats))
 
 
 def leader_value(sol: BlockRiccatiSolution, p: ModelParams) -> float:
@@ -378,24 +375,19 @@ def stationarity_residual(sol: BlockRiccatiSolution, gains: LeaderGains,
     affine identity in (x0, m); the residual is the worst coefficient
     defect over both arguments, all three lines and all nodes.
     """
+    P1, Pi1, P2, Pi2 = sol.all_nodes()
+    g = gains
+    t11, t12 = g.Theta11.values, g.Theta12.values
     g2sq = sol.gamma ** 2
-    worst = 0.0
-    for k in range(sol.grid.steps + 1):
-        P1, Pi1, P2, Pi2 = sol.blocks_at_node(k)
-        t11 = gains.Theta11.values[k]
-        t12 = gains.Theta12.values[k]
-        t21 = gains.Theta21.values[k]
-        t22 = gains.Theta22.values[k]
-        vx = gains.Vx.values[k]
-        vm = gains.Vm.values[k]
-        lines = (
-            p.B.T @ P1 + p.D.T @ P1 @ (p.C + p.D @ t11) + p.Ht.T @ P2 + p.R0 @ t11,
-            p.B.T @ Pi1 + p.D.T @ P1 @ p.D @ t12 + p.Ht.T @ Pi2 + p.R0 @ t12,
-            p.H.T @ P1 + p.Bt.T @ P2 + p.R1 @ t21,
-            p.H.T @ Pi1 + p.Bt.T @ Pi2 + p.R1 @ t22,
-            p.E.T @ P1 - g2sq * p.R2 @ vx,
-            p.E.T @ Pi1 - g2sq * p.R2 @ vm,
-        )
-        for m in lines:
-            worst = max(worst, float(np.sqrt(np.sum(m * m))))
-    return worst
+    # written out as displayed rather than through _gain_terms, so a slip in
+    # the shared gain algebra shows here instead of cancelling
+    lines = (
+        p.B.T @ P1 + p.D.T @ P1 @ (p.C + p.D @ t11) + p.Ht.T @ P2 + p.R0 @ t11,
+        p.B.T @ Pi1 + p.D.T @ P1 @ p.D @ t12 + p.Ht.T @ Pi2 + p.R0 @ t12,
+        p.H.T @ P1 + p.Bt.T @ P2 + p.R1 @ g.Theta21.values,
+        p.H.T @ Pi1 + p.Bt.T @ Pi2 + p.R1 @ g.Theta22.values,
+        p.E.T @ P1 - g2sq * p.R2 @ g.Vx.values,
+        p.E.T @ Pi1 - g2sq * p.R2 @ g.Vm.values,
+    )
+    return max(float(np.max(np.sqrt(np.sum(m * m, axis=(1, 2)))))
+               for m in lines)

@@ -7,7 +7,8 @@ the JSON config round-trip and the standing-assumption checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +70,8 @@ class MatrixTrajectory:
 
     values has shape (M+1, r, c).  Off-node evaluation is linear
     interpolation between neighbouring nodes; all solver-to-solver traffic
-    stays on-grid, interpolation is a convenience for plotting and the
-    Euler-Maruyama substep loop.
+    stays on-grid, so interpolation is only a convenience for callers that
+    need a value between nodes.
     """
 
     def __init__(self, grid: TimeGrid, values: np.ndarray):
@@ -89,19 +90,12 @@ class MatrixTrajectory:
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1:]
 
-    def node(self, k: int) -> np.ndarray:
-        return self.values[k]
-
     def at(self, t: float) -> np.ndarray:
         """Linear interpolation; t is clipped to [0, T]."""
         s = min(max(t / self.grid.h, 0.0), float(self.grid.steps))
         k = min(int(s), self.grid.steps - 1)
         w = s - k
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.values[0]
 
     @property
     def terminal(self) -> np.ndarray:
@@ -168,8 +162,6 @@ class ModelParams:
 
     Matrices are stored as read-only 2-D float arrays even when 1x1; the
     scalar/matrix interchange happens only at the config boundary.
-    Coefficients are constant in time but solvers read them through
-    ``coeffs(t)`` so a time-varying extension stays local to this class.
     """
 
     n: int
@@ -233,9 +225,12 @@ class ModelParams:
         if self.grid_steps < 4:
             raise ValueError("grid_steps must be at least 4")
 
-    def coeffs(self, t: float) -> "ModelParams":
-        """Coefficient evaluator hook; constant model, so returns self."""
-        return self
+    @cached_property
+    def disturbance_weight(self) -> np.ndarray:
+        """E R2^{-1} E', the square completed against the attenuation term."""
+        w = self.E @ np.linalg.solve(self.R2, self.E.T)
+        w.setflags(write=False)
+        return w
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self.T, self.grid_steps)

@@ -23,6 +23,7 @@ __all__ = [
     "EscapePolicy",
     "Escape",
     "IntegrationResult",
+    "rk4_step",
     "integrate",
     "residual",
 ]
@@ -103,6 +104,26 @@ def _frob(a: np.ndarray) -> float:
     return float(np.sqrt(v @ v))
 
 
+def rk4_step(rhs, state, s, at, k1=None):
+    """One classical RK4 step of size s (negative to step backward).
+
+    at holds rhs's first argument at the start, the midpoint and the end of
+    the step: the times, or whatever the caller samples there (the
+    incentive sweeps pass coefficient matrices read off a doubled grid).
+    The two midpoint stages share at[1].  k1, if given, is the derivative
+    at the start, already evaluated.
+    """
+    half = 0.5 * s
+    if k1 is None:
+        k1 = rhs(at[0], state)
+    k2 = rhs(at[1], [x + half * d for x, d in zip(state, k1)])
+    k3 = rhs(at[1], [x + half * d for x, d in zip(state, k2)])
+    k4 = rhs(at[2], [x + s * d for x, d in zip(state, k3)])
+    sixth = s / 6.0
+    return [x + sixth * (a + 2.0 * (b + c) + d)
+            for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
 def integrate(problem: OdeProblem, grid: TimeGrid,
               escape: EscapePolicy = EscapePolicy()) -> IntegrationResult:
     """Run classical RK4 over the grid in the problem's direction.
@@ -119,7 +140,6 @@ def integrate(problem: OdeProblem, grid: TimeGrid,
     ncomp = len(problem.shapes)
 
     store = [np.empty((M + 1,) + s) for s in problem.shapes]
-    order = range(M, -1, -1) if back else range(M + 1)
     start = M if back else 0
     state = [b.copy() for b in problem.boundary]
 
@@ -160,19 +180,11 @@ def integrate(problem: OdeProblem, grid: TimeGrid,
 
     s = -h if back else h
     half = 0.5 * s
-    sixth = s / 6.0
-    rhs = problem.rhs
     steps = range(M, 0, -1) if back else range(M)
     for k in steps:
         t = nodes[k]
-        k1 = eval_clean(t, state)
-        k2 = rhs(t + half, [x + half * d for x, d in zip(state, k1)])
-        k3 = rhs(t + half, [x + half * d for x, d in zip(state, k2)])
-        k4 = rhs(t + s, [x + s * d for x, d in zip(state, k3)])
-        state = [
-            x + sixth * (a + 2.0 * (b + c) + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
+        state = rk4_step(problem.rhs, state, s, (t, t + half, t + s),
+                         k1=eval_clean(t, state))
         if problem.poststep is not None:
             state = list(problem.poststep(state))
         tgt = k - 1 if back else k + 1

@@ -3,11 +3,13 @@
 The benchmark pipeline (blocks, gains, incentive sweep, decoupled chain,
 Monte Carlo batteries) is solved once per session; the synthetic fixtures
 cover the square-matching case (mL = 2n, so the matching conditions are
-exactly solvable) and the decoupled limit.
+exactly solvable), the same case with n = 2 and matrix diffusion, and the
+decoupled limit.
 """
 from importlib.resources import files
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from stackmfg import incentive, leader, sim
@@ -83,6 +85,41 @@ def square_params() -> ModelParams:
     )
 
 
+def n2_square_params() -> ModelParams:
+    # n = 2 with mL = 2n, so the incentive matching is square and solvable
+    return ModelParams(
+        n=2, mL=4, mF=1, nv=2,
+        A=[[-0.2, 0.1], [0.05, -0.3]],
+        B=[[0.4, 0.1, 0.0, 0.2], [0.0, 0.3, 0.2, -0.1]],
+        F=[[0.1, 0.0], [0.05, 0.1]], H=[[0.3], [0.1]],
+        E=[[0.2, 0.0], [0.1, 0.2]], C=[[0.2, 0.05], [0.0, 0.1]],
+        D=[[0.3, -0.1, 0.05, 0.0], [0.1, 0.2, 0.0, -0.15]],
+        At=[[-0.1, 0.05], [0.0, -0.2]], Bt=[[0.4], [0.2]],
+        Ft=[[0.1, 0.0], [0.0, 0.05]],
+        Ht=[[0.45, -0.3, 0.1, 0.05], [0.1, 0.2, -0.25, 0.3]],
+        Sigma=[[0.3, 0.05], [-0.1, 0.2]],
+        Q=[[0.5, 0.1], [0.1, 0.4]], Gamma1=[[0.5, 0.0], [0.1, 0.4]],
+        R0=np.diag([0.5, 0.4, 0.6, 0.45]), R1=0.6,
+        R2=[[0.5, 0.0], [0.0, 0.6]], Gamma2=[[0.1, 0.0], [0.0, 0.2]],
+        G=[[0.4, 0.0], [0.0, 0.3]], Qt=[[0.3, 0.0], [0.0, 0.25]],
+        Gamma1t=[[0.5, 0.1], [0.0, 0.4]],
+        R0t=np.diag([0.3, 0.25, 0.35, 0.2]), R1t=0.5,
+        Gamma2t=[[0.2, 0.0], [0.0, 0.1]], Gt=[[0.3, 0.0], [0.0, 0.2]],
+        xi=[1.0, -0.5], x0init=[0.8, 0.3], T=1.0, gamma=10.0, grid_steps=50,
+    )
+
+
+def _solve_chain(p: ModelParams) -> SimpleNamespace:
+    blocks = leader.solve_block_riccati(p)
+    assert isinstance(blocks, BlockRiccatiSolution)
+    gains = leader.leader_gains(blocks, p)
+    dtheta, inc = incentive.solve_cc_incentive(p, blocks)
+    spp = incentive.solve_sigma_phi_psi(p, blocks, dtheta, inc)
+    fg = incentive.follower_gains(p, blocks, inc, dtheta, spp)
+    return SimpleNamespace(blocks=blocks, gains=gains, dtheta=dtheta,
+                           inc=inc, spp=spp, fg=fg)
+
+
 @pytest.fixture(scope="session")
 def square() -> ModelParams:
     return square_params()
@@ -90,14 +127,17 @@ def square() -> ModelParams:
 
 @pytest.fixture(scope="session")
 def square_sol(square):
-    blocks = leader.solve_block_riccati(square)
-    assert isinstance(blocks, BlockRiccatiSolution)
-    gains = leader.leader_gains(blocks, square)
-    dtheta, inc = incentive.solve_cc_incentive(square, blocks)
-    spp = incentive.solve_sigma_phi_psi(square, blocks, dtheta, inc)
-    fg = incentive.follower_gains(square, blocks, inc, dtheta, spp)
-    return SimpleNamespace(blocks=blocks, gains=gains, dtheta=dtheta,
-                           inc=inc, spp=spp, fg=fg)
+    return _solve_chain(square)
+
+
+@pytest.fixture(scope="session")
+def n2() -> ModelParams:
+    return n2_square_params()
+
+
+@pytest.fixture(scope="session")
+def n2_sol(n2):
+    return _solve_chain(n2)
 
 
 @pytest.fixture(scope="session")

@@ -44,20 +44,20 @@ def test_matching_residual_hand_value(table1):
     assert r2[0, 0] == pytest.approx(0.0139, abs=1e-12)
 
 
-def test_cc_coefficients_formula(square, square_sol):
-    p = square
-    blk = square_sol.blocks.blocks_at_node(0)
-    L = square_sol.inc.L.values[0]
-    cc = incentive.cc_coefficients(p, p.gamma, L, *blk)
-    z, e = incentive.zeta_eta(p, L, *blk)
-    SLi = np.linalg.inv(p.R1t + L.T @ p.R0t @ L)
-    BL = p.Bt + p.Ht @ L
-    A1 = p.At + p.Ft + p.Ht @ e - BL @ SLi @ (L.T @ p.R0t @ e)
-    H1 = -BL @ SLi @ BL.T
-    A3 = p.C + p.D @ z - p.D @ L @ SLi @ (L.T @ p.R0t @ z)
-    assert np.abs(cc.A1 - A1).max() <= 1e-12
-    assert np.abs(cc.H1 - H1).max() <= 1e-12
-    assert np.abs(cc.A3 - A3).max() <= 1e-12
+def test_cc_coefficients_formula(square, square_sol, n2, n2_sol):
+    for p, sol in ((square, square_sol), (n2, n2_sol)):
+        blk = sol.blocks.blocks_at_node(0)
+        L = sol.inc.L.values[0]
+        cc = incentive.cc_coefficients(p, p.gamma, L, *blk)
+        z, e = incentive.zeta_eta(p, L, *blk)
+        SLi = np.linalg.inv(p.R1t + L.T @ p.R0t @ L)
+        BL = p.Bt + p.Ht @ L
+        A1 = p.At + p.Ft + p.Ht @ e - BL @ SLi @ (L.T @ p.R0t @ e)
+        H1 = -BL @ SLi @ BL.T
+        A3 = p.C + p.D @ z - p.D @ L @ SLi @ (L.T @ p.R0t @ z)
+        assert np.abs(cc.A1 - A1).max() <= 1e-12
+        assert np.abs(cc.H1 - H1).max() <= 1e-12
+        assert np.abs(cc.A3 - A3).max() <= 1e-12
 
 
 # ------------------------------------------------------------ square model
@@ -128,18 +128,40 @@ def test_bar_gain_identities(which, square_sol, fg1):
     assert np.abs(fg.Gmbar.values - combined).max() <= 1e-8 * scale
 
 
-def test_follower_gain_formula_reproduction(square, square_sol):
-    p = square
-    inc, spp = square_sol.inc, square_sol.spp
-    for k in (0, 137, 200):
+def test_follower_gain_formula_reproduction(square, square_sol, n2, n2_sol):
+    for p, sol, nodes in ((square, square_sol, (0, 137, 200)),
+                          (n2, n2_sol, (0, 29, 50))):
+        inc, spp = sol.inc, sol.spp
+        for k in nodes:
+            L = inc.L.values[k]
+            SLi = np.linalg.inv(p.R1t + L.T @ p.R0t @ L)
+            BL = p.Bt + p.Ht @ L
+            gx0 = -SLi @ (L.T @ p.R0t @ inc.zeta.values[k]
+                          + BL.T @ spp.Psi.values[k])
+            gxi = -SLi @ (BL.T @ spp.Sigma.values[k])
+            assert np.abs(sol.fg.Gx0.values[k] - gx0).max() <= 1e-12
+            assert np.abs(sol.fg.Gxi.values[k] - gxi).max() <= 1e-12
+
+
+def test_batched_follower_gains_equal_per_node(n2, n2_sol):
+    # the stacked follower gains must round exactly like one node at a time
+    inc, dt, spp, fg = n2_sol.inc, n2_sol.dtheta, n2_sol.spp, n2_sol.fg
+    for k in range(n2.grid_steps + 1):
         L = inc.L.values[k]
-        SLi = np.linalg.inv(p.R1t + L.T @ p.R0t @ L)
-        BL = p.Bt + p.Ht @ L
-        gx0 = -SLi @ (L.T @ p.R0t @ inc.zeta.values[k]
-                      + BL.T @ spp.Psi.values[k])
-        gxi = -SLi @ (BL.T @ spp.Sigma.values[k])
-        assert np.abs(square_sol.fg.Gx0.values[k] - gx0).max() <= 1e-12
-        assert np.abs(square_sol.fg.Gxi.values[k] - gxi).max() <= 1e-12
+        SL = n2.R1t + L.T @ n2.R0t @ L
+        BL = n2.Bt + n2.Ht @ L
+        LtR0 = L.T @ n2.R0t
+        z, e = inc.zeta.values[k], inc.eta.values[k]
+        want = {
+            "Gxi": BL.T @ spp.Sigma.values[k],
+            "Gx0": LtR0 @ z + BL.T @ spp.Psi.values[k],
+            "Gm": LtR0 @ e + BL.T @ spp.Phi.values[k],
+            "Gx0bar": LtR0 @ z + BL.T @ dt.Theta.values[k],
+            "Gmbar": LtR0 @ e + BL.T @ dt.Delta.values[k],
+        }
+        for name, rhs in want.items():
+            assert np.array_equal(getattr(fg, name).values[k],
+                                  -np.linalg.solve(SL, rhs)), (name, k)
 
 
 # --------------------------------------------------------------- benchmark

@@ -1,5 +1,7 @@
 """Leader-side solvers: concavity certificate, gamma-hat search, block
 Riccati system, gains, value, stationarity."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -146,21 +148,22 @@ def test_theta21_terminal_hand_value(table1, gains1):
     assert gains1.Theta21.values[-1, 0, 0] == pytest.approx(want, abs=1e-12)
 
 
-def test_gain_formula_reproduction(table1, blocks1, gains1):
-    p = table1
-    for k in (0, p.grid_steps // 2, p.grid_steps):
-        P1, Pi1, P2, Pi2 = blocks1.blocks_at_node(k)
+def test_gain_formula_reproduction(table1, blocks1, gains1, n2, n2_sol):
+    cases = ((table1, blocks1, gains1), (n2, n2_sol.blocks, n2_sol.gains))
+    for (p, blocks, gains), frac in itertools.product(cases, (0, 1, 2)):
+        k = frac * p.grid_steps // 2
+        P1, Pi1, P2, Pi2 = blocks.blocks_at_node(k)
         S0 = p.R0 + p.D.T @ P1 @ p.D
         th11 = -np.linalg.inv(S0) @ (p.B.T @ P1 + p.Ht.T @ P2
                                      + p.D.T @ P1 @ p.C)
         th12 = -np.linalg.inv(S0) @ (p.B.T @ Pi1 + p.Ht.T @ Pi2)
         th21 = -np.linalg.inv(p.R1) @ (p.H.T @ P1 + p.Bt.T @ P2)
         th22 = -np.linalg.inv(p.R1) @ (p.H.T @ Pi1 + p.Bt.T @ Pi2)
-        vx = blocks1.gamma ** -2 * np.linalg.inv(p.R2) @ p.E.T @ P1
-        vm = blocks1.gamma ** -2 * np.linalg.inv(p.R2) @ p.E.T @ Pi1
-        pairs = ((gains1.Theta11, th11), (gains1.Theta12, th12),
-                 (gains1.Theta21, th21), (gains1.Theta22, th22),
-                 (gains1.Vx, vx), (gains1.Vm, vm))
+        vx = blocks.gamma ** -2 * np.linalg.inv(p.R2) @ p.E.T @ P1
+        vm = blocks.gamma ** -2 * np.linalg.inv(p.R2) @ p.E.T @ Pi1
+        pairs = ((gains.Theta11, th11), (gains.Theta12, th12),
+                 (gains.Theta21, th21), (gains.Theta22, th22),
+                 (gains.Vx, vx), (gains.Vm, vm))
         for traj, want in pairs:
             assert np.abs(traj.values[k] - want).max() <= 1e-12
 
@@ -183,5 +186,39 @@ def test_leader_value_zero_from_zero_start(table1, blocks1):
     assert leader.leader_value(blocks1, p0) == 0.0
 
 
-def test_stationarity_residual_small(table1, blocks1, gains1):
+def test_stationarity_residual_small(table1, blocks1, gains1, n2, n2_sol):
     assert leader.stationarity_residual(blocks1, gains1, table1) <= 1e-10
+    assert leader.stationarity_residual(n2_sol.blocks, n2_sol.gains,
+                                        n2) <= 1e-10
+
+
+def test_batched_gains_equal_per_node(n2, n2_sol):
+    # the stacked gain algebra must round exactly like one node at a time
+    p, sol, gains = n2, n2_sol.blocks, n2_sol.gains
+    g2 = sol.gamma ** -2
+    for k in range(p.grid_steps + 1):
+        P1, Pi1, P2, Pi2 = sol.blocks_at_node(k)
+        S0 = p.R0 + p.D.T @ P1 @ p.D
+        want = (
+            -np.linalg.solve(S0, p.B.T @ P1 + p.Ht.T @ P2 + p.D.T @ P1 @ p.C),
+            -np.linalg.solve(S0, p.B.T @ Pi1 + p.Ht.T @ Pi2),
+            -np.linalg.solve(p.R1, p.H.T @ P1 + p.Bt.T @ P2),
+            -np.linalg.solve(p.R1, p.H.T @ Pi1 + p.Bt.T @ Pi2),
+            g2 * np.linalg.solve(p.R2, p.E.T @ P1),
+            g2 * np.linalg.solve(p.R2, p.E.T @ Pi1),
+        )
+        for traj, m in zip((gains.Theta11, gains.Theta12, gains.Theta21,
+                            gains.Theta22, gains.Vx, gains.Vm), want):
+            assert np.array_equal(traj.values[k], m)
+
+
+def test_singular_gain_weight_is_refused(square, square_sol):
+    # built directly, so load_config's positivity checks are skipped; with
+    # D = 0 the gain weight R0 + D'P1D is R0 at every node, and the second
+    # leader control is cut off so the blocks themselves stay finite
+    p = square.with_updates(B=[[0.4, 0.0]], Ht=[[0.45, 0.0]], D=[[0.0, 0.0]],
+                            R0=np.diag([1.0, 1e-14]))
+    with pytest.raises(leader.SingularGain):
+        leader.solve_block_riccati(p)
+    with pytest.raises(leader.SingularGain):
+        leader.leader_gains(square_sol.blocks, p)

@@ -4,7 +4,7 @@ import pytest
 
 from stackmfg.model import MatrixTrajectory, TimeGrid
 from stackmfg.odeint import (EscapePolicy, GridMismatch, NonFiniteRhs,
-                             OdeProblem, integrate, residual)
+                             OdeProblem, integrate, residual, rk4_step)
 
 
 def scalar_problem(rhs, terminal=1.0, direction="backward"):
@@ -25,6 +25,23 @@ def test_constant_rhs_exact():
     prob = scalar_problem(lambda t, s: [-np.ones((1, 1))], terminal=0.0)
     res = integrate(prob, TimeGrid(10.0, 1000))
     assert res.trajectories[0].values[0, 0, 0] == pytest.approx(10.0, abs=1e-12)
+
+
+def test_rk4_step_is_the_classical_polynomial():
+    # dx/dt = x/2: one step multiplies x by the degree-4 Taylor polynomial
+    # of exp(s/2); the rhs sees at[0], at[1] twice, then at[2]
+    seen = []
+
+    def rhs(at, st):
+        seen.append(at)
+        return [0.5 * st[0]]
+
+    s = -0.1
+    (x,) = rk4_step(rhs, [np.array([[2.0]])], s, ("start", "mid", "end"))
+    z = 0.5 * s
+    assert x[0, 0] == pytest.approx(
+        2.0 * (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24), rel=1e-15)
+    assert seen == ["start", "mid", "mid", "end"]
 
 
 def test_quadratic_blowup_escapes_near_closed_form():

@@ -5,8 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stackmfg import incentive, leader, rng, sim
-from stackmfg.model import ModelParams
+from stackmfg import leader, rng, sim
 from stackmfg.sim import SimConfig
 
 
@@ -241,39 +240,10 @@ def test_incentive_population_independent_of_threads_and_chunks(
         fgains=square_sol.fg, inc=square_sol.inc))
 
 
-def _params_n2() -> ModelParams:
-    # n = 2 with mL = 2n, so the incentive matching is square and solvable
-    return ModelParams(
-        n=2, mL=4, mF=1, nv=2,
-        A=[[-0.2, 0.1], [0.05, -0.3]],
-        B=[[0.4, 0.1, 0.0, 0.2], [0.0, 0.3, 0.2, -0.1]],
-        F=[[0.1, 0.0], [0.05, 0.1]], H=[[0.3], [0.1]],
-        E=[[0.2, 0.0], [0.1, 0.2]], C=[[0.2, 0.05], [0.0, 0.1]],
-        D=[[0.3, -0.1, 0.05, 0.0], [0.1, 0.2, 0.0, -0.15]],
-        At=[[-0.1, 0.05], [0.0, -0.2]], Bt=[[0.4], [0.2]],
-        Ft=[[0.1, 0.0], [0.0, 0.05]],
-        Ht=[[0.45, -0.3, 0.1, 0.05], [0.1, 0.2, -0.25, 0.3]],
-        Sigma=[[0.3, 0.05], [-0.1, 0.2]],
-        Q=[[0.5, 0.1], [0.1, 0.4]], Gamma1=[[0.5, 0.0], [0.1, 0.4]],
-        R0=np.diag([0.5, 0.4, 0.6, 0.45]), R1=0.6,
-        R2=[[0.5, 0.0], [0.0, 0.6]], Gamma2=[[0.1, 0.0], [0.0, 0.2]],
-        G=[[0.4, 0.0], [0.0, 0.3]], Qt=[[0.3, 0.0], [0.0, 0.25]],
-        Gamma1t=[[0.5, 0.1], [0.0, 0.4]],
-        R0t=np.diag([0.3, 0.25, 0.35, 0.2]), R1t=0.5,
-        Gamma2t=[[0.2, 0.0], [0.0, 0.1]], Gt=[[0.3, 0.0], [0.0, 0.2]],
-        xi=[1.0, -0.5], x0init=[0.8, 0.3], T=1.0, gamma=10.0, grid_steps=50,
-    )
-
-
-def test_matrix_population_n2(monkeypatch):
+def test_matrix_population_n2(monkeypatch, n2, n2_sol):
     # matrix Sigma and a 4-dimensional leader control reach every
     # transpose of the kernel's matrix products in both modes
-    p = _params_n2()
-    blocks = leader.solve_block_riccati(p)
-    gains = leader.leader_gains(blocks, p)
-    dtheta, inc = incentive.solve_cc_incentive(p, blocks)
-    spp = incentive.solve_sigma_phi_psi(p, blocks, dtheta, inc)
-    fg = incentive.follower_gains(p, blocks, inc, dtheta, spp)
+    p, gains, inc, fg = n2, n2_sol.gains, n2_sol.inc, n2_sol.fg
     cfg = SimConfig(N=8, n_paths=5, master_seed=6, store_all_followers=True)
     for modes in ({}, {"fgains": fg, "inc": inc}):
         runs = _population_layouts(monkeypatch, p, gains, cfg, 2, **modes)
