@@ -1,11 +1,21 @@
 """Command-line entry point: config -> solvers -> simulator -> CSV/JSON.
 
+The pipeline is declared once, as the ordered stage table STAGES: config,
+gamma-hat, concavity, solve-leader, solve-incentive, simulate, sweep-n.
+Each subcommand but validate is a selection of those stages plus a report
+(COMMANDS); reproduce-paper runs all of them and then adds its checks.
+One function, _drive, loads the config, checks the flags, then runs the
+selected stages in table order.  A failing stage is the one failure path:
+the manifest records status FAILED, failed_stage and the error, the partial
+summary.json is written, one line goes to stderr and the exit code is 1.
+
 Artifact layout: every run directory gets a manifest.json (config digest,
-flags, version, timestamps, output list) next to the data files; CSV bodies
-are deterministic for a fixed (config, seed) regardless of thread count, so
-timestamps live only in the manifest.  Environment variables with the
-STACKMFG_ prefix override the corresponding global flag (STACKMFG_CONFIG,
-STACKMFG_OUT, STACKMFG_SEED, STACKMFG_THREADS, STACKMFG_GRID_STEPS).
+flags, version, timestamps, per-stage wall seconds under "stages", output
+list) next to the data files; CSV bodies are deterministic for a fixed
+(config, seed) regardless of thread count, so timings live only in the
+manifest.  Environment variables with the STACKMFG_ prefix override the
+corresponding global flag (STACKMFG_CONFIG, STACKMFG_OUT, STACKMFG_SEED,
+STACKMFG_THREADS, STACKMFG_GRID_STEPS).
 """
 from __future__ import annotations
 
@@ -15,8 +25,10 @@ import hashlib
 import json
 import os
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +51,14 @@ DECOUPLE_TOL = 1e-6
 MF_SLOPE_BAND = (-1.25, -0.75)
 OPT_SLOPE_BAND = (-1.3, -0.2)
 U_RATIO_BAND = (20.0, 30.0)
-SWEEP_NS = (10, 40, 160, 640)
+
+# the reproduce-paper workload; also the defaults of the gamma-hat,
+# simulate and sweep-n flags
+GAMMA_HAT_TOL = 1e-4
+SIM_N = 100
+SIM_PATHS = 500
+SWEEP_NS = "10,40,160,640"
+SWEEP_PATHS = 200
 
 
 def _fmt(x) -> str:
@@ -52,34 +71,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
-
-
 def _mat_cols(name: str, r: int, c: int):
     if r == 1 and c == 1:
         return [name]
     return [f"{name}_{i + 1}{j + 1}" for i in range(r) for j in range(c)]
-
-
-def _traj_cols(series):
-    """Column headers and per-node flattened values for named trajectories."""
-    headers = []
-    for name, traj in series:
-        r, c = traj.values.shape[1], traj.values.shape[2]
-        headers.extend(_mat_cols(name, r, c))
-
-    def row(k):
-        out = []
-        for _, traj in series:
-            out.extend(traj.values[k].ravel())
-        return out
-
-    return headers, row
 
 
 def _jsonable(obj):
@@ -113,6 +108,7 @@ class _Manifest:
             "started": datetime.now(timezone.utc).isoformat(),
             "finished": None,
             "config_sha256": None,
+            "stages": [],
             "outputs": [],
             "warnings": [],
             "status": "ok",
@@ -120,6 +116,15 @@ class _Manifest:
 
     def add_output(self, path: Path):
         self.doc["outputs"].append(path.name)
+
+    def write_csv(self, name: str, header, rows):
+        path = self.outdir / name
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            for row in rows:
+                w.writerow([_fmt(x) for x in row])
+        self.add_output(path)
 
     def warn(self, msg: str):
         self.doc["warnings"].append(msg)
@@ -136,96 +141,114 @@ class _Manifest:
             _write_json(path, summary)
             self.add_output(path)
         self.doc["finished"] = datetime.now(timezone.utc).isoformat()
-        path = self.outdir / "manifest.json"
-        _write_json(path, self.doc)
+        _write_json(self.outdir / "manifest.json", self.doc)
 
 
-class _StageFailed(Exception):
-    """A subcommand's stage failed; the manifest already records it."""
-
-
-def _store_config(p: ModelParams, man: _Manifest) -> None:
-    path = man.outdir / "config.json"
-    save_config(p, path)
-    man.doc["config_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    man.add_output(path)
+def _series_csv(man: _Manifest, name: str, grid, series):
+    """One row per grid node: t, then every (label, values) series
+    flattened.  values is indexed by node first: (M+1,) is one column,
+    (M+1, r) a vector, (M+1, r, c) a matrix."""
+    header = ["t"]
+    flat = []
+    for label, values in series:
+        r, c = (values.shape[1:] + (1, 1))[:2]
+        header += _mat_cols(label, r, c)
+        flat.append(values.reshape(len(values), -1))
+    man.write_csv(name, header, ([t] + [x for v in flat for x in v[k]]
+                                 for k, t in enumerate(grid.nodes)))
 
 
 def _load(args) -> ModelParams:
-    cfg_path = args.config or str(BENCHMARK_CONFIG)
-    p = load_config(cfg_path)
-    if args.grid_steps:
+    p = load_config(args.config or str(BENCHMARK_CONFIG))
+    if args.grid_steps is not None:
         p = p.with_updates(grid_steps=args.grid_steps)
-    if getattr(args, "gamma", None):
+    if getattr(args, "gamma", None) is not None:
         p = p.with_updates(gamma=args.gamma)
     return p
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _population_sizes(text: str) -> list[int]:
+    """--ns as a list, refused unless the sweeps can fit a slope to it."""
+    try:
+        Ns = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--ns {text!r} is not a comma-separated list of "
+                         "integers") from None
+    if len(Ns) < 3 or Ns[0] < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError(f"--ns {text!r} must give at least 3 strictly "
+                         "increasing population sizes >= 1")
+    return Ns
 
 
-# ---------------------------------------------------------------- validate
+class _Run:
+    """One staged subcommand run.  Everything a flag can get wrong is
+    checked here, before any stage runs.  Stages fill the summary (keyed
+    as reproduce-paper's) and leave the solver outputs that later stages
+    read; simulated path bundles are never kept."""
 
-def cmd_validate(args) -> int:
-    p = _load(args)
-    report = validate_assumptions(p)
-    for chk in report:
-        print(f"{'ok ' if chk.passed else 'BAD'} {chk.name}  "
-              f"margin={chk.margin:.3e}")
-    print("all assumptions hold" if report.ok else "assumption violations found")
-    return 0 if report.ok else 1
+    def __init__(self, args, cmd: "_Command"):
+        self.cmd = cmd
+        self.p = _load(args)
+        self.seed = args.seed
+        self.tol = getattr(args, "tol", GAMMA_HAT_TOL)
+        # reproduce-paper has none of the simulate or sweep-n flags
+        if "simulate" in cmd.stages:
+            self.sim_cfg = sim.SimConfig(
+                N=getattr(args, "n", SIM_N),
+                n_paths=getattr(args, "paths", SIM_PATHS),
+                master_seed=args.seed, n_threads=args.threads,
+                disturbance=getattr(args, "disturbance", "worst"))
+        if "sweep-n" in cmd.stages:
+            self.Ns = _population_sizes(getattr(args, "ns", SWEEP_NS))
+            self.sweep_cfg = sim.SimConfig(
+                n_paths=getattr(args, "paths", SWEEP_PATHS),
+                master_seed=args.seed, n_threads=args.threads)
+        out = Path(args.out or "out")
+        out.mkdir(parents=True, exist_ok=True)
+        self.man = _Manifest(out, args.subcommand, vars(args))
+        self.summary = {}
+        self.ghat = self.sol = self.gains = self.inc = self.fg = None
 
 
-# --------------------------------------------------------------- gamma-hat
+# ------------------------------------------------------------------- stages
 
-def _gamma_hat_stage(p: ModelParams, man: _Manifest, tol: float):
-    res = leader.estimate_gamma_hat(p, bracket_tol=tol)
-    path = man.outdir / "gamma_hat_trace.csv"
-    _write_csv(path, ["gamma", "solvable", "t_escape"],
-               [(g, s, t) for g, s, t in res.trace])
-    man.add_output(path)
+def _config_stage(run: _Run):
+    run.summary.update(gamma=run.p.gamma, seed=run.seed)
+    path = run.man.outdir / "config.json"
+    save_config(run.p, path)
+    run.man.doc["config_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    run.man.add_output(path)
+
+
+def _gamma_hat_stage(run: _Run):
+    p, man = run.p, run.man
+    res = run.ghat = leader.estimate_gamma_hat(p, bracket_tol=run.tol)
+    man.write_csv("gamma_hat_trace.csv", ["gamma", "solvable", "t_escape"],
+                  res.trace)
     if res.gamma_hat >= p.gamma:
         man.warn(f"gamma_hat {res.gamma_hat:.6g} is not below the run "
                  f"gamma {p.gamma:g}; the attenuation constraint is not "
                  "certified at this operating point")
-    return res
+    run.summary["gamma_hat"] = {"value": res.gamma_hat,
+                                "bracket": list(res.bracket),
+                                "note": res.note}
 
 
-def _concavity_stage(p: ModelParams, ghat, man: _Manifest):
+def _concavity_stage(run: _Run):
+    p, man = run.p, run.man
     cert_run = leader.solve_concavity(p)
     if not cert_run.solvable:
         man.warn(f"concavity certificate escapes at t="
                  f"{cert_run.escape.t_escape:.6g} for gamma={p.gamma:g}")
-    g_cert = p.gamma if cert_run.solvable else ghat.bracket[1]
+    g_cert = p.gamma if cert_run.solvable else run.ghat.bracket[1]
     cert = cert_run if cert_run.solvable else leader.solve_concavity(p, g_cert)
-    path = man.outdir / "concavity.csv"
-    headers, row = _traj_cols([("K", cert.K)])
-    grid = cert.K.grid
-    _write_csv(path, ["t"] + headers,
-               [[grid.nodes[k]] + row(k) for k in range(grid.steps + 1)])
-    man.add_output(path)
-    return cert_run, g_cert
+    _series_csv(man, "concavity.csv", cert.K.grid, [("K", cert.K.values)])
+    run.summary["concavity"] = {"solvable_at_run_gamma": cert_run.solvable,
+                                "certificate_gamma": g_cert}
 
 
-def cmd_gamma_hat(args) -> int:
-    p = _load(args)
-    man = _Manifest(_outdir(args), "gamma-hat", _flag_dict(args))
-    _store_config(p, man)
-    res = _gamma_hat_stage(p, man, args.tol)
-    lo, hi = res.bracket
-    print(f"gamma_hat = {res.gamma_hat:.6f}  bracket [{lo:.6f}, {hi:.6f}]")
-    if res.note:
-        print(res.note)
-    man.write()
-    return 0
-
-
-# ------------------------------------------------------------ solve-leader
-
-def _leader_stage(p: ModelParams, man: _Manifest):
+def _leader_stage(run: _Run):
+    p, man = run.p, run.man
     sol = leader.solve_block_riccati(p)
     if not isinstance(sol, BlockRiccatiSolution):
         raise RuntimeError(
@@ -233,34 +256,15 @@ def _leader_stage(p: ModelParams, man: _Manifest):
             f"(norm {sol.norm:.3e}) for gamma={p.gamma:g}")
     gains = leader.leader_gains(sol, p)
     V0 = leader.leader_value(sol, p)
-
-    path = man.outdir / "riccati_blocks.csv"
-    headers, row = _traj_cols(
-        [("P1", sol.P1), ("Pi1", sol.Pi1), ("P2", sol.P2), ("Pi2", sol.Pi2)])
-    grid = sol.grid
-    _write_csv(path, ["t"] + headers,
-               [[grid.nodes[k]] + row(k) for k in range(grid.steps + 1)])
-    man.add_output(path)
-
-    path = man.outdir / "gains.csv"
-    headers, row = _traj_cols(
-        [("Theta11", gains.Theta11), ("Theta12", gains.Theta12),
-         ("Theta21", gains.Theta21), ("Theta22", gains.Theta22),
-         ("Vx", gains.Vx), ("Vm", gains.Vm)])
-    _write_csv(path, ["t"] + headers,
-               [[grid.nodes[k]] + row(k) for k in range(grid.steps + 1)])
-    man.add_output(path)
-    return sol, gains, V0
-
-
-def _solved_leader(p: ModelParams, man: _Manifest):
-    """_leader_stage for the subcommands that stop when it fails."""
-    try:
-        return _leader_stage(p, man)
-    except RuntimeError as e:
-        man.fail("solve-leader", e)
-        man.write()
-        raise _StageFailed(f"solve-leader failed: {e}") from e
+    _series_csv(man, "riccati_blocks.csv", sol.grid,
+                zip(("P1", "Pi1", "P2", "Pi2"), sol.all_nodes()))
+    _series_csv(man, "gains.csv", sol.grid,
+                [(name, getattr(gains, name).values) for name in
+                 ("Theta11", "Theta12", "Theta21", "Theta22", "Vx", "Vm")])
+    run.sol, run.gains = sol, gains
+    run.summary["V0"] = V0
+    if run.cmd.leader_checks:
+        run.summary["leader_checks"] = _leader_checks(p, sol, gains)
 
 
 def _leader_checks(p: ModelParams, sol, gains) -> dict:
@@ -287,25 +291,8 @@ def _leader_checks(p: ModelParams, sol, gains) -> dict:
     }
 
 
-def cmd_solve_leader(args) -> int:
-    p = _load(args)
-    man = _Manifest(_outdir(args), "solve-leader", _flag_dict(args))
-    _store_config(p, man)
-    sol, gains, V0 = _solved_leader(p, man)
-    checks = _leader_checks(p, sol, gains)
-    man.write({"V0": V0, "gamma": p.gamma, "checks": checks})
-    print(f"V0 = {V0!r}")
-    for key, ok_key in (("riccati_residual", "riccati_residual_ok"),
-                        ("pi1_p2_gap", "pi1_p2_ok"),
-                        ("assembled_gap", "assembled_ok"),
-                        ("stationarity_residual", "stationarity_ok")):
-        print(f"{key} = {checks[key]:.3e}  ok={checks[ok_key]}")
-    return 0
-
-
-# ---------------------------------------------------------- solve-incentive
-
-def _incentive_stage(p: ModelParams, sol, gains, man: _Manifest):
+def _incentive_stage(run: _Run):
+    p, man, sol, gains = run.p, run.man, run.sol, run.gains
     solved = True
     try:
         dtheta, inc = incentive.solve_cc_incentive(p, sol)
@@ -322,20 +309,15 @@ def _incentive_stage(p: ModelParams, sol, gains, man: _Manifest):
                       float(np.max(np.abs(gains.Theta22.values))))
     gap_tol = MATCH_TOL_SCALE * (1.0 + theta_scale)
 
-    path = man.outdir / "incentive_series.csv"
-    headers, row = _traj_cols(
-        [("L", inc.L), ("zeta", inc.zeta), ("eta", inc.eta),
-         ("Gxi", fg.Gxi), ("Gx0", fg.Gx0), ("Gm", fg.Gm),
-         ("Gx0bar", fg.Gx0bar), ("Gmbar", fg.Gmbar),
-         ("Theta21", gains.Theta21), ("Theta22", gains.Theta22)])
-    grid = inc.grid
-    rows = [[grid.nodes[k]] + row(k)
-            + [inc.match_residual[k], inc.newton_iters[k],
-               inc.newton_converged[k]]
-            for k in range(grid.steps + 1)]
-    _write_csv(path, ["t"] + headers
-               + ["match_residual", "newton_iters", "newton_converged"], rows)
-    man.add_output(path)
+    _series_csv(man, "incentive_series.csv", inc.grid, [
+        ("L", inc.L.values), ("zeta", inc.zeta.values),
+        ("eta", inc.eta.values), ("Gxi", fg.Gxi.values),
+        ("Gx0", fg.Gx0.values), ("Gm", fg.Gm.values),
+        ("Gx0bar", fg.Gx0bar.values), ("Gmbar", fg.Gmbar.values),
+        ("Theta21", gains.Theta21.values), ("Theta22", gains.Theta22.values),
+        ("match_residual", inc.match_residual),
+        ("newton_iters", inc.newton_iters),
+        ("newton_converged", inc.newton_converged)])
 
     info = {
         "solved": solved,
@@ -352,77 +334,35 @@ def _incentive_stage(p: ModelParams, sol, gains, man: _Manifest):
     }
     if not info["matching_ok"]:
         man.warn(f"incentive matching gap {gap:.3e} exceeds {gap_tol:.3e}")
-    return dtheta, inc, spp, fg, info
+    run.inc, run.fg = inc, fg
+    run.summary["incentive"] = info
 
 
-def cmd_solve_incentive(args) -> int:
-    p = _load(args)
-    man = _Manifest(_outdir(args), "solve-incentive", _flag_dict(args))
-    _store_config(p, man)
-    sol, gains, V0 = _solved_leader(p, man)
-    dtheta, inc, spp, fg, info = _incentive_stage(p, sol, gains, man)
-    man.write({"V0": V0, "gamma": p.gamma, "incentive": info})
-    print(f"incentive solved: {info['solved']}  "
-          f"max residual {info['max_matching_residual']:.3e}  "
-          f"matching gap {info['matching_gap']:.3e}")
-    return 0 if info["solved"] else 3
-
-
-# ------------------------------------------------------------------ simulate
-
-def _simulate_stage(p, gains, fg, inc, man, seed, threads, N, paths,
-                    disturbance, figure=True):
+def _simulate_stage(run: _Run):
     """Cost statistics over all paths, figure series from path 0 of the
-    same runs; incentive-mode population when follower gains are
-    available, else team mode."""
-    out = {}
-    cost_cfg = sim.SimConfig(N=N, n_paths=paths, master_seed=seed,
-                             n_threads=threads, disturbance=disturbance)
+    same runs; incentive-mode population (the incentive stage ran)."""
+    p, man, gains, cfg = run.p, run.man, run.gains, run.sim_cfg
     # each run's costs are taken and its arrays freed before the next run
-    lim = sim.simulate_limit(p, gains, cost_cfg)
+    lim = sim.simulate_limit(p, gains, cfg)
     lim_costs = sim.eval_costs(lim, p)
     grid = lim.grid
-    lim_controls = np.concatenate([lim.u0bar[0], lim.u1bar[0], lim.v[0]],
-                                  axis=1)
-    if figure:
-        path = man.outdir / "limit_states.csv"
-        _write_csv(path, ["t"] + _mat_cols("x0", p.n, 1) + _mat_cols("m", p.n, 1),
-                   [[grid.nodes[k]] + list(lim.x0[0, k])
-                    + list(lim.m[0, k]) for k in range(grid.steps + 1)])
-        man.add_output(path)
+    _series_csv(man, "limit_states.csv", grid,
+                [("x0", lim.x0[0]), ("m", lim.m[0])])
+    lim_controls = [("u0_limit", lim.u0bar[0].copy()),
+                    ("u1_limit", lim.u1bar[0].copy()),
+                    ("v_limit", lim.v[0].copy())]
     del lim
-    pop = sim.simulate_population(p, gains, cost_cfg, fgains=fg, inc=inc)
+    pop = sim.simulate_population(p, gains, cfg, fgains=run.fg, inc=run.inc)
     pop_costs = sim.eval_costs(pop, p)
-
-    if figure:
-        path = man.outdir / "controls.csv"
-        hdr = (["t"] + _mat_cols("u0_limit", p.mL, 1)
-               + _mat_cols("u1_limit", p.mF, 1) + _mat_cols("v_limit", p.nv, 1)
-               + _mat_cols("u0_pop", p.mL, 1) + _mat_cols("u1_pop", p.mF, 1)
-               + _mat_cols("v_pop", p.nv, 1))
-        _write_csv(path, hdr,
-                   [[grid.nodes[k]] + list(lim_controls[k])
-                    + list(pop.u0bar[0, k]) + list(pop.u1bar[0, k])
-                    + list(pop.v[0, k]) for k in range(grid.steps + 1)])
-        man.add_output(path)
-
-        path = man.outdir / "population_states.csv"
-        stored = pop.xi.shape[1]
-        hdr = (["t"] + _mat_cols("x0", p.n, 1) + _mat_cols("m", p.n, 1)
-               + _mat_cols("xN", p.n, 1))
-        for i in pop.follower_ids:
-            hdr += _mat_cols(f"x{i}", p.n, 1)
-        rows = []
-        for k in range(grid.steps + 1):
-            row = ([grid.nodes[k]] + list(pop.x0[0, k])
-                   + list(pop.m[0, k]) + list(pop.xN[0, k]))
-            for i in range(stored):
-                row += list(pop.xi[0, i, k])
-            rows.append(row)
-        _write_csv(path, hdr, rows)
-        man.add_output(path)
+    _series_csv(man, "controls.csv", grid, lim_controls + [
+        ("u0_pop", pop.u0bar[0]), ("u1_pop", pop.u1bar[0]),
+        ("v_pop", pop.v[0])])
+    _series_csv(man, "population_states.csv", grid,
+                [("x0", pop.x0[0]), ("m", pop.m[0]), ("xN", pop.xN[0])]
+                + [(f"x{i}", pop.xi[0, j])
+                   for j, i in enumerate(pop.follower_ids)])
     del pop
-    out["costs"] = {
+    run.summary["costs"] = {
         "limit": {"J0_mean": lim_costs.J0_mean,
                   "J0_stderr": lim_costs.J0_stderr,
                   "n_paths": lim_costs.n_paths},
@@ -431,10 +371,10 @@ def _simulate_stage(p, gains, fg, inc, man, seed, threads, N, paths,
                        "n_paths": pop_costs.n_paths,
                        "Ji_mean": pop_costs.Ji_mean,
                        "Ji_stderr": pop_costs.Ji_stderr,
-                       "mode": "incentive" if fg is not None else "team"},
+                       "mode": "incentive"},
     }
-    battery = sim.saddle_check(p, gains, cost_cfg)
-    out["saddle"] = {
+    battery = sim.saddle_check(p, gains, cfg)
+    saddle = run.summary["saddle"] = {
         "baseline_mean": battery.baseline_mean,
         "n_paths": battery.n_paths,
         "entries": [{"target": e.target, "shape": e.shape, "eps": e.eps,
@@ -447,52 +387,18 @@ def _simulate_stage(p, gains, fg, inc, man, seed, threads, N, paths,
     }
     if not battery.all_ok:
         man.warn("saddle battery sign constraints violated")
-    if not out["saddle"]["ratios_ok"]:
+    if not saddle["ratios_ok"]:
         man.warn("saddle u-margin ratios outside the quadratic band")
-    return out
 
 
-def cmd_simulate(args) -> int:
-    p = _load(args)
-    man = _Manifest(_outdir(args), "simulate", _flag_dict(args))
-    _store_config(p, man)
-    sol, gains, V0 = _solved_leader(p, man)
-    dtheta, inc, spp, fg, info = _incentive_stage(p, sol, gains, man)
-    seed = args.seed if args.seed is not None else 42
-    out = _simulate_stage(p, gains, fg, inc, man, seed, args.threads or 1,
-                          args.n, args.paths, args.disturbance)
-    out["V0"] = V0
-    out["incentive"] = info
-
-    path = man.outdir / "costs.csv"
-    rows = [["limit", out["costs"]["limit"]["J0_mean"],
-             out["costs"]["limit"]["J0_stderr"],
-             out["costs"]["limit"]["n_paths"]],
-            ["population", out["costs"]["population"]["J0_mean"],
-             out["costs"]["population"]["J0_stderr"],
-             out["costs"]["population"]["n_paths"]]]
-    _write_csv(path, ["system", "J0_mean", "J0_stderr", "n_paths"], rows)
-    man.add_output(path)
-
-    man.write(out)
-    print(f"J0(limit) = {out['costs']['limit']['J0_mean']:.6f} "
-          f"+/- {out['costs']['limit']['J0_stderr']:.6f}   V0 = {V0:.6f}")
-    print(f"J0(population, N={args.n}) = "
-          f"{out['costs']['population']['J0_mean']:.6f}")
-    return 0
-
-
-# ------------------------------------------------------------------- sweep-n
-
-def _sweep_stage(p, gains, man, Ns, paths, seed, threads):
-    cfg = sim.SimConfig(n_paths=paths, master_seed=seed, n_threads=threads)
-    mf, og = sim._sweep_gaps(p, gains, Ns, cfg)
-    path = man.outdir / "sweep.csv"
-    rows = [["mean_field", pt.N, pt.gap, pt.stderr] for pt in mf.points]
-    rows += [["optimality", pt.N, pt.gap, pt.stderr] for pt in og.points]
-    _write_csv(path, ["series", "N", "gap", "stderr"], rows)
-    man.add_output(path)
-    out = {
+def _sweep_stage(run: _Run):
+    man = run.man
+    mf, og = sim._sweep_gaps(run.p, run.gains, run.Ns, run.sweep_cfg)
+    man.write_csv("sweep.csv", ["series", "N", "gap", "stderr"],
+                  [[series, pt.N, pt.gap, pt.stderr]
+                   for series, rep in (("mean_field", mf), ("optimality", og))
+                   for pt in rep.points])
+    out = run.summary["sweeps"] = {
         "mean_field": {"slope": mf.slope, "halfwidth": mf.slope_halfwidth,
                        "degenerate": mf.degenerate,
                        "in_band": (not mf.degenerate
@@ -512,111 +418,176 @@ def _sweep_stage(p, gains, man, Ns, paths, seed, threads):
         man.warn("mean-field gap slope outside the O(1/N) band")
     if not out["optimality"]["in_band"]:
         man.warn("optimality-gap slope outside the proxy band")
-    return out
 
 
-def cmd_sweep_n(args) -> int:
-    p = _load(args)
-    man = _Manifest(_outdir(args), "sweep-n", _flag_dict(args))
-    _store_config(p, man)
-    sol, gains, V0 = _solved_leader(p, man)
-    Ns = [int(x) for x in args.ns.split(",")]
-    seed = args.seed if args.seed is not None else 42
-    out = _sweep_stage(p, gains, man, Ns, args.paths, seed, args.threads or 1)
-    man.write(out)
-    print(f"mean-field slope {out['mean_field']['slope']:.3f}, "
-          f"optimality slope {out['optimality']['slope']:.3f}")
-    return 0
+STAGES = (
+    ("config", _config_stage),
+    ("gamma-hat", _gamma_hat_stage),
+    ("concavity", _concavity_stage),
+    ("solve-leader", _leader_stage),
+    ("solve-incentive", _incentive_stage),
+    ("simulate", _simulate_stage),
+    ("sweep-n", _sweep_stage),
+)
 
 
-# ------------------------------------------------------------ reproduce-paper
+# ------------------------------------------------------------------ reports
+# A report runs after the last stage: it returns the stdout lines and the
+# exit code, and may add to the summary, the warnings and the outputs.
 
-def cmd_reproduce_paper(args) -> int:
-    p = _load(args)
-    man = _Manifest(_outdir(args), "reproduce-paper", _flag_dict(args))
-    seed = args.seed if args.seed is not None else 42
-    threads = args.threads or 1
-    summary = {"gamma": p.gamma, "seed": seed}
-    stage = "config"
-    try:
-        _store_config(p, man)
-        stage = "gamma-hat"
-        ghat = _gamma_hat_stage(p, man, 1e-4)
-        summary["gamma_hat"] = {"value": ghat.gamma_hat,
-                                "bracket": list(ghat.bracket),
-                                "note": ghat.note}
-        stage = "concavity"
-        cert_run, g_cert = _concavity_stage(p, ghat, man)
-        summary["concavity"] = {"solvable_at_run_gamma": cert_run.solvable,
-                                "certificate_gamma": g_cert}
-        stage = "solve-leader"
-        sol, gains, V0 = _leader_stage(p, man)
-        summary["V0"] = V0
-        summary["leader_checks"] = _leader_checks(p, sol, gains)
-        stage = "solve-incentive"
-        dtheta, inc, spp, fg, info = _incentive_stage(p, sol, gains, man)
-        summary["incentive"] = info
-        stage = "simulate"
-        sim_out = _simulate_stage(p, gains, fg, inc, man, seed, threads,
-                                  N=100, paths=500,
-                                  disturbance="worst")
-        summary["costs"] = sim_out["costs"]
-        summary["saddle"] = sim_out["saddle"]
-        lim = summary["costs"]["limit"]
-        dev = abs(lim["J0_mean"] - V0)
-        summary["costs"]["limit"]["V0_dev_in_stderr"] = (
-            dev / lim["J0_stderr"] if lim["J0_stderr"] else None)
-        stage = "sweep-n"
-        summary["sweeps"] = _sweep_stage(p, gains, man, list(SWEEP_NS),
-                                         200, seed, threads)
-    except Exception as e:                       # noqa: BLE001
-        man.fail(stage, e)
-        man.write(summary)
-        print(f"reproduce-paper failed at stage {stage}: {e}", file=sys.stderr)
-        return 1
-    checks = {
+def _report_gamma_hat(run: _Run):
+    lo, hi = run.ghat.bracket
+    lines = [f"gamma_hat = {run.ghat.gamma_hat:.6f}  "
+             f"bracket [{lo:.6f}, {hi:.6f}]"]
+    return lines + ([run.ghat.note] if run.ghat.note else []), 0
+
+
+def _report_leader(run: _Run):
+    checks = run.summary["leader_checks"]
+    return [f"V0 = {run.summary['V0']!r}"] + [
+        f"{key} = {checks[key]:.3e}  ok={checks[ok_key]}"
+        for key, ok_key in (("riccati_residual", "riccati_residual_ok"),
+                            ("pi1_p2_gap", "pi1_p2_ok"),
+                            ("assembled_gap", "assembled_ok"),
+                            ("stationarity_residual", "stationarity_ok"))], 0
+
+
+def _report_incentive(run: _Run):
+    info = run.summary["incentive"]
+    return [f"incentive solved: {info['solved']}  "
+            f"max residual {info['max_matching_residual']:.3e}  "
+            f"matching gap {info['matching_gap']:.3e}"], \
+        0 if info["solved"] else 3
+
+
+def _report_simulate(run: _Run):
+    costs = run.summary["costs"]
+    run.man.write_csv("costs.csv", ["system", "J0_mean", "J0_stderr", "n_paths"],
+                      [[system, c["J0_mean"], c["J0_stderr"], c["n_paths"]]
+                       for system, c in costs.items()])
+    return [f"J0(limit) = {costs['limit']['J0_mean']:.6f} "
+            f"+/- {costs['limit']['J0_stderr']:.6f}   "
+            f"V0 = {run.summary['V0']:.6f}",
+            f"J0(population, N={run.sim_cfg.N}) = "
+            f"{costs['population']['J0_mean']:.6f}"], 0
+
+
+def _report_sweep(run: _Run):
+    sw = run.summary["sweeps"]
+    return [f"mean-field slope {sw['mean_field']['slope']:.3f}, "
+            f"optimality slope {sw['optimality']['slope']:.3f}"], 0
+
+
+def _report_reproduce(run: _Run):
+    s, ghat = run.summary, run.ghat
+    lim = s["costs"]["limit"]
+    lim["V0_dev_in_stderr"] = (abs(lim["J0_mean"] - s["V0"]) / lim["J0_stderr"]
+                               if lim["J0_stderr"] else None)
+    lc, info = s["leader_checks"], s["incentive"]
+    checks = s["checks"] = {
         "gamma_hat_bracket": ghat.bracket[1] - ghat.bracket[0] <= 1e-3,
-        "gamma_hat_below_run": ghat.gamma_hat < p.gamma,
-        "riccati_residual": summary["leader_checks"]["riccati_residual_ok"],
-        "structural_identities": (summary["leader_checks"]["pi1_p2_ok"]
-                                  and summary["leader_checks"]["assembled_ok"]),
-        "stationarity": summary["leader_checks"]["stationarity_ok"],
+        "gamma_hat_below_run": ghat.gamma_hat < run.p.gamma,
+        "riccati_residual": lc["riccati_residual_ok"],
+        "structural_identities": lc["pi1_p2_ok"] and lc["assembled_ok"],
+        "stationarity": lc["stationarity_ok"],
         "incentive_matching": info["matching_ok"],
         "decoupling_relations": info["decoupling_ok"],
-        "saddle_signs": summary["saddle"]["all_ok"],
-        "u_ratio_quadratic": summary["saddle"]["ratios_ok"],
-        "mf_slope_in_band": summary["sweeps"]["mean_field"]["in_band"],
-        "optimality_slope_in_band": summary["sweeps"]["optimality"]["in_band"],
+        "saddle_signs": s["saddle"]["all_ok"],
+        "u_ratio_quadratic": s["saddle"]["ratios_ok"],
+        "mf_slope_in_band": s["sweeps"]["mean_field"]["in_band"],
+        "optimality_slope_in_band": s["sweeps"]["optimality"]["in_band"],
     }
-    summary["checks"] = checks
     for name, ok in checks.items():
         if not ok:
-            man.warn(f"check failed: {name}")
-    man.write(summary)
+            run.man.warn(f"check failed: {name}")
     n_bad = sum(not ok for ok in checks.values())
-    print(f"reproduce-paper finished: {len(checks) - n_bad}/{len(checks)} "
-          f"checks pass; outputs in {man.outdir}")
-    for name, ok in checks.items():
-        print(f"  {'pass' if ok else 'WARN'}  {name}")
-    return 0
+    return [f"reproduce-paper finished: {len(checks) - n_bad}/{len(checks)} "
+            f"checks pass; outputs in {run.man.outdir}"] + [
+        f"  {'pass' if ok else 'WARN'}  {name}" for name, ok in checks.items()], 0
+
+
+def _keep(*keys, **renamed):
+    """summary.json body: the named summary keys that exist, some renamed."""
+    pairs = [(k, k) for k in keys] + list(renamed.items())
+    return lambda s: {out: s[k] for out, k in pairs if k in s}
+
+
+class _Command(NamedTuple):
+    """A staged subcommand.  A report failure counts against its last
+    stage."""
+    stages: tuple[str, ...]
+    report: Callable[[_Run], tuple[list[str], int]]
+    summary: Callable[[dict], dict] | None    # None: no summary.json
+    leader_checks: bool = False    # the solve-leader stage adds its checks
+
+
+COMMANDS = {
+    "gamma-hat": _Command(("config", "gamma-hat"), _report_gamma_hat, None),
+    "solve-leader": _Command(("config", "solve-leader"), _report_leader,
+                             _keep("V0", "gamma", checks="leader_checks"),
+                             leader_checks=True),
+    "solve-incentive": _Command(
+        ("config", "solve-leader", "solve-incentive"), _report_incentive,
+        _keep("V0", "gamma", "incentive")),
+    "simulate": _Command(
+        ("config", "solve-leader", "solve-incentive", "simulate"),
+        _report_simulate, _keep("V0", "incentive", "costs", "saddle")),
+    "sweep-n": _Command(("config", "solve-leader", "sweep-n"), _report_sweep,
+                        lambda s: s.get("sweeps", {})),
+    "reproduce-paper": _Command(tuple(name for name, _ in STAGES),
+                                _report_reproduce, dict, leader_checks=True),
+}
+
+
+def _drive(args) -> int:
+    """Run a subcommand's stages in table order, then its report."""
+    cmd = COMMANDS[args.subcommand]
+    run = _Run(args, cmd)
+    man = run.man
+    try:
+        for stage, fn in [(s, fn) for s, fn in STAGES if s in cmd.stages]:
+            t0 = time.perf_counter()
+            try:
+                fn(run)
+            finally:
+                man.doc["stages"].append(
+                    {"name": stage, "wall_s": time.perf_counter() - t0})
+        lines, code = cmd.report(run)
+    except Exception as e:                       # noqa: BLE001
+        man.fail(stage, e)
+        man.write(cmd.summary and cmd.summary(run.summary))
+        print(f"{args.subcommand} failed at stage {stage}: {man.doc['error']}",
+              file=sys.stderr)
+        return 1
+    man.write(cmd.summary and cmd.summary(run.summary))
+    print("\n".join(lines))
+    return code
+
+
+def cmd_validate(args) -> int:
+    p = _load(args)
+    report = validate_assumptions(p)
+    for chk in report:
+        print(f"{'ok ' if chk.passed else 'BAD'} {chk.name}  "
+              f"margin={chk.margin:.3e}")
+    print("all assumptions hold" if report.ok else "assumption violations found")
+    return 0 if report.ok else 1
 
 
 # ----------------------------------------------------------------- plumbing
 
-def _flag_dict(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def _apply_env(args):
     for name in _ENV_FLAGS:
-        env = os.environ.get("STACKMFG_" + name.upper())
+        var = "STACKMFG_" + name.upper()
+        env = os.environ.get(var)
         if env is None:
             continue
         if name in ("seed", "threads", "grid_steps"):
-            setattr(args, name, int(env))
-        else:
-            setattr(args, name, env)
+            try:
+                env = int(env)
+            except ValueError:
+                raise ValueError(f"{var}={env!r} is not an integer") from None
+        setattr(args, name, env)
     return args
 
 
@@ -629,65 +600,55 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="model config JSON "
                         "(default: bundled benchmark)")
     common.add_argument("--out", help="output directory (default: ./out)")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=int, default=42,
                         help="master seed (default 42)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for path batches")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker threads for path batches (default 1)")
     common.add_argument("--grid-steps", type=int, default=None,
                         dest="grid_steps", help="override config grid_steps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("validate", parents=[common],
-                        help="check standing assumptions on a config")
-    sp.set_defaults(func=cmd_validate)
+    sub.add_parser("validate", parents=[common],
+                   help="check standing assumptions on a config")
 
     sp = sub.add_parser("gamma-hat", parents=[common],
                         help="bracket the critical attenuation level")
-    sp.add_argument("--tol", type=float, default=1e-4)
-    sp.set_defaults(func=cmd_gamma_hat)
+    sp.add_argument("--tol", type=float, default=GAMMA_HAT_TOL)
 
     sp = sub.add_parser("solve-leader", parents=[common],
                         help="solve the block Riccati system and gains")
     sp.add_argument("--gamma", type=float, default=None)
-    sp.set_defaults(func=cmd_solve_leader)
 
     sp = sub.add_parser("solve-incentive", parents=[common],
                         help="solve the incentive matching sweep")
     sp.add_argument("--gamma", type=float, default=None)
-    sp.set_defaults(func=cmd_solve_incentive)
 
     sp = sub.add_parser("simulate", parents=[common],
                         help="simulate limit and population systems")
     sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--n", type=int, default=100, help="population size")
-    sp.add_argument("--paths", type=int, default=500)
+    sp.add_argument("--n", type=int, default=SIM_N, help="population size")
+    sp.add_argument("--paths", type=int, default=SIM_PATHS)
     sp.add_argument("--disturbance", choices=("worst", "zero"),
                     default="worst")
-    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep-n", parents=[common],
                         help="population-size sweeps and slope fits")
-    sp.add_argument("--ns", default="10,40,160,640")
-    sp.add_argument("--paths", type=int, default=200)
-    sp.set_defaults(func=cmd_sweep_n)
+    sp.add_argument("--ns", default=SWEEP_NS)
+    sp.add_argument("--paths", type=int, default=SWEEP_PATHS)
 
-    sp = sub.add_parser("reproduce-paper", parents=[common],
-                        help="full benchmark pipeline with all artifacts")
-    sp.set_defaults(func=cmd_reproduce_paper)
+    sub.add_parser("reproduce-paper", parents=[common],
+                   help="full benchmark pipeline with all artifacts")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _apply_env(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _StageFailed as e:
-        print(e, file=sys.stderr)
-        return 1
-    except ParseError as e:
-        print(f"ParseError: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, incentive.RelationViolated) as e:
+        _apply_env(args)
+        if args.subcommand == "validate":
+            return cmd_validate(args)
+        return _drive(args)
+    except (ParseError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

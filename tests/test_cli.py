@@ -150,3 +150,92 @@ def test_reproduce_paper_fail_path(table1, tmp_path, capsys):
     summary = read_json(out / "summary.json")
     assert "gamma_hat" in summary       # earlier stages did land
     assert "V0" not in summary
+
+
+def test_unparsable_env_override_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("STACKMFG_SEED", "abc")
+    assert cli.main(["validate"]) == 1
+    err = capsys.readouterr().err
+    assert "STACKMFG_SEED" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_seed_and_threads_default_in_the_parser():
+    args = cli.build_parser().parse_args(["simulate"])
+    assert args.seed == 42 and args.threads == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--threads", "0", "--n", "6", "--paths", "4"],
+    ["solve-leader", "--grid-steps", "0"],
+    ["solve-leader", "--gamma", "0"],
+    ["sweep-n", "--seed", "-1", "--ns", "4,8,16"],
+], ids=["threads", "grid-steps", "gamma", "seed"])
+def test_zero_valued_flags_reach_the_checks(argv, tmp_path, capsys):
+    out = tmp_path / "z"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert "ValueError" in capsys.readouterr().err
+    assert not out.exists()             # refused before any stage ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-n", "--ns", "4,8", "--paths", "4"],
+    ["sweep-n", "--ns", "4,16,8", "--paths", "4"],
+    ["simulate", "--n", "0", "--paths", "4"],
+], ids=["two-sizes", "not-increasing", "n-zero"])
+def test_bad_flags_fail_before_any_solve(argv, tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (out / "riccati_blocks.csv").exists()
+
+
+def test_stage_failure_leaves_failed_manifest(tmp_path, capsys):
+    # simulate stops in its solve-leader stage the way reproduce-paper does
+    out = tmp_path / "simfail"
+    assert cli.main(["simulate", "--gamma", "2", "--n", "6", "--paths", "4",
+                     "--out", str(out)]) == 1
+    man = read_json(out / "manifest.json")
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"simulate failed at stage solve-leader: {man['error']}"]
+    assert man["status"] == "FAILED"
+    assert man["failed_stage"] == "solve-leader"
+    assert man["error"].startswith("RuntimeError: block Riccati")
+    assert [s["name"] for s in man["stages"]] == ["config", "solve-leader"]
+    assert set(man["outputs"]) | {"manifest.json"} == \
+        {f.name for f in out.iterdir()}
+
+
+STAGED_RUNS = {
+    "gamma-hat": (["gamma-hat", "--tol", "100"], 0,
+                  ["config", "gamma-hat"]),
+    "solve-leader": (["solve-leader"], 0, ["config", "solve-leader"]),
+    "solve-incentive": (["solve-incentive"], 3,
+                        ["config", "solve-leader", "solve-incentive"]),
+    "simulate": (["simulate", "--n", "6", "--paths", "4"], 0,
+                 ["config", "solve-leader", "solve-incentive", "simulate"]),
+    "sweep-n": (["sweep-n", "--ns", "4,8,16", "--paths", "4"], 0,
+                ["config", "solve-leader", "sweep-n"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGED_RUNS))
+def test_manifest_lists_outputs_and_repeats(name, tmp_path, capsys):
+    argv, code, stages = STAGED_RUNS[name]
+    out = tmp_path / name
+    argv = argv + ["--grid-steps", "40", "--seed", "7", "--out", str(out)]
+    manifests = []
+    for _ in range(2):
+        assert cli.main(argv) == code
+        man = read_json(out / "manifest.json")
+        assert set(man["outputs"]) | {"manifest.json"} == \
+            {f.name for f in out.iterdir()}
+        assert len(man["outputs"]) == len(set(man["outputs"]))
+        assert [s["name"] for s in man["stages"]] == stages
+        assert all(s["wall_s"] >= 0 for s in man["stages"])
+        for key in ("started", "finished"):
+            del man[key]
+        for s in man["stages"]:
+            del s["wall_s"]
+        manifests.append(man)
+    assert manifests[0] == manifests[1]
