@@ -12,10 +12,12 @@ summary.json is written, one line goes to stderr and the exit code is 1.
 Artifact layout: every run directory gets a manifest.json (config digest,
 flags, version, timestamps, per-stage wall seconds under "stages", output
 list) next to the data files; CSV bodies are deterministic for a fixed
-(config, seed) regardless of thread count, so timings live only in the
-manifest.  Environment variables with the STACKMFG_ prefix override the
-corresponding global flag (STACKMFG_CONFIG, STACKMFG_OUT, STACKMFG_SEED,
-STACKMFG_THREADS, STACKMFG_GRID_STEPS).
+(config, seed), so timings live only in the manifest.  Environment
+variables with the STACKMFG_ prefix override the corresponding global flag
+(STACKMFG_CONFIG, STACKMFG_OUT, STACKMFG_SEED, STACKMFG_THREADS,
+STACKMFG_GRID_STEPS).  --threads (and STACKMFG_THREADS) is checked and
+recorded in the manifest's flags but has no effect: the simulator steps
+its path chunks one after another.
 """
 from __future__ import annotations
 
@@ -182,9 +184,10 @@ def _population_sizes(text: str) -> list[int]:
 
 class _Run:
     """One staged subcommand run.  Everything a flag can get wrong is
-    checked here, before any stage runs.  Stages fill the summary (keyed
-    as reproduce-paper's) and leave the solver outputs that later stages
-    read; simulated path bundles are never kept."""
+    checked here (--threads already in main), before any stage runs.
+    Stages fill the summary (keyed as reproduce-paper's) and leave the
+    solver outputs that later stages read; simulated path bundles are
+    never kept."""
 
     def __init__(self, args, cmd: "_Command"):
         self.cmd = cmd
@@ -196,13 +199,13 @@ class _Run:
             self.sim_cfg = sim.SimConfig(
                 N=getattr(args, "n", SIM_N),
                 n_paths=getattr(args, "paths", SIM_PATHS),
-                master_seed=args.seed, n_threads=args.threads,
+                master_seed=args.seed,
                 disturbance=getattr(args, "disturbance", "worst"))
         if "sweep-n" in cmd.stages:
             self.Ns = _population_sizes(getattr(args, "ns", SWEEP_NS))
             self.sweep_cfg = sim.SimConfig(
                 n_paths=getattr(args, "paths", SWEEP_PATHS),
-                master_seed=args.seed, n_threads=args.threads)
+                master_seed=args.seed)
         out = Path(args.out or "out")
         out.mkdir(parents=True, exist_ok=True)
         self.man = _Manifest(out, args.subcommand, vars(args))
@@ -603,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=42,
                         help="master seed (default 42)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for path batches (default 1)")
+                        help="checked (>= 1) and recorded, no effect: "
+                             "path chunks run one after another (default 1)")
     common.add_argument("--grid-steps", type=int, default=None,
                         dest="grid_steps", help="override config grid_steps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
@@ -645,6 +649,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_env(args)
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         if args.subcommand == "validate":
             return cmd_validate(args)
         return _drive(args)

@@ -115,12 +115,17 @@ def estimate_gamma_hat(p: ModelParams, bracket_tol: float = 1e-4,
     """
     grid = p.grid() if grid is None else grid
     trace = []
+    known = {}
 
     def probe(g: float) -> bool:
-        cert = solve_concavity(p, g, grid)
-        t_esc = np.nan if cert.solvable else cert.escape.t_escape
-        trace.append((g, cert.solvable, t_esc))
-        return cert.solvable
+        # the halving opens on the doubling's last two gammas; each gamma
+        # is integrated and traced once
+        if g not in known:
+            cert = solve_concavity(p, g, grid)
+            t_esc = np.nan if cert.solvable else cert.escape.t_escape
+            trace.append((g, cert.solvable, t_esc))
+            known[g] = cert.solvable
+        return known[g]
 
     hi = 1.0
     while not probe(hi):

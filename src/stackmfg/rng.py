@@ -3,8 +3,8 @@
 Each (master_seed, path, agent) triple owns an independent Philox stream;
 agent 0 is the common noise, agents 1..N the followers.  Streams are
 created on demand from the key alone, so results do not depend on how
-paths are scheduled across workers and adding followers never perturbs
-the streams of existing ones.
+paths are grouped into chunks and adding followers never perturbs the
+streams of existing ones.
 
 Bulk draws re-key one Philox bit generator per call instead of building a
 generator for every stream; the draws are bitwise those of a fresh one.
@@ -17,7 +17,7 @@ __all__ = ["stream", "normals", "increments", "brownian_increments"]
 
 _U32 = 1 << 32
 _U64 = (1 << 64) - 1
-# read-only, so threads re-keying their own generators can share it
+# read-only: every re-keyed generator is handed this one array
 _ZEROS = np.zeros(4, dtype=np.uint64)
 _ZEROS.flags.writeable = False
 
@@ -51,8 +51,7 @@ def normals(master_seed: int, path: int, agent: int, count: int) -> np.ndarray:
 def increments(master_seed: int, keys, nsteps: int, dt: float) -> np.ndarray:
     """Increments of independent Brownian motions, one row per
     (path, agent) key, each the full horizon of that key's stream scaled to
-    variance dt per step.  One generator serves the whole call, so calls
-    on different threads share nothing."""
+    variance dt per step.  One generator serves the whole call."""
     keys = list(keys)
     out = np.empty((len(keys), nsteps))
     gen = np.random.Generator(np.random.Philox(0))

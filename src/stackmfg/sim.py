@@ -12,15 +12,14 @@ One kernel steps both systems, a chunk of paths at a time: the leader
 and mean states as (chunk, n) arrays, the followers as (chunk, N, n); the
 limit system is the case with no followers.  A chunk draws its whole
 noise up front, so its path count is sized to keep that buffer near
-_CHUNK_FLOATS floats (2 MB) whatever N and the grid are.  The kernel's
-matrix products bypass BLAS, so a path's values depend neither on the
-chunk size nor on the thread count.  The two N-sweeps (mean-field gap and
-optimality-gap proxy) read one population run per N.
+_CHUNK_FLOATS floats (2 MB) whatever N and the grid are; chunks run one
+after another.  The kernel's matrix products bypass BLAS, so a path's
+values do not depend on the chunk size.  The two N-sweeps (mean-field gap
+and optimality-gap proxy) read one population run per N.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,8 +46,7 @@ __all__ = [
     "sweep_optimality_gap",
 ]
 
-# per-chunk noise budget in floats (2 MB); chunking is fixed by the config,
-# so results do not depend on the thread count
+# per-chunk noise budget in floats (2 MB)
 _CHUNK_FLOATS = 1 << 18
 
 
@@ -65,7 +63,6 @@ class SimConfig:
     n_paths: int = 1
     master_seed: int = 42
     em_substeps: int = 1
-    n_threads: int = 1
     store_followers: int = 16
     store_all_followers: bool = False
     disturbance: str = "worst"             # "worst" | "zero"
@@ -78,8 +75,6 @@ class SimConfig:
             raise ValueError("n_paths must be >= 1")
         if self.em_substeps < 1:
             raise ValueError("em_substeps must be >= 1")
-        if self.n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
         if self.disturbance not in ("worst", "zero"):
             raise ValueError(f"unknown disturbance mode {self.disturbance!r}")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -193,16 +188,6 @@ def _apply(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.einsum("...j,kj->...k", X, A)
 
 
-def _run_chunked(total: int, size: int, n_threads: int, work):
-    parts = [(a, min(a + size, total)) for a in range(0, total, size)]
-    if n_threads == 1 or len(parts) == 1:
-        for part in parts:
-            work(part)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(work, parts))
-
-
 def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     N: int = 0, fgains: FollowerGains | None = None,
                     inc: IncentiveMatrices | None = None, override=None,
@@ -259,8 +244,10 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                    u0i=np.empty((P, stored, M + 1, mL)),
                    u1i=np.empty((P, stored, M + 1, mF)))
 
-    def work(part):
-        a, b = part
+    # chunks sized so a chunk's noise stays near _CHUNK_FLOATS floats
+    chunk = max(1, _CHUNK_FLOATS // (Q * (1 + N * n)))
+    for a in range(0, P, chunk):
+        b = min(a + chunk, P)
         C = b - a
         dW = dW0[a:b] if dW0 is not None else rng.increments(
             seed, ((i, 0) for i in range(a, b)), Q, hs)
@@ -328,10 +315,6 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                 raise NonFiniteState(grid.nodes[(q + 1) // s],
                                      "population state" if N else "limit state")
 
-    # chunks sized so a chunk's noise stays near _CHUNK_FLOATS floats; the
-    # size follows from the config alone, never from the thread count
-    chunk = max(1, _CHUNK_FLOATS // (Q * (1 + N * n)))
-    _run_chunked(P, chunk, cfg.n_threads, work)
     return PathBundle(grid, cfg, follower_ids=tuple(range(1, stored + 1)),
                       **out)
 
@@ -544,12 +527,10 @@ def _sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
     J_lim = _j0_per_path(simulate_limit(p, gains, cfg), p)
     mf, opt = [], []
     for N in Ns:
+        # the reports read no individual follower, so none is stored
         bundle = simulate_population(
-            p, gains, SimConfig(N=N, n_paths=cfg.n_paths,
-                                master_seed=cfg.master_seed,
-                                em_substeps=cfg.em_substeps,
-                                n_threads=cfg.n_threads,
-                                disturbance=cfg.disturbance))
+            p, gains, replace(cfg, N=N, store_followers=0,
+                              store_all_followers=False))
         sq = np.sum((bundle.xN - bundle.m) ** 2, axis=2)   # (paths, M+1)
         curve = sq.mean(axis=0)
         kstar = int(np.argmax(curve))

@@ -170,12 +170,21 @@ def test_seed_and_threads_default_in_the_parser():
     ["solve-leader", "--grid-steps", "0"],
     ["solve-leader", "--gamma", "0"],
     ["sweep-n", "--seed", "-1", "--ns", "4,8,16"],
-], ids=["threads", "grid-steps", "gamma", "seed"])
+    ["gamma-hat", "--threads", "0"],
+    ["solve-leader", "--threads", "0"],
+], ids=["threads", "grid-steps", "gamma", "seed", "gamma-hat-threads",
+        "solve-leader-threads"])
 def test_zero_valued_flags_reach_the_checks(argv, tmp_path, capsys):
     out = tmp_path / "z"
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert "ValueError" in capsys.readouterr().err
     assert not out.exists()             # refused before any stage ran
+
+
+def test_zero_threads_from_the_environment_is_refused(monkeypatch, capsys):
+    monkeypatch.setenv("STACKMFG_THREADS", "0")
+    assert cli.main(["validate"]) == 1
+    assert "ValueError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

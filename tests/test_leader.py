@@ -82,6 +82,16 @@ def test_gamma_hat_monotone_in_state_weights(table1):
     assert all(np.isfinite(t) for g, ok, t in base.trace if not ok)
 
 
+def test_gamma_hat_probes_each_gamma_once(table1):
+    # the halving opens on the doubling's last two gammas without probing
+    # them again, also when the search runs down to the floor
+    grid = TimeGrid(table1.T, 125)
+    for p in (table1, table1.with_updates(E=0.0)):
+        res = leader.estimate_gamma_hat(p, bracket_tol=0.5, grid=grid)
+        probed = [g for g, _, _ in res.trace]
+        assert len(probed) == len(set(probed))
+
+
 def test_gamma_hat_not_solvable_at_cap(table1):
     hopeless = table1.with_updates(Q=table1.Q * 100.0, G=table1.G * 100.0)
     with pytest.raises(leader.NotSolvableAtCap):

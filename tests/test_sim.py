@@ -1,7 +1,5 @@
 """Monte Carlo machinery: path simulation, cost quadrature, saddle
 perturbation battery, population sweeps."""
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -13,8 +11,7 @@ from stackmfg.sim import SimConfig
 
 def test_simconfig_validation():
     for bad in (dict(N=0), dict(n_paths=0), dict(em_substeps=0),
-                dict(n_threads=0), dict(disturbance="bang"),
-                dict(master_seed=-1)):
+                dict(disturbance="bang"), dict(master_seed=-1)):
         with pytest.raises(ValueError):
             SimConfig(**bad)
 
@@ -103,14 +100,19 @@ def test_same_seed_bitwise_different_seed_not(table1, gains1):
     assert not np.array_equal(a.x0, c.x0)
 
 
-def test_thread_count_does_not_change_paths(table1, gains1):
-    one = sim.simulate_limit(table1, gains1,
-                             SimConfig(n_paths=200, n_threads=1))
-    four = sim.simulate_limit(table1, gains1,
-                              SimConfig(n_paths=200, n_threads=4))
-    assert np.array_equal(one.x0, four.x0)
-    assert np.array_equal(one.m, four.m)
-    assert np.array_equal(one.u0bar, four.u0bar)
+def test_thread_count_does_not_change_paths(table1, gains1, n2, n2_sol,
+                                           monkeypatch):
+    # the limit system (N = 0) with the default chunk width and with
+    # chunks of 7 paths
+    cfg = SimConfig(n_paths=200)
+    for p, gains in ((table1, gains1), (n2, n2_sol.gains)):
+        wide = sim.simulate_limit(p, gains, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "_CHUNK_FLOATS", 7 * p.grid_steps)
+            narrow = sim.simulate_limit(p, gains, cfg)
+        assert np.array_equal(wide.x0, narrow.x0)
+        assert np.array_equal(wide.m, narrow.m)
+        assert np.array_equal(wide.u0bar, narrow.u0bar)
 
 
 def test_replay_of_recorded_controls_is_bitwise(table1, gains1):
@@ -205,17 +207,13 @@ _BUNDLE_FIELDS = ("x0", "m", "u0bar", "u1bar", "v", "xN", "xi", "u0i", "u1i")
 
 
 def _population_layouts(monkeypatch, p, gains, cfg, per_chunk, **modes):
-    """The same population run with one path thread and the default chunk
-    size, with four threads over chunks of per_chunk paths, and with one
-    thread over those chunks."""
+    """The same population run with the default chunk size and over chunks
+    of per_chunk paths."""
     floats = p.grid_steps * cfg.em_substeps * (1 + cfg.N * p.n) * per_chunk
     runs = [sim.simulate_population(p, gains, cfg, **modes)]
     with monkeypatch.context() as mp:
         mp.setattr(sim, "_CHUNK_FLOATS", floats)
-        for threads in (4, 1):
-            runs.append(sim.simulate_population(
-                p, gains, dataclasses.replace(cfg, n_threads=threads),
-                **modes))
+        runs.append(sim.simulate_population(p, gains, cfg, **modes))
     return runs
 
 
