@@ -8,12 +8,17 @@ streams of existing ones.
 
 Bulk draws re-key one Philox bit generator per call instead of building a
 generator for every stream; the draws are bitwise those of a fresh one.
+A pool of generators, each re-keyed to one stream and left open, reads
+the streams in consecutive blocks: a stream's blocks concatenate to the
+bits of one full draw, so a caller can bound its noise buffer without
+changing a result.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "normals", "increments", "brownian_increments"]
+__all__ = ["stream", "normals", "increments", "brownian_increments",
+           "pool", "draw"]
 
 _U32 = 1 << 32
 _U64 = (1 << 64) - 1
@@ -66,3 +71,19 @@ def brownian_increments(master_seed: int, path: int, agents, nsteps: int,
     """increments() for several agents of one path, rows in agent order."""
     return increments(master_seed, ((path, agent) for agent in agents),
                       nsteps, dt)
+
+
+def pool(size: int) -> list[np.random.Generator]:
+    """size Philox generators, to be re-keyed to their streams by stream()."""
+    return [np.random.Generator(np.random.Philox(0)) for _ in range(size)]
+
+
+def draw(gens, count: int, dt: float) -> np.ndarray:
+    """The next count increments of each open stream in gens, one row per
+    generator, scaled to variance dt per step.  Consecutive draws from a
+    stream concatenate to its row of increments()."""
+    out = np.empty((len(gens), count))
+    for row, gen in zip(out, gens):
+        gen.standard_normal(out=row)
+    out *= np.sqrt(dt)
+    return out

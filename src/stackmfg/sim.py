@@ -10,16 +10,21 @@ n-dimensional so that a matrix diffusion coefficient acts consistently
 
 One kernel steps both systems, a chunk of paths at a time: the leader
 and mean states as (chunk, n) arrays, the followers as (chunk, N, n); the
-limit system is the case with no followers.  A chunk draws its whole
-noise up front, so its path count is sized to keep that buffer near
-_CHUNK_FLOATS floats (2 MB) whatever N and the grid are; chunks run one
-after another.  The kernel's matrix products bypass BLAS, so a path's
-values do not depend on the chunk size.  The two N-sweeps (mean-field gap
-and optimality-gap proxy) read one population run per N.
+limit system is the case with no followers.  A chunk's state arrays hold
+about _VECTOR_FLOATS elements, so each numpy call of the stepping loop
+works on a wide array, and a chunk is never narrower than one whose whole
+noise fits _CHUNK_FLOATS floats (2 MB); chunks run one after another.  A
+chunk whose whole noise fits that budget draws it before it steps; a wider
+one keeps one Philox stream open per (path, agent) and draws its noise in
+time blocks, each as many steps as fit _CHUNK_FLOATS beside the open
+generators.  A stream's blocks concatenate to its whole draw, so the block
+length changes no bit.  The kernel's matrix products bypass BLAS, so a
+path's values do not depend on the chunk size.  The two N-sweeps
+(mean-field gap and optimality-gap proxy) read one population run per N.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,8 +51,13 @@ __all__ = [
     "sweep_optimality_gap",
 ]
 
-# per-chunk noise budget in floats (2 MB)
+# per-chunk noise budget in floats (2 MB), open generators included
 _CHUNK_FLOATS = 1 << 18
+# a chunk's state arrays hold about this many elements, enough to repay the
+# fixed cost of each numpy call in the stepping loop
+_VECTOR_FLOATS = 1 << 11
+# one open Philox generator (608 B), in floats
+_GENERATOR_FLOATS = 76
 
 
 class NonFiniteState(Exception):
@@ -244,76 +254,112 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                    u0i=np.empty((P, stored, M + 1, mL)),
                    u1i=np.empty((P, stored, M + 1, mF)))
 
-    # chunks sized so a chunk's noise stays near _CHUNK_FLOATS floats
-    chunk = max(1, _CHUNK_FLOATS // (Q * (1 + N * n)))
+    # the chunk whose states hold nearest _VECTOR_FLOATS elements, never
+    # narrower than one whose whole-horizon noise fits _CHUNK_FLOATS
+    width = 1 + N * n
+    chunk = min(P, max(1, round(_VECTOR_FLOATS / width),
+                       _CHUNK_FLOATS // (Q * width)))
+    common = dW0 is None
+    if chunk * Q * width <= _CHUNK_FLOATS:
+        # one block: each stream is read whole through one re-keyed generator
+        L, gens = Q, None
+    else:
+        # the streams stay open from block to block; a block of L steps
+        # fits _CHUNK_FLOATS beside the open generators
+        gens = rng.pool(chunk * (common + N))
+        L = max(1, (_CHUNK_FLOATS - len(gens) * _GENERATOR_FLOATS)
+                // (chunk * width))
+    recorded = ("x0", "m", "xN") if N else ("x0", "m")
     for a in range(0, P, chunk):
         b = min(a + chunk, P)
         C = b - a
-        dW = dW0[a:b] if dW0 is not None else rng.increments(
-            seed, ((i, 0) for i in range(a, b)), Q, hs)
+        keys0 = [(i, 0) for i in range(a, b)] if common else []
+        keysF = [(i, j) for i in range(a, b) for j in range(1, N + 1)]
+        if gens is not None:
+            live = [rng.stream(seed, i, j, gen)
+                    for (i, j), gen in zip(keys0 + keysF, gens)]
+            live0, liveF = live[:len(keys0)], live[len(keys0):]
         x0 = np.broadcast_to(p.xi, (C, n)).copy()
         m = np.broadcast_to(p.x0init, (C, n)).copy()
         if N:
-            dWi = np.empty((C, N, Q, n))
-            for c in range(C):
-                dWi[c] = rng.brownian_increments(
-                    seed, a + c, range(1, N + 1), Q * n, hs).reshape(N, Q, n)
             xi = np.broadcast_to(p.x0init, (C, N, n)).copy()
-        for q in range(Q + 1):
-            # u0, u1 are recorded; u0l, u1l and xl drive the leader and
-            # the mean state
-            xN = xi.mean(axis=1) if N else m
-            if override is not None:
-                *lin, v = (arr[q, a:b] for arr in ov)
+        for q0 in range(0, Q, L):
+            q1 = min(q0 + L, Q)
+            if not common:
+                dW = dW0[a:b, q0:q1]
+            elif gens is None:
+                dW = rng.increments(seed, keys0, Q, hs)
             else:
-                X, Mx = _apply(x0, Kx[q]), _apply(m, Km[q])
-                S = X + Mx
-                lin = [S[:, i:j] for i, j in zip(cols, cols[1:])]
-                v = lin.pop() if worst else np.zeros((C, nv))
-            if incentive_mode:
-                gx, zx, u1l = lin
-                u1i = _apply(xi, Gxi[q]) + gx[:, None]
-                u0i = _apply(u1i, Lq[q]) + zx[:, None]
-                u0, u1 = u0i.mean(axis=1), u1i.mean(axis=1)
-                # (L u1 + zeta x0) + eta m, summed in the model's order
-                u0l = _apply(u1l, Lq[q]) + X[:, mF:mF + mL] \
-                    + Mx[:, mF:mF + mL]
-                xl = m
-            else:
-                u0, u1 = lin
-                u0l, u1l, xl = u0, u1, xN
-                u0i, u1i = u0[:, None], u1[:, None]
-            if q % s == 0:
-                k = q // s
-                for name, val in (("x0", x0), ("m", m), ("u0bar", u0),
-                                  ("u1bar", u1), ("v", v)):
-                    out[name][a:b, k] = val
-                if N:
-                    out["xN"][a:b, k] = xN
-                    out["xi"][a:b, :, k] = xi[:, :stored]
-                    out["u0i"][a:b, :, k] = u0i[:, :stored]
-                    out["u1i"][a:b, :, k] = u1i[:, :stored]
-            if q == Q:
-                break
-            XA, UB, UH = _apply(x0, AC), _apply(u0l, BDH), _apply(u1l, HBt)
-            drift0 = XA[:, :n] + UB[:, :n] + _apply(xl, p.F) + UH[:, :n] \
-                + _apply(v, p.E)
-            diff0 = XA[:, n:] + UB[:, n:2 * n]
-            dm = _apply(m, AtFt) + UH[:, n:] + UB[:, 2 * n:]
+                dW = rng.draw(live0, q1 - q0, hs)
             if N:
-                if incentive_mode:
-                    u1_term, u0_term = _apply(u1i, p.Bt), _apply(u0i, p.Ht)
+                dWi = rng.increments(seed, keysF, Q * n, hs) if gens is None \
+                    else rng.draw(liveF, (q1 - q0) * n, hs)
+                dWi = dWi.reshape(C, N, q1 - q0, n)
+            for q in range(q0, q1 + (q1 == Q)):
+                # u0, u1 are recorded; u0l, u1l and xl drive the leader and
+                # the mean state
+                xN = xi.mean(axis=1) if N else m
+                if override is not None:
+                    *lin, v = (arr[q, a:b] for arr in ov)
                 else:
-                    u1_term, u0_term = UH[:, None, n:], UB[:, None, 2 * n:]
-                drift_i = _apply(xi, p.At) + u1_term + u0_term \
-                    + _apply(xN, p.Ft)[:, None]
-                xi = xi + hs * drift_i + _apply(dWi[:, :, q], p.Sigma)
-            x0 = x0 + hs * drift0 + diff0 * dW[:, q, None]
-            m = m + hs * dm
-            if (q + 1) % s == 0 and not np.isfinite(
-                    np.sum(x0) + np.sum(m) + (np.sum(xi) if N else 0.0)):
-                raise NonFiniteState(grid.nodes[(q + 1) // s],
-                                     "population state" if N else "limit state")
+                    X, Mx = _apply(x0, Kx[q]), _apply(m, Km[q])
+                    S = X + Mx
+                    lin = [S[:, i:j] for i, j in zip(cols, cols[1:])]
+                    v = lin.pop() if worst else np.zeros((C, nv))
+                if incentive_mode:
+                    gx, zx, u1l = lin
+                    u1i = _apply(xi, Gxi[q]) + gx[:, None]
+                    u0i = _apply(u1i, Lq[q]) + zx[:, None]
+                    u0, u1 = u0i.mean(axis=1), u1i.mean(axis=1)
+                    # (L u1 + zeta x0) + eta m, summed in the model's order
+                    u0l = _apply(u1l, Lq[q]) + X[:, mF:mF + mL] \
+                        + Mx[:, mF:mF + mL]
+                    xl = m
+                else:
+                    u0, u1 = lin
+                    u0l, u1l, xl = u0, u1, xN
+                    u0i, u1i = u0[:, None], u1[:, None]
+                if q % s == 0:
+                    k = q // s
+                    for name, val in (("x0", x0), ("m", m), ("u0bar", u0),
+                                      ("u1bar", u1), ("v", v)):
+                        out[name][a:b, k] = val
+                    if N:
+                        out["xN"][a:b, k] = xN
+                        out["xi"][a:b, :, k] = xi[:, :stored]
+                        out["u0i"][a:b, :, k] = u0i[:, :stored]
+                        out["u1i"][a:b, :, k] = u1i[:, :stored]
+                if q == Q:
+                    break
+                XA, UB, UH = _apply(x0, AC), _apply(u0l, BDH), \
+                    _apply(u1l, HBt)
+                drift0 = XA[:, :n] + UB[:, :n] + _apply(xl, p.F) \
+                    + UH[:, :n] + _apply(v, p.E)
+                diff0 = XA[:, n:] + UB[:, n:2 * n]
+                dm = _apply(m, AtFt) + UH[:, n:] + UB[:, 2 * n:]
+                if N:
+                    if incentive_mode:
+                        u1_term = _apply(u1i, p.Bt)
+                        u0_term = _apply(u0i, p.Ht)
+                    else:
+                        u1_term = UH[:, None, n:]
+                        u0_term = UB[:, None, 2 * n:]
+                    drift_i = _apply(xi, p.At) + u1_term + u0_term \
+                        + _apply(xN, p.Ft)[:, None]
+                    xi = xi + hs * drift_i \
+                        + _apply(dWi[:, :, q - q0], p.Sigma)
+                x0 = x0 + hs * drift0 + diff0 * dW[:, q - q0, None]
+                m = m + hs * dm
+            # the block's recorded nodes; xN is the mean of every follower,
+            # so one non-finite follower makes it non-finite
+            k0, k1 = -(-q0 // s), M + 1 if q1 == Q else -(-q1 // s)
+            finite = np.logical_and.reduce(
+                [np.isfinite(out[name][a:b, k0:k1]).all(axis=(0, 2))
+                 for name in recorded])
+            if not finite.all():
+                raise NonFiniteState(
+                    grid.nodes[k0 + int(np.argmin(finite))],
+                    "population state" if N else "limit state")
 
     return PathBundle(grid, cfg, follower_ids=tuple(range(1, stored + 1)),
                       **out)
@@ -375,6 +421,22 @@ def _trapz(f: np.ndarray, h: float) -> np.ndarray:
     return h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
 
 
+def _by_path_blocks(cost):
+    """cost(bundle, p), one row per path, evaluated over blocks of paths
+    whose recorded series hold about _CHUNK_FLOATS floats each, so that the
+    quadrature's temporaries stay bounded whatever the bundle's size."""
+    def blocked(bundle: PathBundle, p: ModelParams) -> np.ndarray:
+        series = {f.name: getattr(bundle, f.name) for f in fields(bundle)
+                  if isinstance(getattr(bundle, f.name), np.ndarray)}
+        step = max(1, _CHUNK_FLOATS // max(x[0].size for x in series.values()))
+        return np.concatenate([
+            cost(replace(bundle, **{k: x[a:a + step]
+                                    for k, x in series.items()}), p)
+            for a in range(0, bundle.n_paths, step)])
+    return blocked
+
+
+@_by_path_blocks
 def _j0_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
     """Leader cost per path; the population average is replaced by the mean
     state for limit-system bundles."""
@@ -387,6 +449,7 @@ def _j0_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
     return _trapz(run, bundle.grid.h) + _quad(term, p.G)
 
 
+@_by_path_blocks
 def _ji_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
     dx = bundle.xi - bundle.xN[:, None] @ p.Gamma1t.T
     run = (_quad(dx, p.Qt) + _quad(bundle.u0i, p.R0t)

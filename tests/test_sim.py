@@ -1,5 +1,8 @@
 """Monte Carlo machinery: path simulation, cost quadrature, saddle
 perturbation battery, population sweeps."""
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,28 @@ def test_rng_rekeyed_rows_match_fresh_streams():
     for row, (path, agent) in zip(rows, keys):
         assert np.array_equal(
             row, rng.normals(2 ** 63, path, agent, 20) * np.sqrt(dt))
+
+
+def test_rng_block_draws_match_full_horizon():
+    # pooled generators re-keyed to their streams and read in blocks give
+    # each stream's increments() row bitwise, whatever the block lengths
+    seed, dt = 2 ** 63 + 5, 0.01
+    keys = [(3, 0), (3, 7), (2 ** 32 - 1, 2 ** 32 - 1)]
+    full = rng.increments(seed, keys, 1000, dt)
+    gens = rng.pool(len(keys))
+    for blocks in ([1] * 1000, [7] * 142 + [6], [337, 663], [1000]):
+        live = [rng.stream(seed, path, agent, gen)
+                for (path, agent), gen in zip(keys, gens)]
+        assert live == gens
+        got = np.concatenate([rng.draw(live, k, dt) for k in blocks], axis=1)
+        assert np.array_equal(got, full)
+    # re-keying partway through a stream restarts at the key's first normal
+    gen = gens[0]
+    for path, agent in keys:
+        rng.draw([gen], 337, dt)
+        rng.stream(seed, path, agent, gen)
+        assert np.array_equal(rng.draw([gen], 1000, dt)[0],
+                              full[keys.index((path, agent))])
 
 
 # ------------------------------------------------------------ limit paths
@@ -191,6 +216,27 @@ def test_population_consistency_and_costs(table1, blocks1, gains1):
     assert np.all(np.isfinite(rep.Ji_mean))
 
 
+def test_costs_independent_of_path_blocks(table1, gains1, n2, n2_sol,
+                                          monkeypatch):
+    # the cost quadrature over one block of paths, blocks of 3 and of 1
+    cfg = SimConfig(N=6, n_paths=7, master_seed=3, store_all_followers=True)
+    for p, gains in ((table1, gains1), (n2, n2_sol.gains)):
+        pop = sim.simulate_population(p, gains, cfg)
+        for bundle, costs in ((sim.simulate_limit(p, gains, cfg),
+                               (sim._j0_per_path,)),
+                              (pop, (sim._j0_per_path, sim._ji_per_path))):
+            largest = (bundle.x0 if bundle.xi is None else bundle.xi)[0].size
+            for cost in costs:
+                runs = [cost(bundle, p)]
+                for paths in (3, 1):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(sim, "_CHUNK_FLOATS", paths * largest)
+                        runs.append(cost(bundle, p))
+                assert runs[0].shape[0] == cfg.n_paths
+                for other in runs[1:]:
+                    assert np.array_equal(runs[0], other)
+
+
 def test_incentive_mode_runs(square, square_sol):
     cfg = SimConfig(N=8, n_paths=2, master_seed=3,
                     store_all_followers=True)
@@ -252,6 +298,79 @@ def test_matrix_population_n2(monkeypatch, n2, n2_sol):
         assert pb.consistency_gap() <= 1e-12
         for name in _BUNDLE_FIELDS:
             assert np.all(np.isfinite(getattr(pb, name))), name
+
+
+def _nan_at(traj, k):
+    """A copy of a gain trajectory that holds NaN at node k, which its
+    constructor would refuse."""
+    bad = copy.copy(traj)
+    bad.values = traj.values.copy()
+    bad.values[k] = np.nan
+    return bad
+
+
+@pytest.mark.parametrize("floats", [1, 3000])
+def test_nonfinite_state_names_first_bad_node(table1, gains1, fg1, inc1, n2,
+                                              n2_sol, monkeypatch, floats):
+    # a NaN control at node k first reaches the state at node k + 1; a
+    # 1-float noise budget gives one-step noise blocks, 3000 floats give
+    # 66-step blocks to the table1 population and one block elsewhere
+    monkeypatch.setattr(sim, "_CHUNK_FLOATS", floats)
+    cfg = SimConfig(N=6, n_paths=3, master_seed=5)
+    for p, gains, fg, inc, k in ((table1, gains1, fg1, inc1.inc, 137),
+                                 (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc,
+                                  23)):
+        t = gains.grid.nodes[k + 1]
+        base = sim.simulate_limit(p, gains, cfg)
+        u0 = base.u0bar.copy()
+        u0[-1, k] = np.nan
+        with pytest.raises(sim.NonFiniteState) as err:
+            sim.simulate_limit(p, gains, cfg,
+                               controls_override=(u0, base.u1bar, base.v))
+        assert (err.value.t, err.value.what) == (t, "limit state")
+        runs = ((replace(gains, Theta21=_nan_at(gains.Theta21, k)), {}),
+                (gains, {"fgains": replace(fg, Gxi=_nan_at(fg.Gxi, k)),
+                         "inc": inc}))
+        for run_gains, modes in runs:
+            with pytest.raises(sim.NonFiniteState) as err:
+                sim.simulate_population(p, run_gains, cfg, **modes)
+            assert (err.value.t, err.value.what) == (t, "population state")
+
+
+def test_paths_independent_of_noise_blocks(n2, n2_sol, monkeypatch):
+    # two substeps per interval put block edges off the nodes; noise blocks
+    # of the whole horizon, 7 steps and 1 step, the last also over chunks
+    # of 1 and of 2 paths
+    p, gains = n2, n2_sol.gains
+    cfg = SimConfig(N=8, n_paths=5, master_seed=6, em_substeps=2,
+                    store_all_followers=True)
+    C, width = cfg.n_paths, 1 + cfg.N * p.n
+    seven = sim._GENERATOR_FLOATS * C * (1 + cfg.N) + 7 * C * width
+    layouts = ((sim._CHUNK_FLOATS, sim._VECTOR_FLOATS),
+               (seven, sim._VECTOR_FLOATS), (1, sim._VECTOR_FLOATS),
+               (1, 1), (1, 2 * width))
+    w0 = np.random.default_rng(1).normal(
+        scale=0.1, size=(C, p.grid_steps * cfg.em_substeps))
+
+    def layout_runs(run):
+        runs = []
+        for floats, vector in layouts:
+            with monkeypatch.context() as mp:
+                mp.setattr(sim, "_CHUNK_FLOATS", floats)
+                mp.setattr(sim, "_VECTOR_FLOATS", vector)
+                runs.append(run())
+        return runs
+
+    for modes in ({}, {"fgains": n2_sol.fg, "inc": n2_sol.inc}):
+        _assert_bitwise(layout_runs(
+            lambda: sim.simulate_population(p, gains, cfg, **modes)))
+    for w0_increments in (None, w0):
+        runs = layout_runs(lambda: sim.simulate_limit(
+            p, gains, cfg, w0_increments=w0_increments))
+        for name in ("x0", "m", "u0bar", "u1bar", "v"):
+            for other in runs[1:]:
+                assert np.array_equal(getattr(runs[0], name),
+                                      getattr(other, name)), name
 
 
 def test_incentive_match_values(gains1, fg1, inc1, square_sol):
