@@ -10,9 +10,10 @@ the manifest records status FAILED, failed_stage and the error, the partial
 summary.json is written, one line goes to stderr and the exit code is 1.
 
 Artifact layout: every run directory gets a manifest.json (config digest,
-flags, version, timestamps, per-stage wall seconds under "stages", output
-list) next to the data files; CSV bodies are deterministic for a fixed
-(config, seed), so timings live only in the manifest.  Environment
+flags, version, timestamps, per-stage wall seconds and work counters under
+"stages", output list) next to the data files; CSV bodies are
+deterministic for a fixed (config, seed), so timings live only in the
+manifest.  A stage may return its work counters as a dict.  Environment
 variables with the STACKMFG_ prefix override the corresponding global flag
 (STACKMFG_CONFIG, STACKMFG_OUT, STACKMFG_SEED, STACKMFG_THREADS,
 STACKMFG_GRID_STEPS).  --threads (and STACKMFG_THREADS) is checked and
@@ -235,6 +236,7 @@ def _gamma_hat_stage(run: _Run):
     run.summary["gamma_hat"] = {"value": res.gamma_hat,
                                 "bracket": list(res.bracket),
                                 "note": res.note}
+    return {"probes": len(res.trace), "passes": res.passes}
 
 
 def _concavity_stage(run: _Run):
@@ -549,12 +551,13 @@ def _drive(args) -> int:
     man = run.man
     try:
         for stage, fn in [(s, fn) for s, fn in STAGES if s in cmd.stages]:
+            entry = {"name": stage}
+            man.doc["stages"].append(entry)
             t0 = time.perf_counter()
             try:
-                fn(run)
+                entry.update(fn(run) or {})
             finally:
-                man.doc["stages"].append(
-                    {"name": stage, "wall_s": time.perf_counter() - t0})
+                entry["wall_s"] = time.perf_counter() - t0
         lines, code = cmd.report(run)
     except Exception as e:                       # noqa: BLE001
         man.fail(stage, e)

@@ -11,9 +11,10 @@ construction and only genuine transcription errors can break them.
 
 Both sweeps step with odeint.rk4_step, sampling the closed-loop
 coefficients once at each of the three distinct nodes of a step on the
-block solution's doubled grid.  The matching conditions, zeta/eta and the
-follower gains share the leader's gain algebra (leader._gain_terms); its
-L-free parts are solved once per node, outside the Gauss-Newton loop.
+block solution's doubled grid.  The matching conditions, zeta/eta, the
+closed-loop coefficients and the follower gains share the leader's gain
+algebra (leader._gain_terms); its L-free parts are solved once per sweep,
+for every node of the doubled grid at once, outside the Gauss-Newton loop.
 """
 from __future__ import annotations
 
@@ -186,7 +187,12 @@ def matching_residual(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2,
 
 def cc_coefficients(p: ModelParams, gamma: float, L: np.ndarray,
                     P1, Pi1, P2, Pi2) -> CCCoefficients:
-    zeta, eta = zeta_eta(p, L, P1, Pi1, P2, Pi2)
+    return _cc(p, gamma, L, _nodal_terms(p, P1, Pi1, P2, Pi2), P1, Pi1)
+
+
+def _cc(p: ModelParams, gamma: float, L, nodal, P1, Pi1) -> CCCoefficients:
+    """cc_coefficients from the node's L-free terms (_nodal_terms)."""
+    zeta, eta = _zeta_eta(L, nodal)
     g2 = gamma ** -2
     ERi = p.disturbance_weight
     SL, BL, LtR0 = _L_terms(p, L)  # BL: follower-side input map
@@ -333,11 +339,18 @@ def _prefer(a, b):
     return a
 
 
-def _cc_stages(p, blocks: BlockRiccatiSolution, L, k: int):
+def _fine_nodal(p, blocks: BlockRiccatiSolution):
+    """_nodal_terms at every node of the block solution's doubled grid."""
+    return _nodal_terms(p, blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2,
+                        blocks.fine_Pi2)
+
+
+def _cc_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L, k: int):
     """Closed-loop coefficients with L frozen at the start, midpoint and end
     of the backward step from node k: fine nodes 2k, 2k-1 and 2k-2 of the
     block solution's doubled grid, so the half-step is an exact sample."""
-    return tuple(cc_coefficients(p, blocks.gamma, L, *blocks.fine_blocks(j))
+    return tuple(_cc(p, blocks.gamma, L, tuple(a[j] for a in fine_nodal),
+                     *blocks.fine_blocks(j)[:2])
                  for j in (2 * k, 2 * k - 1, 2 * k - 2))
 
 
@@ -368,7 +381,9 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
     GtG2 = p.Gt @ p.Gamma2t
     Delta = p.Gt - GtG2
     Theta = np.zeros((p.n, p.n))
-    nodal = _nodal_terms(p, *blocks.all_nodes())
+    # published node k is fine node 2k
+    fine_nodal = _fine_nodal(p, blocks)
+    nodal = tuple(a[::2] for a in fine_nodal)
 
     def dtheta_rhs(cc, st):
         return _delta_theta_rhs(p, cc, *st)
@@ -418,7 +433,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
             break
         # RK4 step to node k-1 with L frozen
         Delta, Theta = rk4_step(dtheta_rhs, [Delta, Theta], -h,
-                                _cc_stages(p, blocks, Lk, k))
+                                _cc_stages(p, blocks, fine_nodal, Lk, k))
 
     z_store, e_store = _zeta_eta(L_store, nodal)
     dtheta = DeltaThetaSolution(
@@ -477,6 +492,7 @@ def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
         dDe, dTh = _delta_theta_rhs(p, cc, De, Th)
         return [dSg, dPh, dPs, dDe, dTh]
 
+    fine_nodal = _fine_nodal(p, blocks)
     th_gap = 0.0
     sp_gap = 0.0
     for k in range(M, -1, -1):
@@ -490,8 +506,8 @@ def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
         sp_gap = max(sp_gap, g1, g2)
         if k == 0:
             break
-        state = rk4_step(rhs, state, -h,
-                         _cc_stages(p, blocks, inc.L.values[k], k))
+        state = rk4_step(rhs, state, -h, _cc_stages(
+            p, blocks, fine_nodal, inc.L.values[k], k))
 
     # th_gap compares the co-integrated Psi against the co-integrated Theta;
     # sp_gap additionally ties both back to the stored coupled sweep

@@ -3,9 +3,11 @@
 Terminal-value Riccati systems are integrated backward on the same uniform
 grid the simulator uses, with finite-escape detection instead of adaptive
 stepping: a node whose state exceeds the escape threshold (or goes
-non-finite) truncates the run and is reported, it is not an error.  The
-residual diagnostic differentiates a stored trajectory with fourth-order
-finite differences and compares against the right-hand side at the nodes.
+non-finite) truncates the run and is reported, it is not an error.
+integrate_stack marches a stack of such problems at once and reports only
+where each escapes.  The residual diagnostic differentiates a stored
+trajectory with fourth-order finite differences and compares against the
+right-hand side at the nodes.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ __all__ = [
     "IntegrationResult",
     "rk4_step",
     "integrate",
+    "integrate_stack",
     "residual",
 ]
 
@@ -99,9 +102,34 @@ class IntegrationResult:
         return self.escape is None
 
 
-def _frob(a: np.ndarray) -> float:
-    v = a.ravel()
-    return float(np.sqrt(v @ v))
+def _escape_test(state, escape: EscapePolicy):
+    """(escaped, worst) for one node's state: worst is the largest Frobenius
+    norm over the components, inf if one is non-finite, and escaped is
+    worst > threshold.
+
+    Components are (n, n) matrices or (k, n, n) stacks; a stack gives one
+    verdict per member, each bitwise equal to the member's own, because
+    vecdot takes one dot product per matrix.
+    """
+    sq = 0.0
+    for x in state:
+        v = x.reshape(*x.shape[:-2], -1)
+        sq = np.maximum(sq, np.vecdot(v, v))
+    worst = np.sqrt(sq)
+    hit = ~(worst <= escape.threshold)         # NaN escapes too
+    if hit.any():
+        worst = np.where(np.isnan(worst), np.inf, worst)
+    return hit, worst
+
+
+def _clean_rhs(problem: OdeProblem, t, state):
+    """The rhs at a vetted node value (a step's first stage): a non-finite
+    output there means the rhs itself is broken, so NonFiniteRhs."""
+    out = problem.rhs(t, state)
+    for i, a in enumerate(out):
+        if not np.isfinite(np.sum(a)):
+            raise NonFiniteRhs(t, i)
+    return out
 
 
 def rk4_step(rhs, state, s, at, k1=None):
@@ -144,24 +172,10 @@ def integrate(problem: OdeProblem, grid: TimeGrid,
     state = [b.copy() for b in problem.boundary]
 
     def check(node_idx, st):
-        worst = 0.0
-        for x in st:
-            nrm = _frob(x)
-            if not np.isfinite(nrm):
-                return Escape(float(nodes[node_idx]), float("inf"), node_idx)
-            worst = max(worst, nrm)
-        if worst > escape.threshold:
-            return Escape(float(nodes[node_idx]), worst, node_idx)
+        hit, worst = _escape_test(st, escape)
+        if hit:
+            return Escape(float(nodes[node_idx]), float(worst), node_idx)
         return None
-
-    def eval_clean(t, st):
-        # first stage only: the state here is a vetted node value, so a
-        # non-finite output means the rhs itself is broken
-        out = problem.rhs(t, st)
-        for i, a in enumerate(out):
-            if not np.isfinite(np.sum(a)):
-                raise NonFiniteRhs(t, i)
-        return out
 
     def finish_partial(esc):
         # keep everything from the boundary side up to and including the bad node
@@ -184,7 +198,7 @@ def integrate(problem: OdeProblem, grid: TimeGrid,
     for k in steps:
         t = nodes[k]
         state = rk4_step(problem.rhs, state, s, (t, t + half, t + s),
-                         k1=eval_clean(t, state))
+                         k1=_clean_rhs(problem, t, state))
         if problem.poststep is not None:
             state = list(problem.poststep(state))
         tgt = k - 1 if back else k + 1
@@ -196,6 +210,47 @@ def integrate(problem: OdeProblem, grid: TimeGrid,
 
     trajs = [MatrixTrajectory(grid, s) for s in store]
     return IntegrationResult(trajs, None)
+
+
+def integrate_stack(problem: OdeProblem, grid: TimeGrid) -> list[Escape | None]:
+    """March a problem whose components stack k members along a leading
+    axis; return each member's Escape, or None where it reaches the far end
+    of the grid.
+
+    Escape and NonFiniteRhs are judged as in integrate with the default
+    EscapePolicy; with an rhs written in broadcasting @, each member gets
+    the bits it would get alone.  An escaped member's state is zeroed, so
+    the rhs stays finite, and its later verdicts are ignored.  Nothing is
+    stored.  A member far past its pole may overflow within a step; it
+    escapes at that step's end node, so the overflow is not warned about.
+    """
+    M = grid.steps
+    nodes = grid.nodes
+    back = problem.direction == "backward"
+    s = -grid.h if back else grid.h
+    node, last = (M, 0) if back else (0, M)
+    state = [b.copy() for b in problem.boundary]
+    out: list[Escape | None] = [None] * len(state[0])
+    policy = EscapePolicy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            hit, worst = _escape_test(state, policy)
+            if hit.any():
+                for i in np.flatnonzero(hit):
+                    if out[i] is None:
+                        out[i] = Escape(float(nodes[node]), float(worst[i]),
+                                        node)
+                for x in state:
+                    x[hit] = 0.0
+            if node == last:
+                break
+            t = nodes[node]
+            state = rk4_step(problem.rhs, state, s, (t, t + 0.5 * s, t + s),
+                             k1=_clean_rhs(problem, t, state))
+            if problem.poststep is not None:
+                state = list(problem.poststep(state))
+            node += -1 if back else 1
+    return out
 
 
 # fourth-order first-derivative stencils (Fornberg weights / 12h):

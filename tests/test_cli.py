@@ -47,6 +47,10 @@ def test_gamma_hat_writes_trace(tmp_path, capsys):
     assert len(trace) > 10
     man = read_json(out / "manifest.json")
     assert man["status"] == "ok"
+    # the stage's work counters sit next to its wall time
+    stage = [s for s in man["stages"] if s["name"] == "gamma-hat"]
+    assert stage[0]["probes"] == len(trace) - 1
+    assert 1 <= stage[0]["passes"] < stage[0]["probes"]
     # benchmark gamma sits far below the critical level
     assert any("not below the run gamma" in w for w in man["warnings"])
 

@@ -60,6 +60,25 @@ def test_cc_coefficients_formula(square, square_sol, n2, n2_sol):
         assert np.abs(cc.A3 - A3).max() <= 1e-12
 
 
+def test_hoisted_cc_stages_equal_per_node(table1, blocks1, inc1, n2, n2_sol):
+    # the sweeps solve the L-free terms once over the doubled grid; every
+    # stage must round exactly like cc_coefficients at that one fine node
+    cases = ((table1, blocks1, inc1.inc, range(1, 1001, 37)),
+             (n2, n2_sol.blocks, n2_sol.inc, range(1, n2.grid_steps + 1)))
+    for p, blocks, inc, nodes in cases:
+        fine_nodal = incentive._fine_nodal(p, blocks)
+        for k in nodes:
+            L = inc.L.values[k]
+            stages = incentive._cc_stages(p, blocks, fine_nodal, L, k)
+            for j, cc in zip((2 * k, 2 * k - 1, 2 * k - 2), stages):
+                want = incentive.cc_coefficients(p, blocks.gamma, L,
+                                                 *blocks.fine_blocks(j))
+                for name in ("A1", "B1", "H1", "A2", "B2", "H2",
+                             "A3", "B3", "H3"):
+                    assert np.array_equal(getattr(cc, name),
+                                          getattr(want, name))
+
+
 # ------------------------------------------------------------ square model
 
 def test_square_sweep_clears_matching(square, square_sol):

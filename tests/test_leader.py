@@ -1,13 +1,16 @@
 """Leader-side solvers: concavity certificate, gamma-hat search, block
 Riccati system, gains, value, stationarity."""
+import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackmfg import leader
 from stackmfg.model import ModelParams, TimeGrid
-from stackmfg.odeint import residual
+from stackmfg.odeint import integrate_stack, residual
 
 
 def n2_params(**overrides):
@@ -90,6 +93,132 @@ def test_gamma_hat_probes_each_gamma_once(table1):
         res = leader.estimate_gamma_hat(p, bracket_tol=0.5, grid=grid)
         probed = [g for g, _, _ in res.trace]
         assert len(probed) == len(set(probed))
+
+
+def _bisection(p, bracket_tol=1e-4, lo_floor=1e-6, hi_cap=1e6, grid=None):
+    """Plain bisection, one solve_concavity per probe: the reference the
+    stacked k-section must reproduce.  Returns (gamma_hat, bracket,
+    {gamma: (solvable, t_escape or None)})."""
+    grid = p.grid() if grid is None else grid
+    probes = {}
+
+    def probe(g):
+        if g not in probes:
+            cert = leader.solve_concavity(p, g, grid)
+            probes[g] = (cert.solvable, cert.t_escape)
+        return probes[g][0]
+
+    hi = 1.0
+    while not probe(hi):
+        hi *= 2.0
+        if hi > hi_cap:
+            raise leader.NotSolvableAtCap(f"nothing solvable to {hi_cap:g}")
+    lo = hi
+    while probe(lo):
+        if lo <= lo_floor:
+            return 0.0, (0.0, lo), probes
+        lo *= 0.5
+    while hi - lo > bracket_tol:
+        mid = 0.5 * (lo + hi)
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), (lo, hi), probes
+
+
+def _assert_matches_bisection(p, **kw):
+    gamma_hat, bracket, probes = _bisection(p, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = leader.estimate_gamma_hat(p, **kw)
+    assert res.gamma_hat == gamma_hat
+    assert res.bracket == bracket
+    seen = {g: (ok, t) for g, ok, t in res.trace}
+    assert len(seen) == len(res.trace)            # each gamma once
+    for g, (ok, t_esc) in probes.items():
+        assert seen[g][0] == ok
+        assert np.isnan(seen[g][1]) if ok else seen[g][1] == t_esc
+    # pass order, ascending within a pass
+    gs = [g for g, _, _ in res.trace]
+    assert sum(b < a for a, b in zip(gs, gs[1:])) <= res.passes - 1
+    return res
+
+
+def test_gamma_hat_ksection_matches_bisection(table1, n2, monkeypatch):
+    grid = TimeGrid(table1.T, 125)
+    cases = ((table1, dict(grid=grid)),
+             # gamma_hat below 1; the powers below 1 reach gamma**-2 = 2**80,
+             # which overflows within a step and must not warn
+             (n2, dict(lo_floor=1e-12)),
+             (table1.with_updates(E=0.0), dict(grid=grid)))   # the floor
+    hopeless = table1.with_updates(Q=table1.Q * 100.0, G=table1.G * 100.0)
+    with pytest.raises(leader.NotSolvableAtCap):
+        _bisection(hopeless, grid=grid)
+    results = []
+    for depth in (1, 3):
+        monkeypatch.setattr(leader, "_KSECTION_DEPTH", depth)
+        results.append([_assert_matches_bisection(p, **kw)
+                        for p, kw in cases])
+        with pytest.raises(leader.NotSolvableAtCap):
+            leader.estimate_gamma_hat(hopeless, grid=grid)
+    for one, three in zip(*results):
+        assert (one.gamma_hat, one.bracket) == (three.gamma_hat, three.bracket)
+        assert one.passes >= three.passes
+
+
+def test_stack_member_escaping_early_leaves_the_others_unchanged(table1, n2):
+    # the first gamma escapes early in the backward march and is zeroed;
+    # each other member's K must equal its own run at every node.
+    # numpy's array power rounds 2340**-2 and 2.9**-2 differently from
+    # Python's, which a member's gamma**-2 must follow
+    for p, gammas in ((table1, [1.0, 2340.0, 1e4]), (n2, [0.01, 0.5, 2.9])):
+        grid = TimeGrid(p.T, 125)
+        prob = leader.concavity_problem(p, gammas)
+        seen = []
+
+        def poststep(state, prob=prob, seen=seen):
+            out = prob.poststep(state)
+            seen.append(out[0].copy())
+            return out
+
+        escapes = integrate_stack(
+            dataclasses.replace(prob, poststep=poststep), grid)
+        first = leader.solve_concavity(p, gammas[0], grid)
+        assert escapes[0] == first.escape
+        assert grid.steps // 2 < escapes[0].node < grid.steps
+        seen = np.array(seen[::-1])
+        for i, g in enumerate(gammas[1:], start=1):
+            alone = leader.solve_concavity(p, g, grid)
+            assert alone.solvable and escapes[i] is None
+            assert np.array_equal(seen[:, i], alone.K.values[:-1])
+
+
+def _certificate_params(table1, n, data):
+    """A small random stable config; only the certificate's A, C, E, Q, G,
+    T and grid matter here."""
+    def mat(rows, cols, lo, hi):
+        return np.array(data.draw(st.lists(
+            st.floats(lo, hi), min_size=rows * cols, max_size=rows * cols)
+        )).reshape(rows, cols)
+
+    A = mat(n, n, -0.4, 0.4) - np.eye(n) * data.draw(st.floats(0.0, 1.0))
+    MQ, MG = mat(n, n, -1.0, 1.0), mat(n, n, -1.0, 1.0)
+    kw = dict(A=A, C=mat(n, n, -0.4, 0.4), E=mat(n, 1, 0.2, 4.0),
+              Q=MQ @ MQ.T, G=MG @ MG.T, T=data.draw(st.floats(0.5, 3.0)),
+              grid_steps=data.draw(st.integers(20, 125)))
+    return table1.with_updates(**kw) if n == 1 else n2_params(**kw)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2]), scale=st.floats(1.0, 4.0), data=st.data())
+def test_gamma_hat_properties(table1, n, scale, data):
+    # k-section is bisection, and a costlier state never lowers gamma-hat
+    p = _certificate_params(table1, n, data)
+    base = _assert_matches_bisection(p, bracket_tol=1e-3)
+    worse = leader.estimate_gamma_hat(
+        p.with_updates(Q=p.Q * scale, G=p.G * scale), bracket_tol=1e-3)
+    assert worse.gamma_hat >= base.gamma_hat
 
 
 def test_gamma_hat_not_solvable_at_cap(table1):
