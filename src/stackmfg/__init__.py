@@ -20,7 +20,7 @@ from .model import (
     save_config,
     validate_assumptions,
 )
-from .odeint import Escape, EscapePolicy, GridMismatch, OdeProblem, integrate, residual
+from .odeint import Escape, GridMismatch, OdeProblem, integrate, residual
 from .leader import (
     BlockRiccatiSolution,
     ConcavityCertificate,
@@ -40,7 +40,6 @@ from .incentive import (
     DeltaThetaSolution,
     FollowerGains,
     IncentiveMatrices,
-    NewtonOpts,
     NoIncentiveSolution,
     RelationViolated,
     SigmaPhiPsiSolution,
@@ -72,14 +71,13 @@ __all__ = [
     "DimensionError", "MatrixTrajectory", "ModelParams", "ParseError",
     "TimeGrid", "ValidationReport", "load_config", "save_config",
     "validate_assumptions",
-    "Escape", "EscapePolicy", "GridMismatch", "OdeProblem", "integrate",
-    "residual",
+    "Escape", "GridMismatch", "OdeProblem", "integrate", "residual",
     "BlockRiccatiSolution", "ConcavityCertificate", "GammaHatResult",
     "LeaderGains", "NotSolvableAtCap", "SingularGain", "estimate_gamma_hat",
     "leader_gains", "leader_value", "solve_block_riccati", "solve_concavity",
     "stationarity_residual",
     "CCCoefficients", "DeltaThetaSolution", "FollowerGains",
-    "IncentiveMatrices", "NewtonOpts", "NoIncentiveSolution",
+    "IncentiveMatrices", "NoIncentiveSolution",
     "RelationViolated", "SigmaPhiPsiSolution", "cc_coefficients",
     "follower_gains", "matching_residual", "solve_cc_incentive",
     "solve_sigma_phi_psi", "zeta_eta",

@@ -29,7 +29,6 @@ from .odeint import rk4_step
 __all__ = [
     "NoIncentiveSolution",
     "RelationViolated",
-    "NewtonOpts",
     "IncentiveMatrices",
     "DeltaThetaSolution",
     "CCCoefficients",
@@ -65,15 +64,16 @@ class RelationViolated(Exception):
     """The decoupled chain disagrees with the coupled one beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class NewtonOpts:
-    max_iter: int = 50
-    newton_tol: float = 1e-9
-    damping: float = 1e-3          # initial Levenberg parameter
-    residual_factor: float = 100.0  # sweep fails if max residual > factor * tol
-    # iterates leaving |x - x0| <= trust_radius * (1 + |x0|) are abandoned
-    # as divergent rather than chased down the objective's unbounded tail
-    trust_radius: float = 10.0
+# Gauss-Newton on the matching conditions
+MAX_ITER = 50
+NEWTON_TOL = 1e-9
+DAMPING = 1e-3                 # initial Levenberg parameter
+RESIDUAL_FACTOR = 100.0        # sweep fails if max residual > factor * tol
+# iterates leaving |x - x0| <= TRUST_RADIUS * (1 + |x0|) are abandoned as
+# divergent rather than chased down the objective's unbounded tail
+TRUST_RADIUS = 10.0
+# the decoupled chain must recombine to the coupled sweep within this
+RELATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -223,31 +223,31 @@ def _delta_theta_rhs(p, cc: CCCoefficients, Delta, Theta):
     return dDelta, dTheta
 
 
-def _gauss_newton(fun, L0: np.ndarray, opts: NewtonOpts):
+def _gauss_newton(fun, L0: np.ndarray):
     """Levenberg-damped Gauss-Newton for the small dense matching system.
 
     The system is generally overdetermined (two matrix conditions, one
-    unknown matrix), so convergence means either a residual below newton_tol
+    unknown matrix), so convergence means either a residual below NEWTON_TOL
     or a stationary point of the least-squares objective.  The objective
     also decays to zero along |L| -> inf without ever admitting a root
-    there; runs that exhaust max_iter while still descending that tail are
+    there; runs that exhaust MAX_ITER while still descending that tail are
     reported as not converged so callers can discard them.
     """
     shape = L0.shape
     x = L0.ravel().astype(float).copy()
     anchor = x.copy()
-    leash = opts.trust_radius * (1.0 + np.max(np.abs(anchor)))
+    leash = TRUST_RADIUS * (1.0 + np.max(np.abs(anchor)))
 
     def resid(v):
         return fun(v.reshape(shape)).ravel()
 
     r = resid(x)
     cost = float(r @ r)
-    lam = opts.damping
+    lam = DAMPING
     nvar = x.size
     it = 0
-    converged = np.max(np.abs(r)) <= opts.newton_tol
-    for it in range(1, opts.max_iter + 1):
+    converged = np.max(np.abs(r)) <= NEWTON_TOL
+    for it in range(1, MAX_ITER + 1):
         if converged:
             break
         J = np.empty((r.size, nvar))
@@ -289,7 +289,7 @@ def _gauss_newton(fun, L0: np.ndarray, opts: NewtonOpts):
         if np.max(np.abs(delta)) <= 1e-13 * (1.0 + np.max(np.abs(x))):
             converged = True
             break
-        if np.max(np.abs(r)) <= opts.newton_tol:
+        if np.max(np.abs(r)) <= NEWTON_TOL:
             converged = True
             break
     return x.reshape(shape), np.sqrt(cost), it, converged
@@ -354,8 +354,7 @@ def _cc_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L, k: int):
                  for j in (2 * k, 2 * k - 1, 2 * k - 2))
 
 
-def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
-                       opts: NewtonOpts = NewtonOpts()):
+def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     """Backward sweep for (L, Delta, Theta) along the leader's block solution.
 
     At each node L is the local least-squares solution of the two matching
@@ -364,7 +363,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
     coupling error of the half-steps).  Nodes whose least-squares problem
     has no reachable stationary point keep the previous L and are flagged
     in newton_converged.  Raises NoIncentiveSolution if the worst nodal
-    residual ends up above residual_factor * newton_tol; the partial sweep
+    residual ends up above RESIDUAL_FACTOR * NEWTON_TOL; the partial sweep
     rides along in the exception for diagnostics.
     """
     grid = blocks.grid
@@ -401,19 +400,19 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
             # caught mid-flight on that tail is not a solution
             best = None
             for cand in _terminal_candidates(p):
-                best = _prefer(best, _gauss_newton(fun, cand, opts))
+                best = _prefer(best, _gauss_newton(fun, cand))
             best = _prefer(best, _gauss_newton(
-                fun, _cleared_candidate(p, nk, Delta, Theta), opts))
+                fun, _cleared_candidate(p, nk, Delta, Theta)))
             Lk, rk, it, ck = best
         else:
             warm = L_store[k + 1]
-            best = _gauss_newton(fun, warm, opts)
-            if not best[3] or best[1] > opts.residual_factor * opts.newton_tol:
+            best = _gauss_newton(fun, warm)
+            if not best[3] or best[1] > RESIDUAL_FACTOR * NEWTON_TOL:
                 # retry from the cleared-system point: exact where matching
                 # is solvable, and a way off spurious minima of the scaled
                 # objective
                 retry = _gauss_newton(
-                    fun, _cleared_candidate(p, nk, Delta, Theta), opts)
+                    fun, _cleared_candidate(p, nk, Delta, Theta))
                 retry = (retry[0], retry[1], retry[2] + best[2], retry[3])
                 best = _prefer(best, retry)
             Lk, rk, it, ck = best
@@ -451,20 +450,20 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution,
         newton_converged=conv,
     )
     worst = int(np.argmax(resid))
-    if resid[worst] > opts.residual_factor * opts.newton_tol:
+    if resid[worst] > RESIDUAL_FACTOR * NEWTON_TOL:
         raise NoIncentiveSolution(float(resid[worst]), float(grid.nodes[worst]),
                                   partial=(dtheta, inc))
     return dtheta, inc
 
 
 def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
-                        dtheta: DeltaThetaSolution, inc: IncentiveMatrices,
-                        rel_tol: float = 1e-6) -> SigmaPhiPsiSolution:
+                        dtheta: DeltaThetaSolution,
+                        inc: IncentiveMatrices) -> SigmaPhiPsiSolution:
     """Integrate the decoupled chain and verify it recombines.
 
     (Delta, Theta) are re-marched alongside (Sigma, Phi, Psi) with the same
     frozen-L stepping, which makes Theta = Psi and Delta = Sigma + Phi exact
-    up to roundoff; a violation beyond rel_tol therefore indicates a
+    up to roundoff; a violation beyond RELATION_TOL therefore indicates a
     transcription error and raises RelationViolated.
     """
     grid = blocks.grid
@@ -513,10 +512,10 @@ def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
     # sp_gap additionally ties both back to the stored coupled sweep
     theta_scale = 1.0 + float(np.max(np.abs(dtheta.Theta.values)))
     delta_scale = 1.0 + float(np.max(np.abs(dtheta.Delta.values)))
-    if th_gap > rel_tol * theta_scale or sp_gap > rel_tol:
+    if th_gap > RELATION_TOL * theta_scale or sp_gap > RELATION_TOL:
         raise RelationViolated(
             f"decoupled chain defects {th_gap:.3e} / {sp_gap:.3e} "
-            f"exceed {rel_tol:g}"
+            f"exceed {RELATION_TOL:g}"
         )
     return SigmaPhiPsiSolution(
         grid,

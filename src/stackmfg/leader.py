@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MatrixTrajectory, ModelParams, TimeGrid
-from .odeint import (Escape, EscapePolicy, IntegrationResult, OdeProblem,
-                     integrate, integrate_stack)
+from .odeint import (Escape, IntegrationResult, OdeProblem, integrate,
+                     integrate_stack)
 
 __all__ = [
     "SingularGain",
@@ -89,8 +89,7 @@ def concavity_problem(p: ModelParams, gamma) -> OdeProblem:
 
 
 def solve_concavity(p: ModelParams, gamma: float | None = None,
-                    grid: TimeGrid | None = None,
-                    escape: EscapePolicy = EscapePolicy()) -> ConcavityCertificate:
+                    grid: TimeGrid | None = None) -> ConcavityCertificate:
     """Backward Riccati certificate for concavity of the soft-constrained cost.
 
     Solvability over the whole horizon certifies gamma > gamma_hat; a finite
@@ -98,7 +97,7 @@ def solve_concavity(p: ModelParams, gamma: float | None = None,
     """
     g = p.gamma if gamma is None else float(gamma)
     grid = p.grid() if grid is None else grid
-    res = integrate(concavity_problem(p, g), grid, escape)
+    res = integrate(concavity_problem(p, g), grid)
     if res.ok:
         return ConcavityCertificate(g, True, res.trajectories[0], None, res)
     return ConcavityCertificate(g, False, None, res.escape, res)
@@ -351,8 +350,7 @@ def assembled_problem(p: ModelParams, gamma: float) -> OdeProblem:
 
 
 def solve_block_riccati(p: ModelParams, gamma: float | None = None,
-                        grid: TimeGrid | None = None,
-                        escape: EscapePolicy = EscapePolicy()):
+                        grid: TimeGrid | None = None):
     """Integrate the four coupled blocks; returns the solution or an Escape.
 
     Solvability below the critical attenuation level is the caller's
@@ -362,10 +360,10 @@ def solve_block_riccati(p: ModelParams, gamma: float | None = None,
     g = p.gamma if gamma is None else float(gamma)
     grid = p.grid() if grid is None else grid
     fine = grid.refined(2)
-    res = integrate(block_riccati_problem(p, g), fine, escape)
+    res = integrate(block_riccati_problem(p, g), fine)
     if not res.ok:
         return res.escape
-    res_asm = integrate(assembled_problem(p, g), fine, escape)
+    res_asm = integrate(assembled_problem(p, g), fine)
     if not res_asm.ok:
         return res_asm.escape
     vals = [tr.values for tr in res.trajectories]

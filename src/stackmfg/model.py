@@ -68,10 +68,8 @@ class TimeGrid:
 class MatrixTrajectory:
     """Matrix-valued function of time stored on the nodes of a TimeGrid.
 
-    values has shape (M+1, r, c).  Off-node evaluation is linear
-    interpolation between neighbouring nodes; all solver-to-solver traffic
-    stays on-grid, so interpolation is only a convenience for callers that
-    need a value between nodes.
+    values has shape (M+1, r, c); all solver-to-solver traffic stays on
+    the grid's nodes.
     """
 
     def __init__(self, grid: TimeGrid, values: np.ndarray):
@@ -89,13 +87,6 @@ class MatrixTrajectory:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1:]
-
-    def at(self, t: float) -> np.ndarray:
-        """Linear interpolation; t is clipped to [0, T]."""
-        s = min(max(t / self.grid.h, 0.0), float(self.grid.steps))
-        k = min(int(s), self.grid.steps - 1)
-        w = s - k
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
     @property
     def terminal(self) -> np.ndarray:
@@ -267,7 +258,7 @@ def _min_eig(a: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(0.5 * (a + a.T))))
 
 
-def validate_assumptions(p: ModelParams, pd_floor: float | None = None) -> ValidationReport:
+def validate_assumptions(p: ModelParams) -> ValidationReport:
     """Check the standing assumptions; failures become report entries, not errors.
 
     A1/A2 are the structural conditions (finite, consistently shaped, symmetric
@@ -276,7 +267,7 @@ def validate_assumptions(p: ModelParams, pd_floor: float | None = None) -> Valid
     weights and strict definiteness of the control weights; the margin is the
     smallest eigenvalue of the symmetrized matrix.
     """
-    floor = p.pd_floor if pd_floor is None else pd_floor
+    floor = p.pd_floor
     checks = []
     finite = all(np.all(np.isfinite(getattr(p, name))) for name, *_ in _MATRIX_SPEC)
     checks.append(ValidationCheck("A1_bounded_coefficients", finite, 0.0 if finite else -np.inf))

@@ -2,16 +2,17 @@
 
 Terminal-value Riccati systems are integrated backward on the same uniform
 grid the simulator uses, with finite-escape detection instead of adaptive
-stepping: a node whose state exceeds the escape threshold (or goes
-non-finite) truncates the run and is reported, it is not an error.
-integrate_stack marches a stack of such problems at once and reports only
-where each escapes.  The residual diagnostic differentiates a stored
-trajectory with fourth-order finite differences and compares against the
-right-hand side at the nodes.
+stepping: a node where some component's Frobenius norm passes ESCAPE_NORM
+(or goes non-finite) truncates the run and is reported, it is not an error.
+One node loop, _march, steps and escape-tests for both integrate, which
+stores the run, and integrate_stack, which marches a stack of such problems
+at once and reports only where each escapes.  The residual diagnostic
+differentiates a stored trajectory with fourth-order finite differences and
+compares against the right-hand side at the nodes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,6 @@ __all__ = [
     "NonFiniteRhs",
     "GridMismatch",
     "OdeProblem",
-    "EscapePolicy",
     "Escape",
     "IntegrationResult",
     "rk4_step",
@@ -30,6 +30,10 @@ __all__ = [
     "integrate_stack",
     "residual",
 ]
+
+
+# blow-up is declared where a component's Frobenius norm passes this
+ESCAPE_NORM = 1e8
 
 
 class NonFiniteRhs(Exception):
@@ -75,13 +79,6 @@ class OdeProblem:
 
 
 @dataclass(frozen=True)
-class EscapePolicy:
-    """Blow-up is declared when any component's Frobenius norm passes threshold."""
-
-    threshold: float = 1e8
-
-
-@dataclass(frozen=True)
 class Escape:
     t_escape: float
     norm: float
@@ -102,10 +99,10 @@ class IntegrationResult:
         return self.escape is None
 
 
-def _escape_test(state, escape: EscapePolicy):
+def _escape_test(state):
     """(escaped, worst) for one node's state: worst is the largest Frobenius
     norm over the components, inf if one is non-finite, and escaped is
-    worst > threshold.
+    worst > ESCAPE_NORM.
 
     Components are (n, n) matrices or (k, n, n) stacks; a stack gives one
     verdict per member, each bitwise equal to the member's own, because
@@ -116,7 +113,7 @@ def _escape_test(state, escape: EscapePolicy):
         v = x.reshape(*x.shape[:-2], -1)
         sq = np.maximum(sq, np.vecdot(v, v))
     worst = np.sqrt(sq)
-    hit = ~(worst <= escape.threshold)         # NaN escapes too
+    hit = ~(worst <= ESCAPE_NORM)              # NaN escapes too
     if hit.any():
         worst = np.where(np.isnan(worst), np.inf, worst)
     return hit, worst
@@ -152,77 +149,18 @@ def rk4_step(rhs, state, s, at, k1=None):
             for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def integrate(problem: OdeProblem, grid: TimeGrid,
-              escape: EscapePolicy = EscapePolicy()) -> IntegrationResult:
-    """Run classical RK4 over the grid in the problem's direction.
+def _march(problem: OdeProblem, grid: TimeGrid,
+           store: list[np.ndarray] | None = None) -> list[Escape | None]:
+    """Step the problem across the grid by RK4 and return each member's
+    first Escape, or None where it reaches the far end.
 
-    Escape is checked at every node: the first node where some component is
-    non-finite or exceeds the threshold ends the run.  A non-finite rhs at a
-    clean node (first stage) raises NonFiniteRhs instead, since that signals
-    broken coefficients rather than finite-time blow-up.
-    """
-    M = grid.steps
-    h = grid.h
-    nodes = grid.nodes
-    back = problem.direction == "backward"
-    ncomp = len(problem.shapes)
-
-    store = [np.empty((M + 1,) + s) for s in problem.shapes]
-    start = M if back else 0
-    state = [b.copy() for b in problem.boundary]
-
-    def check(node_idx, st):
-        hit, worst = _escape_test(st, escape)
-        if hit:
-            return Escape(float(nodes[node_idx]), float(worst), node_idx)
-        return None
-
-    def finish_partial(esc):
-        # keep everything from the boundary side up to and including the bad node
-        if back:
-            sl = slice(esc.node, M + 1)
-        else:
-            sl = slice(0, esc.node + 1)
-        part = [s[sl].copy() for s in store]
-        return IntegrationResult(None, esc, part, nodes[sl].copy())
-
-    for k in range(ncomp):
-        store[k][start] = state[k]
-    esc = check(start, state)
-    if esc is not None:
-        return finish_partial(esc)
-
-    s = -h if back else h
-    half = 0.5 * s
-    steps = range(M, 0, -1) if back else range(M)
-    for k in steps:
-        t = nodes[k]
-        state = rk4_step(problem.rhs, state, s, (t, t + half, t + s),
-                         k1=_clean_rhs(problem, t, state))
-        if problem.poststep is not None:
-            state = list(problem.poststep(state))
-        tgt = k - 1 if back else k + 1
-        for i in range(ncomp):
-            store[i][tgt] = state[i]
-        esc = check(tgt, state)
-        if esc is not None:
-            return finish_partial(esc)
-
-    trajs = [MatrixTrajectory(grid, s) for s in store]
-    return IntegrationResult(trajs, None)
-
-
-def integrate_stack(problem: OdeProblem, grid: TimeGrid) -> list[Escape | None]:
-    """March a problem whose components stack k members along a leading
-    axis; return each member's Escape, or None where it reaches the far end
-    of the grid.
-
-    Escape and NonFiniteRhs are judged as in integrate with the default
-    EscapePolicy; with an rhs written in broadcasting @, each member gets
-    the bits it would get alone.  An escaped member's state is zeroed, so
-    the rhs stays finite, and its later verdicts are ignored.  Nothing is
-    stored.  A member far past its pole may overflow within a step; it
-    escapes at that step's end node, so the overflow is not warned about.
+    Components of shape (k, n, n) stack k members along their leading axis;
+    (n, n) components make one member.  At every node the state is written
+    to store (if given), then escape-tested; an escaped member is zeroed, so
+    the rhs stays finite, and its later verdicts are ignored.  The march
+    ends at the last node, or at the node where every member has escaped.
+    A member far past its pole may overflow within a step; it escapes at
+    that step's end node, so the overflow is not warned about.
     """
     M = grid.steps
     nodes = grid.nodes
@@ -230,16 +168,21 @@ def integrate_stack(problem: OdeProblem, grid: TimeGrid) -> list[Escape | None]:
     s = -grid.h if back else grid.h
     node, last = (M, 0) if back else (0, M)
     state = [b.copy() for b in problem.boundary]
-    out: list[Escape | None] = [None] * len(state[0])
-    policy = EscapePolicy()
+    out: list[Escape | None] = [None] * (len(state[0]) if state[0].ndim == 3
+                                         else 1)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            hit, worst = _escape_test(state, policy)
+            if store is not None:
+                for dst, x in zip(store, state):
+                    dst[node] = x
+            hit, worst = _escape_test(state)
             if hit.any():
                 for i in np.flatnonzero(hit):
                     if out[i] is None:
-                        out[i] = Escape(float(nodes[node]), float(worst[i]),
-                                        node)
+                        out[i] = Escape(float(nodes[node]),
+                                        float(worst.flat[i]), node)
+                if None not in out:
+                    break
                 for x in state:
                     x[hit] = 0.0
             if node == last:
@@ -251,6 +194,42 @@ def integrate_stack(problem: OdeProblem, grid: TimeGrid) -> list[Escape | None]:
                 state = list(problem.poststep(state))
             node += -1 if back else 1
     return out
+
+
+def integrate(problem: OdeProblem, grid: TimeGrid) -> IntegrationResult:
+    """Run classical RK4 over the grid in the problem's direction.
+
+    Escape is checked at every node: the first node where some component is
+    non-finite or has a Frobenius norm above ESCAPE_NORM ends the run.  A
+    non-finite rhs at a clean node (first stage) raises NonFiniteRhs
+    instead, since that signals broken coefficients rather than finite-time
+    blow-up.
+    """
+    M = grid.steps
+    store = [np.empty((M + 1,) + s) for s in problem.shapes]
+    (esc,) = _march(problem, grid, store)
+    if esc is None:
+        return IntegrationResult([MatrixTrajectory(grid, s) for s in store],
+                                 None)
+    # keep everything from the boundary side up to and including the bad node
+    if problem.direction == "backward":
+        sl = slice(esc.node, M + 1)
+    else:
+        sl = slice(0, esc.node + 1)
+    return IntegrationResult(None, esc, [s[sl].copy() for s in store],
+                             grid.nodes[sl].copy())
+
+
+def integrate_stack(problem: OdeProblem, grid: TimeGrid) -> list[Escape | None]:
+    """March a problem whose components stack k members along a leading
+    axis; return each member's Escape, or None where it reaches the far end
+    of the grid.
+
+    Escape and NonFiniteRhs are judged as in integrate; with an rhs written
+    in broadcasting @, each member gets the bits it would get alone.
+    Nothing is stored.
+    """
+    return _march(problem, grid)
 
 
 # fourth-order first-derivative stencils (Fornberg weights / 12h):

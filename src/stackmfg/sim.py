@@ -58,6 +58,9 @@ _CHUNK_FLOATS = 1 << 18
 _VECTOR_FLOATS = 1 << 11
 # one open Philox generator (608 B), in floats
 _GENERATOR_FLOATS = 76
+# saddle_check's perturbation sizes; the control-side margin should grow
+# quadratically from the first to the second
+PERTURB_EPS = (0.1, 0.5)
 
 
 class NonFiniteState(Exception):
@@ -76,7 +79,6 @@ class SimConfig:
     store_followers: int = 16
     store_all_followers: bool = False
     disturbance: str = "worst"             # "worst" | "zero"
-    perturb_eps: tuple = (0.1, 0.5)
 
     def __post_init__(self):
         if self.N < 1:
@@ -504,7 +506,7 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     u_margins = {}
     for shape, direction in (("const", const), ("bump", bump)):
         for target in ("u", "v"):
-            for eps in cfg.perturb_eps:
+            for eps in PERTURB_EPS:
                 u0 = base.u0bar.copy()
                 u1 = base.u1bar.copy()
                 v = base.v.copy()
@@ -523,7 +525,7 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
                 entries.append(SaddleEntry(target, shape, eps, margin, se, ok))
                 if target == "u":
                     u_margins[(shape, eps)] = margin
-    eps_lo, eps_hi = min(cfg.perturb_eps), max(cfg.perturb_eps)
+    eps_lo, eps_hi = min(PERTURB_EPS), max(PERTURB_EPS)
     ratios = tuple(
         (shape, u_margins[(shape, eps_hi)] / u_margins[(shape, eps_lo)])
         for shape in ("const", "bump")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stackmfg import incentive
-from stackmfg.incentive import (DeltaThetaSolution, NewtonOpts,
-                                NoIncentiveSolution, RelationViolated)
+from stackmfg.incentive import (DeltaThetaSolution, NoIncentiveSolution,
+                                RelationViolated)
 from stackmfg.model import MatrixTrajectory
 
 TERM = (np.array([[1.0]]), np.array([[-0.01]]),
@@ -13,9 +13,9 @@ TERM = (np.array([[1.0]]), np.array([[-0.01]]),
 
 
 def test_newton_opts_defaults():
-    o = NewtonOpts()
-    assert (o.max_iter, o.newton_tol, o.damping, o.residual_factor,
-            o.trust_radius) == (50, 1e-9, 1e-3, 100.0, 10.0)
+    assert (incentive.MAX_ITER, incentive.NEWTON_TOL, incentive.DAMPING,
+            incentive.RESIDUAL_FACTOR, incentive.TRUST_RADIUS) == (
+                50, 1e-9, 1e-3, 100.0, 10.0)
 
 
 def test_zeta_eta_reduce_to_leader_gains_at_zero_L(table1, blocks1, gains1):

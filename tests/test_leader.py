@@ -244,23 +244,25 @@ def test_block_terminal_values(table1, blocks1):
     assert np.array_equal(blocks1.Pi2.terminal, table1.Gamma2.T @ GT2)
 
 
-def test_block_transpose_coupling(blocks1):
-    Pi1 = blocks1.Pi1.values
-    P2 = blocks1.P2.values
-    scale = 1.0 + np.abs(Pi1).max()
-    assert np.abs(P2 - np.transpose(Pi1, (0, 2, 1))).max() <= 1e-8 * scale
+def test_block_transpose_coupling(blocks1, n2_sol):
+    for blocks in (blocks1, n2_sol.blocks):
+        Pi1 = blocks.Pi1.values
+        P2 = blocks.P2.values
+        scale = 1.0 + np.abs(Pi1).max()
+        assert np.abs(P2 - np.transpose(Pi1, (0, 2, 1))).max() <= 1e-8 * scale
 
 
-def test_assembled_matches_blocks(table1, blocks1):
-    n = table1.n
-    asm = blocks1.assembled.values
-    gap = 0.0
-    for k in range(table1.grid_steps + 1):
-        P1, Pi1, P2, Pi2 = blocks1.blocks_at_node(k)
-        stacked = np.block([[P1, Pi1], [P2, Pi2]])
-        gap = max(gap, np.abs(asm[k] - stacked).max())
-    assert gap <= 1e-8 * (1.0 + np.abs(asm).max())
-    assert asm.shape[1:] == (2 * n, 2 * n)
+def test_assembled_matches_blocks(table1, blocks1, n2, n2_sol):
+    for p, blocks in ((table1, blocks1), (n2, n2_sol.blocks)):
+        n = p.n
+        asm = blocks.assembled.values
+        gap = 0.0
+        for k in range(p.grid_steps + 1):
+            P1, Pi1, P2, Pi2 = blocks.blocks_at_node(k)
+            stacked = np.block([[P1, Pi1], [P2, Pi2]])
+            gap = max(gap, np.abs(asm[k] - stacked).max())
+        assert gap <= 1e-8 * (1.0 + np.abs(asm).max())
+        assert asm.shape[1:] == (2 * n, 2 * n)
 
 
 def test_fine_grid_is_doubled_and_consistent(table1, blocks1):

@@ -1,0 +1,32 @@
+"""Names that outside code reaches the package by: the public API and the
+layer functions the benchmark's tracer wraps (bench/tracing.py)."""
+import ast
+import importlib
+from pathlib import Path
+
+import stackmfg
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _boundaries() -> dict:
+    """BOUNDARIES as written in bench/tracing.py, read without importing it."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["BOUNDARIES"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no BOUNDARIES")
+
+
+def test_public_names_resolve():
+    missing = [n for n in stackmfg.__all__ if not hasattr(stackmfg, n)]
+    assert missing == []
+
+
+def test_traced_boundaries_resolve():
+    bounds = _boundaries()
+    assert bounds
+    missing = [f"{layer}.{fn}" for layer, fns in bounds.items() for fn in fns
+               if not callable(getattr(
+                   importlib.import_module(f"stackmfg.{layer}"), fn, None))]
+    assert missing == []

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from stackmfg.model import MatrixTrajectory, TimeGrid
-from stackmfg.odeint import (EscapePolicy, GridMismatch, NonFiniteRhs,
-                             OdeProblem, integrate, residual, rk4_step)
+from stackmfg.odeint import (ESCAPE_NORM, GridMismatch, NonFiniteRhs,
+                             OdeProblem, integrate, integrate_stack, residual,
+                             rk4_step)
 
 
 def scalar_problem(rhs, terminal=1.0, direction="backward"):
@@ -52,7 +53,8 @@ def test_quadratic_blowup_escapes_near_closed_form():
     assert not res.ok
     assert res.escape.t_escape >= 9.0 - grid.h - 1e-12
     assert res.escape.t_escape <= 9.2
-    assert res.escape.norm > EscapePolicy().threshold
+    assert ESCAPE_NORM == 1e8
+    assert res.escape.norm > ESCAPE_NORM
     # truncated node values are still reported for diagnostics
     assert res.partial is not None
     assert res.partial_nodes[0] == pytest.approx(res.escape.t_escape)
@@ -152,3 +154,42 @@ def test_stacked_components_and_poststep():
     assert res.ok
     assert np.all(res.trajectories[1].values == np.eye(2))
     assert len(calls) == 20
+
+
+def test_forward_escape_keeps_nodes_from_the_start():
+    # dk/dt = k^2 forward from k(0) = 1: k(t) = 1/(1 - t) blows up at 1
+    prob = scalar_problem(lambda t, s: [s[0] @ s[0]], direction="forward")
+    grid = TimeGrid(2.0, 1000)
+    res = integrate(prob, grid)
+    assert not res.ok
+    node = res.escape.node
+    assert 1.0 - grid.h - 1e-12 <= res.escape.t_escape <= 1.2
+    assert res.partial_nodes[0] == 0.0
+    assert res.partial_nodes[-1] == res.escape.t_escape == grid.nodes[node]
+    (part,) = res.partial
+    assert len(part) == len(res.partial_nodes) == node + 1
+    assert part[0, 0, 0] == 1.0
+    assert np.all(np.abs(part[:-1]) <= ESCAPE_NORM)
+    assert not abs(part[-1, 0, 0]) <= ESCAPE_NORM
+
+
+def test_stack_stops_once_every_member_has_escaped():
+    # dk/dt = -k^2 backward from k(10) = c: poles at 10 - 1/c, all near
+    # the far end, so the march stops long before node 0
+    calls = []
+
+    def rhs(t, s):
+        calls.append(t)
+        return [-(s[0] @ s[0])]
+
+    terminals = [1.0, 2.0, 4.0]
+    prob = OdeProblem(shapes=((3, 1, 1),), rhs=rhs,
+                      boundary=(np.reshape(terminals, (3, 1, 1)),))
+    grid = TimeGrid(10.0, 1000)
+    escapes = integrate_stack(prob, grid)
+    for c, esc in zip(terminals, escapes):
+        alone = integrate(scalar_problem(lambda t, s: [-(s[0] @ s[0])], c),
+                          grid)
+        assert esc == alone.escape
+    first = min(e.node for e in escapes)
+    assert len(calls) == 4 * (grid.steps - first) < 4 * grid.steps
