@@ -29,6 +29,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -345,11 +346,13 @@ def _incentive_stage(run: _Run):
 
 def _simulate_stage(run: _Run):
     """Cost statistics over all paths, figure series from path 0 of the
-    same runs; incentive-mode population (the incentive stage ran)."""
+    same runs; incentive-mode population (the incentive stage ran).
+    Returns the simulation work of the stage."""
     p, man, gains, cfg = run.p, run.man, run.gains, run.sim_cfg
     # each run's costs are taken and its arrays freed before the next run
     lim = sim.simulate_limit(p, gains, cfg)
     lim_costs = sim.eval_costs(lim, p)
+    work = lim.work
     grid = lim.grid
     _series_csv(man, "limit_states.csv", grid,
                 [("x0", lim.x0[0]), ("m", lim.m[0])])
@@ -359,6 +362,7 @@ def _simulate_stage(run: _Run):
     del lim
     pop = sim.simulate_population(p, gains, cfg, fgains=run.fg, inc=run.inc)
     pop_costs = sim.eval_costs(pop, p)
+    work += pop.work
     _series_csv(man, "controls.csv", grid, lim_controls + [
         ("u0_pop", pop.u0bar[0]), ("u1_pop", pop.u1bar[0]),
         ("v_pop", pop.v[0])])
@@ -394,6 +398,7 @@ def _simulate_stage(run: _Run):
         man.warn("saddle battery sign constraints violated")
     if not saddle["ratios_ok"]:
         man.warn("saddle u-margin ratios outside the quadratic band")
+    return asdict(work + battery.work)
 
 
 def _sweep_stage(run: _Run):
@@ -423,6 +428,7 @@ def _sweep_stage(run: _Run):
         man.warn("mean-field gap slope outside the O(1/N) band")
     if not out["optimality"]["in_band"]:
         man.warn("optimality-gap slope outside the proxy band")
+    return asdict(mf.work)
 
 
 STAGES = (

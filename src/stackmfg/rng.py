@@ -11,20 +11,24 @@ generator for every stream; the draws are bitwise those of a fresh one.
 A pool of generators, each re-keyed to one stream and left open, reads
 the streams in consecutive blocks: a stream's blocks concatenate to the
 bits of one full draw, so a caller can bound its noise buffer without
-changing a result.
+changing a result.  The population average needs only the sum of the
+followers' increments: increment_sums() reads each follower stream once
+and returns its running sums over agents 1..N for several N at once.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["stream", "normals", "increments", "brownian_increments",
-           "pool", "draw"]
+           "increment_sums", "pool", "draw"]
 
 _U32 = 1 << 32
 _U64 = (1 << 64) - 1
 # read-only: every re-keyed generator is handed this one array
 _ZEROS = np.zeros(4, dtype=np.uint64)
 _ZEROS.flags.writeable = False
+# increment_sums() draws this many floats of rows before it adds them up
+_SUM_BLOCK_FLOATS = 1 << 16
 
 
 def stream(master_seed: int, path: int, agent: int,
@@ -71,6 +75,38 @@ def brownian_increments(master_seed: int, path: int, agents, nsteps: int,
     """increments() for several agents of one path, rows in agent order."""
     return increments(master_seed, ((path, agent) for agent in agents),
                       nsteps, dt)
+
+
+def increment_sums(master_seed: int, paths, Ns, nsteps: int,
+                   dt: float) -> np.ndarray:
+    """Sums of the increments() rows of agents 1..N, one per path and N:
+    out[i, r] adds the rows of agents 1..Ns[r] of paths[i] in agent order,
+    as np.cumsum adds them along the agent axis.  A sum is therefore the
+    same whichever other Ns are asked for.  One generator serves the
+    whole call, and each stream is read once, whole."""
+    paths, Ns = list(paths), list(Ns)
+    if not Ns or min(Ns) < 1:
+        raise ValueError("each N must be at least 1")
+    top = max(Ns)
+    out = np.empty((len(paths), len(Ns), nsteps))
+    rows = np.empty((max(1, min(top, _SUM_BLOCK_FLOATS // nsteps)), nsteps))
+    carry = np.empty(nsteps)
+    gen = np.random.Generator(np.random.Philox(0))
+    scale = np.sqrt(dt)
+    for i, path in enumerate(paths):
+        for first in range(1, top + 1, len(rows)):
+            block = rows[:min(len(rows), top + 1 - first)]
+            for row, agent in zip(block, range(first, top + 1)):
+                stream(master_seed, path, agent, gen).standard_normal(out=row)
+            block *= scale
+            if first > 1:
+                block[0] += carry
+            np.cumsum(block, axis=0, out=block)
+            carry[:] = block[-1]
+            for r, N in enumerate(Ns):
+                if first <= N < first + len(block):
+                    out[i, r] = block[N - first]
+    return out
 
 
 def pool(size: int) -> list[np.random.Generator]:

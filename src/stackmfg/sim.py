@@ -8,23 +8,32 @@ Brownian motion is scalar as in the model; each follower's noise is
 n-dimensional so that a matrix diffusion coefficient acts consistently
 (identical to the scalar setup when n = 1).
 
-One kernel steps both systems, a chunk of paths at a time: the leader
-and mean states as (chunk, n) arrays, the followers as (chunk, N, n); the
-limit system is the case with no followers.  A chunk's state arrays hold
-about _VECTOR_FLOATS elements, so each numpy call of the stepping loop
-works on a wide array, and a chunk is never narrower than one whose whole
-noise fits _CHUNK_FLOATS floats (2 MB); chunks run one after another.  A
-chunk whose whole noise fits that budget draws it before it steps; a wider
-one keeps one Philox stream open per (path, agent) and draws its noise in
-time blocks, each as many steps as fit _CHUNK_FLOATS beside the open
-generators.  A stream's blocks concatenate to its whole draw, so the block
-length changes no bit.  The kernel's matrix products bypass BLAS, so a
-path's values do not depend on the chunk size.  The two N-sweeps
-(mean-field gap and optimality-gap proxy) read one population run per N.
+One kernel steps both systems, a chunk of paths at a time: the leader,
+mean and population-average states as (chunk, n) arrays and the S stored
+followers as (chunk, S, n); the limit system is the case with no
+followers.  The average xN is stepped as one state, exactly: every
+follower's drift is linear in its own state with coefficients common to
+all followers (in incentive mode u1i = Gxi xi + gx and u0i = L u1i + zx),
+so the mean of their Euler steps is one step of xN, driven by the mean of
+their increments.  Those increments enter only as their sum over agents
+1..N, read through rng.increment_sums; S = N only for
+store_all_followers, and the stored followers read xN.  A chunk holds
+about _VECTOR_FLOATS noise floats per step, so each numpy call of the
+stepping loop works on a wide array, and is never narrower than one whose
+whole noise fits _CHUNK_FLOATS floats (2 MB); chunks run one after
+another.  The followers' sums are drawn whole.  The common noise and the
+stored followers' own rows are drawn whole when they fit that budget;
+otherwise one Philox stream stays open per (path, agent) and the noise is
+drawn in time blocks, each as many steps as fit _CHUNK_FLOATS beside the
+open generators.  A stream's blocks concatenate to its whole draw, so the
+block length changes no bit.  The kernel's matrix products bypass BLAS,
+so a path's values do not depend on the chunk size.  The two N-sweeps
+(mean-field gap and optimality-gap proxy) read one population run per N,
+and one pass over the largest population's streams gives every N's sums.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from .model import ModelParams, TimeGrid
 __all__ = [
     "NonFiniteState",
     "SimConfig",
+    "Work",
     "PathBundle",
     "CostReport",
     "SaddleEntry",
@@ -68,6 +78,20 @@ class NonFiniteState(Exception):
         super().__init__(f"non-finite {what} at t={t:.6g}")
         self.t = t
         self.what = what
+
+
+@dataclass(frozen=True)
+class Work:
+    """What a simulation did: path-steps (Euler-Maruyama substeps of one
+    path), steps of individually stored followers, and (path, agent)
+    noise streams read."""
+
+    path_steps: int = 0
+    follower_steps: int = 0
+    streams_read: int = 0
+
+    def __add__(self, other: "Work") -> "Work":
+        return Work(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass(frozen=True)
@@ -114,15 +138,18 @@ class PathBundle:
     u0i: np.ndarray | None = None
     u1i: np.ndarray | None = None
     follower_ids: tuple = ()
+    work: Work = Work()
 
     @property
     def n_paths(self) -> int:
         return self.x0.shape[0]
 
     def consistency_gap(self) -> float:
-        """Max deviation of stored xN from the mean of stored individuals.
+        """Max deviation of the stepped average xN from the mean of the
+        stored individuals.
 
-        Meaningful only when every follower is stored."""
+        Meaningful only when every follower is stored: it then checks the
+        aggregate step against the individual ones."""
         if self.xi is None or self.xN is None:
             return 0.0
         return float(np.max(np.abs(self.xN - self.xi.mean(axis=1))))
@@ -154,6 +181,7 @@ class SaddleReport:
     u_ratios: tuple                        # (shape, margin(eps_hi)/margin(eps_lo))
     baseline_mean: float
     n_paths: int
+    work: Work = Work()
 
     @property
     def all_ok(self) -> bool:
@@ -175,6 +203,7 @@ class SweepReport:
     slope_halfwidth: float
     degenerate: bool = False
     caveat: str | None = None
+    work: Work = Work()                    # of the sweep behind the report
 
 
 def _substeps(values: np.ndarray, s: int) -> np.ndarray:
@@ -203,16 +232,19 @@ def _apply(X: np.ndarray, A: np.ndarray) -> np.ndarray:
 def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     N: int = 0, fgains: FollowerGains | None = None,
                     inc: IncentiveMatrices | None = None, override=None,
-                    dW0: np.ndarray | None = None) -> PathBundle:
+                    dW0: np.ndarray | None = None,
+                    wsum: np.ndarray | None = None) -> PathBundle:
     """The one Euler-Maruyama kernel: the limit system when N = 0, else
     the N-follower population (team mode, or incentive mode with fgains
     and inc).
 
-    Each chunk of paths steps at once, the leader and mean states as
-    (chunk, n) arrays and the followers as (chunk, N, n).  Feedback is
-    evaluated at every substep and recorded at the nodes.  override =
-    (u0, u1, v) node series (limit only) replaces the feedback; dW0
-    replaces the common-noise streams with given (paths, M*s) increments.
+    Each chunk of paths steps at once, the leader, mean and population
+    average states as (chunk, n) arrays and the stored followers as
+    (chunk, stored, n).  Feedback is evaluated at every substep and
+    recorded at the nodes.  override = (u0, u1, v) node series (limit
+    only) replaces the feedback; dW0 replaces the common-noise streams
+    with given (paths, M*s) increments, wsum the followers' summed
+    increments with given (paths, M*s, n) sums over agents 1..N.
     """
     grid = gains.grid
     M, s, P = grid.steps, cfg.em_substeps, cfg.n_paths
@@ -256,9 +288,12 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                    u0i=np.empty((P, stored, M + 1, mL)),
                    u1i=np.empty((P, stored, M + 1, mF)))
 
-    # the chunk whose states hold nearest _VECTOR_FLOATS elements, never
-    # narrower than one whose whole-horizon noise fits _CHUNK_FLOATS
-    width = 1 + N * n
+    # noise floats per path and step: the common noise, then for a
+    # population the followers' summed increments and the stored
+    # followers' own.  The chunk is the one whose noise per step comes
+    # nearest _VECTOR_FLOATS, never narrower than one whose whole-horizon
+    # noise fits _CHUNK_FLOATS
+    width = 1 + (1 + stored) * n if N else 1
     chunk = min(P, max(1, round(_VECTOR_FLOATS / width),
                        _CHUNK_FLOATS // (Q * width)))
     common = dW0 is None
@@ -266,9 +301,9 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         # one block: each stream is read whole through one re-keyed generator
         L, gens = Q, None
     else:
-        # the streams stay open from block to block; a block of L steps
-        # fits _CHUNK_FLOATS beside the open generators
-        gens = rng.pool(chunk * (common + N))
+        # the common and stored streams stay open from block to block; a
+        # block of L steps fits _CHUNK_FLOATS beside the open generators
+        gens = rng.pool(chunk * (common + stored))
         L = max(1, (_CHUNK_FLOATS - len(gens) * _GENERATOR_FLOATS)
                 // (chunk * width))
     recorded = ("x0", "m", "xN") if N else ("x0", "m")
@@ -276,7 +311,7 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         b = min(a + chunk, P)
         C = b - a
         keys0 = [(i, 0) for i in range(a, b)] if common else []
-        keysF = [(i, j) for i in range(a, b) for j in range(1, N + 1)]
+        keysF = [(i, j) for i in range(a, b) for j in range(1, stored + 1)]
         if gens is not None:
             live = [rng.stream(seed, i, j, gen)
                     for (i, j), gen in zip(keys0 + keysF, gens)]
@@ -284,7 +319,13 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         x0 = np.broadcast_to(p.xi, (C, n)).copy()
         m = np.broadcast_to(p.x0init, (C, n)).copy()
         if N:
-            xi = np.broadcast_to(p.x0init, (C, N, n)).copy()
+            # xN steps as one state, driven by the mean of the N followers'
+            # increments (module docstring)
+            xN = m.copy()
+            xi = np.broadcast_to(p.x0init, (C, stored, n)).copy()
+            sums = wsum[a:b] if wsum is not None else rng.increment_sums(
+                seed, range(a, b), [N], Q * n, hs).reshape(C, Q, n)
+            dWbar = sums / N
         for q0 in range(0, Q, L):
             q1 = min(q0 + L, Q)
             if not common:
@@ -296,11 +337,10 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             if N:
                 dWi = rng.increments(seed, keysF, Q * n, hs) if gens is None \
                     else rng.draw(liveF, (q1 - q0) * n, hs)
-                dWi = dWi.reshape(C, N, q1 - q0, n)
+                dWi = dWi.reshape(C, stored, q1 - q0, n)
             for q in range(q0, q1 + (q1 == Q)):
-                # u0, u1 are recorded; u0l, u1l and xl drive the leader and
-                # the mean state
-                xN = xi.mean(axis=1) if N else m
+                # u0, u1 are recorded and drive the population average; u0l,
+                # u1l and xl drive the leader and the mean state
                 if override is not None:
                     *lin, v = (arr[q, a:b] for arr in ov)
                 else:
@@ -310,16 +350,17 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     v = lin.pop() if worst else np.zeros((C, nv))
                 if incentive_mode:
                     gx, zx, u1l = lin
+                    u1 = _apply(xN, Gxi[q]) + gx
+                    u0 = _apply(u1, Lq[q]) + zx
                     u1i = _apply(xi, Gxi[q]) + gx[:, None]
                     u0i = _apply(u1i, Lq[q]) + zx[:, None]
-                    u0, u1 = u0i.mean(axis=1), u1i.mean(axis=1)
                     # (L u1 + zeta x0) + eta m, summed in the model's order
                     u0l = _apply(u1l, Lq[q]) + X[:, mF:mF + mL] \
                         + Mx[:, mF:mF + mL]
                     xl = m
                 else:
                     u0, u1 = lin
-                    u0l, u1l, xl = u0, u1, xN
+                    u0l, u1l, xl = u0, u1, xN if N else m
                     u0i, u1i = u0[:, None], u1[:, None]
                 if q % s == 0:
                     k = q // s
@@ -328,9 +369,9 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                         out[name][a:b, k] = val
                     if N:
                         out["xN"][a:b, k] = xN
-                        out["xi"][a:b, :, k] = xi[:, :stored]
-                        out["u0i"][a:b, :, k] = u0i[:, :stored]
-                        out["u1i"][a:b, :, k] = u1i[:, :stored]
+                        out["xi"][a:b, :, k] = xi
+                        out["u0i"][a:b, :, k] = u0i
+                        out["u1i"][a:b, :, k] = u1i
                 if q == Q:
                     break
                 XA, UB, UH = _apply(x0, AC), _apply(u0l, BDH), \
@@ -341,19 +382,22 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                 dm = _apply(m, AtFt) + UH[:, n:] + UB[:, 2 * n:]
                 if N:
                     if incentive_mode:
-                        u1_term = _apply(u1i, p.Bt)
-                        u0_term = _apply(u0i, p.Ht)
+                        u1_term, u0_term = _apply(u1, p.Bt), _apply(u0, p.Ht)
+                        u1i_term = _apply(u1i, p.Bt)
+                        u0i_term = _apply(u0i, p.Ht)
                     else:
-                        u1_term = UH[:, None, n:]
-                        u0_term = UB[:, None, 2 * n:]
-                    drift_i = _apply(xi, p.At) + u1_term + u0_term \
-                        + _apply(xN, p.Ft)[:, None]
-                    xi = xi + hs * drift_i \
-                        + _apply(dWi[:, :, q - q0], p.Sigma)
+                        u1_term, u0_term = UH[:, n:], UB[:, 2 * n:]
+                        u1i_term, u0i_term = u1_term[:, None], u0_term[:, None]
+                    field = _apply(xN, p.Ft)
+                    drift_i = _apply(xi, p.At) + u1i_term + u0i_term \
+                        + field[:, None]
+                    xi = xi + hs * drift_i + _apply(dWi[:, :, q - q0], p.Sigma)
+                    driftN = _apply(xN, p.At) + u1_term + u0_term + field
+                    xN = xN + hs * driftN + _apply(dWbar[:, q], p.Sigma)
                 x0 = x0 + hs * drift0 + diff0 * dW[:, q - q0, None]
                 m = m + hs * dm
-            # the block's recorded nodes; xN is the mean of every follower,
-            # so one non-finite follower makes it non-finite
+            # the block's recorded nodes; every stored follower reads the
+            # gains and the field that xN reads
             k0, k1 = -(-q0 // s), M + 1 if q1 == Q else -(-q1 // s)
             finite = np.logical_and.reduce(
                 [np.isfinite(out[name][a:b, k0:k1]).all(axis=(0, 2))
@@ -363,8 +407,10 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     grid.nodes[k0 + int(np.argmin(finite))],
                     "population state" if N else "limit state")
 
+    work = Work(path_steps=P * Q, follower_steps=P * Q * stored,
+                streams_read=P * (common + stored + (wsum is None) * N))
     return PathBundle(grid, cfg, follower_ids=tuple(range(1, stored + 1)),
-                      **out)
+                      work=work, **out)
 
 
 def simulate_limit(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
@@ -397,8 +443,15 @@ def simulate_limit(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
 
 def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                         fgains: FollowerGains | None = None,
-                        inc: IncentiveMatrices | None = None) -> PathBundle:
+                        inc: IncentiveMatrices | None = None,
+                        wsum_increments=None) -> PathBundle:
     """N followers with idiosyncratic noise plus the common noise.
+
+    The population average xN is stepped as one state, driven by the mean
+    of the N followers' increments; only the stored followers are stepped
+    individually, each reading xN.  wsum_increments, shape (paths, M*s, n),
+    replaces the sums of followers 1..N's increments that the run would
+    read from their streams (rng.increment_sums).
 
     With fgains/inc omitted every agent plays the decentralized team
     strategies (pure gain feedback on the centralized pair); the mean-state
@@ -412,7 +465,13 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     """
     if fgains is not None and inc is None:
         raise ValueError("incentive mode needs both fgains and inc")
-    return _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc)
+    if wsum_increments is not None:
+        want = (cfg.n_paths, gains.grid.steps * cfg.em_substeps, p.n)
+        wsum_increments = np.asarray(wsum_increments, dtype=float)
+        if wsum_increments.shape != want:
+            raise ValueError(f"wsum_increments must have shape {want}")
+    return _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc,
+                           wsum=wsum_increments)
 
 
 def _quad(x: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -491,6 +550,12 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     are mean paired cost differences, so the control-side ones should be
     nonnegative and the disturbance-side ones nonpositive within Monte
     Carlo resolution.
+
+    Under a replay the dynamics are affine in (u0, u1, v) and J0 is a
+    quadratic form, so per path J(eps) - J_base = eps a + eps^2 b.  Each
+    direction is replayed once, at the first of PERTURB_EPS; b is J0 of the
+    replay's difference from the baseline over eps^2, and the margins at
+    the other sizes are read off a and b.
     """
     if cfg.em_substeps != 1:
         # replay interpolates node controls, so substeps would break the
@@ -501,23 +566,33 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     const = np.ones(base.grid.steps + 1)
     bump = _bump(base.grid)
     P = cfg.n_paths
+    eps1, *others = PERTURB_EPS
+    states = ("x0", "m", "u0bar", "u1bar", "v")
 
     entries = []
     u_margins = {}
+    work = base.work
     for shape, direction in (("const", const), ("bump", bump)):
         for target in ("u", "v"):
-            for eps in PERTURB_EPS:
-                u0 = base.u0bar.copy()
-                u1 = base.u1bar.copy()
-                v = base.v.copy()
-                if target == "u":
-                    u0 += eps * direction[None, :, None]
-                    u1 += eps * direction[None, :, None]
-                else:
-                    v += eps * direction[None, :, None]
-                pert = simulate_limit(p, gains, cfg,
-                                      controls_override=(u0, u1, v))
-                diff = _j0_per_path(pert, p) - J_base
+            u0 = base.u0bar.copy()
+            u1 = base.u1bar.copy()
+            v = base.v.copy()
+            if target == "u":
+                u0 += eps1 * direction[None, :, None]
+                u1 += eps1 * direction[None, :, None]
+            else:
+                v += eps1 * direction[None, :, None]
+            pert = simulate_limit(p, gains, cfg,
+                                  controls_override=(u0, u1, v))
+            work += pert.work
+            diff1 = _j0_per_path(pert, p) - J_base
+            # the difference bundle lives only as long as its cost
+            b = _j0_per_path(replace(pert, **{
+                k: getattr(pert, k) - getattr(base, k) for k in states}),
+                p) / eps1 ** 2
+            a = (diff1 - eps1 ** 2 * b) / eps1
+            diffs = [diff1] + [eps * a + eps ** 2 * b for eps in others]
+            for eps, diff in zip(PERTURB_EPS, diffs):
                 margin = float(diff.mean())
                 se = float(diff.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
                 ok = margin >= -3.0 * se if target == "u" \
@@ -532,7 +607,8 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
         if u_margins.get((shape, eps_lo))
     )
     return SaddleReport(entries=tuple(entries), u_ratios=ratios,
-                        baseline_mean=float(J_base.mean()), n_paths=P)
+                        baseline_mean=float(J_base.mean()), n_paths=P,
+                        work=work)
 
 
 def incentive_match(gains: LeaderGains, fgains: FollowerGains) -> float:
@@ -566,14 +642,16 @@ def _stderr(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
 
 
-def _report(label: str, Ns, points, caveat: str | None = None) -> SweepReport:
+def _report(label: str, Ns, points, work: Work,
+            caveat: str | None = None) -> SweepReport:
     # all gaps at float-roundoff scale (e.g. no idiosyncratic noise): a
     # log-log fit on arithmetic noise is meaningless
     if all(pt.gap <= _DEGENERATE_FLOOR for pt in points):
         return SweepReport(label, tuple(points), float("nan"), float("nan"),
-                           degenerate=True, caveat=caveat)
+                           degenerate=True, caveat=caveat, work=work)
     slope, half = _fit_slope(Ns, [pt.gap for pt in points])
-    return SweepReport(label, tuple(points), slope, half, caveat=caveat)
+    return SweepReport(label, tuple(points), slope, half, caveat=caveat,
+                       work=work)
 
 
 _OPT_CAVEAT = ("proxy: reference is the limit-system saddle cost, not the "
@@ -583,27 +661,39 @@ _OPT_CAVEAT = ("proxy: reference is the limit-system saddle cost, not the "
 def _sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
                 cfg: SimConfig) -> tuple[SweepReport, SweepReport]:
     """Both N-sweeps from one team-mode population run per N: the
-    mean-field gap report and the optimality-gap proxy report."""
+    mean-field gap report and the optimality-gap proxy report.  The
+    followers' summed increments for every N are read in one pass over
+    the streams of the largest population."""
     Ns = list(Ns)
     if len(Ns) < 3:
         raise ValueError("need at least 3 population sizes")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("population sizes must be strictly increasing")
-    J_lim = _j0_per_path(simulate_limit(p, gains, cfg), p)
+    lim = simulate_limit(p, gains, cfg)
+    J_lim, work = _j0_per_path(lim, p), lim.work
+    del lim
+    P, Q = cfg.n_paths, gains.grid.steps * cfg.em_substeps
+    sums = rng.increment_sums(cfg.master_seed, range(P), Ns, Q * p.n,
+                              gains.grid.h / cfg.em_substeps)
+    sums = sums.reshape(P, len(Ns), Q, p.n)
+    work += Work(streams_read=P * Ns[-1])
     mf, opt = [], []
-    for N in Ns:
+    for r, N in enumerate(Ns):
         # the reports read no individual follower, so none is stored
         bundle = simulate_population(
             p, gains, replace(cfg, N=N, store_followers=0,
-                              store_all_followers=False))
+                              store_all_followers=False),
+            wsum_increments=sums[:, r])
+        work += bundle.work
         sq = np.sum((bundle.xN - bundle.m) ** 2, axis=2)   # (paths, M+1)
         curve = sq.mean(axis=0)
         kstar = int(np.argmax(curve))
         mf.append(SweepPoint(N, float(curve[kstar]), _stderr(sq[:, kstar])))
         diff = _j0_per_path(bundle, p) - J_lim
         opt.append(SweepPoint(N, float(abs(diff.mean())), _stderr(diff)))
-    return (_report("mean-field gap", Ns, mf),
-            _report("optimality-gap proxy", Ns, opt, caveat=_OPT_CAVEAT))
+    return (_report("mean-field gap", Ns, mf, work),
+            _report("optimality-gap proxy", Ns, opt, work,
+                    caveat=_OPT_CAVEAT))
 
 
 def sweep_mean_field_gap(p: ModelParams, gains: LeaderGains, Ns,

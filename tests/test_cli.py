@@ -252,3 +252,27 @@ def test_manifest_lists_outputs_and_repeats(name, tmp_path, capsys):
             del s["wall_s"]
         manifests.append(man)
     assert manifests[0] == manifests[1]
+
+
+def test_simulation_stages_record_their_work(tmp_path):
+    # 40 steps over 4 paths: 160 path-steps per run.  simulate: the limit,
+    # the population (6 followers stored, streams: common, 6 summed, 6
+    # stored) and the saddle battery's 5 limit runs; sweep-n: the limit,
+    # one pass over 16 followers' streams, then 3 populations that step
+    # no follower individually
+    runs = {
+        "simulate": (["simulate", "--n", "6", "--paths", "4"],
+                     dict(path_steps=7 * 160, follower_steps=6 * 160,
+                          streams_read=4 + 4 * 13 + 5 * 4)),
+        "sweep-n": (["sweep-n", "--ns", "4,8,16", "--paths", "4"],
+                    dict(path_steps=4 * 160, follower_steps=0,
+                         streams_read=4 + 4 * 16 + 3 * 4)),
+    }
+    for name, (argv, work) in runs.items():
+        out = tmp_path / name
+        assert cli.main(argv + ["--grid-steps", "40", "--seed", "7",
+                                "--out", str(out)]) == 0
+        stage = [s for s in read_json(out / "manifest.json")["stages"]
+                 if s["name"] == name]
+        assert len(stage) == 1
+        assert {k: stage[0][k] for k in work} == work

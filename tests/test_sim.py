@@ -113,6 +113,25 @@ def test_rng_block_draws_match_full_horizon():
                               full[keys.index((path, agent))])
 
 
+def test_rng_increment_sums_match_running_sums(monkeypatch):
+    # running sums over agents 1..N of increments() rows, for several N at
+    # once, drawn in one block of rows, in blocks of 3 and of 1
+    seed, dt, steps, top = 2 ** 63 + 7, 0.01, 20, 11
+    paths = [4, 0, 2 ** 32 - 1]
+    running = np.cumsum(np.stack([
+        rng.increments(seed, [(path, j) for j in range(1, top + 1)], steps, dt)
+        for path in paths]), axis=1)
+    for block in (rng._SUM_BLOCK_FLOATS, 3 * steps, 1):
+        monkeypatch.setattr(rng, "_SUM_BLOCK_FLOATS", block)
+        for Ns in ([top], [1, 3, 4, 11], [7, 2]):
+            got = rng.increment_sums(seed, paths, Ns, steps, dt)
+            assert got.shape == (len(paths), len(Ns), steps)
+            for r, N in enumerate(Ns):
+                assert np.array_equal(got[:, r], running[:, N - 1])
+    with pytest.raises(ValueError):
+        rng.increment_sums(seed, paths, [0, 3], steps, dt)
+
+
 # ------------------------------------------------------------ limit paths
 
 def test_same_seed_bitwise_different_seed_not(table1, gains1):
@@ -214,6 +233,32 @@ def test_population_consistency_and_costs(table1, blocks1, gains1):
     assert rep.V0 == V0
     assert rep.Ji_mean.shape == (12,)
     assert np.all(np.isfinite(rep.Ji_mean))
+
+
+def test_population_independent_of_stored_followers(table1, gains1, fg1,
+                                                   inc1, n2, n2_sol):
+    # xN steps as one state, so neither the population nor its leader cost
+    # depends on how many followers are also stepped individually, and a
+    # stored follower does not depend on how many others are stored
+    stores = (dict(store_followers=0), dict(store_followers=3),
+              dict(store_all_followers=True))
+    for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
+        for modes in ({}, {"fgains": fg, "inc": inc}):
+            runs = [sim.simulate_population(
+                p, gains, SimConfig(N=7, n_paths=3, master_seed=8, **store),
+                **modes) for store in stores]
+            assert [r.xi.shape[1] for r in runs] == [0, 3, 7]
+            J0 = [sim._j0_per_path(r, p) for r in runs]
+            for other, J in zip(runs[1:], J0[1:]):
+                for name in ("x0", "m", "xN", "u0bar", "u1bar", "v"):
+                    assert np.array_equal(getattr(runs[0], name),
+                                          getattr(other, name)), name
+                assert np.array_equal(J0[0], J)
+            for name in ("xi", "u0i", "u1i"):
+                assert np.array_equal(getattr(runs[1], name),
+                                      getattr(runs[2], name)[:, :3]), name
+            assert runs[2].consistency_gap() <= 1e-12
 
 
 def test_costs_independent_of_path_blocks(table1, gains1, n2, n2_sol,
@@ -411,6 +456,21 @@ def test_shared_sweep_matches_standalone_sweeps(table1, gains1):
         assert opt_pt.gap == pytest.approx(abs(J_pop - J_lim), rel=1e-9)
 
 
+def test_mean_field_gap_matches_exact_moment(table1, mf_sweep):
+    # team mode: d = xN - m obeys d_{k+1} = d_k Phi' + Sigma dWbar with
+    # Phi = I + h (At + Ft) and dWbar the mean of N followers' increments,
+    # so E|d_k|^2 = tr Pi_k / N exactly, Pi_{k+1} = Phi Pi_k Phi' + h Sigma
+    # Sigma'; the Monte Carlo sup over nodes estimates the exact sup
+    p, h = table1, table1.grid().h
+    Phi = np.eye(p.n) + h * (p.At + p.Ft)
+    Pi, sup = np.zeros((p.n, p.n)), 0.0
+    for _ in range(p.grid_steps):
+        Pi = Phi @ Pi @ Phi.T + h * p.Sigma @ p.Sigma.T
+        sup = max(sup, float(np.trace(Pi)))
+    for pt in mf_sweep.points:
+        assert abs(pt.gap - sup / pt.N) <= 4.0 * pt.stderr
+
+
 def test_mean_field_gap_decays_like_one_over_N(mf_sweep):
     gaps = [pt.gap for pt in mf_sweep.points]
     # quadrupling N should cut the squared gap by roughly 4
@@ -428,6 +488,31 @@ def test_optimality_gap_proxy_shrinks(opt_sweep):
 
 
 # ----------------------------------------------------------------- saddle
+
+def test_saddle_margins_match_replays(table1, gains1):
+    # one replay per direction: its eps gives the margin of a replay
+    # exactly, the other eps up to roundoff, as J0 is quadratic in eps
+    cfg = SimConfig(n_paths=50, master_seed=3)
+    sr = sim.saddle_check(table1, gains1, cfg)
+    base = sim.simulate_limit(table1, gains1, cfg)
+    J_base = sim._j0_per_path(base, table1)
+    shapes = {"const": np.ones(base.grid.steps + 1),
+              "bump": sim._bump(base.grid)}
+    for e in sr.entries:
+        u0, u1, v = base.u0bar.copy(), base.u1bar.copy(), base.v.copy()
+        step = e.eps * shapes[e.shape][None, :, None]
+        for arr in ((u0, u1) if e.target == "u" else (v,)):
+            arr += step
+        diff = sim._j0_per_path(sim.simulate_limit(
+            table1, gains1, cfg, controls_override=(u0, u1, v)),
+            table1) - J_base
+        se = diff.std(ddof=1) / np.sqrt(cfg.n_paths)
+        if e.eps == sim.PERTURB_EPS[0]:
+            assert (e.margin, e.stderr) == (diff.mean(), se)
+        else:
+            assert e.margin == pytest.approx(diff.mean(), rel=1e-11)
+            assert e.stderr == pytest.approx(se, rel=1e-11)
+
 
 def test_mini_saddle_battery(table1, gains1):
     sr = sim.saddle_check(table1, gains1,
