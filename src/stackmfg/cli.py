@@ -298,6 +298,8 @@ def _leader_checks(p: ModelParams, sol, gains) -> dict:
 
 
 def _incentive_stage(run: _Run):
+    """The matching sweep, the decoupled chain and the follower gains.
+    Returns the size of the matching system and the Newton work."""
     p, man, sol, gains = run.p, run.man, run.sol, run.gains
     solved = True
     try:
@@ -342,6 +344,9 @@ def _incentive_stage(run: _Run):
         man.warn(f"incentive matching gap {gap:.3e} exceeds {gap_tol:.3e}")
     run.inc, run.fg = inc, fg
     run.summary["incentive"] = info
+    return {"matching_conditions": 2 * p.mF * p.n,
+            "matching_unknowns": p.mL * p.mF,
+            "newton_iters": int(inc.newton_iters.sum())}
 
 
 def _simulate_stage(run: _Run):

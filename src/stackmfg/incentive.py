@@ -2,19 +2,22 @@
 follower-side Riccati chain it induces.
 
 The backward sweep alternates an algebraic solve for the shaping matrix L
-(damped Gauss-Newton on the two matching conditions, warm-started node to
-node) with an RK4 step of the coupled (Delta, Theta) equations in which L is
-held at its nodal value.  The decoupled (Sigma, Phi, Psi) chain is
-co-integrated with (Delta, Theta) so that the structural relations
-Theta = Psi and Delta = Sigma + Phi are preserved to roundoff by
-construction and only genuine transcription errors can break them.
+with an RK4 step of the coupled (Delta, Theta) equations in which L is held
+at its nodal value.  Multiplied through by the follower's control weight,
+the two matching conditions are affine in L (_matching_form); that one form
+gives the raw residual, its exact Jacobian and the direct least-squares
+solve that seeds a damped Gauss-Newton polish.  The decoupled
+(Sigma, Phi, Psi) chain is co-integrated with (Delta, Theta) so that the
+structural relations Theta = Psi and Delta = Sigma + Phi are preserved to
+roundoff by construction and only genuine transcription errors can break
+them.
 
 Both sweeps step with odeint.rk4_step, sampling the closed-loop
 coefficients once at each of the three distinct nodes of a step on the
 block solution's doubled grid.  The matching conditions, zeta/eta, the
 closed-loop coefficients and the follower gains share the leader's gain
 algebra (leader._gain_terms); its L-free parts are solved once per sweep,
-for every node of the doubled grid at once, outside the Gauss-Newton loop.
+for every node of the doubled grid at once.
 """
 from __future__ import annotations
 
@@ -167,22 +170,50 @@ def zeta_eta(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2):
     return _zeta_eta(L, _nodal_terms(p, P1, Pi1, P2, Pi2))
 
 
-def _matching(p, L, nodal, Delta, Theta):
-    zeta, eta = _zeta_eta(L, nodal)
-    SL, BL, LtR0 = _L_terms(p, L)
-    r1 = np.linalg.solve(SL, LtR0 @ zeta + BL.T @ Theta) - nodal[2]
-    r2 = np.linalg.solve(SL, LtR0 @ eta + BL.T @ Delta) - nodal[3]
-    return r1, r2
+def _matching_form(p, nodal, Delta, Theta):
+    """(C0, W) at one node: the matching conditions r = 0 multiplied
+    through by SL = R1t + L'R0t L read SL r = C0 + L'W, affine in L.
+
+    The two conditions sit side by side, C0 (mF x 2n) and W (mL x 2n):
+    C0 = [Bt'Theta - R1t R1^-1 X,  Bt'Delta - R1t R1^-1 X2] and
+    W = [Ht'Theta - R0t S0^-1 V,  Ht'Delta - R0t S0^-1 V2].
+    """
+    SiV, SiV2, RiX, RiX2 = nodal
+    C0 = np.concatenate((p.Bt.T @ Theta - p.R1t @ RiX,
+                         p.Bt.T @ Delta - p.R1t @ RiX2), axis=-1)
+    W = np.concatenate((p.Ht.T @ Theta - p.R0t @ SiV,
+                        p.Ht.T @ Delta - p.R0t @ SiV2), axis=-1)
+    return C0, W
+
+
+def _matching(p, L, form):
+    """The raw residual r = SL^-1 (C0 + L'W) of both conditions (mF x 2n)
+    and its exact Jacobian in L, rows r.ravel() and columns L.ravel().
+
+    Along dL, dr = SL^-1 (dL'W - (dL'R0t L + L'R0t dL) r); for dL the unit
+    matrix at (a, b) that is SL^-1[:, b] G[a] - K[:, a] r[b], with
+    G = W - R0t L r and K = SL^-1 L'R0t.
+    """
+    C0, W = form
+    SL, _, LtR0 = _L_terms(p, L)
+    Si = np.linalg.inv(SL)
+    r = Si @ (C0 + L.T @ W)
+    G = W - p.R0t @ L @ r
+    J = (np.einsum("ib,ac->icab", Si, G)
+         - np.einsum("ia,bc->icab", Si @ LtR0, r))
+    return r, J.reshape(r.size, L.size)
 
 
 def matching_residual(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2,
                       Delta, Theta):
-    """Both incentive matching conditions, evaluated as written.
+    """Both incentive matching conditions at one node.
 
     Returns the pair of mF x n defect matrices; zeros mean the followers'
     aggregated best reply reproduces the leader's team-optimal follower gain.
     """
-    return _matching(p, L, _nodal_terms(p, P1, Pi1, P2, Pi2), Delta, Theta)
+    form = _matching_form(p, _nodal_terms(p, P1, Pi1, P2, Pi2), Delta, Theta)
+    r = _matching(p, L, form)[0]
+    return r[:, :p.n], r[:, p.n:]
 
 
 def cc_coefficients(p: ModelParams, gamma: float, L: np.ndarray,
@@ -223,14 +254,15 @@ def _delta_theta_rhs(p, cc: CCCoefficients, Delta, Theta):
     return dDelta, dTheta
 
 
-def _gauss_newton(fun, L0: np.ndarray):
-    """Levenberg-damped Gauss-Newton for the small dense matching system.
+def _gauss_newton(p, form, L0: np.ndarray):
+    """Levenberg-damped Gauss-Newton on one node's matching form, with
+    _matching's exact Jacobian.
 
     The system is generally overdetermined (two matrix conditions, one
     unknown matrix), so convergence means either a residual below NEWTON_TOL
-    or a stationary point of the least-squares objective.  The objective
-    also decays to zero along |L| -> inf without ever admitting a root
-    there; runs that exhaust MAX_ITER while still descending that tail are
+    or a stationary point of the least-squares objective.  The objective also
+    decays to zero along |L| -> inf without ever admitting a root there;
+    runs that exhaust MAX_ITER while still descending that tail are
     reported as not converged so callers can discard them.
     """
     shape = L0.shape
@@ -239,9 +271,10 @@ def _gauss_newton(fun, L0: np.ndarray):
     leash = TRUST_RADIUS * (1.0 + np.max(np.abs(anchor)))
 
     def resid(v):
-        return fun(v.reshape(shape)).ravel()
+        r, J = _matching(p, v.reshape(shape), form)
+        return r.ravel(), J
 
-    r = resid(x)
+    r, J = resid(x)
     cost = float(r @ r)
     lam = DAMPING
     nvar = x.size
@@ -250,12 +283,6 @@ def _gauss_newton(fun, L0: np.ndarray):
     for it in range(1, MAX_ITER + 1):
         if converged:
             break
-        J = np.empty((r.size, nvar))
-        for j in range(nvar):
-            step = 1e-7 * (1.0 + abs(x[j]))
-            xp = x.copy(); xp[j] += step
-            xm = x.copy(); xm[j] -= step
-            J[:, j] = (resid(xp) - resid(xm)) / (2.0 * step)
         g = J.T @ r
         if np.max(np.abs(g)) <= 1e-14 * (1.0 + cost):
             converged = True           # least-squares stationary point
@@ -268,12 +295,12 @@ def _gauss_newton(fun, L0: np.ndarray):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            rt = resid(x + delta)
+            rt, Jt = resid(x + delta)
             ct = float(rt @ rt)
             if ct < cost:
                 gained = cost - ct
                 x = x + delta
-                r, cost = rt, ct
+                r, J, cost = rt, Jt, ct
                 lam = max(lam * 0.1, 1e-12)
                 accepted = True
                 break
@@ -297,34 +324,16 @@ def _gauss_newton(fun, L0: np.ndarray):
 
 def _terminal_candidates(p: ModelParams):
     base = np.eye(p.mL, p.mF)
-    yield np.zeros((p.mL, p.mF))
-    for c in (-2.0, -1.0, 1.0, 2.0):
-        yield c * base
+    return [c * base for c in (0.0, -2.0, -1.0, 1.0, 2.0)]
 
 
-def _cleared_candidate(p, nodal, Delta, Theta) -> np.ndarray:
-    """Least-squares solution of the matching conditions multiplied through
-    by SL = R1t + L'R0tL.
-
-    The cleared system is affine in L (the quadratic SL terms cancel against
-    the L'R0tL part of zeta/eta), so this is one lstsq; where an exact
-    matching solution exists this IS it, and it seeds the damped iteration
-    past any spurious stationary point of the scaled objective.
-    """
-    def cleared(L):
-        SL = _L_terms(p, L)[0]
-        r1, r2 = _matching(p, L, nodal, Delta, Theta)
-        return np.concatenate(((SL @ r1).ravel(), (SL @ r2).ravel()))
-
-    nvar = p.mL * p.mF
-    c0 = cleared(np.zeros((p.mL, p.mF)))
-    cols = np.empty((c0.size, nvar))
-    for idx in range(nvar):
-        E = np.zeros((p.mL, p.mF))
-        E.flat[idx] = 1.0
-        cols[:, idx] = cleared(E) - c0
-    sol, *_ = np.linalg.lstsq(cols, -c0, rcond=None)
-    return sol.reshape(p.mL, p.mF)
+def _cleared_candidate(form) -> np.ndarray:
+    """Least-squares solution of the cleared conditions C0 + L'W = 0, that
+    is W'L = -C0': one lstsq with mF right-hand sides.  Where an exact
+    matching solution exists this IS it; elsewhere it seeds the damped
+    iteration past spurious stationary points of the raw objective."""
+    C0, W = form
+    return np.linalg.lstsq(W.T, -C0.T, rcond=None)[0]
 
 
 def _prefer(a, b):
@@ -360,17 +369,21 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     At each node L is the local least-squares solution of the two matching
     conditions given the current (Delta, Theta); the RK4 step to the next
     node holds L at that value (zero-order hold, consistent with the O(h)
-    coupling error of the half-steps).  Nodes whose least-squares problem
-    has no reachable stationary point keep the previous L and are flagged
-    in newton_converged.  Raises NoIncentiveSolution if the worst nodal
-    residual ends up above RESIDUAL_FACTOR * NEWTON_TOL; the partial sweep
-    rides along in the exception for diagnostics.
+    coupling error of the half-steps).  Gauss-Newton runs from the cleared
+    solution, then from the warm start L[k+1] (at T, from
+    _terminal_candidates), and stops at the first run that converges within
+    RESIDUAL_FACTOR * NEWTON_TOL; otherwise _prefer picks among the runs.
+    newton_iters counts the iterations of every run at the node.  Nodes
+    below T whose least-squares problem has no reachable stationary point
+    keep the previous L and are flagged in newton_converged.  Raises
+    NoIncentiveSolution if the worst nodal residual ends up above
+    RESIDUAL_FACTOR * NEWTON_TOL; the partial sweep rides along in the
+    exception for diagnostics.
     """
     grid = blocks.grid
     M = grid.steps
     h = grid.h
-    Lsh = (p.mL, p.mF)
-    L_store = np.empty((M + 1,) + Lsh)
+    L_store = np.empty((M + 1, p.mL, p.mF))
     d_store = np.empty((M + 1, p.n, p.n))
     t_store = np.empty((M + 1, p.n, p.n))
     resid = np.empty(M + 1)
@@ -388,40 +401,26 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
         return _delta_theta_rhs(p, cc, *st)
 
     for k in range(M, -1, -1):
-        nk = tuple(a[k] for a in nodal)
+        form = _matching_form(p, tuple(a[k] for a in nodal), Delta, Theta)
 
-        def fun(L, _n=nk, _D=Delta, _T=Theta):
-            r1, r2 = _matching(p, L, _n, _D, _T)
-            return np.concatenate((r1.ravel(), r2.ravel()))
-
-        if k == M:
-            # prefer genuinely stationary candidates: the least-squares
-            # objective also drains away along |L| -> inf, and a descent run
-            # caught mid-flight on that tail is not a solution
-            best = None
-            for cand in _terminal_candidates(p):
-                best = _prefer(best, _gauss_newton(fun, cand))
-            best = _prefer(best, _gauss_newton(
-                fun, _cleared_candidate(p, nk, Delta, Theta)))
-            Lk, rk, it, ck = best
-        else:
-            warm = L_store[k + 1]
-            best = _gauss_newton(fun, warm)
-            if not best[3] or best[1] > RESIDUAL_FACTOR * NEWTON_TOL:
-                # retry from the cleared-system point: exact where matching
-                # is solvable, and a way off spurious minima of the scaled
-                # objective
-                retry = _gauss_newton(
-                    fun, _cleared_candidate(p, nk, Delta, Theta))
-                retry = (retry[0], retry[1], retry[2] + best[2], retry[3])
-                best = _prefer(best, retry)
-            Lk, rk, it, ck = best
-            if not ck:
-                # the nodal problem lost its stationary point; hold the
-                # incoming value and report the defect there instead of
-                # following the descent to infinity
-                Lk = warm.copy()
-                rk = float(np.linalg.norm(fun(Lk)))
+        # at T a fan of candidates: the least-squares objective also drains
+        # away along |L| -> inf, and a run caught on that tail is no solution
+        seeds = [_cleared_candidate(form)] + (
+            [L_store[k + 1]] if k < M else _terminal_candidates(p))
+        best, it = None, 0
+        for seed in seeds:
+            trial = _gauss_newton(p, form, seed)
+            it += trial[2]
+            best = _prefer(best, trial)
+            if best[3] and best[1] <= RESIDUAL_FACTOR * NEWTON_TOL:
+                break
+        Lk, rk, _, ck = best
+        if not ck and k < M:
+            # the nodal problem lost its stationary point; hold the incoming
+            # value and report the defect there instead of following the
+            # descent to infinity
+            Lk = L_store[k + 1]
+            rk = float(np.linalg.norm(_matching(p, Lk, form)[0]))
         L_store[k] = Lk
         resid[k] = rk
         iters[k] = it

@@ -83,7 +83,6 @@ def concavity_problem(p: ModelParams, gamma) -> OdeProblem:
         shapes=(G.shape,),
         rhs=rhs,
         boundary=(G,),
-        direction="backward",
         poststep=lambda st: [_sym(st[0])],
     )
 
@@ -142,9 +141,8 @@ def estimate_gamma_hat(p: ModelParams, bracket_tol: float = 1e-4,
     aborts with NotSolvableAtCap.  The gammas are probed in passes, each one
     stacked march (odeint.integrate_stack):
 
-    - the powers of two from 1 up to hi_cap;
-    - only if gamma=1 is solvable, the powers below 1 down to the first at
-      or under lo_floor;
+    - the opening pass: the powers of two from the first at or under
+      lo_floor up to hi_cap;
     - per bisection pass, the 2**_KSECTION_DEPTH - 1 midpoints the next
       _KSECTION_DEPTH bisection steps could visit.
 
@@ -172,15 +170,13 @@ def estimate_gamma_hat(p: ModelParams, bracket_tol: float = 1e-4,
     ups = [1.0]
     while 2.0 * ups[-1] <= hi_cap:
         ups.append(2.0 * ups[-1])
-    march(ups)
+    downs = [1.0]
+    while downs[-1] > lo_floor:
+        downs.append(0.5 * downs[-1])
+    march(downs + ups)
     hi = next((g for g in ups if known[g]), None)
     if hi is None:
         raise NotSolvableAtCap(f"no solvable gamma found up to {hi_cap:g}")
-    if hi == 1.0:
-        downs = [1.0]
-        while downs[-1] > lo_floor:
-            downs.append(0.5 * downs[-1])
-        march(downs)
     lo = hi
     while known[lo]:
         if lo <= lo_floor:
@@ -309,7 +305,6 @@ def block_riccati_problem(p: ModelParams, gamma: float) -> OdeProblem:
         shapes=((n, n),) * 4,
         rhs=rhs,
         boundary=(p.G.copy(), -GT2, -GT2.T, p.Gamma2.T @ GT2),
-        direction="backward",
     )
 
 
@@ -345,7 +340,6 @@ def assembled_problem(p: ModelParams, gamma: float) -> OdeProblem:
         shapes=((2 * n, 2 * n),),
         rhs=rhs,
         boundary=(Gbar,),
-        direction="backward",
     )
 
 

@@ -53,21 +53,17 @@ class GridMismatch(Exception):
 class OdeProblem:
     """Stacked matrix ODE d/dt [X1,...,Xk] = rhs(t, [X1,...,Xk]).
 
-    boundary holds the terminal values for direction="backward" (the usual
-    case here) or the initial values for direction="forward".  poststep, if
-    given, is applied to the state after every accepted step; the Riccati
-    solvers use it to re-symmetrize.
+    boundary holds the terminal values: every problem here is marched
+    backward from T.  poststep, if given, is applied to the state after
+    every accepted step; the Riccati solvers use it to re-symmetrize.
     """
 
     shapes: tuple[tuple[int, int], ...]
     rhs: Callable[[float, list[np.ndarray]], Sequence[np.ndarray]]
     boundary: tuple[np.ndarray, ...]
-    direction: str = "backward"
     poststep: Callable[[list[np.ndarray]], list[np.ndarray]] | None = None
 
     def __post_init__(self):
-        if self.direction not in ("backward", "forward"):
-            raise ValueError(f"direction must be backward or forward, got {self.direction}")
         if len(self.boundary) != len(self.shapes):
             raise ValueError("boundary and shapes must have the same length")
         coerced = tuple(np.asarray(b, dtype=float) for b in self.boundary)
@@ -151,22 +147,20 @@ def rk4_step(rhs, state, s, at, k1=None):
 
 def _march(problem: OdeProblem, grid: TimeGrid,
            store: list[np.ndarray] | None = None) -> list[Escape | None]:
-    """Step the problem across the grid by RK4 and return each member's
-    first Escape, or None where it reaches the far end.
+    """Step the problem backward across the grid by RK4 and return each
+    member's first Escape, or None where it reaches t = 0.
 
     Components of shape (k, n, n) stack k members along their leading axis;
     (n, n) components make one member.  At every node the state is written
     to store (if given), then escape-tested; an escaped member is zeroed, so
     the rhs stays finite, and its later verdicts are ignored.  The march
-    ends at the last node, or at the node where every member has escaped.
+    ends at node 0, or at the node where every member has escaped.
     A member far past its pole may overflow within a step; it escapes at
     that step's end node, so the overflow is not warned about.
     """
-    M = grid.steps
     nodes = grid.nodes
-    back = problem.direction == "backward"
-    s = -grid.h if back else grid.h
-    node, last = (M, 0) if back else (0, M)
+    s = -grid.h
+    node = grid.steps
     state = [b.copy() for b in problem.boundary]
     out: list[Escape | None] = [None] * (len(state[0]) if state[0].ndim == 3
                                          else 1)
@@ -185,19 +179,19 @@ def _march(problem: OdeProblem, grid: TimeGrid,
                     break
                 for x in state:
                     x[hit] = 0.0
-            if node == last:
+            if node == 0:
                 break
             t = nodes[node]
             state = rk4_step(problem.rhs, state, s, (t, t + 0.5 * s, t + s),
                              k1=_clean_rhs(problem, t, state))
             if problem.poststep is not None:
                 state = list(problem.poststep(state))
-            node += -1 if back else 1
+            node -= 1
     return out
 
 
 def integrate(problem: OdeProblem, grid: TimeGrid) -> IntegrationResult:
-    """Run classical RK4 over the grid in the problem's direction.
+    """Run classical RK4 backward over the grid, from T to 0.
 
     Escape is checked at every node: the first node where some component is
     non-finite or has a Frobenius norm above ESCAPE_NORM ends the run.  A
@@ -211,11 +205,8 @@ def integrate(problem: OdeProblem, grid: TimeGrid) -> IntegrationResult:
     if esc is None:
         return IntegrationResult([MatrixTrajectory(grid, s) for s in store],
                                  None)
-    # keep everything from the boundary side up to and including the bad node
-    if problem.direction == "backward":
-        sl = slice(esc.node, M + 1)
-    else:
-        sl = slice(0, esc.node + 1)
+    # keep everything from T down to and including the bad node
+    sl = slice(esc.node, M + 1)
     return IntegrationResult(None, esc, [s[sl].copy() for s in store],
                              grid.nodes[sl].copy())
 

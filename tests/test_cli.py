@@ -90,6 +90,7 @@ def test_solve_incentive_benchmark_reports_failure(tmp_path, capsys):
     assert any("no solution" in w for w in man["warnings"])
     header = (out / "incentive_series.csv").read_text().splitlines()[0]
     assert "match_residual" in header and "newton_converged" in header
+    _assert_incentive_work(out, conditions=2, unknowns=1)
 
 
 def test_solve_incentive_square_succeeds(square, tmp_path):
@@ -102,6 +103,25 @@ def test_solve_incentive_square_succeeds(square, tmp_path):
     assert summary["incentive"]["solved"] is True
     assert summary["incentive"]["matching_ok"] is True
     assert summary["incentive"]["decoupling_ok"] is True
+    # the cleared solve is exact here, so one iteration per node
+    iters = _assert_incentive_work(out, conditions=2, unknowns=2)
+    assert iters == square.grid_steps + 1
+
+
+def _assert_incentive_work(out, conditions, unknowns):
+    # 2 mF n matching conditions against mL mF unknowns, and the Newton
+    # iterations the series reports node by node; returns their total
+    stage = [s for s in read_json(out / "manifest.json")["stages"]
+             if s["name"] == "solve-incentive"]
+    assert len(stage) == 1
+    lines = (out / "incentive_series.csv").read_text().splitlines()
+    col = lines[0].split(",").index("newton_iters")
+    iters = sum(int(float(row.split(",")[col])) for row in lines[1:])
+    assert {k: stage[0][k] for k in ("matching_conditions",
+                                     "matching_unknowns", "newton_iters")} \
+        == dict(matching_conditions=conditions, matching_unknowns=unknowns,
+                newton_iters=iters)
+    return iters
 
 
 def test_simulate_small_run(tmp_path, capsys):

@@ -44,6 +44,51 @@ def test_matching_residual_hand_value(table1):
     assert r2[0, 0] == pytest.approx(0.0139, abs=1e-12)
 
 
+def _fd_jacobian(fun, L):
+    """Central differences, step 1e-7 (1 + |L_j|): the Jacobian the sweep
+    used before the exact one, kept as its reference."""
+    x = L.ravel()
+    cols = []
+    for j in range(x.size):
+        step = 1e-7 * (1.0 + abs(x[j]))
+        xp = x.copy(); xp[j] += step
+        xm = x.copy(); xm[j] -= step
+        cols.append((fun(xp.reshape(L.shape)) - fun(xm.reshape(L.shape)))
+                    / (2.0 * step))
+    return np.stack(cols, axis=1)
+
+
+def test_matching_form_residual_and_jacobian(table1, blocks1, inc1, square,
+                                             square_sol, n2, n2_sol):
+    # the (C0, W) form must give the conditions as written,
+    # SL^-1 (L'R0t zeta + BL'Theta) - R1^-1 X and the same with
+    # (eta, Delta, X2), and its Jacobian must match central differences
+    rng = np.random.default_rng(7)
+    cases = ((table1, blocks1, inc1.dtheta, (0, 400, 1000)),
+             (square, square_sol.blocks, square_sol.dtheta, (0, 100, 200)),
+             (n2, n2_sol.blocks, n2_sol.dtheta, (0, 25, 50)))
+    for p, blocks, dtheta, nodes in cases:
+        for k in nodes:
+            blk = blocks.blocks_at_node(k)
+            D, T = dtheta.Delta.values[k], dtheta.Theta.values[k]
+            nodal = incentive._nodal_terms(p, *blk)
+            form = incentive._matching_form(p, nodal, D, T)
+            for L in rng.normal(size=(3, p.mL, p.mF)):
+                r, J = incentive._matching(p, L, form)
+                z, e = incentive.zeta_eta(p, L, *blk)
+                SL = p.R1t + L.T @ p.R0t @ L
+                BL = p.Bt + p.Ht @ L
+                r1 = np.linalg.solve(SL, L.T @ p.R0t @ z + BL.T @ T) - nodal[2]
+                r2 = np.linalg.solve(SL, L.T @ p.R0t @ e + BL.T @ D) - nodal[3]
+                want = np.concatenate((r1, r2), axis=-1)
+                scale = 1.0 + np.abs(want).max()
+                assert np.abs(r - want).max() <= 1e-12 * scale
+                fd = _fd_jacobian(
+                    lambda M: incentive._matching(p, M, form)[0].ravel(), L)
+                assert J.shape == fd.shape == (2 * p.mF * p.n, p.mL * p.mF)
+                assert np.abs(J - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
+
+
 def test_cc_coefficients_formula(square, square_sol, n2, n2_sol):
     for p, sol in ((square, square_sol), (n2, n2_sol)):
         blk = sol.blocks.blocks_at_node(0)
@@ -93,6 +138,19 @@ def test_square_sweep_clears_matching(square, square_sol):
         [-1.06521492, -0.82952629], abs=1e-6)
     assert inc.eta.values[0].ravel() == pytest.approx(
         [0.02186246, 0.26001047], abs=1e-6)
+
+
+def test_solvable_matching_clears_to_roundoff(square_sol, n2_sol):
+    # mL = 2n: the cleared least-squares solve is exact at every node
+    for sol in (square_sol, n2_sol):
+        assert sol.inc.newton_converged.all()
+        assert sol.inc.match_residual.max() <= 1e-13
+
+
+def test_solvable_L_independent_of_newton_tol(n2, n2_sol, monkeypatch):
+    monkeypatch.setattr(incentive, "NEWTON_TOL", 1e-13)
+    _, inc = incentive.solve_cc_incentive(n2, n2_sol.blocks)
+    assert np.abs(inc.L.values - n2_sol.inc.L.values).max() <= 1e-12
 
 
 def test_square_stored_L_is_locally_stationary(square, square_sol):
@@ -196,6 +254,26 @@ def test_benchmark_matching_is_overdetermined(table1, inc1):
     assert inc1.inc.L.values[0, 0, 0] == pytest.approx(
         -6.776679162366247, abs=1e-6)
     assert inc1.inc.match_residual[-1] <= 2e-3   # terminal node nearly clears
+
+
+def test_benchmark_newton_iters_count_every_seed_run(table1, blocks1, inc1):
+    # overdetermined: no run reaches the tolerance, so every seed runs, the
+    # cleared solution first, then the warm start L[k+1] or at T the fixed
+    # candidates, and newton_iters is the sum of their iterations
+    M = table1.grid_steps
+    fine_nodal = incentive._fine_nodal(table1, blocks1)
+    L = inc1.inc.L.values
+    for k in (M, 500, 0):
+        nodal = tuple(a[2 * k] for a in fine_nodal)
+        form = incentive._matching_form(table1, nodal,
+                                        inc1.dtheta.Delta.values[k],
+                                        inc1.dtheta.Theta.values[k])
+        seeds = [incentive._cleared_candidate(form)] + (
+            [L[k + 1]] if k < M else incentive._terminal_candidates(table1))
+        runs = [incentive._gauss_newton(table1, form, s) for s in seeds]
+        assert min(r[1] for r in runs) > (incentive.RESIDUAL_FACTOR
+                                          * incentive.NEWTON_TOL)
+        assert inc1.inc.newton_iters[k] == sum(r[2] for r in runs)
 
 
 def test_benchmark_terminal_zeta_eta(inc1):

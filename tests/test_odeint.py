@@ -8,10 +8,9 @@ from stackmfg.odeint import (ESCAPE_NORM, GridMismatch, NonFiniteRhs,
                              rk4_step)
 
 
-def scalar_problem(rhs, terminal=1.0, direction="backward"):
+def scalar_problem(rhs, terminal=1.0):
     return OdeProblem(shapes=((1, 1),), rhs=rhs,
-                      boundary=(np.array([[terminal]]),),
-                      direction=direction)
+                      boundary=(np.array([[terminal]]),))
 
 
 def test_zero_rhs_constant_trajectory():
@@ -59,14 +58,6 @@ def test_quadratic_blowup_escapes_near_closed_form():
     assert res.partial is not None
     assert res.partial_nodes[0] == pytest.approx(res.escape.t_escape)
     assert res.partial_nodes[-1] == pytest.approx(grid.T)
-
-
-def test_forward_direction():
-    prob = OdeProblem(shapes=((1, 1),), rhs=lambda t, s: [s[0]],
-                      boundary=(np.array([[1.0]]),), direction="forward")
-    res = integrate(prob, TimeGrid(1.0, 200))
-    assert res.trajectories[0].values[-1, 0, 0] == pytest.approx(np.e,
-                                                                 rel=1e-9)
 
 
 def test_exponential_residual_small():
@@ -130,10 +121,7 @@ def test_nonfinite_rhs_raises():
 def test_boundary_shape_guard():
     with pytest.raises(ValueError):
         OdeProblem(shapes=((2, 2),), rhs=lambda t, s: s,
-                   boundary=(np.zeros((1, 1)),), direction="backward")
-    with pytest.raises(ValueError):
-        OdeProblem(shapes=((1, 1),), rhs=lambda t, s: s,
-                   boundary=(np.zeros((1, 1)),), direction="sideways")
+                   boundary=(np.zeros((1, 1)),))
 
 
 def test_stacked_components_and_poststep():
@@ -149,28 +137,11 @@ def test_stacked_components_and_poststep():
 
     prob = OdeProblem(shapes=((1, 1), (2, 2)), rhs=rhs,
                       boundary=(np.array([[1.0]]), np.eye(2)),
-                      direction="backward", poststep=post)
+                      poststep=post)
     res = integrate(prob, TimeGrid(1.0, 20))
     assert res.ok
     assert np.all(res.trajectories[1].values == np.eye(2))
     assert len(calls) == 20
-
-
-def test_forward_escape_keeps_nodes_from_the_start():
-    # dk/dt = k^2 forward from k(0) = 1: k(t) = 1/(1 - t) blows up at 1
-    prob = scalar_problem(lambda t, s: [s[0] @ s[0]], direction="forward")
-    grid = TimeGrid(2.0, 1000)
-    res = integrate(prob, grid)
-    assert not res.ok
-    node = res.escape.node
-    assert 1.0 - grid.h - 1e-12 <= res.escape.t_escape <= 1.2
-    assert res.partial_nodes[0] == 0.0
-    assert res.partial_nodes[-1] == res.escape.t_escape == grid.nodes[node]
-    (part,) = res.partial
-    assert len(part) == len(res.partial_nodes) == node + 1
-    assert part[0, 0, 0] == 1.0
-    assert np.all(np.abs(part[:-1]) <= ESCAPE_NORM)
-    assert not abs(part[-1, 0, 0]) <= ESCAPE_NORM
 
 
 def test_stack_stops_once_every_member_has_escaped():
