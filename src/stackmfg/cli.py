@@ -344,8 +344,9 @@ def _incentive_stage(run: _Run):
         man.warn(f"incentive matching gap {gap:.3e} exceeds {gap_tol:.3e}")
     run.inc, run.fg = inc, fg
     run.summary["incentive"] = info
-    return {"matching_conditions": 2 * p.mF * p.n,
-            "matching_unknowns": p.mL * p.mF,
+    conditions, unknowns = incentive.matching_size(p)
+    return {"matching_conditions": conditions,
+            "matching_unknowns": unknowns,
             "newton_iters": int(inc.newton_iters.sum())}
 
 
@@ -587,6 +588,13 @@ def cmd_validate(args) -> int:
     for chk in report:
         print(f"{'ok ' if chk.passed else 'BAD'} {chk.name}  "
               f"margin={chk.margin:.3e}")
+    # informational: the incentive sweep runs whatever the counts, so this
+    # line never changes the verdict
+    conditions, unknowns = incentive.matching_size(p)
+    kind = ("overdetermined" if conditions > unknowns else
+            "square" if conditions == unknowns else "underdetermined")
+    print(f"info matching system: {conditions} conditions, "
+          f"{unknowns} unknowns ({kind})")
     print("all assumptions hold" if report.ok else "assumption violations found")
     return 0 if report.ok else 1
 

@@ -37,6 +37,7 @@ __all__ = [
     "CCCoefficients",
     "SigmaPhiPsiSolution",
     "FollowerGains",
+    "matching_size",
     "zeta_eta",
     "matching_residual",
     "cc_coefficients",
@@ -142,6 +143,12 @@ class FollowerGains:
     Gm: MatrixTrajectory
     Gx0bar: MatrixTrajectory
     Gmbar: MatrixTrajectory
+
+
+def matching_size(p: ModelParams) -> tuple[int, int]:
+    """(conditions, unknowns) of the matching system at one node: two
+    mF x n matrix conditions on the mL x mF entries of L."""
+    return 2 * p.mF * p.n, p.mL * p.mF
 
 
 def _nodal_terms(p: ModelParams, P1, Pi1, P2, Pi2):

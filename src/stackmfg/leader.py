@@ -87,16 +87,15 @@ def concavity_problem(p: ModelParams, gamma) -> OdeProblem:
     )
 
 
-def solve_concavity(p: ModelParams, gamma: float | None = None,
-                    grid: TimeGrid | None = None) -> ConcavityCertificate:
+def solve_concavity(p: ModelParams,
+                    gamma: float | None = None) -> ConcavityCertificate:
     """Backward Riccati certificate for concavity of the soft-constrained cost.
 
     Solvability over the whole horizon certifies gamma > gamma_hat; a finite
     escape reports where the certificate blows up.
     """
     g = p.gamma if gamma is None else float(gamma)
-    grid = p.grid() if grid is None else grid
-    res = integrate(concavity_problem(p, g), grid)
+    res = integrate(concavity_problem(p, g), p.grid())
     if res.ok:
         return ConcavityCertificate(g, True, res.trajectories[0], None, res)
     return ConcavityCertificate(g, False, None, res.escape, res)
@@ -116,6 +115,9 @@ class GammaHatResult:
 # not depend on it, the run time does: on the bundled config 3, 4, 5, 6 and
 # 7 took 1.06, 0.89, 0.71, 0.73 and 0.72 s (10, 8, 6, 6 and 5 passes)
 _KSECTION_DEPTH = 5
+# estimate_gamma_hat's search range
+LO_FLOOR = 1e-6
+HI_CAP = 1e6
 
 
 def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
@@ -128,21 +130,20 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
             + _midpoints(mid, hi, tol, depth - 1))
 
 
-def estimate_gamma_hat(p: ModelParams, bracket_tol: float = 1e-4,
-                       lo_floor: float = 1e-6, hi_cap: float = 1e6,
-                       grid: TimeGrid | None = None) -> GammaHatResult:
+def estimate_gamma_hat(p: ModelParams,
+                       bracket_tol: float = 1e-4) -> GammaHatResult:
     """Bisect the attenuation level on solvability of the concavity equation,
     k gammas per certificate march.
 
     The bracket is bisection's: double up from gamma=1 until solvable, halve
     down until escape, then halve the bracket until it is narrower than
-    bracket_tol.  If even lo_floor is solvable the critical level is
-    reported as 0; if hi_cap is reached without a solvable level the search
+    bracket_tol.  If even LO_FLOOR is solvable the critical level is
+    reported as 0; if HI_CAP is reached without a solvable level the search
     aborts with NotSolvableAtCap.  The gammas are probed in passes, each one
     stacked march (odeint.integrate_stack):
 
     - the opening pass: the powers of two from the first at or under
-      lo_floor up to hi_cap;
+      LO_FLOOR up to HI_CAP;
     - per bisection pass, the 2**_KSECTION_DEPTH - 1 midpoints the next
       _KSECTION_DEPTH bisection steps could visit.
 
@@ -150,7 +151,7 @@ def estimate_gamma_hat(p: ModelParams, bracket_tol: float = 1e-4,
     every verdict equal one-at-a-time bisection's bit for bit.  trace lists
     every gamma marched, once, in pass order and ascending within a pass.
     """
-    grid = p.grid() if grid is None else grid
+    grid = p.grid()
     trace = []
     known = {}
     passes = 0
@@ -168,21 +169,21 @@ def estimate_gamma_hat(p: ModelParams, bracket_tol: float = 1e-4,
                           np.nan if esc is None else esc.t_escape))
 
     ups = [1.0]
-    while 2.0 * ups[-1] <= hi_cap:
+    while 2.0 * ups[-1] <= HI_CAP:
         ups.append(2.0 * ups[-1])
     downs = [1.0]
-    while downs[-1] > lo_floor:
+    while downs[-1] > LO_FLOOR:
         downs.append(0.5 * downs[-1])
     march(downs + ups)
     hi = next((g for g in ups if known[g]), None)
     if hi is None:
-        raise NotSolvableAtCap(f"no solvable gamma found up to {hi_cap:g}")
+        raise NotSolvableAtCap(f"no solvable gamma found up to {HI_CAP:g}")
     lo = hi
     while known[lo]:
-        if lo <= lo_floor:
+        if lo <= LO_FLOOR:
             return GammaHatResult(
                 0.0, (0.0, lo), tuple(trace), passes,
-                note=f"solvable down to the floor {lo_floor:g}; "
+                note=f"solvable down to the floor {LO_FLOOR:g}; "
                      "attenuation constraint is never binding",
             )
         lo *= 0.5
@@ -343,17 +344,15 @@ def assembled_problem(p: ModelParams, gamma: float) -> OdeProblem:
     )
 
 
-def solve_block_riccati(p: ModelParams, gamma: float | None = None,
-                        grid: TimeGrid | None = None):
+def solve_block_riccati(p: ModelParams):
     """Integrate the four coupled blocks; returns the solution or an Escape.
 
     Solvability below the critical attenuation level is the caller's
     responsibility; a violation that actually destabilizes the system shows
     up here as the returned Escape.
     """
-    g = p.gamma if gamma is None else float(gamma)
-    grid = p.grid() if grid is None else grid
-    fine = grid.refined(2)
+    g, grid = p.gamma, p.grid()
+    fine = grid.refined()
     res = integrate(block_riccati_problem(p, g), fine)
     if not res.ok:
         return res.escape

@@ -61,8 +61,9 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.steps + 1)
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.T, self.steps * factor)
+    def refined(self) -> "TimeGrid":
+        """The grid with every step halved."""
+        return TimeGrid(self.T, 2 * self.steps)
 
 
 class MatrixTrajectory:

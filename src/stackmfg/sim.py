@@ -8,32 +8,41 @@ Brownian motion is scalar as in the model; each follower's noise is
 n-dimensional so that a matrix diffusion coefficient acts consistently
 (identical to the scalar setup when n = 1).
 
-One kernel steps both systems, a chunk of paths at a time: the leader,
-mean and population-average states as (chunk, n) arrays and the S stored
-followers as (chunk, S, n); the limit system is the case with no
-followers.  The average xN is stepped as one state, exactly: every
-follower's drift is linear in its own state with coefficients common to
-all followers (in incentive mode u1i = Gxi xi + gx and u0i = L u1i + zx),
-so the mean of their Euler steps is one step of xN, driven by the mean of
-their increments.  Those increments enter only as their sum over agents
-1..N, read through rng.increment_sums; S = N only for
-store_all_followers, and the stored followers read xN.  A chunk holds
-about _VECTOR_FLOATS noise floats per step, so each numpy call of the
-stepping loop works on a wide array, and is never narrower than one whose
-whole noise fits _CHUNK_FLOATS floats (2 MB); chunks run one after
-another.  The followers' sums are drawn whole.  The common noise and the
-stored followers' own rows are drawn whole when they fit that budget;
-otherwise one Philox stream stays open per (path, agent) and the noise is
-drawn in time blocks, each as many steps as fit _CHUNK_FLOATS beside the
-open generators.  A stream's blocks concatenate to its whole draw, so the
-block length changes no bit.  The kernel's matrix products bypass BLAS,
-so a path's values do not depend on the chunk size.  The two N-sweeps
-(mean-field gap and optimality-gap proxy) read one population run per N,
-and one pass over the largest population's streams gives every N's sums.
+One kernel steps both systems, a chunk of paths at a time, and every
+agent in it plays one law.  A follower in state x plays u1 = Gxi x + gx
+and u0 = L u1 + zx, with (gx, zx) linear in (x0, m); the leader plays u1l
+and u0l = L u1l + zeta x0 + eta m.  In incentive mode these are the best
+replies to the announced u0i = L u1i + zeta x0 + eta m.  The decentralized
+team strategies are the same law with Gxi = 0, L = 0, (Theta21, Theta22)
+as gx and u1l and (Theta11, Theta12) as zx; the modes differ only in the
+leader's coupling term, which reads the population average xN in team
+mode and the mean field m in incentive mode.  The leader and mean states
+are (chunk, n) arrays and the agents one (chunk, 1 + S, n) array: row 0
+is xN, rows 1..S the stored followers.  The limit system is the case with
+no agents.  xN is stepped as one state, exactly: every follower's drift is
+linear in its own state with coefficients common to all followers, so the
+mean of their Euler steps is one step of xN, driven by the mean of their
+increments.  Those increments enter only as their sum over agents 1..N,
+read through rng.increment_sums; S = N only for store_all_followers, and
+the stored followers read the field of xN.  One Euler-Maruyama step spans
+one grid interval.  A chunk holds about _VECTOR_FLOATS noise floats per
+step, so each numpy call of the stepping loop works on a wide array, and
+is never narrower than one whose whole noise fits _CHUNK_FLOATS floats
+(2 MB); chunks run one after another.  The followers' sums are drawn
+whole.  The common noise and the stored followers' own rows are drawn
+whole when they fit that budget; otherwise one Philox stream stays open
+per (path, agent) and the noise is drawn in time blocks, each as many
+steps as fit _CHUNK_FLOATS beside the open generators.  A stream's blocks
+concatenate to its whole draw, so the block length changes no bit.  The
+kernel's matrix products bypass BLAS, so a path's values do not depend
+on the chunk size.  The two N-sweeps (mean-field gap and optimality-gap
+proxy) read one population run per N, and one pass over the largest
+population's streams gives every N's sums.
 """
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,7 +91,7 @@ class NonFiniteState(Exception):
 
 @dataclass(frozen=True)
 class Work:
-    """What a simulation did: path-steps (Euler-Maruyama substeps of one
+    """What a simulation did: path-steps (Euler-Maruyama steps of one
     path), steps of individually stored followers, and (path, agent)
     noise streams read."""
 
@@ -99,18 +108,18 @@ class SimConfig:
     N: int = 100
     n_paths: int = 1
     master_seed: int = 42
-    em_substeps: int = 1
     store_followers: int = 16
     store_all_followers: bool = False
     disturbance: str = "worst"             # "worst" | "zero"
+    # Euler-Maruyama steps per grid interval; the benchmark's tracer
+    # multiplies by it
+    em_substeps: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.em_substeps < 1:
-            raise ValueError("em_substeps must be >= 1")
         if self.disturbance not in ("worst", "zero"):
             raise ValueError(f"unknown disturbance mode {self.disturbance!r}")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -206,19 +215,6 @@ class SweepReport:
     work: Work = Work()                    # of the sweep behind the report
 
 
-def _substeps(values: np.ndarray, s: int) -> np.ndarray:
-    """A node series (time on axis 0) at the M*s Euler-Maruyama substep
-    starts and then the final node, shape (M*s + 1, ...): node values as
-    they are, linear interpolation inside each interval."""
-    if s == 1:
-        return values
-    w = (np.arange(1, s) / s).reshape((1, s - 1) + (1,) * (values.ndim - 1))
-    inner = values[:-1, None] * (1.0 - w) + values[1:, None] * w
-    steps = np.concatenate([values[:-1, None], inner], axis=1)
-    return np.concatenate([steps.reshape((-1,) + values.shape[1:]),
-                           values[-1:]])
-
-
 def _apply(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """X @ A.T over the last axis.  Once the inner dimension exceeds 1, a
     BLAS product may round a row differently depending on how many rows
@@ -232,46 +228,48 @@ def _apply(X: np.ndarray, A: np.ndarray) -> np.ndarray:
 def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     N: int = 0, fgains: FollowerGains | None = None,
                     inc: IncentiveMatrices | None = None, override=None,
-                    dW0: np.ndarray | None = None,
                     wsum: np.ndarray | None = None) -> PathBundle:
     """The one Euler-Maruyama kernel: the limit system when N = 0, else
     the N-follower population (team mode, or incentive mode with fgains
     and inc).
 
-    Each chunk of paths steps at once, the leader, mean and population
-    average states as (chunk, n) arrays and the stored followers as
-    (chunk, stored, n).  Feedback is evaluated at every substep and
-    recorded at the nodes.  override = (u0, u1, v) node series (limit
-    only) replaces the feedback; dW0 replaces the common-noise streams
-    with given (paths, M*s) increments, wsum the followers' summed
-    increments with given (paths, M*s, n) sums over agents 1..N.
+    One law serves both modes (module docstring).  Each chunk of paths
+    steps at once: the leader and mean states as (chunk, n) arrays, the
+    agents as one (chunk, 1 + stored, n) array whose row 0 is xN.
+    Feedback is evaluated and recorded at the nodes, one step per grid
+    interval.  override = (u0, u1, v) node series (limit only) replaces
+    the leader's feedback; wsum replaces the followers' summed increments
+    with given (paths, M, n) sums over agents 1..N.
     """
     grid = gains.grid
-    M, s, P = grid.steps, cfg.em_substeps, cfg.n_paths
-    Q, hs = M * s, grid.h / s
+    M, P, h = grid.steps, cfg.n_paths, grid.h
     n, mL, mF, nv = p.n, p.mL, p.mF, p.nv
     seed = cfg.master_seed
     worst = cfg.disturbance == "worst"
-    incentive_mode = fgains is not None
 
-    # the feedback terms linear in (x0, m), gains stacked by rows so each
-    # state enters through one product: team (u0, u1[, v]), incentive
-    # (Gx0 x0 + Gm m, zeta x0 + eta m, u1 of the limit[, v])
-    if incentive_mode:
+    # the law's terms linear in (x0, m), gains stacked by rows so each state
+    # enters through one product: (gx, zx, u1l[, v]); team mode is the law
+    # with no own-state gain and L = 0
+    if fgains is None:
+        pairs = [(gains.Theta21, gains.Theta22),
+                 (gains.Theta11, gains.Theta12),
+                 (gains.Theta21, gains.Theta22)]
+        Gxi, L = np.zeros((M + 1, mF, n)), np.zeros((M + 1, mL, mF))
+    else:
         pairs = [(fgains.Gx0, fgains.Gm), (inc.zeta, inc.eta),
                  (fgains.Gx0bar, fgains.Gmbar)]
-        Lq = _substeps(inc.L.values, s)
-        Gxi = _substeps(fgains.Gxi.values, s)
-    else:
-        pairs = [(gains.Theta11, gains.Theta12),
-                 (gains.Theta21, gains.Theta22)]
+        Gxi, L = fgains.Gxi.values, inc.L.values
+    # the leader's drift reads the population average in team mode, the
+    # mean field in incentive mode, as in the limiting analysis
+    lead_reads_xN = N > 0 and fgains is None
     if worst:
         pairs.append((gains.Vx, gains.Vm))
-    Kx, Km = (_substeps(np.concatenate([pair[i].values for pair in pairs],
-                                       axis=1), s) for i in (0, 1))
+    Kx, Km = (np.concatenate([pair[i].values for pair in pairs], axis=1)
+              for i in (0, 1))
     cols = np.cumsum([0] + [x.values.shape[1] for x, _ in pairs])
+    zeta = slice(mF, mF + mL)
     if override is not None:
-        ov = [_substeps(np.moveaxis(arr, 1, 0), s) for arr in override]
+        ov = [np.moveaxis(arr, 1, 0) for arr in override]
     # dynamics matrices stacked by the state or control they act on
     AC = np.vstack([p.A, p.C])
     BDH = np.vstack([p.B, p.D, p.Ht])
@@ -295,84 +293,76 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     # noise fits _CHUNK_FLOATS
     width = 1 + (1 + stored) * n if N else 1
     chunk = min(P, max(1, round(_VECTOR_FLOATS / width),
-                       _CHUNK_FLOATS // (Q * width)))
-    common = dW0 is None
-    if chunk * Q * width <= _CHUNK_FLOATS:
+                       _CHUNK_FLOATS // (M * width)))
+    if chunk * M * width <= _CHUNK_FLOATS:
         # one block: each stream is read whole through one re-keyed generator
-        L, gens = Q, None
+        block, gens = M, None
     else:
         # the common and stored streams stay open from block to block; a
-        # block of L steps fits _CHUNK_FLOATS beside the open generators
-        gens = rng.pool(chunk * (common + stored))
-        L = max(1, (_CHUNK_FLOATS - len(gens) * _GENERATOR_FLOATS)
-                // (chunk * width))
+        # block fits _CHUNK_FLOATS beside the open generators
+        gens = rng.pool(chunk * (1 + stored))
+        block = max(1, (_CHUNK_FLOATS - len(gens) * _GENERATOR_FLOATS)
+                    // (chunk * width))
     recorded = ("x0", "m", "xN") if N else ("x0", "m")
     for a in range(0, P, chunk):
         b = min(a + chunk, P)
         C = b - a
-        keys0 = [(i, 0) for i in range(a, b)] if common else []
+        keys0 = [(i, 0) for i in range(a, b)]
         keysF = [(i, j) for i in range(a, b) for j in range(1, stored + 1)]
         if gens is not None:
             live = [rng.stream(seed, i, j, gen)
                     for (i, j), gen in zip(keys0 + keysF, gens)]
-            live0, liveF = live[:len(keys0)], live[len(keys0):]
+            live0, liveF = live[:C], live[C:]
         x0 = np.broadcast_to(p.xi, (C, n)).copy()
         m = np.broadcast_to(p.x0init, (C, n)).copy()
         if N:
-            # xN steps as one state, driven by the mean of the N followers'
-            # increments (module docstring)
-            xN = m.copy()
-            xi = np.broadcast_to(p.x0init, (C, stored, n)).copy()
+            # row 0 is xN, stepped as one state driven by the mean of the N
+            # followers' increments (module docstring)
+            agents = np.broadcast_to(p.x0init, (C, 1 + stored, n)).copy()
             sums = wsum[a:b] if wsum is not None else rng.increment_sums(
-                seed, range(a, b), [N], Q * n, hs).reshape(C, Q, n)
+                seed, range(a, b), [N], M * n, h).reshape(C, M, n)
             dWbar = sums / N
-        for q0 in range(0, Q, L):
-            q1 = min(q0 + L, Q)
-            if not common:
-                dW = dW0[a:b, q0:q1]
-            elif gens is None:
-                dW = rng.increments(seed, keys0, Q, hs)
+        # m and the agents are stepped in place, so the state the leader's
+        # coupling term reads is bound once per chunk
+        xl = agents[:, 0] if lead_reads_xN else m
+        for k0 in range(0, M, block):
+            k1 = min(k0 + block, M)
+            if gens is None:
+                dW = rng.increments(seed, keys0, M, h)
             else:
-                dW = rng.draw(live0, q1 - q0, hs)
+                dW = rng.draw(live0, k1 - k0, h)
             if N:
-                dWi = rng.increments(seed, keysF, Q * n, hs) if gens is None \
-                    else rng.draw(liveF, (q1 - q0) * n, hs)
-                dWi = dWi.reshape(C, stored, q1 - q0, n)
-            for q in range(q0, q1 + (q1 == Q)):
-                # u0, u1 are recorded and drive the population average; u0l,
-                # u1l and xl drive the leader and the mean state
+                dWi = rng.increments(seed, keysF, M * n, h) if gens is None \
+                    else rng.draw(liveF, (k1 - k0) * n, h)
+                dWi = dWi.reshape(C, stored, k1 - k0, n)
+            for k in range(k0, k1 + (k1 == M)):
                 if override is not None:
-                    *lin, v = (arr[q, a:b] for arr in ov)
+                    u0l, u1l, v = (arr[k, a:b] for arr in ov)
                 else:
-                    X, Mx = _apply(x0, Kx[q]), _apply(m, Km[q])
+                    X, Mx = _apply(x0, Kx[k]), _apply(m, Km[k])
                     S = X + Mx
-                    lin = [S[:, i:j] for i, j in zip(cols, cols[1:])]
-                    v = lin.pop() if worst else np.zeros((C, nv))
-                if incentive_mode:
-                    gx, zx, u1l = lin
-                    u1 = _apply(xN, Gxi[q]) + gx
-                    u0 = _apply(u1, Lq[q]) + zx
-                    u1i = _apply(xi, Gxi[q]) + gx[:, None]
-                    u0i = _apply(u1i, Lq[q]) + zx[:, None]
-                    # (L u1 + zeta x0) + eta m, summed in the model's order
-                    u0l = _apply(u1l, Lq[q]) + X[:, mF:mF + mL] \
-                        + Mx[:, mF:mF + mL]
-                    xl = m
+                    gx, zx, u1l, *vs = (S[:, i:j]
+                                        for i, j in zip(cols, cols[1:]))
+                    v = vs[0] if worst else np.zeros((C, nv))
+                    # (L u1l + zeta x0) + eta m, summed in the model's order
+                    u0l = _apply(u1l, L[k]) + X[:, zeta] + Mx[:, zeta]
+                # u0l, u1l drive the leader and the mean state, the agents'
+                # law the agents; row 0's controls are u0bar and u1bar
+                if N:
+                    u1a = _apply(agents, Gxi[k]) + gx[:, None]
+                    u0a = _apply(u1a, L[k]) + zx[:, None]
+                    u0, u1 = u0a[:, 0], u1a[:, 0]
                 else:
-                    u0, u1 = lin
-                    u0l, u1l, xl = u0, u1, xN if N else m
-                    u0i, u1i = u0[:, None], u1[:, None]
-                if q % s == 0:
-                    k = q // s
-                    for name, val in (("x0", x0), ("m", m), ("u0bar", u0),
-                                      ("u1bar", u1), ("v", v)):
-                        out[name][a:b, k] = val
-                    if N:
-                        out["xN"][a:b, k] = xN
-                        out["xi"][a:b, :, k] = xi
-                        out["u0i"][a:b, :, k] = u0i
-                        out["u1i"][a:b, :, k] = u1i
-                if q == Q:
+                    u0, u1 = u0l, u1l
+                for name, val in (("x0", x0), ("m", m), ("u0bar", u0),
+                                  ("u1bar", u1), ("v", v)):
+                    out[name][a:b, k] = val
+                if N:
+                    out["xN"][a:b, k] = agents[:, 0]
+                    out["xi"][a:b, :, k] = agents[:, 1:]
+                    out["u0i"][a:b, :, k] = u0a[:, 1:]
+                    out["u1i"][a:b, :, k] = u1a[:, 1:]
+                if k == M:
                     break
                 XA, UB, UH = _apply(x0, AC), _apply(u0l, BDH), \
                     _apply(u1l, HBt)
@@ -381,40 +371,33 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                 diff0 = XA[:, n:] + UB[:, n:2 * n]
                 dm = _apply(m, AtFt) + UH[:, n:] + UB[:, 2 * n:]
                 if N:
-                    if incentive_mode:
-                        u1_term, u0_term = _apply(u1, p.Bt), _apply(u0, p.Ht)
-                        u1i_term = _apply(u1i, p.Bt)
-                        u0i_term = _apply(u0i, p.Ht)
-                    else:
-                        u1_term, u0_term = UH[:, n:], UB[:, 2 * n:]
-                        u1i_term, u0i_term = u1_term[:, None], u0_term[:, None]
-                    field = _apply(xN, p.Ft)
-                    drift_i = _apply(xi, p.At) + u1i_term + u0i_term \
-                        + field[:, None]
-                    xi = xi + hs * drift_i + _apply(dWi[:, :, q - q0], p.Sigma)
-                    driftN = _apply(xN, p.At) + u1_term + u0_term + field
-                    xN = xN + hs * driftN + _apply(dWbar[:, q], p.Sigma)
-                x0 = x0 + hs * drift0 + diff0 * dW[:, q - q0, None]
-                m = m + hs * dm
-            # the block's recorded nodes; every stored follower reads the
-            # gains and the field that xN reads
-            k0, k1 = -(-q0 // s), M + 1 if q1 == Q else -(-q1 // s)
+                    # every agent reads the field of xN; the aggregate noise
+                    # joins row 0 and the stored followers' own the rest
+                    drift = _apply(agents, p.At) + _apply(u1a, p.Bt) \
+                        + _apply(u0a, p.Ht) + _apply(agents[:, :1], p.Ft)
+                    agents += h * drift
+                    agents[:, 0] += _apply(dWbar[:, k], p.Sigma)
+                    agents[:, 1:] += _apply(dWi[:, :, k - k0], p.Sigma)
+                x0 = x0 + h * drift0 + diff0 * dW[:, k - k0, None]
+                m += h * dm
+            # the block's recorded nodes
+            last = M + 1 if k1 == M else k1
             finite = np.logical_and.reduce(
-                [np.isfinite(out[name][a:b, k0:k1]).all(axis=(0, 2))
+                [np.isfinite(out[name][a:b, k0:last]).all(axis=(0, 2))
                  for name in recorded])
             if not finite.all():
                 raise NonFiniteState(
                     grid.nodes[k0 + int(np.argmin(finite))],
                     "population state" if N else "limit state")
 
-    work = Work(path_steps=P * Q, follower_steps=P * Q * stored,
-                streams_read=P * (common + stored + (wsum is None) * N))
+    work = Work(path_steps=P * M, follower_steps=P * M * stored,
+                streams_read=P * (1 + stored + (wsum is None) * N))
     return PathBundle(grid, cfg, follower_ids=tuple(range(1, stored + 1)),
                       work=work, **out)
 
 
 def simulate_limit(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
-                   controls_override=None, w0_increments=None) -> PathBundle:
+                   controls_override=None) -> PathBundle:
     """Euler-Maruyama paths of the limiting closed-loop pair (x0*, m*).
 
     The mean state is advanced by the same stepper with zero diffusion.
@@ -423,22 +406,16 @@ def simulate_limit(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     of a run's own recorded controls reproduces it bitwise, which anchors
     the perturbation margins at exactly zero for eps = 0.
     """
-    P, Q = cfg.n_paths, gains.grid.steps * cfg.em_substeps
-    if w0_increments is not None:
-        w0_increments = np.asarray(w0_increments, dtype=float)
-        if w0_increments.shape != (P, Q):
-            raise ValueError(f"w0_increments must have shape {(P, Q)}")
     if controls_override is not None:
         controls_override = [np.asarray(arr, dtype=float)
                              for arr in controls_override]
         for arr, d, what in zip(controls_override, (p.mL, p.mF, p.nv),
                                 ("u0", "u1", "v")):
-            want = (P, gains.grid.steps + 1, d)
+            want = (cfg.n_paths, gains.grid.steps + 1, d)
             if arr.shape != want:
                 raise ValueError(f"override {what} must have shape {want}, "
                                  f"got {arr.shape}")
-    return _euler_maruyama(p, gains, cfg, override=controls_override,
-                           dW0=w0_increments)
+    return _euler_maruyama(p, gains, cfg, override=controls_override)
 
 
 def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
@@ -449,7 +426,7 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
 
     The population average xN is stepped as one state, driven by the mean
     of the N followers' increments; only the stored followers are stepped
-    individually, each reading xN.  wsum_increments, shape (paths, M*s, n),
+    individually, each reading xN.  wsum_increments, shape (paths, M, n),
     replaces the sums of followers 1..N's increments that the run would
     read from their streams (rng.increment_sums).
 
@@ -466,7 +443,7 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     if fgains is not None and inc is None:
         raise ValueError("incentive mode needs both fgains and inc")
     if wsum_increments is not None:
-        want = (cfg.n_paths, gains.grid.steps * cfg.em_substeps, p.n)
+        want = (cfg.n_paths, gains.grid.steps, p.n)
         wsum_increments = np.asarray(wsum_increments, dtype=float)
         if wsum_increments.shape != want:
             raise ValueError(f"wsum_increments must have shape {want}")
@@ -557,10 +534,6 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     replay's difference from the baseline over eps^2, and the margins at
     the other sizes are read off a and b.
     """
-    if cfg.em_substeps != 1:
-        # replay interpolates node controls, so substeps would break the
-        # exact eps=0 anchor
-        raise ValueError("saddle_check requires em_substeps=1")
     base = simulate_limit(p, gains, cfg)
     J_base = _j0_per_path(base, p)
     const = np.ones(base.grid.steps + 1)
@@ -672,10 +645,10 @@ def _sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
     lim = simulate_limit(p, gains, cfg)
     J_lim, work = _j0_per_path(lim, p), lim.work
     del lim
-    P, Q = cfg.n_paths, gains.grid.steps * cfg.em_substeps
-    sums = rng.increment_sums(cfg.master_seed, range(P), Ns, Q * p.n,
-                              gains.grid.h / cfg.em_substeps)
-    sums = sums.reshape(P, len(Ns), Q, p.n)
+    P, M = cfg.n_paths, gains.grid.steps
+    sums = rng.increment_sums(cfg.master_seed, range(P), Ns, M * p.n,
+                              gains.grid.h)
+    sums = sums.reshape(P, len(Ns), M, p.n)
     work += Work(streams_read=P * Ns[-1])
     mf, opt = [], []
     for r, N in enumerate(Ns):

@@ -153,7 +153,7 @@ def test_criterion_12_degenerate_oracles(table1, decoupled, gains1):
     # (a) no disturbance channel: gamma-hat flags 0 and the certificate
     # obeys the plain Lyapunov equation
     pE0 = table1.with_updates(E=0.0)
-    est = leader.estimate_gamma_hat(pE0, grid=TimeGrid(10.0, 250))
+    est = leader.estimate_gamma_hat(pE0.with_updates(grid_steps=250))
     K = leader.solve_concavity(pE0, gamma=7.0).K
     At_ = pE0.A.T
     Ct_ = pE0.C.T

@@ -19,6 +19,21 @@ def test_validate_benchmark_ok(capsys):
     assert "BAD" not in out
 
 
+def test_validate_reports_matching_size(square, tmp_path, capsys):
+    # one informational line; the bundled config's overdetermined system
+    # leaves the verdict and the exit code as they are
+    assert cli.main(["validate"]) == 0
+    out = capsys.readouterr().out
+    assert ("info matching system: 2 conditions, 1 unknowns "
+            "(overdetermined)") in out
+    assert "all assumptions hold" in out
+    path = tmp_path / "square.json"
+    save_config(square, path)
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    assert ("info matching system: 2 conditions, 2 unknowns (square)"
+            in capsys.readouterr().out)
+
+
 def test_validate_rejects_broken_config(table1, tmp_path, capsys):
     bad = tmp_path / "r1zero.json"
     save_config(table1.with_updates(R1=0.0), bad)

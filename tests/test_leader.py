@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackmfg import leader
-from stackmfg.model import ModelParams, TimeGrid
+from stackmfg.model import ModelParams
 from stackmfg.odeint import integrate_stack, residual
 
 
@@ -88,23 +88,23 @@ def test_gamma_hat_monotone_in_state_weights(table1):
 def test_gamma_hat_probes_each_gamma_once(table1):
     # the halving opens on the doubling's last two gammas without probing
     # them again, also when the search runs down to the floor
-    grid = TimeGrid(table1.T, 125)
     for p in (table1, table1.with_updates(E=0.0)):
-        res = leader.estimate_gamma_hat(p, bracket_tol=0.5, grid=grid)
+        res = leader.estimate_gamma_hat(p.with_updates(grid_steps=125),
+                                        bracket_tol=0.5)
         probed = [g for g, _, _ in res.trace]
         assert len(probed) == len(set(probed))
 
 
-def _bisection(p, bracket_tol=1e-4, lo_floor=1e-6, hi_cap=1e6, grid=None):
+def _bisection(p, bracket_tol=1e-4):
     """Plain bisection, one solve_concavity per probe: the reference the
     stacked k-section must reproduce.  Returns (gamma_hat, bracket,
     {gamma: (solvable, t_escape or None)})."""
-    grid = p.grid() if grid is None else grid
+    lo_floor, hi_cap = leader.LO_FLOOR, leader.HI_CAP
     probes = {}
 
     def probe(g):
         if g not in probes:
-            cert = leader.solve_concavity(p, g, grid)
+            cert = leader.solve_concavity(p, g)
             probes[g] = (cert.solvable, cert.t_escape)
         return probes[g][0]
 
@@ -146,22 +146,28 @@ def _assert_matches_bisection(p, **kw):
 
 
 def test_gamma_hat_ksection_matches_bisection(table1, n2, monkeypatch):
-    grid = TimeGrid(table1.T, 125)
-    cases = ((table1, dict(grid=grid)),
+    t125 = table1.with_updates(grid_steps=125)
+    floor = leader.LO_FLOOR
+    cases = ((t125, floor),
              # gamma_hat below 1; the powers below 1 reach gamma**-2 = 2**80,
              # which overflows within a step and must not warn
-             (n2, dict(lo_floor=1e-12)),
-             (table1.with_updates(E=0.0), dict(grid=grid)))   # the floor
-    hopeless = table1.with_updates(Q=table1.Q * 100.0, G=table1.G * 100.0)
+             (n2, 1e-12),
+             (t125.with_updates(E=0.0), floor))                 # the floor
+    hopeless = t125.with_updates(Q=t125.Q * 100.0, G=t125.G * 100.0)
     with pytest.raises(leader.NotSolvableAtCap):
-        _bisection(hopeless, grid=grid)
+        _bisection(hopeless)
+
+    def matches(p, lo_floor):
+        monkeypatch.setattr(leader, "LO_FLOOR", lo_floor)
+        return _assert_matches_bisection(p)
+
     results = []
     for depth in (1, 3):
         monkeypatch.setattr(leader, "_KSECTION_DEPTH", depth)
-        results.append([_assert_matches_bisection(p, **kw)
-                        for p, kw in cases])
+        results.append([matches(p, lo_floor) for p, lo_floor in cases])
+        monkeypatch.setattr(leader, "LO_FLOOR", floor)
         with pytest.raises(leader.NotSolvableAtCap):
-            leader.estimate_gamma_hat(hopeless, grid=grid)
+            leader.estimate_gamma_hat(hopeless)
     for one, three in zip(*results):
         assert (one.gamma_hat, one.bracket) == (three.gamma_hat, three.bracket)
         assert one.passes >= three.passes
@@ -173,7 +179,8 @@ def test_stack_member_escaping_early_leaves_the_others_unchanged(table1, n2):
     # numpy's array power rounds 2340**-2 and 2.9**-2 differently from
     # Python's, which a member's gamma**-2 must follow
     for p, gammas in ((table1, [1.0, 2340.0, 1e4]), (n2, [0.01, 0.5, 2.9])):
-        grid = TimeGrid(p.T, 125)
+        p = p.with_updates(grid_steps=125)
+        grid = p.grid()
         prob = leader.concavity_problem(p, gammas)
         seen = []
 
@@ -184,12 +191,12 @@ def test_stack_member_escaping_early_leaves_the_others_unchanged(table1, n2):
 
         escapes = integrate_stack(
             dataclasses.replace(prob, poststep=poststep), grid)
-        first = leader.solve_concavity(p, gammas[0], grid)
+        first = leader.solve_concavity(p, gammas[0])
         assert escapes[0] == first.escape
         assert grid.steps // 2 < escapes[0].node < grid.steps
         seen = np.array(seen[::-1])
         for i, g in enumerate(gammas[1:], start=1):
-            alone = leader.solve_concavity(p, g, grid)
+            alone = leader.solve_concavity(p, g)
             assert alone.solvable and escapes[i] is None
             assert np.array_equal(seen[:, i], alone.K.values[:-1])
 
@@ -228,8 +235,8 @@ def test_gamma_hat_not_solvable_at_cap(table1):
 
 
 def test_gamma_hat_zero_without_disturbance_channel(table1):
-    res = leader.estimate_gamma_hat(table1.with_updates(E=0.0),
-                                    grid=TimeGrid(10.0, 250))
+    res = leader.estimate_gamma_hat(
+        table1.with_updates(E=0.0, grid_steps=250))
     assert res.gamma_hat == 0.0
     assert "never binding" in res.note
 

@@ -1,10 +1,12 @@
-"""Names that outside code reaches the package by: the public API and the
-layer functions the benchmark's tracer wraps (bench/tracing.py)."""
+"""Names that outside code reaches the package by: the public API, the
+layer functions the benchmark's tracer wraps (bench/tracing.py) and the
+SimConfig attributes it reads."""
 import ast
 import importlib
 from pathlib import Path
 
 import stackmfg
+from stackmfg.sim import SimConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,3 +32,15 @@ def test_traced_boundaries_resolve():
                if not callable(getattr(
                    importlib.import_module(f"stackmfg.{layer}"), fn, None))]
     assert missing == []
+
+
+def test_traced_simconfig_attributes_resolve():
+    # the tracer reads cfg.<name> off the SimConfig passed to the simulation
+    # layers, and counts grid steps times em_substeps as path-steps
+    read = {node.attr for node in ast.walk(ast.parse(TRACING.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    read |= {"N", "n_paths", "master_seed", "disturbance", "em_substeps"}
+    cfg = SimConfig()
+    assert [n for n in sorted(read) if not hasattr(cfg, n)] == []
+    assert cfg.em_substeps == 1

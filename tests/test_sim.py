@@ -6,23 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stackmfg import leader, rng, sim
+from stackmfg import incentive, leader, rng, sim
+from stackmfg.model import MatrixTrajectory
 from stackmfg.sim import SimConfig
 
 
 # ------------------------------------------------------------- validation
 
 def test_simconfig_validation():
-    for bad in (dict(N=0), dict(n_paths=0), dict(em_substeps=0),
-                dict(disturbance="bang"), dict(master_seed=-1)):
+    for bad in (dict(N=0), dict(n_paths=0), dict(disturbance="bang"),
+                dict(master_seed=-1)):
         with pytest.raises(ValueError):
             SimConfig(**bad)
-
-
-def test_saddle_requires_unit_substeps(table1, gains1):
-    with pytest.raises(ValueError):
-        sim.saddle_check(table1, gains1,
-                         SimConfig(n_paths=4, em_substeps=2))
 
 
 def test_sweep_input_validation(table1, gains1):
@@ -40,12 +35,6 @@ def test_override_shape_guard(table1, gains1):
         sim.simulate_limit(table1, gains1, cfg,
                            controls_override=(good.u0bar[:, :-1],
                                               good.u1bar, good.v))
-
-
-def test_w0_increment_shape_guard(table1, gains1):
-    with pytest.raises(ValueError, match="w0_increments"):
-        sim.simulate_limit(table1, gains1, SimConfig(n_paths=2),
-                           w0_increments=np.zeros((2, 10)))
 
 
 def test_incentive_mode_needs_matrices(square, square_sol):
@@ -187,27 +176,6 @@ def test_zero_start_stays_at_zero(table1, gains1):
     assert rep.V0 is None
 
 
-def test_strong_self_convergence_in_substeps(table1, gains1):
-    # one fine Brownian path per sample, aggregated to coarser substep
-    # counts: endpoint errors against s=16 should drop at about order 1
-    M, P, s_ref = table1.grid_steps, 64, 16
-    fine = np.empty((P, M * s_ref))
-    for i in range(P):
-        fine[i] = rng.normals(123, i, 0, M * s_ref)
-    fine *= np.sqrt(table1.grid().h / s_ref)
-
-    def run(s):
-        agg = fine.reshape(P, M * s, s_ref // s).sum(axis=2)
-        cfg = SimConfig(n_paths=P, master_seed=123, em_substeps=s)
-        return sim.simulate_limit(table1, gains1, cfg, w0_increments=agg)
-
-    ref = run(s_ref)
-    errs = {s: float(np.mean(np.abs(run(s).x0[:, -1] - ref.x0[:, -1])))
-            for s in (1, 2, 4)}
-    assert errs[1] > errs[2] > errs[4] > 0.0
-    assert 2.0 <= errs[1] / errs[4] <= 12.0
-
-
 # ------------------------------------------------------------- population
 
 def test_sigma_zero_single_follower_collapses(table1, gains1):
@@ -300,7 +268,7 @@ _BUNDLE_FIELDS = ("x0", "m", "u0bar", "u1bar", "v", "xN", "xi", "u0i", "u1i")
 def _population_layouts(monkeypatch, p, gains, cfg, per_chunk, **modes):
     """The same population run with the default chunk size and over chunks
     of per_chunk paths."""
-    floats = p.grid_steps * cfg.em_substeps * (1 + cfg.N * p.n) * per_chunk
+    floats = p.grid_steps * (1 + cfg.N * p.n) * per_chunk
     runs = [sim.simulate_population(p, gains, cfg, **modes)]
     with monkeypatch.context() as mp:
         mp.setattr(sim, "_CHUNK_FLOATS", floats)
@@ -313,6 +281,34 @@ def _assert_bitwise(runs):
         for other in runs[1:]:
             assert np.array_equal(getattr(runs[0], name),
                                   getattr(other, name)), name
+
+
+def test_team_mode_is_the_incentive_law_with_zero_gains(table1, gains1, n2,
+                                                        n2_sol):
+    # team mode is the incentive law with no own-state gain and L = 0, the
+    # leader's per-follower gains as the followers' and its own as zeta and
+    # eta; with F = 0 the leader's coupling term, the one place the modes
+    # differ, vanishes and every recorded series agrees bitwise
+    for p, gains in ((table1, gains1), (n2, n2_sol.gains)):
+        p = p.with_updates(F=np.zeros((p.n, p.n)))
+        grid, M = gains.grid, gains.grid.steps
+
+        def zero(rows, cols):
+            return MatrixTrajectory(grid, np.zeros((M + 1, rows, cols)))
+
+        fg = incentive.FollowerGains(
+            grid, Gxi=zero(p.mF, p.n), Gx0=gains.Theta21, Gm=gains.Theta22,
+            Gx0bar=gains.Theta21, Gmbar=gains.Theta22)
+        inc = incentive.IncentiveMatrices(
+            grid, L=zero(p.mL, p.mF), zeta=gains.Theta11, eta=gains.Theta12,
+            match_residual=np.zeros(M + 1),
+            newton_iters=np.zeros(M + 1, dtype=int),
+            newton_converged=np.ones(M + 1, dtype=bool))
+        cfg = SimConfig(N=6, n_paths=3, master_seed=5, store_followers=3)
+        runs = [sim.simulate_population(p, gains, cfg),
+                sim.simulate_population(p, gains, cfg, fgains=fg, inc=inc)]
+        assert runs[0].xi.shape[1] == 3
+        _assert_bitwise(runs)
 
 
 def test_population_independent_of_threads_and_chunks(table1, gains1,
@@ -383,19 +379,15 @@ def test_nonfinite_state_names_first_bad_node(table1, gains1, fg1, inc1, n2,
 
 
 def test_paths_independent_of_noise_blocks(n2, n2_sol, monkeypatch):
-    # two substeps per interval put block edges off the nodes; noise blocks
-    # of the whole horizon, 7 steps and 1 step, the last also over chunks
-    # of 1 and of 2 paths
+    # noise blocks of the whole horizon, 7 steps and 1 step, the last also
+    # over chunks of 1 and of 2 paths
     p, gains = n2, n2_sol.gains
-    cfg = SimConfig(N=8, n_paths=5, master_seed=6, em_substeps=2,
-                    store_all_followers=True)
+    cfg = SimConfig(N=8, n_paths=5, master_seed=6, store_all_followers=True)
     C, width = cfg.n_paths, 1 + cfg.N * p.n
     seven = sim._GENERATOR_FLOATS * C * (1 + cfg.N) + 7 * C * width
     layouts = ((sim._CHUNK_FLOATS, sim._VECTOR_FLOATS),
                (seven, sim._VECTOR_FLOATS), (1, sim._VECTOR_FLOATS),
                (1, 1), (1, 2 * width))
-    w0 = np.random.default_rng(1).normal(
-        scale=0.1, size=(C, p.grid_steps * cfg.em_substeps))
 
     def layout_runs(run):
         runs = []
@@ -409,13 +401,11 @@ def test_paths_independent_of_noise_blocks(n2, n2_sol, monkeypatch):
     for modes in ({}, {"fgains": n2_sol.fg, "inc": n2_sol.inc}):
         _assert_bitwise(layout_runs(
             lambda: sim.simulate_population(p, gains, cfg, **modes)))
-    for w0_increments in (None, w0):
-        runs = layout_runs(lambda: sim.simulate_limit(
-            p, gains, cfg, w0_increments=w0_increments))
-        for name in ("x0", "m", "u0bar", "u1bar", "v"):
-            for other in runs[1:]:
-                assert np.array_equal(getattr(runs[0], name),
-                                      getattr(other, name)), name
+    runs = layout_runs(lambda: sim.simulate_limit(p, gains, cfg))
+    for name in ("x0", "m", "u0bar", "u1bar", "v"):
+        for other in runs[1:]:
+            assert np.array_equal(getattr(runs[0], name),
+                                  getattr(other, name)), name
 
 
 def test_incentive_match_values(gains1, fg1, inc1, square_sol):
