@@ -14,14 +14,17 @@ them.
 
 Both sweeps step with odeint.rk4_step, sampling the closed-loop
 coefficients once at each of the three distinct nodes of a step on the
-block solution's doubled grid.  The matching conditions, zeta/eta, the
-closed-loop coefficients and the follower gains share the leader's gain
-algebra (leader._gain_terms); its L-free parts are solved once per sweep,
-for every node of the doubled grid at once.
+block solution's doubled grid.  The (L, Delta, Theta) sweep solves L as
+it goes, so it forms each step's coefficients in turn; the chain pass
+runs with L known and forms every step's at once.  The matching
+conditions, zeta/eta, the closed-loop coefficients and the follower
+gains share the leader's gain algebra (leader._gain_terms); its L-free
+parts are solved once per sweep, for every node of the doubled grid at
+once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -238,7 +241,7 @@ def _cc(p: ModelParams, gamma: float, L, nodal, P1, Pi1) -> CCCoefficients:
     DL = p.D @ L
     LtR0z = np.linalg.solve(SL, LtR0 @ zeta)
     LtR0e = np.linalg.solve(SL, LtR0 @ eta)
-    SLBL = np.linalg.solve(SL, BL.T)
+    SLBL = np.linalg.solve(SL, np.swapaxes(BL, -1, -2))
     A1 = p.At + p.Ft + p.Ht @ eta - BL @ LtR0e
     B1 = p.Ht @ zeta - BL @ LtR0z
     H1 = -BL @ SLBL
@@ -370,6 +373,22 @@ def _cc_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L, k: int):
                  for j in (2 * k, 2 * k - 1, 2 * k - 2))
 
 
+def _chain_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L):
+    """_cc_stages of every backward step at once, for the known L: the
+    CCCoefficients fields as (M, 3, ...) arrays, where [k - 1, j] is stage
+    j of the step from node k, L[k] at fine node 2k - j.  One _cc over
+    that stack of nodes rounds each stage as _cc_stages does, since
+    broadcasting @ and solve take every matrix of a stack alone."""
+    M = len(L) - 1
+    fine = 2 * np.arange(1, M + 1)[:, None] - np.arange(3)
+    L3 = np.ascontiguousarray(np.broadcast_to(L[1:, None],
+                                              (M, 3) + L.shape[1:]))
+    cc = _cc(p, blocks.gamma, L3, tuple(a[fine] for a in fine_nodal),
+             blocks.fine_P1[fine], blocks.fine_Pi1[fine])
+    # contiguous fields: the rhs reads each stage's matrices many times
+    return [np.ascontiguousarray(getattr(cc, f.name)) for f in fields(cc)]
+
+
 def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     """Backward sweep for (L, Delta, Theta) along the leader's block solution.
 
@@ -497,7 +516,7 @@ def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
         dDe, dTh = _delta_theta_rhs(p, cc, De, Th)
         return [dSg, dPh, dPs, dDe, dTh]
 
-    fine_nodal = _fine_nodal(p, blocks)
+    stages = _chain_stages(p, blocks, _fine_nodal(p, blocks), inc.L.values)
     th_gap = 0.0
     sp_gap = 0.0
     for k in range(M, -1, -1):
@@ -511,8 +530,8 @@ def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
         sp_gap = max(sp_gap, g1, g2)
         if k == 0:
             break
-        state = rk4_step(rhs, state, -h, _cc_stages(
-            p, blocks, fine_nodal, inc.L.values[k], k))
+        state = rk4_step(rhs, state, -h, [
+            CCCoefficients(*(a[k - 1, j] for a in stages)) for j in range(3)])
 
     # th_gap compares the co-integrated Psi against the co-integrated Theta;
     # sp_gap additionally ties both back to the stored coupled sweep

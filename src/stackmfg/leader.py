@@ -285,8 +285,8 @@ def block_riccati_problem(p: ModelParams, gamma: float) -> OdeProblem:
         W = P1 @ p.H + Pi1 @ p.Bt
         U2 = P2 @ p.B + Pi2 @ p.Ht
         W2 = P2 @ p.H + Pi2 @ p.Bt
-        SiVV2 = np.linalg.solve(S0, np.concatenate((V, V2), axis=1))
-        SiV, SiV2 = SiVV2[:, :n], SiVV2[:, n:]
+        SiVV2 = np.linalg.solve(S0, np.concatenate((V, V2), axis=-1))
+        SiV, SiV2 = SiVV2[..., :n], SiVV2[..., n:]
         RiX = R1inv @ X
         RiX2 = R1inv @ X2
         P1E = g2 * (P1 @ ERi)

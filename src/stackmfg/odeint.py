@@ -8,7 +8,7 @@ One node loop, _march, steps and escape-tests for both integrate, which
 stores the run, and integrate_stack, which marches a stack of such problems
 at once and reports only where each escapes.  The residual diagnostic
 differentiates a stored trajectory with fourth-order finite differences and
-compares against the right-hand side at the nodes.
+compares against the right-hand side at all interior nodes at once.
 """
 from __future__ import annotations
 
@@ -53,9 +53,12 @@ class GridMismatch(Exception):
 class OdeProblem:
     """Stacked matrix ODE d/dt [X1,...,Xk] = rhs(t, [X1,...,Xk]).
 
-    boundary holds the terminal values: every problem here is marched
-    backward from T.  poststep, if given, is applied to the state after
-    every accepted step; the Riccati solvers use it to re-symmetrize.
+    rhs takes one node's components or stacks of them along a leading
+    axis: residual calls it once on every interior node, with t shaped
+    (nodes, 1, 1).  boundary holds the terminal values: every problem
+    here is marched backward from T.  poststep, if given, is applied to
+    the state after every accepted step; the Riccati solvers use it to
+    re-symmetrize.
     """
 
     shapes: tuple[tuple[int, int], ...]
@@ -230,19 +233,22 @@ _LEFT = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0      # offsets -1..3
 _RIGHT = np.array([-1.0, 6.0, -18.0, 10.0, 3.0]) / 12.0      # offsets -3..1
 
 
-def _fd_derivative(values: np.ndarray, k: int, M: int, h: float) -> np.ndarray:
-    if 2 <= k <= M - 2:
-        w, off = _CENTER, range(k - 2, k + 3)
-    elif k == 1:
-        w, off = _LEFT, range(0, 5)
-    elif k == M - 1:
-        w, off = _RIGHT, range(M - 4, M + 1)
-    else:
-        raise ValueError("derivative stencil only defined at interior nodes")
-    out = np.zeros_like(values[k])
-    for c, j in zip(w, off):
-        out += c * values[j]
-    return out / h
+def _stencil(weights, rows) -> np.ndarray:
+    """sum of weights[i] * rows[i], added in order from zero."""
+    out = np.zeros_like(rows[0])
+    for c, x in zip(weights, rows):
+        out += c * x
+    return out
+
+
+def _fd_derivatives(values: np.ndarray, M: int, h: float) -> np.ndarray:
+    """Fourth-order first derivative at the interior nodes 1..M-1: the
+    biased stencils at nodes 1 and M-1, the symmetric one at the nodes
+    between, each as one slice over those nodes."""
+    mid = _stencil(_CENTER, [values[2 + off:M - 1 + off]
+                             for off in range(-2, 3)])
+    return np.concatenate([_stencil(_LEFT, values[:5])[None], mid,
+                           _stencil(_RIGHT, values[M - 4:])[None]]) / h
 
 
 def residual(trajectories: Sequence[MatrixTrajectory], problem: OdeProblem,
@@ -251,7 +257,10 @@ def residual(trajectories: Sequence[MatrixTrajectory], problem: OdeProblem,
 
     D_h is a fourth-order finite difference so that the diagnostic measures
     equation error rather than the second-order noise of a plain centered
-    difference; a corrupted node still shows up at O(1/h).
+    difference; a corrupted node still shows up at O(1/h).  The rhs is
+    called once, on the stack of interior nodes, with their times shaped
+    to broadcast against it; an output that does not depend on the state
+    may come back as one node's value.
     """
     if len(trajectories) != len(problem.shapes):
         raise GridMismatch("trajectory count does not match problem")
@@ -261,17 +270,14 @@ def residual(trajectories: Sequence[MatrixTrajectory], problem: OdeProblem,
     M = grid.steps
     if M < 4:
         raise GridMismatch("residual needs at least 4 grid steps")
-    nodes = grid.nodes
-    worst = 0.0
-    for k in range(1, M):
-        state = [tr.values[k] for tr in trajectories]
-        f = [np.asarray(a, dtype=float) for a in problem.rhs(nodes[k], state)]
-        num = 0.0
-        den = 0.0
-        for tr, fk in zip(trajectories, f):
-            d = _fd_derivative(tr.values, k, M, grid.h)
-            num += float(np.sum((d - fk) ** 2))
-            den += float(np.sum(fk * fk))
-        r = np.sqrt(num) / (1.0 + np.sqrt(den))
-        worst = max(worst, r)
-    return worst
+    f = problem.rhs(grid.nodes[1:M, None, None],
+                    [tr.values[1:M] for tr in trajectories])
+    num = den = 0.0
+    for tr, fk in zip(trajectories, f):
+        fk = np.broadcast_to(np.asarray(fk, dtype=float), tr.values[1:M].shape)
+        d = _fd_derivatives(tr.values, M, grid.h)
+        num = num + np.sum(((d - fk) ** 2).reshape(M - 1, -1), axis=1)
+        den = den + np.sum((fk * fk).reshape(M - 1, -1), axis=1)
+    r = np.sqrt(num) / (1.0 + np.sqrt(den))
+    # fmax skips the nodes whose residual is NaN
+    return float(np.fmax.reduce(r, initial=0.0))

@@ -27,6 +27,11 @@ _U64 = (1 << 64) - 1
 # read-only: every re-keyed generator is handed this one array
 _ZEROS = np.zeros(4, dtype=np.uint64)
 _ZEROS.flags.writeable = False
+# the state every re-key sets, built once: stream() changes only its key,
+# and the bit generator copies what it reads from it.  So stream() with a
+# generator is for one thread at a time, as the package calls it
+_STATE = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": None},
+          "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 # increment_sums() draws this many floats of rows before it adds them up
 _SUM_BLOCK_FLOATS = 1 << 16
 
@@ -45,11 +50,8 @@ def stream(master_seed: int, path: int, agent: int,
     if gen is None:
         return np.random.Generator(
             np.random.Philox(key=np.array(key, dtype=np.uint64)))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    _STATE["state"]["key"] = key
+    gen.bit_generator.state = _STATE
     return gen
 
 

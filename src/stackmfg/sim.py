@@ -1,11 +1,11 @@
 """Monte Carlo simulation of the limiting closed loop and the N-follower
 population, cost evaluation, and the statistical checks built on them.
 
-Conventions: states are row vectors, Euler-Maruyama with left-endpoint
-controls, all randomness drawn from counter-based streams keyed by
-(master_seed, path, agent) with agent 0 the common noise.  The leader's
-Brownian motion is scalar as in the model; each follower's noise is
-n-dimensional so that a matrix diffusion coefficient acts consistently
+Conventions: recorded states are row vectors, Euler-Maruyama with
+left-endpoint controls, all randomness drawn from counter-based streams
+keyed by (master_seed, path, agent) with agent 0 the common noise.  The
+leader's Brownian motion is scalar as in the model; each follower's noise
+is n-dimensional so that a matrix diffusion coefficient acts consistently
 (identical to the scalar setup when n = 1).
 
 One kernel steps both systems, a chunk of paths at a time, and every
@@ -16,28 +16,46 @@ replies to the announced u0i = L u1i + zeta x0 + eta m.  The decentralized
 team strategies are the same law with Gxi = 0, L = 0, (Theta21, Theta22)
 as gx and u1l and (Theta11, Theta12) as zx; the modes differ only in the
 leader's coupling term, which reads the population average xN in team
-mode and the mean field m in incentive mode.  The leader and mean states
-are (chunk, n) arrays and the agents one (chunk, 1 + S, n) array: row 0
-is xN, rows 1..S the stored followers.  The limit system is the case with
-no agents.  xN is stepped as one state, exactly: every follower's drift is
-linear in its own state with coefficients common to all followers, so the
-mean of their Euler steps is one step of xN, driven by the mean of their
-increments.  Those increments enter only as their sum over agents 1..N,
-read through rng.increment_sums; S = N only for store_all_followers, and
-the stored followers read the field of xN.  One Euler-Maruyama step spans
-one grid interval.  A chunk holds about _VECTOR_FLOATS noise floats per
-step, so each numpy call of the stepping loop works on a wide array, and
-is never narrower than one whose whole noise fits _CHUNK_FLOATS floats
-(2 MB); chunks run one after another.  The followers' sums are drawn
-whole.  The common noise and the stored followers' own rows are drawn
-whole when they fit that budget; otherwise one Philox stream stays open
-per (path, agent) and the noise is drawn in time blocks, each as many
-steps as fit _CHUNK_FLOATS beside the open generators.  A stream's blocks
-concatenate to its whole draw, so the block length changes no bit.  The
-kernel's matrix products bypass BLAS, so a path's values do not depend
-on the chunk size.  The two N-sweeps (mean-field gap and optimality-gap
-proxy) read one population run per N, and one pass over the largest
-population's streams gives every N's sums.
+mode and the mean field m in incentive mode.  The agents are xN and the
+S stored followers; the limit system is the case with no agents.  xN is
+stepped as one state, exactly: every follower's drift is linear in its
+own state with coefficients common to all followers, so the mean of their
+Euler steps is one step of xN, driven by the mean of their increments.
+Those increments enter only as their sum over agents 1..N, read through
+rng.increment_sums; S = N only for store_all_followers, and the stored
+followers read the field of xN.
+
+A chunk is held component-major, with the path axis innermost: the
+leader's and the mean's components are the rows of one (rows, chunk)
+array, and the agents' the rows of one (rows, 1 + S, chunk) array whose
+agent 0 is xN.  A node's step is then two products.  The law's stacked
+per-node gains give the controls: one product on (x0, m) gives the
+leader's (with L folded into its u0 gains) and the followers' terms gx
+and zx, then Gxi and L give the agents'.  One fixed dynamics matrix
+acting on [x0, m, xl, v, u0, u1] gives the leader's drift, the mean's
+drift and the leader's diffusion coefficient, and [At, Bt, Ht] with
+Ft xN the agents' drift.  A replay
+feeds its override controls into the same dynamics product, so replaying
+the recorded controls is bitwise.  Each product is a sequential sum: one
+elementwise multiply forms its terms, which are added in a fixed order.
+A BLAS product may round a row differently with the number of rows, and
+einsum changes its summation order when a chunk holds one path, so either
+would make a path's values depend on its chunk; an elementwise sum does
+not.  The recorded series keep the (paths, M+1, dim) layout and are
+written node by node.
+
+One Euler-Maruyama step spans one grid interval.  A chunk holds about
+_VECTOR_FLOATS noise floats per step, so each numpy call of the stepping
+loop works on a wide array, and is never narrower than one whose whole
+noise fits _CHUNK_FLOATS floats (2 MB); chunks run one after another.
+The followers' sums are drawn whole.  The common noise and the stored
+followers' own rows are drawn whole when they fit that budget; otherwise
+one Philox stream stays open per (path, agent) and the noise is drawn in
+time blocks, each as many steps as fit _CHUNK_FLOATS beside the open
+generators.  A stream's blocks concatenate to its whole draw, so the
+block length changes no bit.  The two N-sweeps (mean-field gap and
+optimality-gap proxy) read one population run per N, and one pass over
+the largest population's streams gives every N's sums.
 """
 from __future__ import annotations
 
@@ -215,14 +233,39 @@ class SweepReport:
     work: Work = Work()                    # of the sweep behind the report
 
 
-def _apply(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """X @ A.T over the last axis.  Once the inner dimension exceeds 1, a
-    BLAS product may round a row differently depending on how many rows
-    share the call; einsum does not, so a path's values do not depend on
-    the chunk it is stepped in."""
-    if A.shape[1] == 1:
-        return X * A[:, 0]
-    return np.einsum("...j,kj->...k", X, A)
+def _mac(out: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out = sum over j of cols[j] * rows[j], added in the order of j.
+
+    The kernel's matrix product with the path axis innermost: cols holds
+    a matrix's columns, each (k, 1) or (k, 1, 1), and rows the components
+    it acts on, each a row of paths, (C,) or (A, C).  One multiply forms
+    every term and the terms are then added one after another, elementwise,
+    so a path's value does not depend on how many paths share the call.
+    BLAS may round a row differently with the row count, and einsum and
+    numpy's reductions change their summation order when the path axis has
+    length 1."""
+    if len(cols) == 1:
+        return np.multiply(cols[0], rows[0], out=out)
+    terms = cols * rows[:, None]
+    np.add(terms[0], terms[1], out=out)
+    for t in terms[2:]:
+        out += t
+    return out
+
+
+def _columns(mats: np.ndarray, lead: int = 1) -> np.ndarray:
+    """A (..., k, j) stack of matrices as its columns, (..., j, k) and lead
+    trailing unit axes, contiguous: the cols of _mac."""
+    cols = np.ascontiguousarray(np.swapaxes(mats, -1, -2))
+    return cols.reshape(cols.shape + (1,) * lead)
+
+
+def _record(node: np.ndarray, val: np.ndarray) -> None:
+    """Write a component-major value, (d, ...paths), into one node of a
+    recorded series, (...paths, d), a component at a time: each strided
+    write then reads one contiguous row."""
+    for j, row in enumerate(val):
+        node[..., j] = row.T
 
 
 def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
@@ -234,12 +277,13 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     and inc).
 
     One law serves both modes (module docstring).  Each chunk of paths
-    steps at once: the leader and mean states as (chunk, n) arrays, the
-    agents as one (chunk, 1 + stored, n) array whose row 0 is xN.
-    Feedback is evaluated and recorded at the nodes, one step per grid
-    interval.  override = (u0, u1, v) node series (limit only) replaces
-    the leader's feedback; wsum replaces the followers' summed increments
-    with given (paths, M, n) sums over agents 1..N.
+    steps at once, component-major with the path axis innermost: the
+    leader's and mean's components are the rows of one (rows, chunk)
+    array w, the agents' the rows of one (rows, 1 + stored, chunk) array
+    whose agent 0 is xN.  Feedback is evaluated and recorded at the nodes,
+    one step per grid interval.  override = (u0, u1, v) node series (limit
+    only) replaces the leader's feedback; wsum replaces the followers'
+    summed increments with given (paths, M, n) sums over agents 1..N.
     """
     grid = gains.grid
     M, P, h = grid.steps, cfg.n_paths, grid.h
@@ -247,34 +291,54 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     seed = cfg.master_seed
     worst = cfg.disturbance == "worst"
 
-    # the law's terms linear in (x0, m), gains stacked by rows so each state
-    # enters through one product: (gx, zx, u1l[, v]); team mode is the law
-    # with no own-state gain and L = 0
+    # the law: team mode is the incentive form with no own-state gain and
+    # L = 0
     if fgains is None:
-        pairs = [(gains.Theta21, gains.Theta22),
+        pairs = ((gains.Theta21, gains.Theta22),
                  (gains.Theta11, gains.Theta12),
-                 (gains.Theta21, gains.Theta22)]
+                 (gains.Theta21, gains.Theta22))
         Gxi, L = np.zeros((M + 1, mF, n)), np.zeros((M + 1, mL, mF))
     else:
-        pairs = [(fgains.Gx0, fgains.Gm), (inc.zeta, inc.eta),
-                 (fgains.Gx0bar, fgains.Gmbar)]
+        pairs = ((fgains.Gx0bar, fgains.Gmbar), (inc.zeta, inc.eta),
+                 (fgains.Gx0, fgains.Gm))
         Gxi, L = fgains.Gxi.values, inc.L.values
+    # the gains on z = [x0; m] of the leader's u1 and the followers' zx
+    # and gx
+    u1l, zx, gx = (np.concatenate([x.values, y.values], axis=2)
+                   for x, y in pairs)
     # the leader's drift reads the population average in team mode, the
     # mean field in incentive mode, as in the limiting analysis
     lead_reads_xN = N > 0 and fgains is None
-    if worst:
-        pairs.append((gains.Vx, gains.Vm))
-    Kx, Km = (np.concatenate([pair[i].values for pair in pairs], axis=1)
-              for i in (0, 1))
-    cols = np.cumsum([0] + [x.values.shape[1] for x, _ in pairs])
-    zeta = slice(mF, mF + mL)
-    if override is not None:
-        ov = [np.moveaxis(arr, 1, 0) for arr in override]
-    # dynamics matrices stacked by the state or control they act on
-    AC = np.vstack([p.A, p.C])
-    BDH = np.vstack([p.B, p.D, p.Ht])
-    HBt = np.vstack([p.H, p.Bt])
-    AtFt = p.At + p.Ft
+    # the rows of w: [x0, m, xl, v, u0, u1, zx, gx].  xl, the state the
+    # leader's coupling term reads, has rows of its own only in team mode,
+    # where it is a copy of xN; the followers' zx and gx only for a
+    # population.  One product of the law's gains on z = [x0; m] fills
+    # w[iK:], with L folded into the leader's u0 = L u1 + zx, and one of
+    # the dynamics on w[:izx] gives the leader's drift, the mean's drift
+    # and the leader's diffusion coefficient
+    nxl = n if lead_reads_xN else 0
+    iv = 2 * n + nxl
+    iu0 = iv + nv
+    iu1 = iu0 + mL
+    izx = iu1 + mF
+    igx = izx + mL
+    iK = iv if worst else iu0
+    K = _columns(np.concatenate(
+        [np.concatenate([gains.Vx.values, gains.Vm.values], axis=2)] * worst
+        + [L @ u1l + zx, u1l] + [zx, gx] * (N > 0), axis=1))
+    Gc, La = _columns(Gxi, 2), _columns(L, 2)
+    # the dynamics' column blocks by the component they act on, in its rows
+    # [x0's drift; m's drift; x0's diffusion coefficient]
+    O, Ov, Of = np.zeros((n, n)), np.zeros((n, nv)), np.zeros((n, mF))
+    on = {"x0": (p.A, O, p.C), "m": (O if nxl else p.F, p.At + p.Ft, O),
+          "xl": (p.F, O, O), "v": (p.E, Ov, Ov), "u0": (p.B, p.Ht, p.D),
+          "u1": (p.H, p.Bt, Of)}
+    dyn = _columns(np.hstack([
+        np.vstack(on[c]) for c in ["x0", "m"] + ["xl"] * bool(nxl)
+        + ["v", "u0", "u1"]]))
+    # the agents' rows [x, u1, u0]; every agent reads the field Ft xN
+    dyn_agents = _columns(np.hstack([p.At, p.Bt, p.Ht]), 2)
+    Ft, sigma = _columns(p.Ft), _columns(p.Sigma)
 
     stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
     out = {"x0": np.empty((P, M + 1, n)), "m": np.empty((P, M + 1, n)),
@@ -313,18 +377,24 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             live = [rng.stream(seed, i, j, gen)
                     for (i, j), gen in zip(keys0 + keysF, gens)]
             live0, liveF = live[:C], live[C:]
-        x0 = np.broadcast_to(p.xi, (C, n)).copy()
-        m = np.broadcast_to(p.x0init, (C, n)).copy()
+        # every array is stepped in place, so the views below stay bound
+        w = np.zeros((igx + mF if N else izx, C))
+        w[:n], w[n:2 * n] = p.xi[:, None], p.x0init[:, None]
+        z, x0 = w[:2 * n], w[:n]
+        drift = np.empty((3 * n, C))
         if N:
-            # row 0 is xN, stepped as one state driven by the mean of the N
-            # followers' increments (module docstring)
-            agents = np.broadcast_to(p.x0init, (C, 1 + stored, n)).copy()
+            # agent 0 is xN, stepped as one state driven by the mean of the
+            # N followers' increments (module docstring)
+            wa = np.empty((n + mF + mL, 1 + stored, C))
+            wa[:n] = p.x0init[:, None, None]
+            agents, u1a, u0a = wa[:n], wa[n:n + mF], wa[n + mF:]
+            xN = agents[:, 0]
+            drift_a = np.empty((n, 1 + stored, C))
+            field, noise = np.empty((n, C)), np.empty((n, stored, C))
             sums = wsum[a:b] if wsum is not None else rng.increment_sums(
                 seed, range(a, b), [N], M * n, h).reshape(C, M, n)
-            dWbar = sums / N
-        # m and the agents are stepped in place, so the state the leader's
-        # coupling term reads is bound once per chunk
-        xl = agents[:, 0] if lead_reads_xN else m
+            dWbar = np.divide(sums.transpose(1, 2, 0), N,
+                              out=np.empty((M, n, C)))
         for k0 in range(0, M, block):
             k1 = min(k0 + block, M)
             if gens is None:
@@ -337,58 +407,57 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                 dWi = dWi.reshape(C, stored, k1 - k0, n)
             for k in range(k0, k1 + (k1 == M)):
                 if override is not None:
-                    u0l, u1l, v = (arr[k, a:b] for arr in ov)
+                    for i, arr in zip((iu0, iu1, iv), override):
+                        w[i:i + arr.shape[2]] = arr[a:b, k].T
                 else:
-                    X, Mx = _apply(x0, Kx[k]), _apply(m, Km[k])
-                    S = X + Mx
-                    gx, zx, u1l, *vs = (S[:, i:j]
-                                        for i, j in zip(cols, cols[1:]))
-                    v = vs[0] if worst else np.zeros((C, nv))
-                    # (L u1l + zeta x0) + eta m, summed in the model's order
-                    u0l = _apply(u1l, L[k]) + X[:, zeta] + Mx[:, zeta]
-                # u0l, u1l drive the leader and the mean state, the agents'
-                # law the agents; row 0's controls are u0bar and u1bar
+                    _mac(w[iK:], K[k], z)
+                # w's u0 and u1 drive the leader and the mean state, the
+                # agents' law the agents; agent 0's controls are u0bar and
+                # u1bar
                 if N:
-                    u1a = _apply(agents, Gxi[k]) + gx[:, None]
-                    u0a = _apply(u1a, L[k]) + zx[:, None]
+                    _mac(u1a, Gc[k], agents)
+                    u1a += w[igx:, None]
+                    _mac(u0a, La[k], u1a)
+                    u0a += w[izx:igx, None]
                     u0, u1 = u0a[:, 0], u1a[:, 0]
                 else:
-                    u0, u1 = u0l, u1l
-                for name, val in (("x0", x0), ("m", m), ("u0bar", u0),
-                                  ("u1bar", u1), ("v", v)):
-                    out[name][a:b, k] = val
+                    u0, u1 = w[iu0:iu1], w[iu1:izx]
+                for name, val in (("x0", x0), ("m", w[n:2 * n]),
+                                  ("u0bar", u0), ("u1bar", u1),
+                                  ("v", w[iv:iu0])):
+                    _record(out[name][a:b, k], val)
                 if N:
-                    out["xN"][a:b, k] = agents[:, 0]
-                    out["xi"][a:b, :, k] = agents[:, 1:]
-                    out["u0i"][a:b, :, k] = u0a[:, 1:]
-                    out["u1i"][a:b, :, k] = u1a[:, 1:]
+                    _record(out["xN"][a:b, k], xN)
+                    for name, val in (("xi", agents), ("u0i", u0a),
+                                      ("u1i", u1a)):
+                        _record(out[name][a:b, :, k], val[:, 1:])
                 if k == M:
                     break
-                XA, UB, UH = _apply(x0, AC), _apply(u0l, BDH), \
-                    _apply(u1l, HBt)
-                drift0 = XA[:, :n] + UB[:, :n] + _apply(xl, p.F) \
-                    + UH[:, :n] + _apply(v, p.E)
-                diff0 = XA[:, n:] + UB[:, n:2 * n]
-                dm = _apply(m, AtFt) + UH[:, n:] + UB[:, 2 * n:]
+                if nxl:
+                    w[2 * n:iv] = xN
+                _mac(drift, dyn, w[:izx])
                 if N:
-                    # every agent reads the field of xN; the aggregate noise
-                    # joins row 0 and the stored followers' own the rest
-                    drift = _apply(agents, p.At) + _apply(u1a, p.Bt) \
-                        + _apply(u0a, p.Ht) + _apply(agents[:, :1], p.Ft)
-                    agents += h * drift
-                    agents[:, 0] += _apply(dWbar[:, k], p.Sigma)
-                    agents[:, 1:] += _apply(dWi[:, :, k - k0], p.Sigma)
-                x0 = x0 + h * drift0 + diff0 * dW[:, k - k0, None]
-                m += h * dm
-            # the block's recorded nodes
+                    # the aggregate noise joins agent 0, the stored
+                    # followers' own the rest
+                    _mac(drift_a, dyn_agents, wa)
+                    drift_a += _mac(field, Ft, xN)[:, None]
+                    agents += h * drift_a
+                    agents[:, 0] += _mac(field, sigma, dWbar[k])
+                    agents[:, 1:] += _mac(noise, sigma[..., None],
+                                          dWi[:, :, k - k0].T)
+                z += h * drift[:2 * n]
+                x0 += drift[2 * n:] * dW[:, k - k0]
+            # a non-finite state stays non-finite under these steps, so the
+            # block's last state tells whether one of its nodes went bad
+            if np.isfinite(z).all() and (not N or np.isfinite(xN).all()):
+                continue
             last = M + 1 if k1 == M else k1
             finite = np.logical_and.reduce(
                 [np.isfinite(out[name][a:b, k0:last]).all(axis=(0, 2))
                  for name in recorded])
-            if not finite.all():
-                raise NonFiniteState(
-                    grid.nodes[k0 + int(np.argmin(finite))],
-                    "population state" if N else "limit state")
+            bad = k1 if finite.all() else k0 + int(np.argmin(finite))
+            raise NonFiniteState(grid.nodes[bad], "population state"
+                                 if N else "limit state")
 
     work = Work(path_steps=P * M, follower_steps=P * M * stored,
                 streams_read=P * (1 + stored + (wsum is None) * N))

@@ -110,17 +110,23 @@ def test_hoisted_cc_stages_equal_per_node(table1, blocks1, inc1, n2, n2_sol):
     # stage must round exactly like cc_coefficients at that one fine node
     cases = ((table1, blocks1, inc1.inc, range(1, 1001, 37)),
              (n2, n2_sol.blocks, n2_sol.inc, range(1, n2.grid_steps + 1)))
+    names = ("A1", "B1", "H1", "A2", "B2", "H2", "A3", "B3", "H3")
     for p, blocks, inc, nodes in cases:
         fine_nodal = incentive._fine_nodal(p, blocks)
+        # the chain pass forms every step's stages in one batched call
+        batched = dict(zip(names, incentive._chain_stages(
+            p, blocks, fine_nodal, inc.L.values)))
         for k in nodes:
             L = inc.L.values[k]
             stages = incentive._cc_stages(p, blocks, fine_nodal, L, k)
-            for j, cc in zip((2 * k, 2 * k - 1, 2 * k - 2), stages):
+            for i, (j, cc) in enumerate(zip((2 * k, 2 * k - 1, 2 * k - 2),
+                                            stages)):
                 want = incentive.cc_coefficients(p, blocks.gamma, L,
                                                  *blocks.fine_blocks(j))
-                for name in ("A1", "B1", "H1", "A2", "B2", "H2",
-                             "A3", "B3", "H3"):
+                for name in names:
                     assert np.array_equal(getattr(cc, name),
+                                          getattr(want, name))
+                    assert np.array_equal(batched[name][k - 1, i],
                                           getattr(want, name))
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from stackmfg import leader, odeint
 from stackmfg.model import MatrixTrajectory, TimeGrid
 from stackmfg.odeint import (ESCAPE_NORM, GridMismatch, NonFiniteRhs,
                              OdeProblem, integrate, integrate_stack, residual,
@@ -75,6 +76,49 @@ def test_residual_tiny_for_constant_solution():
     grid = TimeGrid(1.0, 50)
     res = integrate(prob, grid)
     assert residual(res.trajectories, prob, grid) <= 1e-12
+
+
+def _residual_per_node(trajectories, problem, grid):
+    """residual as a loop over the interior nodes, one rhs call and one
+    stencil per node."""
+    M, h = grid.steps, grid.h
+    stencils = {1: (odeint._LEFT, range(0, 5)),
+                M - 1: (odeint._RIGHT, range(M - 4, M + 1))}
+    worst = 0.0
+    for k in range(1, M):
+        w, off = stencils.get(k, (odeint._CENTER, range(k - 2, k + 3)))
+        f = problem.rhs(grid.nodes[k], [tr.values[k] for tr in trajectories])
+        num = den = 0.0
+        for tr, fk in zip(trajectories, f):
+            d = np.zeros_like(tr.values[k])
+            for c, j in zip(w, off):
+                d += c * tr.values[j]
+            d = d / h
+            fk = np.broadcast_to(fk, d.shape)
+            num += float(np.sum((d - fk) ** 2))
+            den += float(np.sum(fk * fk))
+        worst = max(worst, np.sqrt(num) / (1.0 + np.sqrt(den)))
+    return worst
+
+
+def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol):
+    # one rhs call on the stacked nodes and slice stencils round every
+    # node as the loop does: the block systems (1 x 1 and 2 x 2 blocks),
+    # the assembled 4 x 4 system of n2 and a spiked node
+    cases = []
+    for p, sol in ((table1, blocks1), (n2, n2_sol.blocks)):
+        cases.append(([sol.P1, sol.Pi1, sol.P2, sol.Pi2],
+                      leader.block_riccati_problem(p, sol.gamma), sol.grid))
+    asm = leader.assembled_problem(n2, n2_sol.blocks.gamma)
+    cases.append(([n2_sol.blocks.assembled], asm, n2.grid()))
+    prob = scalar_problem(lambda t, s: [-s[0]])
+    grid = TimeGrid(10.0, 1000)
+    vals = integrate(prob, grid).trajectories[0].values.copy()
+    vals[500] += 1.0
+    cases.append(([MatrixTrajectory(grid, vals)], prob, grid))
+    for trajectories, problem, grid in cases:
+        assert residual(trajectories, problem, grid) == \
+            _residual_per_node(trajectories, problem, grid)
 
 
 def test_residual_detects_perturbed_node():

@@ -408,6 +408,125 @@ def test_paths_independent_of_noise_blocks(n2, n2_sol, monkeypatch):
                                   getattr(other, name)), name
 
 
+def _reference_run(p, gains, cfg, N=0, fgains=None, inc=None,
+                   override=None):
+    """The kernel's series from a plain per-path Euler-Maruyama loop,
+    written straight from the model: the limit system when N = 0, else
+    the N-follower population with its stored followers.
+
+    dx0 = (A x0 + F xl + B u0 + H u1 + E v) dt + (C x0 + D u0) dW0,
+    dm = ((At + Ft) m + Ht u0 + Bt u1) dt and, for xN and each stored
+    follower, dx = (At x + Bt u1(x) + Ht u0(x) + Ft xN) dt + Sigma dW,
+    with dW the mean of the N followers' increments for xN.  xl is xN in
+    team mode and m otherwise; xN's controls are recorded as u0bar and
+    u1bar."""
+    M, h, P = gains.grid.steps, gains.grid.h, cfg.n_paths
+    seed = cfg.master_seed
+    stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
+    G = {name: getattr(gains, name).values for name in
+         ("Theta11", "Theta12", "Theta21", "Theta22", "Vx", "Vm")}
+    team = fgains is None
+
+    def leader_law(k, x0, m):
+        v = G["Vx"][k] @ x0 + G["Vm"][k] @ m
+        if cfg.disturbance == "zero":
+            v = 0.0 * v
+        if team:
+            return (G["Theta11"][k] @ x0 + G["Theta12"][k] @ m,
+                    G["Theta21"][k] @ x0 + G["Theta22"][k] @ m, v)
+        u1 = fgains.Gx0bar.values[k] @ x0 + fgains.Gmbar.values[k] @ m
+        return (inc.L.values[k] @ u1 + inc.zeta.values[k] @ x0
+                + inc.eta.values[k] @ m, u1, v)
+
+    def follower_law(k, x, x0, m):
+        if team:
+            return leader_law(k, x0, m)[:2]
+        u1 = (fgains.Gxi.values[k] @ x + fgains.Gx0.values[k] @ x0
+              + fgains.Gm.values[k] @ m)
+        return (inc.L.values[k] @ u1 + inc.zeta.values[k] @ x0
+                + inc.eta.values[k] @ m, u1)
+
+    def follower_step(x, u0, u1, xN, dW):
+        return x + h * (p.At @ x + p.Bt @ u1 + p.Ht @ u0 + p.Ft @ xN) \
+            + p.Sigma @ dW
+
+    names = ["x0", "m", "u0bar", "u1bar", "v"] + (
+        ["xN", "xi", "u0i", "u1i"] if N else [])
+    out = {name: [] for name in names}
+    for i in range(P):
+        dW0 = rng.increments(seed, [(i, 0)], M, h)[0]
+        if N:
+            dWbar = rng.increment_sums(seed, [i], [N], M * p.n,
+                                       h)[0, 0].reshape(M, p.n) / N
+            dWi = rng.increments(seed, [(i, j) for j in range(1, stored + 1)],
+                                 M * p.n, h).reshape(stored, M, p.n)
+        x0, m = p.xi.copy(), p.x0init.copy()
+        xN = p.x0init.copy()
+        xs = [p.x0init.copy() for _ in range(stored)]
+        path = {name: [] for name in names}
+        for k in range(M + 1):
+            if override is None:
+                u0, u1, v = leader_law(k, x0, m)
+            else:
+                u0, u1, v = (arr[i, k] for arr in override)
+            rec = {"x0": x0, "m": m, "u0bar": u0, "u1bar": u1, "v": v}
+            if N:
+                uN = follower_law(k, xN, x0, m)
+                us = [follower_law(k, x, x0, m) for x in xs]
+                rec.update(u0bar=uN[0], u1bar=uN[1], xN=xN,
+                           xi=np.array(xs).reshape(stored, p.n),
+                           u0i=np.array([u[0] for u in us]).reshape(stored,
+                                                                     p.mL),
+                           u1i=np.array([u[1] for u in us]).reshape(stored,
+                                                                    p.mF))
+            for name in names:
+                path[name].append(rec[name])
+            if k == M:
+                break
+            xl = xN if N and team else m
+            x0_next = x0 + h * (p.A @ x0 + p.F @ xl + p.B @ u0 + p.H @ u1
+                                + p.E @ v) + (p.C @ x0 + p.D @ u0) * dW0[k]
+            m = m + h * ((p.At + p.Ft) @ m + p.Ht @ u0 + p.Bt @ u1)
+            if N:
+                xs = [follower_step(x, *u, xN, dWi[j, k])
+                      for j, (x, u) in enumerate(zip(xs, us))]
+                xN = follower_step(xN, *uN, xN, dWbar[k])
+            x0 = x0_next
+        for name in names:
+            series = np.array(path[name])
+            out[name].append(np.moveaxis(series, 0, 1)
+                             if name in ("xi", "u0i", "u1i") else series)
+    return {name: np.array(v) for name, v in out.items()}
+
+
+def test_kernel_matches_reference_stepper(table1, gains1, fg1, inc1, n2,
+                                          n2_sol):
+    # the component-major kernel against the model's equations stepped
+    # path by path: the limit run in both disturbance modes, a replay of
+    # perturbed controls, and team and incentive populations
+    for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
+        cfg = SimConfig(N=5, n_paths=3, master_seed=13, store_followers=3)
+        base = sim.simulate_limit(p, gains, cfg)
+        override = (base.u0bar + 0.1, base.u1bar - 0.2, base.v + 0.3)
+        zero = replace(cfg, disturbance="zero")
+        runs = ((sim.simulate_limit(p, gains, cfg),
+                 _reference_run(p, gains, cfg)),
+                (sim.simulate_limit(p, gains, zero),
+                 _reference_run(p, gains, zero)),
+                (sim.simulate_limit(p, gains, cfg, controls_override=override),
+                 _reference_run(p, gains, cfg, override=override)),
+                (sim.simulate_population(p, gains, cfg),
+                 _reference_run(p, gains, cfg, N=5)),
+                (sim.simulate_population(p, gains, cfg, fgains=fg, inc=inc),
+                 _reference_run(p, gains, cfg, N=5, fgains=fg, inc=inc)))
+        for got, want in runs:
+            for name, ref in want.items():
+                scale = np.abs(ref).max()
+                assert np.abs(getattr(got, name) - ref).max() \
+                    <= 1e-12 * scale, name
+
+
 def test_incentive_match_values(gains1, fg1, inc1, square_sol):
     # same quantity as the nodewise matching defect, read off the gains
     assert sim.incentive_match(gains1, fg1) == pytest.approx(inc1.worst,
