@@ -345,9 +345,12 @@ def _incentive_stage(run: _Run):
     run.inc, run.fg = inc, fg
     run.summary["incentive"] = info
     conditions, unknowns = incentive.matching_size(p)
+    stops = list(inc.newton_stop)
     return {"matching_conditions": conditions,
             "matching_unknowns": unknowns,
-            "newton_iters": int(inc.newton_iters.sum())}
+            "newton_iters": int(inc.newton_iters.sum()),
+            "newton_stops": {rule: stops.count(rule)
+                             for rule in incentive.STOP_RULES}}
 
 
 def _simulate_stage(run: _Run):
@@ -434,7 +437,11 @@ def _sweep_stage(run: _Run):
         man.warn("mean-field gap slope outside the O(1/N) band")
     if not out["optimality"]["in_band"]:
         man.warn("optimality-gap slope outside the proxy band")
-    return asdict(mf.work)
+    # the sweep's Monte Carlo gaps beside their exact expectation
+    return asdict(mf.work) | {"mean_field_gaps": [
+        {"N": pt.N, "monte_carlo": pt.gap, "stderr": pt.stderr,
+         "exact": sim.exact_mean_field_gap(run.p, pt.N)}
+        for pt in mf.points]}
 
 
 STAGES = (

@@ -81,6 +81,11 @@ RESIDUAL_FACTOR = 100.0        # sweep fails if max residual > factor * tol
 TRUST_RADIUS = 10.0
 # the decoupled chain must recombine to the coupled sweep within this
 RELATION_TOL = 1e-6
+# the rules that end a Gauss-Newton run: residual within NEWTON_TOL,
+# stationary gradient, saturated damping, no gain, small step, past the
+# leash, MAX_ITER exhausted.  A run is converged unless the last two end it
+STOP_RULES = ("tolerance", "stationary", "damping", "no_gain", "small_step",
+              "leash", "max_iter")
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,7 @@ class IncentiveMatrices:
     match_residual: np.ndarray       # Frobenius norm of both conditions per node
     newton_iters: np.ndarray
     newton_converged: np.ndarray     # False where no stationary point was found
+    newton_stop: np.ndarray          # STOP_RULES entry ending the chosen run
 
 
 @dataclass(frozen=True)
@@ -274,6 +280,9 @@ def _gauss_newton(p, form, L0: np.ndarray):
     decays to zero along |L| -> inf without ever admitting a root there;
     runs that exhaust MAX_ITER while still descending that tail are
     reported as not converged so callers can discard them.
+
+    Returns (L, residual norm, iterations, converged, the STOP_RULES entry
+    that ended the run).
     """
     shape = L0.shape
     x = L0.ravel().astype(float).copy()
@@ -289,13 +298,14 @@ def _gauss_newton(p, form, L0: np.ndarray):
     lam = DAMPING
     nvar = x.size
     it = 0
-    converged = np.max(np.abs(r)) <= NEWTON_TOL
+    # "max_iter" stands until another rule ends the run
+    stop = "tolerance" if np.max(np.abs(r)) <= NEWTON_TOL else "max_iter"
     for it in range(1, MAX_ITER + 1):
-        if converged:
+        if stop != "max_iter":
             break
         g = J.T @ r
         if np.max(np.abs(g)) <= 1e-14 * (1.0 + cost):
-            converged = True           # least-squares stationary point
+            stop = "stationary"        # least-squares stationary point
             break
         JtJ = J.T @ J
         accepted = False
@@ -316,20 +326,19 @@ def _gauss_newton(p, form, L0: np.ndarray):
                 break
             lam *= 10.0
         if not accepted:
-            converged = True           # damping saturated: local minimum
+            stop = "damping"           # damping saturated: local minimum
+        elif np.max(np.abs(x - anchor)) > leash:
+            stop = "leash"             # diverging along the tail
+        elif gained <= 1e-12 * (1.0 + cost):
+            stop = "no_gain"           # no meaningful descent left
+        elif np.max(np.abs(delta)) <= 1e-13 * (1.0 + np.max(np.abs(x))):
+            stop = "small_step"
+        elif np.max(np.abs(r)) <= NEWTON_TOL:
+            stop = "tolerance"
+        if stop != "max_iter":
             break
-        if np.max(np.abs(x - anchor)) > leash:
-            break                      # diverging along the tail
-        if gained <= 1e-12 * (1.0 + cost):
-            converged = True           # no meaningful descent left
-            break
-        if np.max(np.abs(delta)) <= 1e-13 * (1.0 + np.max(np.abs(x))):
-            converged = True
-            break
-        if np.max(np.abs(r)) <= NEWTON_TOL:
-            converged = True
-            break
-    return x.reshape(shape), np.sqrt(cost), it, converged
+    converged = stop not in ("leash", "max_iter")
+    return x.reshape(shape), np.sqrt(cost), it, converged, stop
 
 
 def _terminal_candidates(p: ModelParams):
@@ -399,7 +408,8 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     solution, then from the warm start L[k+1] (at T, from
     _terminal_candidates), and stops at the first run that converges within
     RESIDUAL_FACTOR * NEWTON_TOL; otherwise _prefer picks among the runs.
-    newton_iters counts the iterations of every run at the node.  Nodes
+    newton_iters counts the iterations of every run at the node, and
+    newton_stop names the rule that ended the chosen one.  Nodes
     below T whose least-squares problem has no reachable stationary point
     keep the previous L and are flagged in newton_converged.  Raises
     NoIncentiveSolution if the worst nodal residual ends up above
@@ -415,6 +425,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     resid = np.empty(M + 1)
     iters = np.empty(M + 1, dtype=int)
     conv = np.empty(M + 1, dtype=bool)
+    stops = np.empty(M + 1, dtype=object)
 
     GtG2 = p.Gt @ p.Gamma2t
     Delta = p.Gt - GtG2
@@ -440,7 +451,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
             best = _prefer(best, trial)
             if best[3] and best[1] <= RESIDUAL_FACTOR * NEWTON_TOL:
                 break
-        Lk, rk, _, ck = best
+        Lk, rk, _, ck, stops[k] = best
         if not ck and k < M:
             # the nodal problem lost its stationary point; hold the incoming
             # value and report the defect there instead of following the
@@ -473,6 +484,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
         match_residual=resid,
         newton_iters=iters,
         newton_converged=conv,
+        newton_stop=stops,
     )
     worst = int(np.argmax(resid))
     if resid[worst] > RESIDUAL_FACTOR * NEWTON_TOL:

@@ -41,8 +41,10 @@ elementwise multiply forms its terms, which are added in a fixed order.
 A BLAS product may round a row differently with the number of rows, and
 einsum changes its summation order when a chunk holds one path, so either
 would make a path's values depend on its chunk; an elementwise sum does
-not.  The recorded series keep the (paths, M+1, dim) layout and are
-written node by node.
+not.  The recorded series are component-major memory, (dim, M+1, paths)
+and (dim, stored, M+1, paths), behind (paths, M+1, dim) and
+(paths, stored, M+1, dim) views: a node's write copies one contiguous
+row per component, and the costs read the components' rows.
 
 One Euler-Maruyama step spans one grid interval.  A chunk holds about
 _VECTOR_FLOATS noise floats per step, so each numpy call of the stepping
@@ -84,6 +86,7 @@ __all__ = [
     "eval_costs",
     "saddle_check",
     "incentive_match",
+    "exact_mean_field_gap",
     "sweep_mean_field_gap",
     "sweep_optimality_gap",
 ]
@@ -151,6 +154,9 @@ class PathBundle:
     Shapes: states (paths, M+1, n), controls (paths, M+1, m).  xN and the
     per-follower blocks are None for limit-system runs; follower_ids are
     the 1-based stream indices of the stored individuals.
+
+    The kernel's series are views of component-major memory (module
+    docstring); copy one with order="K" to keep that layout.
     """
 
     grid: TimeGrid
@@ -260,14 +266,6 @@ def _columns(mats: np.ndarray, lead: int = 1) -> np.ndarray:
     return cols.reshape(cols.shape + (1,) * lead)
 
 
-def _record(node: np.ndarray, val: np.ndarray) -> None:
-    """Write a component-major value, (d, ...paths), into one node of a
-    recorded series, (...paths, d), a component at a time: each strided
-    write then reads one contiguous row."""
-    for j, row in enumerate(val):
-        node[..., j] = row.T
-
-
 def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     N: int = 0, fgains: FollowerGains | None = None,
                     inc: IncentiveMatrices | None = None, override=None,
@@ -341,14 +339,16 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     Ft, sigma = _columns(p.Ft), _columns(p.Sigma)
 
     stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
-    out = {"x0": np.empty((P, M + 1, n)), "m": np.empty((P, M + 1, n)),
-           "u0bar": np.empty((P, M + 1, mL)), "u1bar": np.empty((P, M + 1, mF)),
-           "v": np.empty((P, M + 1, nv))}
+    # every series is held component-major, (dim, M+1, paths) and
+    # (dim, stored, M+1, paths), so a node's write copies one contiguous
+    # row per component; the bundle gets (paths, ..., M+1, dim) views
+    mem = {name: np.empty((d, M + 1, P)) for name, d in (
+        ("x0", n), ("m", n), ("u0bar", mL), ("u1bar", mF), ("v", nv))}
     if N:
-        out.update(xN=np.empty((P, M + 1, n)),
-                   xi=np.empty((P, stored, M + 1, n)),
-                   u0i=np.empty((P, stored, M + 1, mL)),
-                   u1i=np.empty((P, stored, M + 1, mF)))
+        mem["xN"] = np.empty((n, M + 1, P))
+        mem.update((name, np.empty((d, stored, M + 1, P)))
+                   for name, d in (("xi", n), ("u0i", mL), ("u1i", mF)))
+    out = {name: np.swapaxes(arr, 0, -1) for name, arr in mem.items()}
 
     # noise floats per path and step: the common noise, then for a
     # population the followers' summed increments and the stored
@@ -382,6 +382,10 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         w[:n], w[n:2 * n] = p.xi[:, None], p.x0init[:, None]
         z, x0 = w[:2 * n], w[:n]
         drift = np.empty((3 * n, C))
+        # the recorded value of each series; w's u0 and u1 drive the
+        # leader and the mean state
+        values = {"x0": x0, "m": w[n:2 * n], "u0bar": w[iu0:iu1],
+                  "u1bar": w[iu1:izx], "v": w[iv:iu0]}
         if N:
             # agent 0 is xN, stepped as one state driven by the mean of the
             # N followers' increments (module docstring)
@@ -395,6 +399,12 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                 seed, range(a, b), [N], M * n, h).reshape(C, M, n)
             dWbar = np.divide(sums.transpose(1, 2, 0), N,
                               out=np.empty((M, n, C)))
+            # the agents' law drives the agents; agent 0's controls are
+            # u0bar and u1bar
+            values.update(u0bar=u0a[:, 0], u1bar=u1a[:, 0], xN=xN,
+                          xi=agents[:, 1:], u0i=u0a[:, 1:], u1i=u1a[:, 1:])
+        # each series' columns of this chunk, written node by node
+        record = [(mem[name][..., a:b], val) for name, val in values.items()]
         for k0 in range(0, M, block):
             k1 = min(k0 + block, M)
             if gens is None:
@@ -411,26 +421,13 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                         w[i:i + arr.shape[2]] = arr[a:b, k].T
                 else:
                     _mac(w[iK:], K[k], z)
-                # w's u0 and u1 drive the leader and the mean state, the
-                # agents' law the agents; agent 0's controls are u0bar and
-                # u1bar
                 if N:
                     _mac(u1a, Gc[k], agents)
                     u1a += w[igx:, None]
                     _mac(u0a, La[k], u1a)
                     u0a += w[izx:igx, None]
-                    u0, u1 = u0a[:, 0], u1a[:, 0]
-                else:
-                    u0, u1 = w[iu0:iu1], w[iu1:izx]
-                for name, val in (("x0", x0), ("m", w[n:2 * n]),
-                                  ("u0bar", u0), ("u1bar", u1),
-                                  ("v", w[iv:iu0])):
-                    _record(out[name][a:b, k], val)
-                if N:
-                    _record(out["xN"][a:b, k], xN)
-                    for name, val in (("xi", agents), ("u0i", u0a),
-                                      ("u1i", u1a)):
-                        _record(out[name][a:b, :, k], val[:, 1:])
+                for series, val in record:
+                    series[..., k, :] = val
                 if k == M:
                     break
                 if nxl:
@@ -521,7 +518,28 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
 
 
 def _quad(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", x, W, x)
+    """x' W x over the last axis, from the rows x[..., i]: the terms
+    (x_i W_ij) x_j are added in einsum's order, i outer and j inner, so
+    the value equals np.einsum("...i,ij,...j->...", x, W, x) bitwise
+    whatever x's memory order.  The terms are formed in the rows' memory
+    order and the sum is returned C-ordered, because numpy's reductions,
+    such as the quadrature's sum over nodes, add in an order that follows
+    the memory order."""
+    rows = [x[..., i] for i in range(x.shape[-1])]
+    out = np.zeros_like(rows[0])
+    for i, xi in enumerate(rows):
+        for j, xj in enumerate(rows):
+            out += xi * W[i, j] * xj
+    return np.ascontiguousarray(out)
+
+
+def _times(x: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """x @ G.T over the last axis, as one product of G with x's components
+    as rows, in x's layout.  On component-major series the rows are
+    contiguous, and x @ G.T on their views runs several times slower."""
+    rows = np.swapaxes(x, 0, -1)
+    out = G @ rows.reshape(len(rows), -1)
+    return np.swapaxes(out.reshape(rows.shape), 0, -1)
 
 
 def _trapz(f: np.ndarray, h: float) -> np.ndarray:
@@ -548,19 +566,21 @@ def _j0_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
     """Leader cost per path; the population average is replaced by the mean
     state for limit-system bundles."""
     xN = bundle.m if bundle.xN is None else bundle.xN
-    dx = bundle.x0 - xN @ p.Gamma1.T
-    run = (_quad(dx, p.Q) + _quad(bundle.u0bar, p.R0)
-           + _quad(bundle.u1bar, p.R1)
-           - p.gamma ** 2 * _quad(bundle.v, p.R2))
+    # summed in place, so that one term's temporaries are freed before the
+    # next term is formed
+    run = _quad(bundle.x0 - _times(xN, p.Gamma1), p.Q)
+    run += _quad(bundle.u0bar, p.R0)
+    run += _quad(bundle.u1bar, p.R1)
+    run -= p.gamma ** 2 * _quad(bundle.v, p.R2)
     term = bundle.x0[:, -1] - (xN[:, -1] @ p.Gamma2.T)
     return _trapz(run, bundle.grid.h) + _quad(term, p.G)
 
 
 @_by_path_blocks
 def _ji_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
-    dx = bundle.xi - bundle.xN[:, None] @ p.Gamma1t.T
-    run = (_quad(dx, p.Qt) + _quad(bundle.u0i, p.R0t)
-           + _quad(bundle.u1i, p.R1t))
+    run = _quad(bundle.xi - _times(bundle.xN[:, None], p.Gamma1t), p.Qt)
+    run += _quad(bundle.u0i, p.R0t)
+    run += _quad(bundle.u1i, p.R1t)
     term = bundle.xi[:, :, -1] - bundle.xN[:, None, -1] @ p.Gamma2t.T
     return _trapz(run, bundle.grid.h) + _quad(term, p.Gt)
 
@@ -616,16 +636,13 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     work = base.work
     for shape, direction in (("const", const), ("bump", bump)):
         for target in ("u", "v"):
-            u0 = base.u0bar.copy()
-            u1 = base.u1bar.copy()
-            v = base.v.copy()
-            if target == "u":
-                u0 += eps1 * direction[None, :, None]
-                u1 += eps1 * direction[None, :, None]
-            else:
-                v += eps1 * direction[None, :, None]
-            pert = simulate_limit(p, gains, cfg,
-                                  controls_override=(u0, u1, v))
+            # the shifted series keep the baseline's layout, and live only
+            # as long as the replay
+            shift = eps1 * direction[None, :, None]
+            pert = simulate_limit(p, gains, cfg, controls_override=(
+                (base.u0bar + shift, base.u1bar + shift, base.v)
+                if target == "u" else
+                (base.u0bar, base.u1bar, base.v + shift)))
             work += pert.work
             diff1 = _j0_per_path(pert, p) - J_base
             # the difference bundle lives only as long as its cost
@@ -651,6 +668,24 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     return SaddleReport(entries=tuple(entries), u_ratios=ratios,
                         baseline_mean=float(J_base.mean()), n_paths=P,
                         work=work)
+
+
+def exact_mean_field_gap(p: ModelParams, N: int) -> float:
+    """sup over nodes of E|xN - m|^2 in team mode under the Euler-Maruyama
+    scheme, with no sampling: sup_k tr Pi_k / N.
+
+    d = xN - m steps as d_{k+1} = Phi d_k + Sigma dWbar with
+    Phi = I + h (At + Ft), dWbar the mean of N followers' increments and
+    d_0 = 0, so its covariance is Pi_k / N with Pi_0 = 0 and
+    Pi_{k+1} = Phi Pi_k Phi' + h Sigma Sigma'.  The mean-field gap sweep
+    estimates this value."""
+    h = p.grid().h
+    Phi = np.eye(p.n) + h * (p.At + p.Ft)
+    Pi, sup = np.zeros((p.n, p.n)), 0.0
+    for _ in range(p.grid_steps):
+        Pi = Phi @ Pi @ Phi.T + h * p.Sigma @ p.Sigma.T
+        sup = max(sup, float(np.trace(Pi)))
+    return sup / N
 
 
 def incentive_match(gains: LeaderGains, fgains: FollowerGains) -> float:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stackmfg import cli
+from stackmfg import cli, incentive, sim
 from stackmfg.model import save_config
 
 
@@ -136,6 +136,14 @@ def _assert_incentive_work(out, conditions, unknowns):
                                      "matching_unknowns", "newton_iters")} \
         == dict(matching_conditions=conditions, matching_unknowns=unknowns,
                 newton_iters=iters)
+    # one stop rule per node, converged unless the leash or MAX_ITER ended
+    # the chosen run
+    stops = stage[0]["newton_stops"]
+    col = lines[0].split(",").index("newton_converged")
+    converged = sum(row.split(",")[col] == "true" for row in lines[1:])
+    assert set(stops) == set(incentive.STOP_RULES)
+    assert sum(stops.values()) == len(lines) - 1
+    assert len(lines) - 1 - stops["leash"] - stops["max_iter"] == converged
     return iters
 
 
@@ -287,6 +295,25 @@ def test_manifest_lists_outputs_and_repeats(name, tmp_path, capsys):
             del s["wall_s"]
         manifests.append(man)
     assert manifests[0] == manifests[1]
+
+
+def test_sweep_stage_records_exact_mean_field_gap(table1, tmp_path):
+    # the manifest sets each N's Monte Carlo gap beside sup_k tr Pi_k / N;
+    # sweep.csv holds the same Monte Carlo gaps
+    out = tmp_path / "sw"
+    assert cli.main(["sweep-n", "--ns", "4,8,16", "--paths", "4",
+                     "--grid-steps", "40", "--seed", "7",
+                     "--out", str(out)]) == 0
+    stage = [s for s in read_json(out / "manifest.json")["stages"]
+             if s["name"] == "sweep-n"]
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().splitlines()[1:]]
+    mc = {int(r[1]): float(r[2]) for r in rows if r[0] == "mean_field"}
+    p = table1.with_updates(grid_steps=40)
+    assert [(g["N"], g["monte_carlo"], g["exact"])
+            for g in stage[0]["mean_field_gaps"]] == [
+        (N, pytest.approx(mc[N], rel=1e-15),
+         sim.exact_mean_field_gap(p, N)) for N in (4, 8, 16)]
 
 
 def test_simulation_stages_record_their_work(tmp_path):

@@ -282,6 +282,44 @@ def test_benchmark_newton_iters_count_every_seed_run(table1, blocks1, inc1):
         assert inc1.inc.newton_iters[k] == sum(r[2] for r in runs)
 
 
+def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
+                                         square_sol):
+    # newton_stop is the rule that ended the run _prefer chose, and the
+    # converged flag follows from it; on the bundled config no run reaches
+    # the tolerance, so every seed runs
+    M = table1.grid_steps
+    fine_nodal = incentive._fine_nodal(table1, blocks1)
+    size = np.sqrt(incentive.matching_size(table1)[0])
+    inc = inc1.inc
+    stops = list(inc.newton_stop)
+    assert set(stops) <= set(incentive.STOP_RULES)
+    assert list(inc.newton_converged) == [
+        s not in ("leash", "max_iter") for s in stops]
+    for k in {M, 0} | {stops.index(s) for s in set(stops)}:
+        nodal = tuple(a[2 * k] for a in fine_nodal)
+        form = incentive._matching_form(table1, nodal,
+                                        inc1.dtheta.Delta.values[k],
+                                        inc1.dtheta.Theta.values[k])
+        seeds = [incentive._cleared_candidate(form)] + (
+            [inc.L.values[k + 1]] if k < M
+            else incentive._terminal_candidates(table1))
+        best = None
+        for s in seeds:
+            run = incentive._gauss_newton(table1, form, s)
+            best = incentive._prefer(best, run)
+            # the rules whose cause shows in the result
+            L, resid, it, _, stop = run
+            assert (stop == "tolerance") <= (
+                resid <= incentive.NEWTON_TOL * size)
+            assert (stop == "leash") == (
+                np.max(np.abs(L - s)) > incentive.TRUST_RADIUS
+                * (1.0 + np.max(np.abs(s))))
+            assert (stop == "max_iter") <= (it == incentive.MAX_ITER)
+        assert (best[3], best[4]) == (inc.newton_converged[k], stops[k]), k
+    # the square system clears at the cleared seed
+    assert set(square_sol.inc.newton_stop) == {"tolerance"}
+
+
 def test_benchmark_terminal_zeta_eta(inc1):
     assert inc1.inc.zeta.values[-1, 0, 0] == pytest.approx(
         -7.756867218619706, rel=1e-9)

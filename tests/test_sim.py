@@ -250,6 +250,75 @@ def test_costs_independent_of_path_blocks(table1, gains1, n2, n2_sol,
                     assert np.array_equal(runs[0], other)
 
 
+def _series(bundle):
+    return {name: getattr(bundle, name) for name in _BUNDLE_FIELDS
+            if getattr(bundle, name) is not None}
+
+
+def test_quad_equals_einsum_bitwise(n2):
+    # the row form of x'Wx adds einsum's terms in einsum's order, on
+    # C-ordered series and on views of component-major memory alike; the
+    # row form of x @ W.T agrees to roundoff
+    gen = np.random.default_rng(11)
+    weights = [gen.standard_normal((d, d)) for d in (1, 2, 3, 4)] + [
+        getattr(n2, k) for k in ("Q", "R0", "R1", "R2", "G", "Qt", "R0t")]
+    for W in weights:
+        d = len(W)
+        for shape in ((5, 9), (3, 4, 9)):
+            mem = gen.standard_normal((d,) + shape[::-1])
+            view = np.swapaxes(mem, 0, -1)
+            for x in (view, np.ascontiguousarray(view)):
+                assert np.array_equal(
+                    sim._quad(x, W),
+                    np.einsum("...i,ij,...j->...", x, W, x)), (d, shape)
+                # the cost's linear map: one BLAS product either way, but
+                # BLAS may round the two orientations differently
+                want = x @ W.T
+                assert np.abs(sim._times(x, W) - want).max() \
+                    <= 1e-15 * np.abs(want).max() * d, (d, shape)
+
+
+def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
+                                           n2_sol, monkeypatch):
+    # the kernel records every series as a view of component-major memory;
+    # the costs and the sweep statistics read the same values from
+    # C-contiguous copies
+    def contiguous(bundle):
+        return replace(bundle, **{k: np.ascontiguousarray(v)
+                                  for k, v in _series(bundle).items()})
+
+    cfg = SimConfig(N=6, n_paths=20, master_seed=21, store_followers=3)
+    for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
+        for bundle in (sim.simulate_limit(p, gains, cfg),
+                       sim.simulate_population(p, gains, cfg, fgains=fg,
+                                               inc=inc)):
+            for v in _series(bundle).values():
+                assert np.swapaxes(v, 0, -1).flags.c_contiguous
+                assert not v.flags.owndata
+            got, want = (sim.eval_costs(b, p)
+                         for b in (bundle, contiguous(bundle)))
+            assert got.J0_mean == want.J0_mean
+            assert got.J0_stderr == want.J0_stderr
+            if bundle.xi is not None:
+                assert np.array_equal(got.Ji_mean, want.Ji_mean)
+                assert np.array_equal(got.Ji_stderr, want.Ji_stderr)
+        Ns = [4, 8, 16]
+        got = sim._sweep_gaps(p, gains, Ns, cfg)
+        for name in ("simulate_limit", "simulate_population"):
+            monkeypatch.setattr(sim, name, lambda *a, _f=getattr(sim, name),
+                                **kw: contiguous(_f(*a, **kw)))
+        want = sim._sweep_gaps(p, gains, Ns, cfg)
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            for a, b in zip(g.points, w.points):
+                assert a.N == b.N
+                assert a.gap == pytest.approx(b.gap, rel=1e-14, abs=0.0)
+                assert a.stderr == pytest.approx(b.stderr, rel=1e-14,
+                                                 abs=0.0)
+            assert g.slope == pytest.approx(w.slope, rel=1e-12, abs=0.0)
+
+
 def test_incentive_mode_runs(square, square_sol):
     cfg = SimConfig(N=8, n_paths=2, master_seed=3,
                     store_all_followers=True)
@@ -303,7 +372,8 @@ def test_team_mode_is_the_incentive_law_with_zero_gains(table1, gains1, n2,
             grid, L=zero(p.mL, p.mF), zeta=gains.Theta11, eta=gains.Theta12,
             match_residual=np.zeros(M + 1),
             newton_iters=np.zeros(M + 1, dtype=int),
-            newton_converged=np.ones(M + 1, dtype=bool))
+            newton_converged=np.ones(M + 1, dtype=bool),
+            newton_stop=np.full(M + 1, "tolerance", dtype=object))
         cfg = SimConfig(N=6, n_paths=3, master_seed=5, store_followers=3)
         runs = [sim.simulate_population(p, gains, cfg),
                 sim.simulate_population(p, gains, cfg, fgains=fg, inc=inc)]
@@ -578,6 +648,21 @@ def test_mean_field_gap_matches_exact_moment(table1, mf_sweep):
         sup = max(sup, float(np.trace(Pi)))
     for pt in mf_sweep.points:
         assert abs(pt.gap - sup / pt.N) <= 4.0 * pt.stderr
+
+
+def test_exact_mean_field_gap_is_the_moment_recursion(table1, n2):
+    # the recursion of test_mean_field_gap_matches_exact_moment, written
+    # out again, on n = 1 and n = 2
+    for p in (table1, n2):
+        h = p.grid().h
+        Phi = np.eye(p.n) + h * (p.At + p.Ft)
+        Pi, sup = np.zeros((p.n, p.n)), 0.0
+        for _ in range(p.grid_steps):
+            Pi = Phi @ Pi @ Phi.T + h * p.Sigma @ p.Sigma.T
+            sup = max(sup, float(np.trace(Pi)))
+        for N in (1, 10, 640):
+            assert sim.exact_mean_field_gap(p, N) == sup / N
+    assert sim.exact_mean_field_gap(table1.with_updates(Sigma=0.0), 4) == 0.0
 
 
 def test_mean_field_gap_decays_like_one_over_N(mf_sweep):
