@@ -2,9 +2,9 @@
 games against a mean-field follower population.
 
 Pipeline: ModelParams -> leader (attenuation certificate, block Riccati,
-saddle gains) -> incentive (matching sweep, decoupled chain, follower best
-replies) -> sim (Monte Carlo of the limit and N-follower systems, cost and
-rate checks) -> cli (artifacts).
+saddle gains) -> incentive (matching sweep marching the follower chain,
+its relation check, follower best replies) -> sim (Monte Carlo of the
+limit and N-follower systems, cost and rate checks) -> cli (artifacts).
 """
 
 __version__ = "0.1.0"

@@ -240,7 +240,17 @@ def _gamma_hat_stage(run: _Run):
     return {"probes": len(res.trace), "passes": res.passes}
 
 
+def _rk4_steps(res: odeint.IntegrationResult) -> int:
+    """The RK4 steps of one march: every step of the grid, or down to its
+    escape node."""
+    if res.ok:
+        return res.trajectories[0].grid.steps
+    return len(res.partial_nodes) - 1
+
+
 def _concavity_stage(run: _Run):
+    """The certificate at the run gamma, or else at the top of gamma-hat's
+    bracket.  Returns the RK4 steps of its marches."""
     p, man = run.p, run.man
     cert_run = leader.solve_concavity(p)
     if not cert_run.solvable:
@@ -251,9 +261,15 @@ def _concavity_stage(run: _Run):
     _series_csv(man, "concavity.csv", cert.K.grid, [("K", cert.K.values)])
     run.summary["concavity"] = {"solvable_at_run_gamma": cert_run.solvable,
                                 "certificate_gamma": g_cert}
+    steps = _rk4_steps(cert_run.result)
+    if cert is not cert_run:
+        steps += _rk4_steps(cert.result)
+    return {"rk4_steps": steps}
 
 
 def _leader_stage(run: _Run):
+    """The block system and its assembled cross-check, each marched over
+    the doubled grid, then the gains.  Returns the RK4 steps of both."""
     p, man = run.p, run.man
     sol = leader.solve_block_riccati(p)
     if not isinstance(sol, BlockRiccatiSolution):
@@ -271,6 +287,9 @@ def _leader_stage(run: _Run):
     run.summary["V0"] = V0
     if run.cmd.leader_checks:
         run.summary["leader_checks"] = _leader_checks(p, sol, gains)
+    # either march escaping ends the stage above, so both ran to t = 0
+    return {"block_rk4_steps": sol.fine_grid.steps,
+            "assembled_rk4_steps": sol.fine_grid.steps}
 
 
 def _leader_checks(p: ModelParams, sol, gains) -> dict:
@@ -298,8 +317,9 @@ def _leader_checks(p: ModelParams, sol, gains) -> dict:
 
 
 def _incentive_stage(run: _Run):
-    """The matching sweep, the decoupled chain and the follower gains.
-    Returns the size of the matching system and the Newton work."""
+    """The matching sweep with the follower chain, its relation check and
+    the follower gains.  Returns the size of the matching system, the
+    Newton work and the RK4 steps of the chain's one march."""
     p, man, sol, gains = run.p, run.man, run.sol, run.gains
     solved = True
     try:
@@ -349,6 +369,7 @@ def _incentive_stage(run: _Run):
     return {"matching_conditions": conditions,
             "matching_unknowns": unknowns,
             "newton_iters": int(inc.newton_iters.sum()),
+            "rk4_steps": inc.grid.steps,
             "newton_stops": {rule: stops.count(rule)
                              for rule in incentive.STOP_RULES}}
 

@@ -1,30 +1,29 @@
 """Incentive design: the leader's linear reward-shaping matrix and the
 follower-side Riccati chain it induces.
 
-The backward sweep alternates an algebraic solve for the shaping matrix L
-with an RK4 step of the coupled (Delta, Theta) equations in which L is held
-at its nodal value.  Multiplied through by the follower's control weight,
-the two matching conditions are affine in L (_matching_form); that one form
-gives the raw residual, its exact Jacobian and the direct least-squares
-solve that seeds a damped Gauss-Newton polish.  The decoupled
-(Sigma, Phi, Psi) chain is co-integrated with (Delta, Theta) so that the
-structural relations Theta = Psi and Delta = Sigma + Phi are preserved to
-roundoff by construction and only genuine transcription errors can break
-them.
+One backward sweep alternates an algebraic solve for the shaping matrix L
+with an RK4 step of the follower chain in which L is held at its nodal
+value.  Multiplied through by the follower's control weight, the two
+matching conditions are affine in L (_matching_form); that one form gives
+the raw residual, its exact Jacobian and the direct least-squares solve
+that seeds a damped Gauss-Newton polish.  The chain is one state
+[Delta, Theta, Sigma, Phi, Psi]: the coupled (Delta, Theta) equations that
+the matching conditions read, and their decoupled form (Sigma, Phi, Psi),
+marched together so that the structural relations Theta = Psi and
+Delta = Sigma + Phi hold to roundoff by construction.  solve_sigma_phi_psi
+checks those relations on the chain it is given, so only a genuine
+transcription error, or a tampered chain, can break them.
 
-Both sweeps step with odeint.rk4_step, sampling the closed-loop
+The sweep steps with odeint.rk4_step, sampling the closed-loop
 coefficients once at each of the three distinct nodes of a step on the
-block solution's doubled grid.  The (L, Delta, Theta) sweep solves L as
-it goes, so it forms each step's coefficients in turn; the chain pass
-runs with L known and forms every step's at once.  The matching
-conditions, zeta/eta, the closed-loop coefficients and the follower
-gains share the leader's gain algebra (leader._gain_terms); its L-free
-parts are solved once per sweep, for every node of the doubled grid at
-once.
+block solution's doubled grid.  The matching conditions, zeta/eta, the
+closed-loop coefficients and the follower gains share the leader's gain
+algebra (leader._gain_terms); its L-free parts are solved once per sweep,
+for every node of the doubled grid at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +101,15 @@ class IncentiveMatrices:
 
 @dataclass(frozen=True)
 class DeltaThetaSolution:
+    """The follower chain of one sweep: the coupled (Delta, Theta) and the
+    decoupled (Sigma, Phi, Psi), marched as one state."""
+
     grid: TimeGrid
     Delta: MatrixTrajectory
     Theta: MatrixTrajectory
+    Sigma: MatrixTrajectory
+    Phi: MatrixTrajectory
+    Psi: MatrixTrajectory
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,8 @@ class SigmaPhiPsiSolution:
     Sigma: MatrixTrajectory
     Phi: MatrixTrajectory
     Psi: MatrixTrajectory
-    # worst nodewise defects of Theta = Psi and Delta = Sigma + Phi,
-    # relative to 1 + |rhs|
+    # worst defects of Theta = Psi, absolute, and of Delta = Sigma + Phi,
+    # relative to the node's 1 + |Delta|
     theta_psi_gap: float
     delta_split_gap: float
 
@@ -260,14 +265,22 @@ def _cc(p: ModelParams, gamma: float, L, nodal, P1, Pi1) -> CCCoefficients:
     return CCCoefficients(A1, B1, H1, A2, B2, H2, A3, B3, H3)
 
 
-def _delta_theta_rhs(p, cc: CCCoefficients, Delta, Theta):
+def _chain_rhs(p, cc: CCCoefficients, state):
+    """d/dt of the follower chain [Delta, Theta, Sigma, Phi, Psi] under the
+    closed-loop coefficients cc."""
+    De, Th, Sg, Ph, Ps = state
     At_ = p.At.T
-    QtG = p.Qt - p.Qt @ p.Gamma1t
-    dDelta = -(Delta @ cc.A1 + At_ @ Delta + Delta @ cc.H1 @ Delta
-               + Theta @ (cc.B2 + cc.H2 @ Delta) + QtG)
-    dTheta = -(Theta @ cc.A2 + At_ @ Theta + Theta @ cc.H2 @ Theta
-               + Delta @ (cc.B1 + cc.H1 @ Theta))
-    return dDelta, dTheta
+    QtG1t = p.Qt @ p.Gamma1t
+    dDe = -(De @ cc.A1 + At_ @ De + De @ cc.H1 @ De
+            + Th @ (cc.B2 + cc.H2 @ De) + (p.Qt - QtG1t))
+    dTh = -(Th @ cc.A2 + At_ @ Th + Th @ cc.H2 @ Th
+            + De @ (cc.B1 + cc.H1 @ Th))
+    dSg = -(Sg @ p.At + At_ @ Sg + Sg @ cc.H1 @ Sg + p.Qt)
+    dPh = -(Ph @ (cc.A1 + cc.H1 @ De) + At_ @ Ph + Sg @ cc.H1 @ Ph
+            + Sg @ (cc.A1 - p.At) + Ps @ (cc.B2 + cc.H2 @ De) - QtG1t)
+    dPs = -(Ps @ (cc.A2 + cc.H2 @ Th) + At_ @ Ps + Sg @ cc.H1 @ Ps
+            + Sg @ cc.B1 + Ph @ (cc.B1 + cc.H1 @ Th))
+    return [dDe, dTh, dSg, dPh, dPs]
 
 
 def _gauss_newton(p, form, L0: np.ndarray):
@@ -367,12 +380,6 @@ def _prefer(a, b):
     return a
 
 
-def _fine_nodal(p, blocks: BlockRiccatiSolution):
-    """_nodal_terms at every node of the block solution's doubled grid."""
-    return _nodal_terms(p, blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2,
-                        blocks.fine_Pi2)
-
-
 def _cc_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L, k: int):
     """Closed-loop coefficients with L frozen at the start, midpoint and end
     of the backward step from node k: fine nodes 2k, 2k-1 and 2k-2 of the
@@ -382,62 +389,48 @@ def _cc_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L, k: int):
                  for j in (2 * k, 2 * k - 1, 2 * k - 2))
 
 
-def _chain_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L):
-    """_cc_stages of every backward step at once, for the known L: the
-    CCCoefficients fields as (M, 3, ...) arrays, where [k - 1, j] is stage
-    j of the step from node k, L[k] at fine node 2k - j.  One _cc over
-    that stack of nodes rounds each stage as _cc_stages does, since
-    broadcasting @ and solve take every matrix of a stack alone."""
-    M = len(L) - 1
-    fine = 2 * np.arange(1, M + 1)[:, None] - np.arange(3)
-    L3 = np.ascontiguousarray(np.broadcast_to(L[1:, None],
-                                              (M, 3) + L.shape[1:]))
-    cc = _cc(p, blocks.gamma, L3, tuple(a[fine] for a in fine_nodal),
-             blocks.fine_P1[fine], blocks.fine_Pi1[fine])
-    # contiguous fields: the rhs reads each stage's matrices many times
-    return [np.ascontiguousarray(getattr(cc, f.name)) for f in fields(cc)]
-
-
 def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
-    """Backward sweep for (L, Delta, Theta) along the leader's block solution.
+    """Backward sweep for L and the follower chain along the leader's block
+    solution.
 
     At each node L is the local least-squares solution of the two matching
-    conditions given the current (Delta, Theta); the RK4 step to the next
-    node holds L at that value (zero-order hold, consistent with the O(h)
-    coupling error of the half-steps).  Gauss-Newton runs from the cleared
-    solution, then from the warm start L[k+1] (at T, from
-    _terminal_candidates), and stops at the first run that converges within
-    RESIDUAL_FACTOR * NEWTON_TOL; otherwise _prefer picks among the runs.
-    newton_iters counts the iterations of every run at the node, and
-    newton_stop names the rule that ended the chosen one.  Nodes
-    below T whose least-squares problem has no reachable stationary point
-    keep the previous L and are flagged in newton_converged.  Raises
-    NoIncentiveSolution if the worst nodal residual ends up above
-    RESIDUAL_FACTOR * NEWTON_TOL; the partial sweep rides along in the
-    exception for diagnostics.
+    conditions given the current (Delta, Theta); the RK4 step of the whole
+    chain [Delta, Theta, Sigma, Phi, Psi] to the next node holds L at that
+    value (zero-order hold, consistent with the O(h) coupling error of the
+    half-steps).  Gauss-Newton runs from the cleared solution, then from
+    the warm start L[k+1] (at T, from _terminal_candidates), and stops at
+    the first run that converges within RESIDUAL_FACTOR * NEWTON_TOL;
+    otherwise _prefer picks among the runs.  newton_iters counts the
+    iterations of every run at the node, and newton_stop names the rule
+    that ended the chosen one.  Nodes below T whose least-squares problem
+    has no reachable stationary point keep the previous L and are flagged
+    in newton_converged.  Raises NoIncentiveSolution if the worst nodal
+    residual ends up above RESIDUAL_FACTOR * NEWTON_TOL; the partial sweep
+    rides along in the exception for diagnostics.
     """
     grid = blocks.grid
     M = grid.steps
     h = grid.h
     L_store = np.empty((M + 1, p.mL, p.mF))
-    d_store = np.empty((M + 1, p.n, p.n))
-    t_store = np.empty((M + 1, p.n, p.n))
+    chain = np.empty((5, M + 1, p.n, p.n))
     resid = np.empty(M + 1)
     iters = np.empty(M + 1, dtype=int)
     conv = np.empty(M + 1, dtype=bool)
     stops = np.empty(M + 1, dtype=object)
 
     GtG2 = p.Gt @ p.Gamma2t
-    Delta = p.Gt - GtG2
-    Theta = np.zeros((p.n, p.n))
+    zero = np.zeros((p.n, p.n))
+    state = [p.Gt - GtG2, zero, p.Gt.copy(), -GtG2, zero]
     # published node k is fine node 2k
-    fine_nodal = _fine_nodal(p, blocks)
+    fine_nodal = _nodal_terms(p, blocks.fine_P1, blocks.fine_Pi1,
+                              blocks.fine_P2, blocks.fine_Pi2)
     nodal = tuple(a[::2] for a in fine_nodal)
 
-    def dtheta_rhs(cc, st):
-        return _delta_theta_rhs(p, cc, *st)
+    def rhs(cc, st):
+        return _chain_rhs(p, cc, st)
 
     for k in range(M, -1, -1):
+        Delta, Theta = state[:2]
         form = _matching_form(p, tuple(a[k] for a in nodal), Delta, Theta)
 
         # at T a fan of candidates: the least-squares objective also drains
@@ -462,20 +455,17 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
         resid[k] = rk
         iters[k] = it
         conv[k] = ck
-        d_store[k], t_store[k] = Delta, Theta
+        chain[:, k] = state
 
         if k == 0:
             break
         # RK4 step to node k-1 with L frozen
-        Delta, Theta = rk4_step(dtheta_rhs, [Delta, Theta], -h,
-                                _cc_stages(p, blocks, fine_nodal, Lk, k))
+        state = rk4_step(rhs, state, -h,
+                         _cc_stages(p, blocks, fine_nodal, Lk, k))
 
     z_store, e_store = _zeta_eta(L_store, nodal)
     dtheta = DeltaThetaSolution(
-        grid,
-        Delta=MatrixTrajectory(grid, d_store),
-        Theta=MatrixTrajectory(grid, t_store),
-    )
+        grid, *(MatrixTrajectory(grid, values) for values in chain))
     inc = IncentiveMatrices(
         grid,
         L=MatrixTrajectory(grid, L_store),
@@ -496,71 +486,31 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
 def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
                         dtheta: DeltaThetaSolution,
                         inc: IncentiveMatrices) -> SigmaPhiPsiSolution:
-    """Integrate the decoupled chain and verify it recombines.
+    """Check that the decoupled chain in dtheta recombines to the coupled
+    one.
 
-    (Delta, Theta) are re-marched alongside (Sigma, Phi, Psi) with the same
-    frozen-L stepping, which makes Theta = Psi and Delta = Sigma + Phi exact
+    solve_cc_incentive marches (Sigma, Phi, Psi) in one state with
+    (Delta, Theta), which makes Theta = Psi and Delta = Sigma + Phi exact
     up to roundoff; a violation beyond RELATION_TOL therefore indicates a
-    transcription error and raises RelationViolated.
+    transcription error, or a chain altered since, and raises
+    RelationViolated.  blocks and inc are the sweep's: the chain was
+    marched from them, so the check reads neither.
     """
-    grid = blocks.grid
-    M = grid.steps
-    h = grid.h
-    n = p.n
-    At_ = p.At.T
-    QtG1t = p.Qt @ p.Gamma1t
-
-    s_store = np.empty((M + 1, n, n))
-    f_store = np.empty((M + 1, n, n))
-    p_store = np.empty((M + 1, n, n))
-
-    GtG2 = p.Gt @ p.Gamma2t
-    state = [p.Gt.copy(), -GtG2, np.zeros((n, n)),          # Sigma, Phi, Psi
-             p.Gt - GtG2, np.zeros((n, n))]                  # Delta, Theta
-
-    def rhs(cc: CCCoefficients, st):
-        Sg, Ph, Ps, De, Th = st
-        dSg = -(Sg @ p.At + At_ @ Sg + Sg @ cc.H1 @ Sg + p.Qt)
-        dPh = -(Ph @ (cc.A1 + cc.H1 @ De) + At_ @ Ph + Sg @ cc.H1 @ Ph
-                + Sg @ (cc.A1 - p.At) + Ps @ (cc.B2 + cc.H2 @ De) - QtG1t)
-        dPs = -(Ps @ (cc.A2 + cc.H2 @ Th) + At_ @ Ps + Sg @ cc.H1 @ Ps
-                + Sg @ cc.B1 + Ph @ (cc.B1 + cc.H1 @ Th))
-        dDe, dTh = _delta_theta_rhs(p, cc, De, Th)
-        return [dSg, dPh, dPs, dDe, dTh]
-
-    stages = _chain_stages(p, blocks, _fine_nodal(p, blocks), inc.L.values)
-    th_gap = 0.0
-    sp_gap = 0.0
-    for k in range(M, -1, -1):
-        s_store[k], f_store[k], p_store[k] = state[0], state[1], state[2]
-        De_ref = dtheta.Delta.values[k]
-        Th_ref = dtheta.Theta.values[k]
-        g1 = np.max(np.abs(state[4] - Th_ref)) / (1.0 + np.max(np.abs(Th_ref)))
-        g2 = (np.max(np.abs(state[0] + state[1] - De_ref))
-              / (1.0 + np.max(np.abs(De_ref))))
-        th_gap = max(th_gap, np.max(np.abs(state[2] - state[4])))
-        sp_gap = max(sp_gap, g1, g2)
-        if k == 0:
-            break
-        state = rk4_step(rhs, state, -h, [
-            CCCoefficients(*(a[k - 1, j] for a in stages)) for j in range(3)])
-
-    # th_gap compares the co-integrated Psi against the co-integrated Theta;
-    # sp_gap additionally ties both back to the stored coupled sweep
-    theta_scale = 1.0 + float(np.max(np.abs(dtheta.Theta.values)))
-    delta_scale = 1.0 + float(np.max(np.abs(dtheta.Delta.values)))
+    De, Th = dtheta.Delta.values, dtheta.Theta.values
+    Sg, Ph = dtheta.Sigma.values, dtheta.Phi.values
+    th_gap = float(np.max(np.abs(dtheta.Psi.values - Th)))
+    # nodewise, relative to the node's 1 + |Delta|
+    sp_gap = float(np.max(np.max(np.abs(Sg + Ph - De), axis=(1, 2))
+                          / (1.0 + np.max(np.abs(De), axis=(1, 2)))))
+    theta_scale = 1.0 + float(np.max(np.abs(Th)))
     if th_gap > RELATION_TOL * theta_scale or sp_gap > RELATION_TOL:
         raise RelationViolated(
             f"decoupled chain defects {th_gap:.3e} / {sp_gap:.3e} "
             f"exceed {RELATION_TOL:g}"
         )
     return SigmaPhiPsiSolution(
-        grid,
-        Sigma=MatrixTrajectory(grid, s_store),
-        Phi=MatrixTrajectory(grid, f_store),
-        Psi=MatrixTrajectory(grid, p_store),
-        theta_psi_gap=float(th_gap),
-        delta_split_gap=float(sp_gap),
+        blocks.grid, Sigma=dtheta.Sigma, Phi=dtheta.Phi, Psi=dtheta.Psi,
+        theta_psi_gap=th_gap, delta_split_gap=sp_gap,
     )
 
 

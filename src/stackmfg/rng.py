@@ -17,6 +17,8 @@ and returns its running sums over agents 1..N for several N at once.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["stream", "normals", "increments", "brownian_increments",
@@ -34,6 +36,19 @@ _STATE = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": None},
           "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 # increment_sums() draws this many floats of rows before it adds them up
 _SUM_BLOCK_FLOATS = 1 << 16
+
+
+@functools.cache
+def _blank_seed() -> np.random.SeedSequence:
+    """The seed of every blank generator.  A Philox built from a
+    SeedSequence skips making one; built on first use, so that importing
+    the package does not import numpy.random."""
+    return np.random.SeedSequence(0)
+
+
+def _blank() -> np.random.Generator:
+    """A Philox generator for stream() to re-key before its first draw."""
+    return np.random.Generator(np.random.Philox(_blank_seed()))
 
 
 def stream(master_seed: int, path: int, agent: int,
@@ -65,7 +80,7 @@ def increments(master_seed: int, keys, nsteps: int, dt: float) -> np.ndarray:
     variance dt per step.  One generator serves the whole call."""
     keys = list(keys)
     out = np.empty((len(keys), nsteps))
-    gen = np.random.Generator(np.random.Philox(0))
+    gen = _blank()
     for row, (path, agent) in enumerate(keys):
         stream(master_seed, path, agent, gen).standard_normal(out=out[row])
     out *= np.sqrt(dt)
@@ -93,7 +108,7 @@ def increment_sums(master_seed: int, paths, Ns, nsteps: int,
     out = np.empty((len(paths), len(Ns), nsteps))
     rows = np.empty((max(1, min(top, _SUM_BLOCK_FLOATS // nsteps)), nsteps))
     carry = np.empty(nsteps)
-    gen = np.random.Generator(np.random.Philox(0))
+    gen = _blank()
     scale = np.sqrt(dt)
     for i, path in enumerate(paths):
         for first in range(1, top + 1, len(rows)):
@@ -113,7 +128,7 @@ def increment_sums(master_seed: int, paths, Ns, nsteps: int,
 
 def pool(size: int) -> list[np.random.Generator]:
     """size Philox generators, to be re-keyed to their streams by stream()."""
-    return [np.random.Generator(np.random.Philox(0)) for _ in range(size)]
+    return [_blank() for _ in range(size)]
 
 
 def draw(gens, count: int, dt: float) -> np.ndarray:

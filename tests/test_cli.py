@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stackmfg import cli, incentive, sim
+from stackmfg import cli, incentive, leader, sim
 from stackmfg.model import save_config
 
 
@@ -89,6 +89,12 @@ def test_solve_leader_artifacts(tmp_path, capsys):
     assert checks["stationarity_ok"]
     header = (out / "riccati_blocks.csv").read_text().splitlines()[0]
     assert header.startswith("t,") and "P1" in header
+    # both systems march the doubled grid to t = 0
+    stage = [s for s in man["stages"] if s["name"] == "solve-leader"]
+    steps = 2 * (len((out / "gains.csv").read_text().splitlines()) - 2)
+    assert {k: stage[0][k] for k in ("block_rk4_steps",
+                                     "assembled_rk4_steps")} == \
+        dict(block_rk4_steps=steps, assembled_rk4_steps=steps)
 
 
 def test_solve_incentive_benchmark_reports_failure(tmp_path, capsys):
@@ -136,6 +142,8 @@ def _assert_incentive_work(out, conditions, unknowns):
                                      "matching_unknowns", "newton_iters")} \
         == dict(matching_conditions=conditions, matching_unknowns=unknowns,
                 newton_iters=iters)
+    # the chain [Delta, Theta, Sigma, Phi, Psi] is marched once
+    assert stage[0]["rk4_steps"] == len(lines) - 2
     # one stop rule per node, converged unless the leash or MAX_ITER ended
     # the chosen run
     stops = stage[0]["newton_stops"]
@@ -197,6 +205,15 @@ def test_reproduce_paper_fail_path(table1, tmp_path, capsys):
     summary = read_json(out / "summary.json")
     assert "gamma_hat" in summary       # earlier stages did land
     assert "V0" not in summary
+    # the certificate escapes at gamma=2, so the concavity stage counts
+    # that march down to its escape node, then the march at the top of the
+    # bracket, which reaches t = 0
+    p = table1.with_updates(gamma=2.0)
+    escape = leader.solve_concavity(p).escape
+    M = p.grid_steps
+    stage = [s for s in man["stages"] if s["name"] == "concavity"]
+    assert summary["concavity"]["solvable_at_run_gamma"] is False
+    assert stage[0]["rk4_steps"] == (M - escape.node) + M
 
 
 def test_unparsable_env_override_names_the_variable(monkeypatch, capsys):

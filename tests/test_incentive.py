@@ -1,11 +1,13 @@
-"""Incentive construction: matching conditions, the (L, Delta, Theta)
-sweep, the decoupled (Sigma, Phi, Psi) chain and the follower gains."""
+"""Incentive construction: matching conditions, the sweep of L with the
+follower chain (Delta, Theta, Sigma, Phi, Psi), the relation check and the
+follower gains."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stackmfg import incentive
-from stackmfg.incentive import (DeltaThetaSolution, NoIncentiveSolution,
-                                RelationViolated)
+from stackmfg.incentive import NoIncentiveSolution, RelationViolated
 from stackmfg.model import MatrixTrajectory
 
 TERM = (np.array([[1.0]]), np.array([[-0.01]]),
@@ -106,27 +108,23 @@ def test_cc_coefficients_formula(square, square_sol, n2, n2_sol):
 
 
 def test_hoisted_cc_stages_equal_per_node(table1, blocks1, inc1, n2, n2_sol):
-    # the sweeps solve the L-free terms once over the doubled grid; every
+    # the sweep solves the L-free terms once over the doubled grid; every
     # stage must round exactly like cc_coefficients at that one fine node
     cases = ((table1, blocks1, inc1.inc, range(1, 1001, 37)),
              (n2, n2_sol.blocks, n2_sol.inc, range(1, n2.grid_steps + 1)))
     names = ("A1", "B1", "H1", "A2", "B2", "H2", "A3", "B3", "H3")
     for p, blocks, inc, nodes in cases:
-        fine_nodal = incentive._fine_nodal(p, blocks)
-        # the chain pass forms every step's stages in one batched call
-        batched = dict(zip(names, incentive._chain_stages(
-            p, blocks, fine_nodal, inc.L.values)))
+        fine_nodal = incentive._nodal_terms(p, blocks.fine_P1,
+                                            blocks.fine_Pi1, blocks.fine_P2,
+                                            blocks.fine_Pi2)
         for k in nodes:
             L = inc.L.values[k]
             stages = incentive._cc_stages(p, blocks, fine_nodal, L, k)
-            for i, (j, cc) in enumerate(zip((2 * k, 2 * k - 1, 2 * k - 2),
-                                            stages)):
+            for j, cc in zip((2 * k, 2 * k - 1, 2 * k - 2), stages):
                 want = incentive.cc_coefficients(p, blocks.gamma, L,
                                                  *blocks.fine_blocks(j))
                 for name in names:
                     assert np.array_equal(getattr(cc, name),
-                                          getattr(want, name))
-                    assert np.array_equal(batched[name][k - 1, i],
                                           getattr(want, name))
 
 
@@ -175,10 +173,16 @@ def test_square_stored_L_is_locally_stationary(square, square_sol):
             base, 1e-10)
 
 
-def test_square_decoupled_chain(square_sol):
+def test_square_decoupled_chain(square_sol, n2_sol):
+    # the relations hold to roundoff for n = 1 and for n = 2, and the
+    # checked chain is the one the sweep carried
+    for sol in (square_sol, n2_sol):
+        assert sol.spp.theta_psi_gap <= 1e-6
+        assert sol.spp.delta_split_gap <= 1e-6
+    for name in ("Sigma", "Phi", "Psi"):
+        assert np.array_equal(getattr(n2_sol.spp, name).values,
+                              getattr(n2_sol.dtheta, name).values)
     spp = square_sol.spp
-    assert spp.theta_psi_gap <= 1e-6
-    assert spp.delta_split_gap <= 1e-6
     assert spp.Sigma.values[0, 0, 0] == pytest.approx(1.18466074, abs=1e-6)
     assert spp.Phi.values[0, 0, 0] == pytest.approx(-0.41929027, abs=1e-6)
     assert spp.Psi.values[0, 0, 0] == pytest.approx(-0.15602569, abs=1e-6)
@@ -267,10 +271,9 @@ def test_benchmark_newton_iters_count_every_seed_run(table1, blocks1, inc1):
     # cleared solution first, then the warm start L[k+1] or at T the fixed
     # candidates, and newton_iters is the sum of their iterations
     M = table1.grid_steps
-    fine_nodal = incentive._fine_nodal(table1, blocks1)
     L = inc1.inc.L.values
     for k in (M, 500, 0):
-        nodal = tuple(a[2 * k] for a in fine_nodal)
+        nodal = incentive._nodal_terms(table1, *blocks1.fine_blocks(2 * k))
         form = incentive._matching_form(table1, nodal,
                                         inc1.dtheta.Delta.values[k],
                                         inc1.dtheta.Theta.values[k])
@@ -288,7 +291,6 @@ def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
     # converged flag follows from it; on the bundled config no run reaches
     # the tolerance, so every seed runs
     M = table1.grid_steps
-    fine_nodal = incentive._fine_nodal(table1, blocks1)
     size = np.sqrt(incentive.matching_size(table1)[0])
     inc = inc1.inc
     stops = list(inc.newton_stop)
@@ -296,7 +298,7 @@ def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
     assert list(inc.newton_converged) == [
         s not in ("leash", "max_iter") for s in stops]
     for k in {M, 0} | {stops.index(s) for s in set(stops)}:
-        nodal = tuple(a[2 * k] for a in fine_nodal)
+        nodal = incentive._nodal_terms(table1, *blocks1.fine_blocks(2 * k))
         form = incentive._matching_form(table1, nodal,
                                         inc1.dtheta.Delta.values[k],
                                         inc1.dtheta.Theta.values[k])
@@ -369,12 +371,10 @@ def test_no_follower_state_cost(table1, blocks1):
     assert np.all(spp.Psi.values == 0.0)
 
 
-def test_relation_violated_on_tampered_input(table1, blocks1, inc1):
-    bad = DeltaThetaSolution(
-        inc1.dtheta.grid,
-        Delta=MatrixTrajectory(inc1.dtheta.grid,
-                               inc1.dtheta.Delta.values + 1.0),
-        Theta=inc1.dtheta.Theta,
-    )
+@pytest.mark.parametrize("name", ["Delta", "Theta", "Sigma", "Phi", "Psi"])
+def test_relation_violated_on_tampered_input(name, table1, blocks1, inc1):
+    dtheta = inc1.dtheta
+    bad = dataclasses.replace(dtheta, **{name: MatrixTrajectory(
+        dtheta.grid, getattr(dtheta, name).values + 1.0)})
     with pytest.raises(RelationViolated):
         incentive.solve_sigma_phi_psi(table1, blocks1, bad, inc1.inc)
