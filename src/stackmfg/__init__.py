@@ -48,7 +48,6 @@ from .incentive import (
     matching_residual,
     solve_cc_incentive,
     solve_sigma_phi_psi,
-    zeta_eta,
 )
 from .sim import (
     CostReport,
@@ -80,7 +79,7 @@ __all__ = [
     "IncentiveMatrices", "NoIncentiveSolution",
     "RelationViolated", "SigmaPhiPsiSolution", "cc_coefficients",
     "follower_gains", "matching_residual", "solve_cc_incentive",
-    "solve_sigma_phi_psi", "zeta_eta",
+    "solve_sigma_phi_psi",
     "CostReport", "NonFiniteState", "PathBundle", "SaddleReport", "SimConfig",
     "SweepReport", "eval_costs", "incentive_match", "saddle_check",
     "simulate_limit", "simulate_population", "sweep_mean_field_gap",

@@ -172,16 +172,13 @@ def _load(args) -> ModelParams:
 
 
 def _population_sizes(text: str) -> list[int]:
-    """--ns as a list, refused unless the sweeps can fit a slope to it."""
+    """--ns as a list, checked as the sweeps check it (sim._sweep_sizes)."""
     try:
         Ns = [int(x) for x in text.split(",")]
     except ValueError:
         raise ValueError(f"--ns {text!r} is not a comma-separated list of "
                          "integers") from None
-    if len(Ns) < 3 or Ns[0] < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError(f"--ns {text!r} must give at least 3 strictly "
-                         "increasing population sizes >= 1")
-    return Ns
+    return sim._sweep_sizes(Ns)
 
 
 class _Run:

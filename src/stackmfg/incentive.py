@@ -18,8 +18,9 @@ The sweep steps with odeint.rk4_step, sampling the closed-loop
 coefficients once at each of the three distinct nodes of a step on the
 block solution's doubled grid.  The matching conditions, zeta/eta, the
 closed-loop coefficients and the follower gains share the leader's gain
-algebra (leader._gain_terms); its L-free parts are solved once per sweep,
-for every node of the doubled grid at once.
+algebra (leader._gain_terms); its L-free parts, the solves the leader's
+Theta gains negate (leader._gain_solves), are formed once per sweep, for
+every node of the doubled grid at once.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leader import BlockRiccatiSolution, _gain_terms
+from .leader import BlockRiccatiSolution, _gain_solves, _gain_terms
 from .model import MatrixTrajectory, ModelParams, TimeGrid
 from .odeint import rk4_step
 
@@ -40,7 +41,6 @@ __all__ = [
     "SigmaPhiPsiSolution",
     "FollowerGains",
     "matching_size",
-    "zeta_eta",
     "matching_residual",
     "cc_coefficients",
     "solve_cc_incentive",
@@ -165,15 +165,9 @@ def matching_size(p: ModelParams) -> tuple[int, int]:
     return 2 * p.mF * p.n, p.mL * p.mF
 
 
-def _nodal_terms(p: ModelParams, P1, Pi1, P2, Pi2):
-    """(S0^-1 V, S0^-1 V2, R1^-1 X, R1^-1 X2) at one node or a stack: the
-    parts of zeta, eta and the matching conditions that do not involve L."""
-    S0, V, V2, X, X2 = _gain_terms(p, P1, Pi1, P2, Pi2)
-    return (np.linalg.solve(S0, V), np.linalg.solve(S0, V2),
-            np.linalg.solve(p.R1, X), np.linalg.solve(p.R1, X2))
-
-
 def _zeta_eta(L, nodal):
+    """State and mean feedthrough of the leader's incentive, from the
+    node's L-free terms (leader._gain_solves)."""
     SiV, SiV2, RiX, RiX2 = nodal
     return -SiV + L @ RiX, -SiV2 + L @ RiX2
 
@@ -184,11 +178,6 @@ def _L_terms(p: ModelParams, L):
     and the cross weight L'R0t."""
     LtR0 = np.swapaxes(L, -1, -2) @ p.R0t
     return p.R1t + LtR0 @ L, p.Bt + p.Ht @ L, LtR0
-
-
-def zeta_eta(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2):
-    """State and mean feedthrough of the leader's incentive at one node."""
-    return _zeta_eta(L, _nodal_terms(p, P1, Pi1, P2, Pi2))
 
 
 def _matching_form(p, nodal, Delta, Theta):
@@ -232,18 +221,20 @@ def matching_residual(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2,
     Returns the pair of mF x n defect matrices; zeros mean the followers'
     aggregated best reply reproduces the leader's team-optimal follower gain.
     """
-    form = _matching_form(p, _nodal_terms(p, P1, Pi1, P2, Pi2), Delta, Theta)
+    nodal = _gain_solves(p, *_gain_terms(p, P1, Pi1, P2, Pi2))
+    form = _matching_form(p, nodal, Delta, Theta)
     r = _matching(p, L, form)[0]
     return r[:, :p.n], r[:, p.n:]
 
 
 def cc_coefficients(p: ModelParams, gamma: float, L: np.ndarray,
                     P1, Pi1, P2, Pi2) -> CCCoefficients:
-    return _cc(p, gamma, L, _nodal_terms(p, P1, Pi1, P2, Pi2), P1, Pi1)
+    nodal = _gain_solves(p, *_gain_terms(p, P1, Pi1, P2, Pi2))
+    return _cc(p, gamma, L, nodal, P1, Pi1)
 
 
 def _cc(p: ModelParams, gamma: float, L, nodal, P1, Pi1) -> CCCoefficients:
-    """cc_coefficients from the node's L-free terms (_nodal_terms)."""
+    """cc_coefficients from the node's L-free terms (_gain_solves)."""
     zeta, eta = _zeta_eta(L, nodal)
     g2 = gamma ** -2
     ERi = p.disturbance_weight
@@ -368,18 +359,6 @@ def _cleared_candidate(form) -> np.ndarray:
     return np.linalg.lstsq(W.T, -C0.T, rcond=None)[0]
 
 
-def _prefer(a, b):
-    """Pick between (L, resid, iters, converged) trials: converged first,
-    then smaller residual."""
-    if a is None:
-        return b
-    if b[3] and not a[3]:
-        return b
-    if b[3] == a[3] and b[1] < a[1]:
-        return b
-    return a
-
-
 def _cc_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L, k: int):
     """Closed-loop coefficients with L frozen at the start, midpoint and end
     of the backward step from node k: fine nodes 2k, 2k-1 and 2k-2 of the
@@ -399,8 +378,9 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     value (zero-order hold, consistent with the O(h) coupling error of the
     half-steps).  Gauss-Newton runs from the cleared solution, then from
     the warm start L[k+1] (at T, from _terminal_candidates), and stops at
-    the first run that converges within RESIDUAL_FACTOR * NEWTON_TOL;
-    otherwise _prefer picks among the runs.  newton_iters counts the
+    the first run that converges within RESIDUAL_FACTOR * NEWTON_TOL.  The
+    node takes the best of its runs, converged first, then the smaller
+    residual, the earlier run on a tie.  newton_iters counts the
     iterations of every run at the node, and newton_stop names the rule
     that ended the chosen one.  Nodes below T whose least-squares problem
     has no reachable stationary point keep the previous L and are flagged
@@ -422,8 +402,8 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     zero = np.zeros((p.n, p.n))
     state = [p.Gt - GtG2, zero, p.Gt.copy(), -GtG2, zero]
     # published node k is fine node 2k
-    fine_nodal = _nodal_terms(p, blocks.fine_P1, blocks.fine_Pi1,
-                              blocks.fine_P2, blocks.fine_Pi2)
+    fine_nodal = _gain_solves(p, *_gain_terms(
+        p, blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2))
     nodal = tuple(a[::2] for a in fine_nodal)
 
     def rhs(cc, st):
@@ -437,14 +417,12 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
         # away along |L| -> inf, and a run caught on that tail is no solution
         seeds = [_cleared_candidate(form)] + (
             [L_store[k + 1]] if k < M else _terminal_candidates(p))
-        best, it = None, 0
+        runs = []
         for seed in seeds:
-            trial = _gauss_newton(p, form, seed)
-            it += trial[2]
-            best = _prefer(best, trial)
-            if best[3] and best[1] <= RESIDUAL_FACTOR * NEWTON_TOL:
+            runs.append(_gauss_newton(p, form, seed))
+            if runs[-1][3] and runs[-1][1] <= RESIDUAL_FACTOR * NEWTON_TOL:
                 break
-        Lk, rk, _, ck, stops[k] = best
+        Lk, rk, _, ck, stops[k] = min(runs, key=lambda r: (not r[3], r[1]))
         if not ck and k < M:
             # the nodal problem lost its stationary point; hold the incoming
             # value and report the defect there instead of following the
@@ -453,7 +431,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
             rk = float(np.linalg.norm(_matching(p, Lk, form)[0]))
         L_store[k] = Lk
         resid[k] = rk
-        iters[k] = it
+        iters[k] = sum(r[2] for r in runs)
         conv[k] = ck
         chain[:, k] = state
 

@@ -144,12 +144,14 @@ def estimate_gamma_hat(p: ModelParams,
 
     - the opening pass: the powers of two from the first at or under
       LO_FLOOR up to HI_CAP;
-    - per bisection pass, the 2**_KSECTION_DEPTH - 1 midpoints the next
-      _KSECTION_DEPTH bisection steps could visit.
+    - whenever bisection's next midpoint is not yet known, the
+      2**_KSECTION_DEPTH - 1 midpoints the next _KSECTION_DEPTH bisection
+      steps could visit.
 
-    Bisection then replays on their verdicts, so gamma_hat, the bracket and
-    every verdict equal one-at-a-time bisection's bit for bit.  trace lists
-    every gamma marched, once, in pass order and ascending within a pass.
+    Bisection itself is plain, one midpoint per step read off the marched
+    verdicts, so gamma_hat, the bracket and every verdict equal
+    one-at-a-time bisection's bit for bit.  trace lists every gamma marched,
+    once, in pass order and ascending within a pass.
     """
     grid = p.grid()
     trace = []
@@ -188,15 +190,13 @@ def estimate_gamma_hat(p: ModelParams,
             )
         lo *= 0.5
     while hi - lo > bracket_tol:
-        march(_midpoints(lo, hi, bracket_tol, _KSECTION_DEPTH))
-        for _ in range(_KSECTION_DEPTH):
-            if hi - lo <= bracket_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if known[mid]:
-                hi = mid
-            else:
-                lo = mid
+        mid = 0.5 * (lo + hi)
+        if mid not in known:
+            march(_midpoints(lo, hi, bracket_tol, _KSECTION_DEPTH))
+        if known[mid]:
+            hi = mid
+        else:
+            lo = mid
     return GammaHatResult(0.5 * (lo + hi), (lo, hi), tuple(trace), passes)
 
 
@@ -252,6 +252,14 @@ def _gain_terms(p: ModelParams, P1, Pi1, P2, Pi2):
     X = p.H.T @ P1 + p.Bt.T @ P2
     X2 = p.H.T @ Pi1 + p.Bt.T @ Pi2
     return S0, V, V2, X, X2
+
+
+def _gain_solves(p: ModelParams, S0, V, V2, X, X2):
+    """(S0^-1 V, S0^-1 V2, R1^-1 X, R1^-1 X2) from _gain_terms, at one node
+    or a stack: the leader's Theta gains up to sign, and the parts of the
+    incentive's zeta, eta and matching conditions that do not involve L."""
+    return (np.linalg.solve(S0, V), np.linalg.solve(S0, V2),
+            np.linalg.solve(p.R1, X), np.linalg.solve(p.R1, X2))
 
 
 def _check_gain_weight(S0: np.ndarray, nodes=None) -> None:
@@ -389,22 +397,15 @@ class LeaderGains:
     Vm: MatrixTrajectory
 
 
-def gain_matrices(p: ModelParams, gamma: float, P1, Pi1, P2, Pi2):
-    """Gain formulas from block values at one node or a stack of nodes."""
-    S0, V, V2, X, X2 = _gain_terms(p, P1, Pi1, P2, Pi2)
-    _check_gain_weight(S0)
-    th11 = -np.linalg.solve(S0, V)
-    th12 = -np.linalg.solve(S0, V2)
-    th21 = -np.linalg.solve(p.R1, X)
-    th22 = -np.linalg.solve(p.R1, X2)
-    g2 = gamma ** -2
-    vx = g2 * np.linalg.solve(p.R2, p.E.T @ P1)
-    vm = g2 * np.linalg.solve(p.R2, p.E.T @ Pi1)
-    return th11, th12, th21, th22, vx, vm
-
-
 def leader_gains(sol: BlockRiccatiSolution, p: ModelParams) -> LeaderGains:
-    mats = gain_matrices(p, sol.gamma, *sol.all_nodes())
+    """The saddle gains at every published node: the Theta gains are the
+    negated _gain_solves, the disturbance gains gamma^-2 R2^-1 E'(P1, Pi1)."""
+    P1, Pi1, P2, Pi2 = sol.all_nodes()
+    terms = _gain_terms(p, P1, Pi1, P2, Pi2)
+    _check_gain_weight(terms[0])
+    g2 = sol.gamma ** -2
+    mats = [-m for m in _gain_solves(p, *terms)] + [
+        g2 * np.linalg.solve(p.R2, p.E.T @ P) for P in (P1, Pi1)]
     return LeaderGains(sol.grid,
                        *(MatrixTrajectory(sol.grid, m) for m in mats))
 

@@ -141,11 +141,20 @@ _MATRIX_SPEC = [
     ("Gt", "follower_cost", "n", "n"),
 ]
 
-_SYMMETRIC_FIELDS = ("Q", "G", "Qt", "Gt", "R0", "R1", "R2", "R0t", "R1t")
-
 # weights that only need to be positive semidefinite / strictly positive definite
 _PSD_FIELDS = ("Q", "G", "Qt", "Gt")
 _PD_FIELDS = ("R0", "R1", "R2", "R0t", "R1t")
+_SYMMETRIC_FIELDS = _PSD_FIELDS + _PD_FIELDS
+
+
+def _skew(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a - a.T)))
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """The symmetry rule for a weight: its largest |a - a'| entry is at
+    most SYM_TOL * max(1, max |a|)."""
+    return _skew(a) <= SYM_TOL * max(1.0, np.max(np.abs(a)))
 
 
 @dataclass(frozen=True)
@@ -203,9 +212,9 @@ class ModelParams:
             a.setflags(write=False)
         for name in _SYMMETRIC_FIELDS:
             a = getattr(self, name)
-            skew = np.max(np.abs(a - a.T)) if a.size else 0.0
-            if skew > SYM_TOL * max(1.0, np.max(np.abs(a))):
-                raise ValueError(f"{name} must be symmetric (asymmetry {skew:.2e})")
+            if not _symmetric(a):
+                raise ValueError(
+                    f"{name} must be symmetric (asymmetry {_skew(a):.2e})")
         for name in ("xi", "x0init"):
             v = _as_vector(name, getattr(self, name), self.n)
             object.__setattr__(self, name, v)
@@ -272,11 +281,10 @@ def validate_assumptions(p: ModelParams) -> ValidationReport:
     checks = []
     finite = all(np.all(np.isfinite(getattr(p, name))) for name, *_ in _MATRIX_SPEC)
     checks.append(ValidationCheck("A1_bounded_coefficients", finite, 0.0 if finite else -np.inf))
-    worst = 0.0
-    for name in _SYMMETRIC_FIELDS:
-        a = getattr(p, name)
-        worst = max(worst, float(np.max(np.abs(a - a.T))) if a.size else 0.0)
-    checks.append(ValidationCheck("A2_symmetric_weights", worst <= SYM_TOL, -worst))
+    weights = [getattr(p, name) for name in _SYMMETRIC_FIELDS]
+    checks.append(ValidationCheck(
+        "A2_symmetric_weights", all(map(_symmetric, weights)),
+        -max(map(_skew, weights))))
     for name in _PSD_FIELDS:
         m = _min_eig(getattr(p, name))
         checks.append(

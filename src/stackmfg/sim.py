@@ -735,17 +735,22 @@ _OPT_CAVEAT = ("proxy: reference is the limit-system saddle cost, not the "
                "centralized inf-sup; slope mixes 1/sqrt(N) and 1/N terms")
 
 
+def _sweep_sizes(Ns) -> list[int]:
+    """Ns as a list, refused unless a sweep can fit a slope to it."""
+    Ns = list(Ns)
+    if len(Ns) < 3 or Ns[0] < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError(f"population sizes {Ns} must be at least 3 strictly "
+                         "increasing sizes >= 1")
+    return Ns
+
+
 def _sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
                 cfg: SimConfig) -> tuple[SweepReport, SweepReport]:
     """Both N-sweeps from one team-mode population run per N: the
     mean-field gap report and the optimality-gap proxy report.  The
     followers' summed increments for every N are read in one pass over
     the streams of the largest population."""
-    Ns = list(Ns)
-    if len(Ns) < 3:
-        raise ValueError("need at least 3 population sizes")
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("population sizes must be strictly increasing")
+    Ns = _sweep_sizes(Ns)
     lim = simulate_limit(p, gains, cfg)
     J_lim, work = _j0_per_path(lim, p), lim.work
     del lim

@@ -6,12 +6,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stackmfg import incentive
+from stackmfg import incentive, leader
 from stackmfg.incentive import NoIncentiveSolution, RelationViolated
 from stackmfg.model import MatrixTrajectory
 
 TERM = (np.array([[1.0]]), np.array([[-0.01]]),
         np.array([[-0.01]]), np.array([[1e-4]]))     # benchmark blocks at T
+
+
+def _nodal(p, *blocks):
+    """The L-free terms of zeta, eta and the matching conditions."""
+    return leader._gain_solves(p, *leader._gain_terms(p, *blocks))
+
+
+def _zeta_eta(p, L, *blocks):
+    return incentive._zeta_eta(L, _nodal(p, *blocks))
 
 
 def test_newton_opts_defaults():
@@ -23,14 +32,14 @@ def test_newton_opts_defaults():
 def test_zeta_eta_reduce_to_leader_gains_at_zero_L(table1, blocks1, gains1):
     L0 = np.zeros((table1.mL, table1.mF))
     for k in (0, 500, 1000):
-        z, e = incentive.zeta_eta(table1, L0, *blocks1.blocks_at_node(k))
+        z, e = _zeta_eta(table1, L0, *blocks1.blocks_at_node(k))
         assert np.abs(z - gains1.Theta11.values[k]).max() <= 1e-14
         assert np.abs(e - gains1.Theta12.values[k]).max() <= 1e-14
 
 
 def test_zeta_terminal_hand_value(table1):
     # S0 = 0.6 + 0.25, V = 0.5 - 0.002 + 0.5, X/R1 = 0.695/0.5
-    z, e = incentive.zeta_eta(table1, np.array([[1.0]]), *TERM)
+    z, e = _zeta_eta(table1, np.array([[1.0]]), *TERM)
     assert z[0, 0] == pytest.approx(-0.998 / 0.85 + 1.39, abs=1e-12)
     x2 = 0.7 * -0.01 + 0.5 * 1e-4
     v2 = 0.5 * -0.01 + 0.2 * 1e-4
@@ -73,11 +82,11 @@ def test_matching_form_residual_and_jacobian(table1, blocks1, inc1, square,
         for k in nodes:
             blk = blocks.blocks_at_node(k)
             D, T = dtheta.Delta.values[k], dtheta.Theta.values[k]
-            nodal = incentive._nodal_terms(p, *blk)
+            nodal = _nodal(p, *blk)
             form = incentive._matching_form(p, nodal, D, T)
             for L in rng.normal(size=(3, p.mL, p.mF)):
                 r, J = incentive._matching(p, L, form)
-                z, e = incentive.zeta_eta(p, L, *blk)
+                z, e = incentive._zeta_eta(L, nodal)
                 SL = p.R1t + L.T @ p.R0t @ L
                 BL = p.Bt + p.Ht @ L
                 r1 = np.linalg.solve(SL, L.T @ p.R0t @ z + BL.T @ T) - nodal[2]
@@ -96,7 +105,7 @@ def test_cc_coefficients_formula(square, square_sol, n2, n2_sol):
         blk = sol.blocks.blocks_at_node(0)
         L = sol.inc.L.values[0]
         cc = incentive.cc_coefficients(p, p.gamma, L, *blk)
-        z, e = incentive.zeta_eta(p, L, *blk)
+        z, e = _zeta_eta(p, L, *blk)
         SLi = np.linalg.inv(p.R1t + L.T @ p.R0t @ L)
         BL = p.Bt + p.Ht @ L
         A1 = p.At + p.Ft + p.Ht @ e - BL @ SLi @ (L.T @ p.R0t @ e)
@@ -114,9 +123,8 @@ def test_hoisted_cc_stages_equal_per_node(table1, blocks1, inc1, n2, n2_sol):
              (n2, n2_sol.blocks, n2_sol.inc, range(1, n2.grid_steps + 1)))
     names = ("A1", "B1", "H1", "A2", "B2", "H2", "A3", "B3", "H3")
     for p, blocks, inc, nodes in cases:
-        fine_nodal = incentive._nodal_terms(p, blocks.fine_P1,
-                                            blocks.fine_Pi1, blocks.fine_P2,
-                                            blocks.fine_Pi2)
+        fine_nodal = _nodal(p, blocks.fine_P1, blocks.fine_Pi1,
+                            blocks.fine_P2, blocks.fine_Pi2)
         for k in nodes:
             L = inc.L.values[k]
             stages = incentive._cc_stages(p, blocks, fine_nodal, L, k)
@@ -273,7 +281,7 @@ def test_benchmark_newton_iters_count_every_seed_run(table1, blocks1, inc1):
     M = table1.grid_steps
     L = inc1.inc.L.values
     for k in (M, 500, 0):
-        nodal = incentive._nodal_terms(table1, *blocks1.fine_blocks(2 * k))
+        nodal = _nodal(table1, *blocks1.fine_blocks(2 * k))
         form = incentive._matching_form(table1, nodal,
                                         inc1.dtheta.Delta.values[k],
                                         inc1.dtheta.Theta.values[k])
@@ -287,9 +295,10 @@ def test_benchmark_newton_iters_count_every_seed_run(table1, blocks1, inc1):
 
 def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
                                          square_sol):
-    # newton_stop is the rule that ended the run _prefer chose, and the
-    # converged flag follows from it; on the bundled config no run reaches
-    # the tolerance, so every seed runs
+    # newton_stop is the rule that ended the chosen run, the best one,
+    # converged first, then the smaller residual, and the converged flag
+    # follows from it; on the bundled config no run reaches the tolerance,
+    # so every seed runs
     M = table1.grid_steps
     size = np.sqrt(incentive.matching_size(table1)[0])
     inc = inc1.inc
@@ -298,17 +307,17 @@ def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
     assert list(inc.newton_converged) == [
         s not in ("leash", "max_iter") for s in stops]
     for k in {M, 0} | {stops.index(s) for s in set(stops)}:
-        nodal = incentive._nodal_terms(table1, *blocks1.fine_blocks(2 * k))
+        nodal = _nodal(table1, *blocks1.fine_blocks(2 * k))
         form = incentive._matching_form(table1, nodal,
                                         inc1.dtheta.Delta.values[k],
                                         inc1.dtheta.Theta.values[k])
         seeds = [incentive._cleared_candidate(form)] + (
             [inc.L.values[k + 1]] if k < M
             else incentive._terminal_candidates(table1))
-        best = None
+        runs = []
         for s in seeds:
             run = incentive._gauss_newton(table1, form, s)
-            best = incentive._prefer(best, run)
+            runs.append(run)
             # the rules whose cause shows in the result
             L, resid, it, _, stop = run
             assert (stop == "tolerance") <= (
@@ -317,6 +326,7 @@ def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
                 np.max(np.abs(L - s)) > incentive.TRUST_RADIUS
                 * (1.0 + np.max(np.abs(s))))
             assert (stop == "max_iter") <= (it == incentive.MAX_ITER)
+        best = min(runs, key=lambda r: (not r[3], r[1]))
         assert (best[3], best[4]) == (inc.newton_converged[k], stops[k]), k
     # the square system clears at the cleared seed
     assert set(square_sol.inc.newton_stop) == {"tolerance"}

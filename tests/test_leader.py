@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackmfg import leader
+from stackmfg import incentive, leader
 from stackmfg.model import ModelParams
 from stackmfg.odeint import integrate_stack, residual
 
@@ -201,9 +201,11 @@ def test_stack_member_escaping_early_leaves_the_others_unchanged(table1, n2):
             assert np.array_equal(seen[:, i], alone.K.values[:-1])
 
 
-def _certificate_params(table1, n, data):
-    """A small random stable config; only the certificate's A, C, E, Q, G,
-    T and grid matter here."""
+def _certificate_params(base, data):
+    """A small random stable config on base's dimensions: the certificate's
+    A, C, E, Q, G, T and grid are drawn, the rest is base's."""
+    n = base.n
+
     def mat(rows, cols, lo, hi):
         return np.array(data.draw(st.lists(
             st.floats(lo, hi), min_size=rows * cols, max_size=rows * cols)
@@ -211,21 +213,45 @@ def _certificate_params(table1, n, data):
 
     A = mat(n, n, -0.4, 0.4) - np.eye(n) * data.draw(st.floats(0.0, 1.0))
     MQ, MG = mat(n, n, -1.0, 1.0), mat(n, n, -1.0, 1.0)
-    kw = dict(A=A, C=mat(n, n, -0.4, 0.4), E=mat(n, 1, 0.2, 4.0),
-              Q=MQ @ MQ.T, G=MG @ MG.T, T=data.draw(st.floats(0.5, 3.0)),
-              grid_steps=data.draw(st.integers(20, 125)))
-    return table1.with_updates(**kw) if n == 1 else n2_params(**kw)
+    return base.with_updates(
+        A=A, C=mat(n, n, -0.4, 0.4), E=mat(n, base.nv, 0.2, 4.0),
+        Q=MQ @ MQ.T, G=MG @ MG.T, T=data.draw(st.floats(0.5, 3.0)),
+        grid_steps=data.draw(st.integers(20, 125)))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(n=st.sampled_from([1, 2]), scale=st.floats(1.0, 4.0), data=st.data())
 def test_gamma_hat_properties(table1, n, scale, data):
     # k-section is bisection, and a costlier state never lowers gamma-hat
-    p = _certificate_params(table1, n, data)
+    p = _certificate_params(table1 if n == 1 else n2_params(), data)
     base = _assert_matches_bisection(p, bracket_tol=1e-3)
     worse = leader.estimate_gamma_hat(
         p.with_updates(Q=p.Q * scale, G=p.G * scale), bracket_tol=1e-3)
     assert worse.gamma_hat >= base.gamma_hat
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_n2_chain_properties(n2, data):
+    # random stable n = 2 configs with mL = 2n: the transpose coupling,
+    # stationarity, a solved matching sweep, and the incentive's L-free
+    # terms at the published nodes as the leader's negated Theta gains
+    p = _certificate_params(n2, data)
+    assert p.mL >= 2 * p.n
+    blocks = leader.solve_block_riccati(p)
+    assert isinstance(blocks, leader.BlockRiccatiSolution)
+    gains = leader.leader_gains(blocks, p)
+    Pi1, P2 = blocks.Pi1.values, blocks.P2.values
+    scale = 1.0 + np.abs(Pi1).max()
+    assert np.abs(P2 - np.transpose(Pi1, (0, 2, 1))).max() <= 1e-8 * scale
+    assert leader.stationarity_residual(blocks, gains, p) <= 1e-10
+    _, inc = incentive.solve_cc_incentive(p, blocks)
+    assert inc.newton_converged.all()
+    fine = (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)
+    nodal = leader._gain_solves(p, *leader._gain_terms(p, *fine))
+    for a, theta in zip(nodal, (gains.Theta11, gains.Theta12,
+                                gains.Theta21, gains.Theta22)):
+        assert np.array_equal(a[::2], -theta.values)
 
 
 def test_gamma_hat_not_solvable_at_cap(table1):

@@ -81,6 +81,21 @@ def test_asymmetric_weight_raises():
         ModelParams(**p)
 
 
+def test_large_weight_skew_within_construction_rule_round_trips(n2, tmp_path):
+    # a skew of 1e-8 on entries near 6e4 is within SYM_TOL relative to the
+    # largest entry; validation applies the same rule, so load_config
+    # accepts what ModelParams built
+    R0 = 1e5 * n2.R0
+    R0[0, 1] += 1e-8
+    p = n2.with_updates(R0=R0)
+    f = tmp_path / "skew.json"
+    save_config(p, f)
+    q = load_config(f)
+    assert np.array_equal(q.R0, p.R0)
+    a2 = {c.name: c for c in validate_assumptions(q)}["A2_symmetric_weights"]
+    assert a2.passed and a2.margin == -abs(R0[0, 1] - R0[1, 0])
+
+
 def test_zero_control_weight_rejected_at_load(table1, tmp_path):
     f = tmp_path / "r1zero.json"
     save_config(table1.with_updates(R1=0.0), f)
