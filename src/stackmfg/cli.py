@@ -98,6 +98,13 @@ def _jsonable(obj):
     return obj
 
 
+def _set_fields(report, *drop) -> dict:
+    """A report dataclass as a dict of its fields that are set (not None),
+    less those named in drop; nested dataclasses become dicts too."""
+    return {k: v for k, v in asdict(report).items()
+            if v is not None and k not in drop}
+
+
 def _write_json(path: Path, doc):
     path.write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n")
 
@@ -399,23 +406,12 @@ def _simulate_stage(run: _Run):
                    for j, i in enumerate(pop.follower_ids)])
     del pop
     run.summary["costs"] = {
-        "limit": {"J0_mean": lim_costs.J0_mean,
-                  "J0_stderr": lim_costs.J0_stderr,
-                  "n_paths": lim_costs.n_paths},
-        "population": {"J0_mean": pop_costs.J0_mean,
-                       "J0_stderr": pop_costs.J0_stderr,
-                       "n_paths": pop_costs.n_paths,
-                       "Ji_mean": pop_costs.Ji_mean,
-                       "Ji_stderr": pop_costs.Ji_stderr,
-                       "mode": "incentive"},
+        "limit": _set_fields(lim_costs),
+        "population": _set_fields(pop_costs) | {"mode": "incentive"},
     }
     battery = sim.saddle_check(p, gains, cfg)
-    saddle = run.summary["saddle"] = {
-        "baseline_mean": battery.baseline_mean,
-        "n_paths": battery.n_paths,
-        "entries": [{"target": e.target, "shape": e.shape, "eps": e.eps,
-                     "margin": e.margin, "stderr": e.stderr, "ok": e.ok}
-                    for e in battery.entries],
+    # the battery's work goes to the manifest
+    saddle = run.summary["saddle"] = _set_fields(battery, "work") | {
         "u_ratios": [{"shape": sh, "ratio": r} for sh, r in battery.u_ratios],
         "all_ok": battery.all_ok,
         "ratios_ok": all(U_RATIO_BAND[0] <= r <= U_RATIO_BAND[1]
@@ -428,28 +424,26 @@ def _simulate_stage(run: _Run):
     return asdict(work + battery.work)
 
 
+def _sweep_summary(rep: sim.SweepReport, band) -> dict:
+    """A sweep's summary: its report's fields that are set, the points as
+    SweepPoint dicts, and whether a fitted slope lies in band.  The label
+    keys the summary and the work goes to the manifest."""
+    out = _set_fields(rep, "label", "work")
+    out["halfwidth"] = out.pop("slope_halfwidth")
+    out["in_band"] = not rep.degenerate and band[0] <= rep.slope <= band[1]
+    return out
+
+
 def _sweep_stage(run: _Run):
     man = run.man
-    mf, og = sim._sweep_gaps(run.p, run.gains, run.Ns, run.sweep_cfg)
+    mf, og = sim.sweep_gaps(run.p, run.gains, run.Ns, run.sweep_cfg)
     man.write_csv("sweep.csv", ["series", "N", "gap", "stderr"],
                   [[series, pt.N, pt.gap, pt.stderr]
                    for series, rep in (("mean_field", mf), ("optimality", og))
                    for pt in rep.points])
     out = run.summary["sweeps"] = {
-        "mean_field": {"slope": mf.slope, "halfwidth": mf.slope_halfwidth,
-                       "degenerate": mf.degenerate,
-                       "in_band": (not mf.degenerate
-                                   and MF_SLOPE_BAND[0] <= mf.slope
-                                   <= MF_SLOPE_BAND[1]),
-                       "points": [{"N": pt.N, "gap": pt.gap,
-                                   "stderr": pt.stderr} for pt in mf.points]},
-        "optimality": {"slope": og.slope, "halfwidth": og.slope_halfwidth,
-                       "degenerate": og.degenerate, "caveat": og.caveat,
-                       "in_band": (not og.degenerate
-                                   and OPT_SLOPE_BAND[0] <= og.slope
-                                   <= OPT_SLOPE_BAND[1]),
-                       "points": [{"N": pt.N, "gap": pt.gap,
-                                   "stderr": pt.stderr} for pt in og.points]},
+        "mean_field": _sweep_summary(mf, MF_SLOPE_BAND),
+        "optimality": _sweep_summary(og, OPT_SLOPE_BAND),
     }
     if not out["mean_field"]["in_band"]:
         man.warn("mean-field gap slope outside the O(1/N) band")

@@ -301,16 +301,16 @@ def _gauss_newton(p, form, L0: np.ndarray):
     cost = float(r @ r)
     lam = DAMPING
     nvar = x.size
-    it = 0
-    # "max_iter" stands until another rule ends the run
+    # "max_iter" stands until another rule ends the run; an iteration is a
+    # pass that forms JtJ and tries a step
     stop = "tolerance" if np.max(np.abs(r)) <= NEWTON_TOL else "max_iter"
-    for it in range(1, MAX_ITER + 1):
-        if stop != "max_iter":
-            break
+    it = 0
+    while stop == "max_iter" and it < MAX_ITER:
         g = J.T @ r
         if np.max(np.abs(g)) <= 1e-14 * (1.0 + cost):
             stop = "stationary"        # least-squares stationary point
             break
+        it += 1
         JtJ = J.T @ J
         accepted = False
         while lam < 1e10:
@@ -339,8 +339,6 @@ def _gauss_newton(p, form, L0: np.ndarray):
             stop = "small_step"
         elif np.max(np.abs(r)) <= NEWTON_TOL:
             stop = "tolerance"
-        if stop != "max_iter":
-            break
     converged = stop not in ("leash", "max_iter")
     return x.reshape(shape), np.sqrt(cost), it, converged, stop
 

@@ -87,6 +87,7 @@ __all__ = [
     "saddle_check",
     "incentive_match",
     "exact_mean_field_gap",
+    "sweep_gaps",
     "sweep_mean_field_gap",
     "sweep_optimality_gap",
 ]
@@ -585,20 +586,27 @@ def _ji_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
     return _trapz(run, bundle.grid.h) + _quad(term, p.Gt)
 
 
+def _stderr(x: np.ndarray, axis=None):
+    """Standard error of the mean over axis (all of x by default): a float,
+    or an array for an axis.  NaN below two samples, where no spread is
+    measured."""
+    n = x.size if axis is None else x.shape[axis]
+    se = (x.std(axis=axis, ddof=1) / np.sqrt(n) if n > 1
+          else np.full_like(x.mean(axis=axis), np.nan))
+    return float(se) if axis is None else se
+
+
 def eval_costs(bundle: PathBundle, p: ModelParams,
                V0: float | None = None) -> CostReport:
     """Trapezoidal cost quadrature per path, averaged with standard errors."""
     J0 = _j0_per_path(bundle, p)
-    P = J0.size
-    se = float(J0.std(ddof=1) / np.sqrt(P)) if P > 1 else float("nan")
     Ji_mean = Ji_se = None
     if bundle.xi is not None and len(bundle.follower_ids):
         Ji = _ji_per_path(bundle, p)            # (paths, stored)
-        Ji_mean = Ji.mean(axis=0)
-        Ji_se = Ji.std(axis=0, ddof=1) / np.sqrt(P) if P > 1 \
-            else np.full(Ji.shape[1], np.nan)
-    return CostReport(J0_mean=float(J0.mean()), J0_stderr=se, n_paths=P,
-                      V0=V0, Ji_mean=Ji_mean, Ji_stderr=Ji_se)
+        Ji_mean, Ji_se = Ji.mean(axis=0), _stderr(Ji, axis=0)
+    return CostReport(J0_mean=float(J0.mean()), J0_stderr=_stderr(J0),
+                      n_paths=J0.size, V0=V0, Ji_mean=Ji_mean,
+                      Ji_stderr=Ji_se)
 
 
 def _bump(grid: TimeGrid) -> np.ndarray:
@@ -652,8 +660,8 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
             a = (diff1 - eps1 ** 2 * b) / eps1
             diffs = [diff1] + [eps * a + eps ** 2 * b for eps in others]
             for eps, diff in zip(PERTURB_EPS, diffs):
-                margin = float(diff.mean())
-                se = float(diff.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
+                margin, se = float(diff.mean()), _stderr(diff)
+                # a NaN stderr (one path) compares false: not ok
                 ok = margin >= -3.0 * se if target == "u" \
                     else margin <= 3.0 * se
                 entries.append(SaddleEntry(target, shape, eps, margin, se, ok))
@@ -715,10 +723,6 @@ def _fit_slope(Ns, gaps):
     return float(slope), float(1.96 * se)
 
 
-def _stderr(x: np.ndarray) -> float:
-    return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
-
-
 def _report(label: str, Ns, points, work: Work,
             caveat: str | None = None) -> SweepReport:
     # all gaps at float-roundoff scale (e.g. no idiosyncratic noise): a
@@ -744,8 +748,8 @@ def _sweep_sizes(Ns) -> list[int]:
     return Ns
 
 
-def _sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
-                cfg: SimConfig) -> tuple[SweepReport, SweepReport]:
+def sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
+               cfg: SimConfig) -> tuple[SweepReport, SweepReport]:
     """Both N-sweeps from one team-mode population run per N: the
     mean-field gap report and the optimality-gap proxy report.  The
     followers' summed increments for every N are read in one pass over
@@ -785,7 +789,7 @@ def sweep_mean_field_gap(p: ModelParams, gains: LeaderGains, Ns,
     Common random numbers across N: path i reuses the same common-noise
     stream for every N, and follower streams extend without reshuffling.
     """
-    return _sweep_gaps(p, gains, Ns, cfg)[0]
+    return sweep_gaps(p, gains, Ns, cfg)[0]
 
 
 def sweep_optimality_gap(p: ModelParams, gains: LeaderGains, Ns,
@@ -798,4 +802,4 @@ def sweep_optimality_gap(p: ModelParams, gains: LeaderGains, Ns,
     the centralized inf-sup, which is not computable; slopes mix the
     1/sqrt(N) and 1/N contributions.
     """
-    return _sweep_gaps(p, gains, Ns, cfg)[1]
+    return sweep_gaps(p, gains, Ns, cfg)[1]

@@ -167,7 +167,7 @@ def saddle2000(table1, gains1):
 def sweeps(table1, gains1):
     """Mean-field and optimality-gap reports from one population run per N."""
     cfg = sim.SimConfig(N=1, n_paths=200, master_seed=42)
-    return sim._sweep_gaps(table1, gains1, [10, 40, 160, 640], cfg)
+    return sim.sweep_gaps(table1, gains1, [10, 40, 160, 640], cfg)
 
 
 @pytest.fixture(scope="session")

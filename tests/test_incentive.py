@@ -328,8 +328,10 @@ def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
             assert (stop == "max_iter") <= (it == incentive.MAX_ITER)
         best = min(runs, key=lambda r: (not r[3], r[1]))
         assert (best[3], best[4]) == (inc.newton_converged[k], stops[k]), k
-    # the square system clears at the cleared seed
+    # the square system clears at the cleared seed, which starts within the
+    # tolerance, so no run forms JtJ or tries a step
     assert set(square_sol.inc.newton_stop) == {"tolerance"}
+    assert not square_sol.inc.newton_iters.any()
 
 
 def test_benchmark_terminal_zeta_eta(inc1):

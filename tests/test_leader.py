@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackmfg import incentive, leader
+from stackmfg import incentive, leader, sim
 from stackmfg.model import ModelParams
 from stackmfg.odeint import integrate_stack, residual
+from stackmfg.sim import SimConfig
 
 
 def n2_params(**overrides):
@@ -234,8 +235,10 @@ def test_gamma_hat_properties(table1, n, scale, data):
 @given(data=st.data())
 def test_n2_chain_properties(n2, data):
     # random stable n = 2 configs with mL = 2n: the transpose coupling,
-    # stationarity, a solved matching sweep, and the incentive's L-free
-    # terms at the published nodes as the leader's negated Theta gains
+    # stationarity, a solved matching sweep, the incentive's L-free terms
+    # at the published nodes as the leader's negated Theta gains, and the
+    # incentive-mode population: its stepped average is the mean of the
+    # stored followers, and a zero start with no noise stays at zero
     p = _certificate_params(n2, data)
     assert p.mL >= 2 * p.n
     blocks = leader.solve_block_riccati(p)
@@ -245,13 +248,27 @@ def test_n2_chain_properties(n2, data):
     scale = 1.0 + np.abs(Pi1).max()
     assert np.abs(P2 - np.transpose(Pi1, (0, 2, 1))).max() <= 1e-8 * scale
     assert leader.stationarity_residual(blocks, gains, p) <= 1e-10
-    _, inc = incentive.solve_cc_incentive(p, blocks)
+    dtheta, inc = incentive.solve_cc_incentive(p, blocks)
     assert inc.newton_converged.all()
     fine = (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)
     nodal = leader._gain_solves(p, *leader._gain_terms(p, *fine))
     for a, theta in zip(nodal, (gains.Theta11, gains.Theta12,
                                 gains.Theta21, gains.Theta22)):
         assert np.array_equal(a[::2], -theta.values)
+    spp = incentive.solve_sigma_phi_psi(p, blocks, dtheta, inc)
+    modes = dict(fgains=incentive.follower_gains(p, blocks, inc, dtheta, spp),
+                 inc=inc)
+    cfg = SimConfig(N=4, n_paths=2, master_seed=5, store_all_followers=True)
+    pop = sim.simulate_population(p, gains, cfg, **modes)
+    assert pop.consistency_gap() <= 1e-12 * (1.0 + np.abs(pop.xN).max())
+    zero = p.with_updates(**{k: np.zeros_like(getattr(p, k))
+                             for k in ("xi", "x0init", "C", "D", "Sigma")})
+    for b in (sim.simulate_limit(zero, gains, cfg),
+              sim.simulate_population(zero, gains, cfg, **modes)):
+        for name in ("x0", "m", "u0bar", "u1bar", "v", "xN", "xi", "u0i",
+                     "u1i"):
+            arr = getattr(b, name)
+            assert arr is None or not arr.any(), name
 
 
 def test_gamma_hat_not_solvable_at_cap(table1):

@@ -23,6 +23,13 @@ def _boundaries() -> dict:
 def test_public_names_resolve():
     missing = [n for n in stackmfg.__all__ if not hasattr(stackmfg, n)]
     assert missing == []
+    # the package exports exactly its layers' __all__, in pipeline order
+    layers = [importlib.import_module(f"stackmfg.{m}").__all__
+              for m in ("model", "odeint", "leader", "incentive", "sim")]
+    assert stackmfg.__all__ == ["__version__"] + sum(layers, [])
+    assert len(set(stackmfg.__all__)) == len(stackmfg.__all__)
+    # the noise streams stay internal
+    assert not {"rng", *stackmfg.rng.__all__} & set(stackmfg.__all__)
 
 
 def test_traced_boundaries_resolve():

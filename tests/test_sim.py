@@ -304,11 +304,11 @@ def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
                 assert np.array_equal(got.Ji_mean, want.Ji_mean)
                 assert np.array_equal(got.Ji_stderr, want.Ji_stderr)
         Ns = [4, 8, 16]
-        got = sim._sweep_gaps(p, gains, Ns, cfg)
+        got = sim.sweep_gaps(p, gains, Ns, cfg)
         for name in ("simulate_limit", "simulate_population"):
             monkeypatch.setattr(sim, name, lambda *a, _f=getattr(sim, name),
                                 **kw: contiguous(_f(*a, **kw)))
-        want = sim._sweep_gaps(p, gains, Ns, cfg)
+        want = sim.sweep_gaps(p, gains, Ns, cfg)
         monkeypatch.undo()
         for g, w in zip(got, want):
             for a, b in zip(g.points, w.points):
@@ -619,7 +619,7 @@ def test_sigma_zero_sweeps_degenerate(table1, gains1):
 
 def test_shared_sweep_matches_standalone_sweeps(table1, gains1):
     Ns, cfg = [4, 8, 16], SimConfig(n_paths=4, master_seed=7)
-    mf, opt = sim._sweep_gaps(table1, gains1, Ns, cfg)
+    mf, opt = sim.sweep_gaps(table1, gains1, Ns, cfg)
     assert mf == sim.sweep_mean_field_gap(table1, gains1, Ns, cfg)
     assert opt == sim.sweep_optimality_gap(table1, gains1, Ns, cfg)
     # each point is read off its own population run
@@ -706,6 +706,22 @@ def test_saddle_margins_match_replays(table1, gains1):
         else:
             assert e.margin == pytest.approx(diff.mean(), rel=1e-11)
             assert e.stderr == pytest.approx(se, rel=1e-11)
+
+
+def test_one_path_standard_errors_are_nan(table1, gains1, fg1, inc1):
+    # one rule for every Monte Carlo standard error: a single path measures
+    # no spread, so each is NaN, and no saddle entry passes on its sign alone
+    cfg = SimConfig(N=6, n_paths=1, master_seed=42)
+    costs = sim.eval_costs(sim.simulate_population(
+        table1, gains1, cfg, fgains=fg1, inc=inc1.inc), table1)
+    assert np.isnan(costs.J0_stderr)
+    assert costs.Ji_stderr.shape == costs.Ji_mean.shape
+    assert np.isnan(costs.Ji_stderr).all()
+    sr = sim.saddle_check(table1, gains1, cfg)
+    assert all(np.isnan(e.stderr) and not e.ok for e in sr.entries)
+    assert not sr.all_ok
+    mf, opt = sim.sweep_gaps(table1, gains1, [4, 8, 16], cfg)
+    assert all(np.isnan(pt.stderr) for pt in mf.points + opt.points)
 
 
 def test_mini_saddle_battery(table1, gains1):
