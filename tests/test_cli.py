@@ -147,13 +147,14 @@ def _assert_incentive_work(out, conditions, unknowns):
     # the chain [Delta, Theta, Sigma, Phi, Psi] is marched once
     assert stage[0]["rk4_steps"] == len(lines) - 2
     # one stop rule per node, converged unless the leash or MAX_ITER ended
-    # the chosen run
+    # the chosen run, or the node has no minimum
     stops = stage[0]["newton_stops"]
     col = lines[0].split(",").index("newton_converged")
     converged = sum(row.split(",")[col] == "true" for row in lines[1:])
     assert set(stops) == set(incentive.STOP_RULES)
     assert sum(stops.values()) == len(lines) - 1
-    assert len(lines) - 1 - stops["leash"] - stops["max_iter"] == converged
+    assert len(lines) - 1 - sum(stops[s] for s in (
+        "leash", "max_iter", "no_minimum")) == converged
     return iters
 
 

@@ -274,50 +274,56 @@ def test_benchmark_matching_is_overdetermined(table1, inc1):
     assert inc1.inc.match_residual[-1] <= 2e-3   # terminal node nearly clears
 
 
-def test_benchmark_newton_iters_count_every_seed_run(table1, blocks1, inc1):
-    # overdetermined: no run reaches the tolerance, so every seed runs, the
-    # cleared solution first, then the warm start L[k+1] or at T the fixed
-    # candidates, and newton_iters is the sum of their iterations
+def _benchmark_seed_runs(table1, blocks1, inc1, k):
+    """Every Gauss-Newton run the sweep would make at node k without the
+    no-minimum test, from the sweep's own (Delta, Theta) and L[k+1]: the
+    cleared solution first, then the warm start L[k+1] or at T the fixed
+    candidates.  On the bundled config no run reaches the tolerance, so
+    every seed runs."""
     M = table1.grid_steps
-    L = inc1.inc.L.values
-    for k in (M, 500, 0):
-        nodal = _nodal(table1, *blocks1.fine_blocks(2 * k))
-        form = incentive._matching_form(table1, nodal,
-                                        inc1.dtheta.Delta.values[k],
-                                        inc1.dtheta.Theta.values[k])
-        seeds = [incentive._cleared_candidate(form)] + (
-            [L[k + 1]] if k < M else incentive._terminal_candidates(table1))
-        runs = [incentive._gauss_newton(table1, form, s) for s in seeds]
+    nodal = _nodal(table1, *blocks1.fine_blocks(2 * k))
+    form = incentive._matching_form(table1, nodal,
+                                    inc1.dtheta.Delta.values[k],
+                                    inc1.dtheta.Theta.values[k])
+    seeds = [incentive._cleared_candidate(form)] + (
+        [inc1.inc.L.values[k + 1]] if k < M
+        else incentive._terminal_candidates(table1))
+    return seeds, [incentive._gauss_newton(table1, form, s) for s in seeds]
+
+
+def test_benchmark_newton_iters_count_every_seed_run(table1, blocks1, inc1):
+    # overdetermined: no run reaches the tolerance, so every seed runs and
+    # newton_iters is the sum of their iterations; a no_minimum node runs
+    # none, and re-running its seeds shows that none would converge
+    inc = inc1.inc
+    for k in (table1.grid_steps, 500, 0):
+        _, runs = _benchmark_seed_runs(table1, blocks1, inc1, k)
         assert min(r[1] for r in runs) > (incentive.RESIDUAL_FACTOR
                                           * incentive.NEWTON_TOL)
-        assert inc1.inc.newton_iters[k] == sum(r[2] for r in runs)
+        if inc.newton_stop[k] == "no_minimum":
+            assert inc.newton_iters[k] == 0
+            assert not any(r[3] for r in runs), k
+        else:
+            assert inc.newton_iters[k] == sum(r[2] for r in runs)
+    assert inc.newton_stop[500] == "no_minimum"
 
 
 def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
                                          square_sol):
     # newton_stop is the rule that ended the chosen run, the best one,
     # converged first, then the smaller residual, and the converged flag
-    # follows from it; on the bundled config no run reaches the tolerance,
-    # so every seed runs
+    # follows from it; at a no_minimum node no run is made, and none of
+    # the seeds' runs would converge
     M = table1.grid_steps
     size = np.sqrt(incentive.matching_size(table1)[0])
     inc = inc1.inc
     stops = list(inc.newton_stop)
     assert set(stops) <= set(incentive.STOP_RULES)
     assert list(inc.newton_converged) == [
-        s not in ("leash", "max_iter") for s in stops]
+        s not in ("leash", "max_iter", "no_minimum") for s in stops]
     for k in {M, 0} | {stops.index(s) for s in set(stops)}:
-        nodal = _nodal(table1, *blocks1.fine_blocks(2 * k))
-        form = incentive._matching_form(table1, nodal,
-                                        inc1.dtheta.Delta.values[k],
-                                        inc1.dtheta.Theta.values[k])
-        seeds = [incentive._cleared_candidate(form)] + (
-            [inc.L.values[k + 1]] if k < M
-            else incentive._terminal_candidates(table1))
-        runs = []
-        for s in seeds:
-            run = incentive._gauss_newton(table1, form, s)
-            runs.append(run)
+        seeds, runs = _benchmark_seed_runs(table1, blocks1, inc1, k)
+        for s, run in zip(seeds, runs):
             # the rules whose cause shows in the result
             L, resid, it, _, stop = run
             assert (stop == "tolerance") <= (
@@ -327,11 +333,52 @@ def test_newton_stop_names_the_chosen_run(table1, blocks1, inc1,
                 * (1.0 + np.max(np.abs(s))))
             assert (stop == "max_iter") <= (it == incentive.MAX_ITER)
         best = min(runs, key=lambda r: (not r[3], r[1]))
-        assert (best[3], best[4]) == (inc.newton_converged[k], stops[k]), k
+        if stops[k] == "no_minimum":
+            assert k < M and not best[3] and not inc.newton_converged[k], k
+        else:
+            assert (best[3], best[4]) == (inc.newton_converged[k],
+                                          stops[k]), k
     # the square system clears at the cleared seed, which starts within the
     # tolerance, so no run forms JtJ or tries a step
     assert set(square_sol.inc.newton_stop) == {"tolerance"}
     assert not square_sol.inc.newton_iters.any()
+
+
+def test_benchmark_stop_counts(inc1):
+    # the cubic with one real root at 890 nodes, three at the other 111,
+    # which are exactly the converged ones
+    inc = inc1.inc
+    stops = list(inc.newton_stop)
+    assert {s: stops.count(s) for s in set(stops)} == {
+        "no_minimum": 890, "no_gain": 111}
+    assert int(inc.newton_iters.sum()) == 1498
+    assert list(inc.newton_converged) == [s == "no_gain" for s in stops]
+
+
+def test_no_minimum_test_leaves_the_sweep_unchanged(table1, blocks1, inc1,
+                                                    monkeypatch):
+    # with the test switched off every seed runs at every node, as before
+    # it existed: only newton_iters and newton_stop may differ, and only
+    # at the no_minimum nodes
+    monkeypatch.setattr(incentive, "_no_minimum", lambda p, form: False)
+    with pytest.raises(NoIncentiveSolution) as err:
+        incentive.solve_cc_incentive(table1, blocks1)
+    old_dtheta, old = err.value.partial
+    new = inc1.inc
+    for name in ("L", "zeta", "eta"):
+        assert np.array_equal(getattr(old, name).values,
+                              getattr(new, name).values), name
+    for name in ("match_residual", "newton_converged"):
+        assert np.array_equal(getattr(old, name), getattr(new, name)), name
+    for name in ("Delta", "Theta", "Sigma", "Phi", "Psi"):
+        assert np.array_equal(getattr(old_dtheta, name).values,
+                              getattr(inc1.dtheta, name).values), name
+    skipped = new.newton_stop == "no_minimum"
+    assert "no_minimum" not in set(old.newton_stop)
+    assert np.array_equal(old.newton_stop[~skipped], new.newton_stop[~skipped])
+    assert np.array_equal(old.newton_iters[~skipped],
+                          new.newton_iters[~skipped])
+    assert not new.newton_iters[skipped].any()
 
 
 def test_benchmark_terminal_zeta_eta(inc1):

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stackmfg import incentive, leader, sim
 from stackmfg.model import ModelParams
@@ -269,6 +269,80 @@ def test_n2_chain_properties(n2, data):
                      "u1i"):
             arr = getattr(b, name)
             assert arr is None or not arr.any(), name
+
+
+def _stationary_cubic(p, form):
+    """Coefficients, highest power first, of the cubic whose real roots are
+    the stationary points of |r(L)|^2 for a scalar L: with C0 = c0',
+    W = w', s = R1t and rho = R0t, |r|^2 = |c0 + L w|^2 / (s + rho L^2)^2,
+    and its derivative has the cubic's sign."""
+    (c0,), (w,) = form
+    s, rho = p.R1t[0, 0], p.R0t[0, 0]
+    return np.array([-rho * (w @ w), -3.0 * rho * (c0 @ w),
+                     s * (w @ w) - 2.0 * rho * (c0 @ c0), s * (c0 @ w)])
+
+
+def _no_minimum_tail_stops(p, blocks):
+    """Sweep p, which has a scalar L, along blocks and check each node
+    where the no-minimum test fires: it runs no Gauss-Newton and holds
+    L[k+1], and no seed the sweep would otherwise run there (the cleared
+    solution, then L[k+1]) ends at a minimum.  Some such runs are called
+    converged: a heuristic rule (an absolute gain or gradient floor) ends
+    them out on the tail, where the derivative is nonzero beyond the
+    rounding of its terms.  Returns the firing nodes and the stop rules of
+    the runs called converged."""
+    assert incentive.matching_size(p)[1] == 1
+    try:
+        dtheta, inc = incentive.solve_cc_incentive(p, blocks)
+    except incentive.NoIncentiveSolution as err:
+        dtheta, inc = err.partial
+    fine = (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)
+    nodal = leader._gain_solves(p, *leader._gain_terms(p, *fine))
+    L = inc.L.values
+    eps = np.finfo(float).eps
+    fired, tail_stops = [], []
+    for k in range(p.grid_steps):
+        form = incentive._matching_form(
+            p, tuple(a[2 * k] for a in nodal), dtheta.Delta.values[k],
+            dtheta.Theta.values[k])
+        assert incentive._no_minimum(p, form) == (
+            inc.newton_stop[k] == "no_minimum"), k
+        if inc.newton_stop[k] != "no_minimum":
+            continue
+        fired.append(k)
+        assert inc.newton_iters[k] == 0 and not inc.newton_converged[k]
+        assert np.array_equal(L[k], L[k + 1])
+        for seed in (incentive._cleared_candidate(form), L[k + 1]):
+            x, _, _, converged, stop = incentive._gauss_newton(p, form, seed)
+            if converged:
+                terms = (_stationary_cubic(p, form)
+                         * x[0, 0] ** np.arange(3, -1, -1))
+                assert stop != "tolerance", k
+                assert abs(terms.sum()) > 16.0 * eps * np.abs(terms).sum(), k
+                tail_stops.append(stop)
+    return fired, tail_stops
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2]), data=st.data())
+def test_no_minimum_nodes_have_no_converging_run(table1, n, data):
+    # random stable configs with a scalar L
+    p = _certificate_params(table1 if n == 1 else n2_params(), data)
+    blocks = leader.solve_block_riccati(p)
+    assume(isinstance(blocks, leader.BlockRiccatiSolution))
+    _no_minimum_tail_stops(p, blocks)
+
+
+def test_no_minimum_nodes_with_tail_stops(table1):
+    # a drawn config where runs the test skips would have been called
+    # converged: 14 of the 26 runs at the 13 firing nodes end on no gain
+    # out on the tail
+    p = table1.with_updates(A=-0.65, C=0.0, E=2.3, Q=0.01, G=0.0, T=1.8,
+                            grid_steps=40)
+    fired, tail_stops = _no_minimum_tail_stops(
+        p, leader.solve_block_riccati(p))
+    assert fired == list(range(13))
+    assert tail_stops == ["no_gain"] * 14
 
 
 def test_gamma_hat_not_solvable_at_cap(table1):
