@@ -15,9 +15,10 @@ The chain is one state [Delta, Theta, Sigma, Phi, Psi]: the coupled
 (Delta, Theta) equations that the matching conditions read, and their
 decoupled form (Sigma, Phi, Psi), marched together so that the
 structural relations Theta = Psi and Delta = Sigma + Phi hold to roundoff
-by construction.  solve_sigma_phi_psi checks those relations on the chain
-it is given, so only a genuine transcription error, or a tampered chain,
-can break them.
+by construction.  DeltaThetaSolution is the one result for both forms;
+solve_sigma_phi_psi checks the relations on the chain it is given and
+returns that chain, so only a genuine transcription error, or a tampered
+chain, can break them.
 
 The sweep steps with odeint.rk4_step, sampling the closed-loop
 coefficients at the three distinct nodes of a step on the block solution's
@@ -43,7 +44,6 @@ __all__ = [
     "IncentiveMatrices",
     "DeltaThetaSolution",
     "CCCoefficients",
-    "SigmaPhiPsiSolution",
     "FollowerGains",
     "matching_size",
     "matching_residual",
@@ -88,10 +88,11 @@ RELATION_TOL = 1e-6
 # the rules that end a node's Gauss-Newton: residual within NEWTON_TOL,
 # stationary gradient, saturated damping, no gain, small step, past the
 # leash, MAX_ITER exhausted, and no_minimum, which a scalar-L node meets
-# before any run (_no_minimum).  A node is converged unless one of the last
-# three ends it
+# before any run (_no_minimum)
 STOP_RULES = ("tolerance", "stationary", "damping", "no_gain", "small_step",
               "leash", "max_iter", "no_minimum")
+# a run, and a node, is converged unless one of the last three ended it
+NOT_CONVERGED = STOP_RULES[-3:]
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,12 @@ class IncentiveMatrices:
     eta: MatrixTrajectory
     match_residual: np.ndarray       # Frobenius norm of both conditions per node
     newton_iters: np.ndarray
-    newton_converged: np.ndarray     # False where no stationary point was found
     newton_stop: np.ndarray          # STOP_RULES entry ending the chosen run
+
+    @property
+    def newton_converged(self) -> np.ndarray:
+        """False where no stationary point was found (NOT_CONVERGED)."""
+        return ~np.isin(self.newton_stop, NOT_CONVERGED)
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,21 @@ class DeltaThetaSolution:
     Sigma: MatrixTrajectory
     Phi: MatrixTrajectory
     Psi: MatrixTrajectory
+
+    @property
+    def theta_psi_gap(self) -> float:
+        """Worst defect of Theta = Psi, absolute."""
+        return float(np.max(np.abs(self.Psi.values - self.Theta.values)))
+
+    @property
+    def delta_split_gap(self) -> float:
+        """Worst defect of Delta = Sigma + Phi, nodewise relative to the
+        node's 1 + |Delta|."""
+        De = self.Delta.values
+        return float(np.max(
+            np.max(np.abs(self.Sigma.values + self.Phi.values - De),
+                   axis=(1, 2))
+            / (1.0 + np.max(np.abs(De), axis=(1, 2)))))
 
 
 @dataclass(frozen=True)
@@ -136,18 +156,6 @@ class CCCoefficients:
     A3: np.ndarray
     B3: np.ndarray
     H3: np.ndarray
-
-
-@dataclass(frozen=True)
-class SigmaPhiPsiSolution:
-    grid: TimeGrid
-    Sigma: MatrixTrajectory
-    Phi: MatrixTrajectory
-    Psi: MatrixTrajectory
-    # worst defects of Theta = Psi, absolute, and of Delta = Sigma + Phi,
-    # relative to the node's 1 + |Delta|
-    theta_psi_gap: float
-    delta_split_gap: float
 
 
 @dataclass(frozen=True)
@@ -292,8 +300,8 @@ def _gauss_newton(p, form, L0: np.ndarray):
     runs that exhaust MAX_ITER while still descending that tail are
     reported as not converged so callers can discard them.
 
-    Returns (L, residual norm, iterations, converged, the STOP_RULES entry
-    that ended the run).
+    Returns (L, residual norm, iterations, the STOP_RULES entry that ended
+    the run); the run is converged unless that entry is in NOT_CONVERGED.
     """
     shape = L0.shape
     x = L0.ravel().astype(float).copy()
@@ -346,8 +354,7 @@ def _gauss_newton(p, form, L0: np.ndarray):
             stop = "small_step"
         elif np.max(np.abs(r)) <= NEWTON_TOL:
             stop = "tolerance"
-    converged = stop not in ("leash", "max_iter")
-    return x.reshape(shape), np.sqrt(cost), it, converged, stop
+    return x.reshape(shape), np.sqrt(cost), it, stop
 
 
 def _terminal_candidates(p: ModelParams):
@@ -441,7 +448,6 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     chain = np.empty((5, M + 1, p.n, p.n))
     resid = np.empty(M + 1)
     iters = np.empty(M + 1, dtype=int)
-    conv = np.empty(M + 1, dtype=bool)
     stops = np.empty(M + 1, dtype=object)
 
     GtG2 = p.Gt @ p.Gamma2t
@@ -461,7 +467,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
 
         runs = []
         if k < M and _no_minimum(p, form):
-            ck, stops[k] = False, "no_minimum"
+            stops[k] = "no_minimum"
         else:
             # at T a fan of candidates: the least-squares objective also
             # drains away along |L| -> inf, and a run caught on that tail is
@@ -470,12 +476,12 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
                 [L_store[k + 1]] if k < M else _terminal_candidates(p))
             for seed in seeds:
                 runs.append(_gauss_newton(p, form, seed))
-                if runs[-1][3] and runs[-1][1] <= (RESIDUAL_FACTOR
-                                                   * NEWTON_TOL):
+                if (runs[-1][3] not in NOT_CONVERGED
+                        and runs[-1][1] <= RESIDUAL_FACTOR * NEWTON_TOL):
                     break
-            Lk, rk, _, ck, stops[k] = min(runs,
-                                          key=lambda r: (not r[3], r[1]))
-        if not ck and k < M:
+            Lk, rk, _, stops[k] = min(
+                runs, key=lambda r: (r[3] in NOT_CONVERGED, r[1]))
+        if stops[k] in NOT_CONVERGED and k < M:
             # the nodal problem lost its stationary point; hold the incoming
             # value and report the defect there instead of following the
             # descent to infinity
@@ -484,7 +490,6 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
         L_store[k] = Lk
         resid[k] = rk
         iters[k] = sum(r[2] for r in runs)
-        conv[k] = ck
         chain[:, k] = state
 
         if k == 0:
@@ -503,7 +508,6 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
         eta=MatrixTrajectory(grid, e_store),
         match_residual=resid,
         newton_iters=iters,
-        newton_converged=conv,
         newton_stop=stops,
     )
     worst = int(np.argmax(resid))
@@ -515,38 +519,31 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
 
 def solve_sigma_phi_psi(p: ModelParams, blocks: BlockRiccatiSolution,
                         dtheta: DeltaThetaSolution,
-                        inc: IncentiveMatrices) -> SigmaPhiPsiSolution:
+                        inc: IncentiveMatrices) -> DeltaThetaSolution:
     """Check that the decoupled chain in dtheta recombines to the coupled
-    one.
+    one, and return dtheta.
 
     solve_cc_incentive marches (Sigma, Phi, Psi) in one state with
     (Delta, Theta), which makes Theta = Psi and Delta = Sigma + Phi exact
-    up to roundoff; a violation beyond RELATION_TOL therefore indicates a
+    up to roundoff; a theta_psi_gap beyond RELATION_TOL * (1 + max|Theta|)
+    or a delta_split_gap beyond RELATION_TOL therefore indicates a
     transcription error, or a chain altered since, and raises
     RelationViolated.  blocks and inc are the sweep's: the chain was
     marched from them, so the check reads neither.
     """
-    De, Th = dtheta.Delta.values, dtheta.Theta.values
-    Sg, Ph = dtheta.Sigma.values, dtheta.Phi.values
-    th_gap = float(np.max(np.abs(dtheta.Psi.values - Th)))
-    # nodewise, relative to the node's 1 + |Delta|
-    sp_gap = float(np.max(np.max(np.abs(Sg + Ph - De), axis=(1, 2))
-                          / (1.0 + np.max(np.abs(De), axis=(1, 2)))))
-    theta_scale = 1.0 + float(np.max(np.abs(Th)))
+    th_gap, sp_gap = dtheta.theta_psi_gap, dtheta.delta_split_gap
+    theta_scale = 1.0 + float(np.max(np.abs(dtheta.Theta.values)))
     if th_gap > RELATION_TOL * theta_scale or sp_gap > RELATION_TOL:
         raise RelationViolated(
             f"decoupled chain defects {th_gap:.3e} / {sp_gap:.3e} "
             f"exceed {RELATION_TOL:g}"
         )
-    return SigmaPhiPsiSolution(
-        blocks.grid, Sigma=dtheta.Sigma, Phi=dtheta.Phi, Psi=dtheta.Psi,
-        theta_psi_gap=th_gap, delta_split_gap=sp_gap,
-    )
+    return dtheta
 
 
 def follower_gains(p: ModelParams, blocks: BlockRiccatiSolution,
                    inc: IncentiveMatrices, dtheta: DeltaThetaSolution,
-                   spp: SigmaPhiPsiSolution) -> FollowerGains:
+                   spp: DeltaThetaSolution) -> FollowerGains:
     """Nodewise feedback gains of the followers' best replies."""
     L = inc.L.values
     SL, BL, LtR0 = _L_terms(p, L)

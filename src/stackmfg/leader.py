@@ -230,11 +230,6 @@ class BlockRiccatiSolution:
         """Block values at every published node, as (M+1, n, n) stacks."""
         return self.P1.values, self.Pi1.values, self.P2.values, self.Pi2.values
 
-    def fine_blocks(self, j: int):
-        """Block values at fine node j (fine node 2k is published node k)."""
-        return (self.fine_P1[j], self.fine_Pi1[j],
-                self.fine_P2[j], self.fine_Pi2[j])
-
 
 def _gain_terms(p: ModelParams, P1, Pi1, P2, Pi2):
     """(S0, V, V2, X, X2), the block terms every gain is built from.

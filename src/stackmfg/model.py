@@ -112,33 +112,34 @@ def _as_vector(name, value, length):
     return a
 
 
-# (field, section, rows, cols) with dims expressed in terms of n/mL/mF/nv
+# (field, rows, cols) with dims expressed in terms of n/mL/mF/nv; each
+# field's config section is in _SECTION_KEYS
 _MATRIX_SPEC = [
-    ("A", "leader_dynamics", "n", "n"),
-    ("B", "leader_dynamics", "n", "mL"),
-    ("F", "leader_dynamics", "n", "n"),
-    ("H", "leader_dynamics", "n", "mF"),
-    ("E", "leader_dynamics", "n", "nv"),
-    ("C", "leader_dynamics", "n", "n"),
-    ("D", "leader_dynamics", "n", "mL"),
-    ("At", "follower_dynamics", "n", "n"),
-    ("Bt", "follower_dynamics", "n", "mF"),
-    ("Ft", "follower_dynamics", "n", "n"),
-    ("Ht", "follower_dynamics", "n", "mL"),
-    ("Sigma", "follower_dynamics", "n", "n"),
-    ("Q", "leader_cost", "n", "n"),
-    ("Gamma1", "leader_cost", "n", "n"),
-    ("R0", "leader_cost", "mL", "mL"),
-    ("R1", "leader_cost", "mF", "mF"),
-    ("R2", "leader_cost", "nv", "nv"),
-    ("Gamma2", "leader_cost", "n", "n"),
-    ("G", "leader_cost", "n", "n"),
-    ("Qt", "follower_cost", "n", "n"),
-    ("Gamma1t", "follower_cost", "n", "n"),
-    ("R0t", "follower_cost", "mL", "mL"),
-    ("R1t", "follower_cost", "mF", "mF"),
-    ("Gamma2t", "follower_cost", "n", "n"),
-    ("Gt", "follower_cost", "n", "n"),
+    ("A", "n", "n"),
+    ("B", "n", "mL"),
+    ("F", "n", "n"),
+    ("H", "n", "mF"),
+    ("E", "n", "nv"),
+    ("C", "n", "n"),
+    ("D", "n", "mL"),
+    ("At", "n", "n"),
+    ("Bt", "n", "mF"),
+    ("Ft", "n", "n"),
+    ("Ht", "n", "mL"),
+    ("Sigma", "n", "n"),
+    ("Q", "n", "n"),
+    ("Gamma1", "n", "n"),
+    ("R0", "mL", "mL"),
+    ("R1", "mF", "mF"),
+    ("R2", "nv", "nv"),
+    ("Gamma2", "n", "n"),
+    ("G", "n", "n"),
+    ("Qt", "n", "n"),
+    ("Gamma1t", "n", "n"),
+    ("R0t", "mL", "mL"),
+    ("R1t", "mF", "mF"),
+    ("Gamma2t", "n", "n"),
+    ("Gt", "n", "n"),
 ]
 
 # weights that only need to be positive semidefinite / strictly positive definite
@@ -206,7 +207,7 @@ class ModelParams:
         for name, d in dims.items():
             if not (isinstance(d, (int, np.integer)) and d >= 1):
                 raise DimensionError(f"dimension {name} must be a positive int")
-        for name, _, r, c in _MATRIX_SPEC:
+        for name, r, c in _MATRIX_SPEC:
             a = _as_matrix(name, getattr(self, name), dims[r], dims[c])
             object.__setattr__(self, name, a)
             a.setflags(write=False)

@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, artifacts, manifest bookkeeping."""
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from stackmfg import cli, incentive, leader, sim
-from stackmfg.model import save_config
+from stackmfg.model import MatrixTrajectory, save_config
 
 
 def read_json(path):
@@ -129,6 +130,33 @@ def test_solve_incentive_square_succeeds(square, tmp_path):
     # Gauss-Newton run forms JtJ or tries a step
     iters = _assert_incentive_work(out, conditions=2, unknowns=2)
     assert iters == 0
+
+
+def test_solve_incentive_records_the_library_relation_verdict(
+        square, square_sol, tmp_path, monkeypatch):
+    # a Theta - Psi defect above 1e-6 but within the library's
+    # 1e-6 * (1 + max|Theta|): the check passes, and the stage says so
+    dtheta, inc = square_sol.dtheta, square_sol.inc
+    theta_max = float(np.max(np.abs(dtheta.Theta.values)))
+    assert theta_max > 0.1
+    psi = dtheta.Psi.values.copy()
+    psi[len(psi) // 2] += incentive.RELATION_TOL * (1.0 + 0.5 * theta_max)
+    shifted = replace(dtheta, Psi=MatrixTrajectory(dtheta.grid, psi))
+    gap = shifted.theta_psi_gap
+    assert (incentive.RELATION_TOL < gap
+            < incentive.RELATION_TOL * (1.0 + theta_max))
+    assert incentive.solve_sigma_phi_psi(square, square_sol.blocks, shifted,
+                                         inc) is shifted
+    monkeypatch.setattr(incentive, "solve_cc_incentive",
+                        lambda p, blocks: (shifted, inc))
+    cfg = tmp_path / "square.json"
+    save_config(square, cfg)
+    out = tmp_path / "sq"
+    assert cli.main(["solve-incentive", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")["incentive"]
+    assert summary["decoupling_ok"] is True
+    assert summary["theta_psi_gap"] == gap
 
 
 def _assert_incentive_work(out, conditions, unknowns):

@@ -313,8 +313,8 @@ def _no_minimum_tail_stops(p, blocks):
         assert inc.newton_iters[k] == 0 and not inc.newton_converged[k]
         assert np.array_equal(L[k], L[k + 1])
         for seed in (incentive._cleared_candidate(form), L[k + 1]):
-            x, _, _, converged, stop = incentive._gauss_newton(p, form, seed)
-            if converged:
+            x, _, _, stop = incentive._gauss_newton(p, form, seed)
+            if stop not in incentive.NOT_CONVERGED:
                 terms = (_stationary_cubic(p, form)
                          * x[0, 0] ** np.arange(3, -1, -1))
                 assert stop != "tolerance", k

@@ -372,7 +372,6 @@ def test_team_mode_is_the_incentive_law_with_zero_gains(table1, gains1, n2,
             grid, L=zero(p.mL, p.mF), zeta=gains.Theta11, eta=gains.Theta12,
             match_residual=np.zeros(M + 1),
             newton_iters=np.zeros(M + 1, dtype=int),
-            newton_converged=np.ones(M + 1, dtype=bool),
             newton_stop=np.full(M + 1, "tolerance", dtype=object))
         cfg = SimConfig(N=6, n_paths=3, master_seed=5, store_followers=3)
         runs = [sim.simulate_population(p, gains, cfg),
