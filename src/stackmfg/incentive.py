@@ -11,14 +11,16 @@ residual's stationary points are the real roots of a cubic; a node whose
 cubic has one real root, the maximum, has no minimum to converge to, so it
 runs no Gauss-Newton and holds the previous L (_no_minimum).
 
-The chain is one state [Delta, Theta, Sigma, Phi, Psi]: the coupled
-(Delta, Theta) equations that the matching conditions read, and their
-decoupled form (Sigma, Phi, Psi), marched together so that the
+The chain is one (5, n, n) state [Delta, Theta, Sigma, Phi, Psi]: the
+coupled (Delta, Theta) equations that the matching conditions read, and
+their decoupled form (Sigma, Phi, Psi), marched together so that the
 structural relations Theta = Psi and Delta = Sigma + Phi hold to roundoff
-by construction.  DeltaThetaSolution is the one result for both forms;
-solve_sigma_phi_psi checks the relations on the chain it is given and
-returns that chain, so only a genuine transcription error, or a tampered
-chain, can break them.
+by construction.  Its right-hand side (_chain_rhs) forms the products the
+five equations share once and adds each equation's terms in the order
+written, so every component gets the bits of its own equation.
+DeltaThetaSolution is the one result for both forms; solve_sigma_phi_psi
+checks the relations on the chain it is given and returns that chain, so
+only a genuine transcription error, or a tampered chain, can break them.
 
 The sweep steps with odeint.rk4_step, sampling the closed-loop
 coefficients at the three distinct nodes of a step on the block solution's
@@ -236,7 +238,7 @@ def matching_residual(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2,
     Returns the pair of mF x n defect matrices; zeros mean the followers'
     aggregated best reply reproduces the leader's team-optimal follower gain.
     """
-    nodal = _gain_solves(p, *_gain_terms(p, P1, Pi1, P2, Pi2))
+    nodal = _gain_solves(p, *_gain_terms(p, (P1, Pi1, P2, Pi2)))
     form = _matching_form(p, nodal, Delta, Theta)
     r = _matching(p, L, form)[0]
     return r[:, :p.n], r[:, p.n:]
@@ -244,7 +246,7 @@ def matching_residual(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2,
 
 def cc_coefficients(p: ModelParams, gamma: float, L: np.ndarray,
                     P1, Pi1, P2, Pi2) -> CCCoefficients:
-    nodal = _gain_solves(p, *_gain_terms(p, P1, Pi1, P2, Pi2))
+    nodal = _gain_solves(p, *_gain_terms(p, (P1, Pi1, P2, Pi2)))
     return _cc(p, gamma, L, nodal, P1, Pi1)
 
 
@@ -271,22 +273,45 @@ def _cc(p: ModelParams, gamma: float, L, nodal, P1, Pi1) -> CCCoefficients:
     return CCCoefficients(A1, B1, H1, A2, B2, H2, A3, B3, H3)
 
 
-def _chain_rhs(p, cc: CCCoefficients, state):
-    """d/dt of the follower chain [Delta, Theta, Sigma, Phi, Psi] under the
-    closed-loop coefficients cc."""
-    De, Th, Sg, Ph, Ps = state
-    At_ = p.At.T
-    QtG1t = p.Qt @ p.Gamma1t
-    dDe = -(De @ cc.A1 + At_ @ De + De @ cc.H1 @ De
-            + Th @ (cc.B2 + cc.H2 @ De) + (p.Qt - QtG1t))
-    dTh = -(Th @ cc.A2 + At_ @ Th + Th @ cc.H2 @ Th
-            + De @ (cc.B1 + cc.H1 @ Th))
-    dSg = -(Sg @ p.At + At_ @ Sg + Sg @ cc.H1 @ Sg + p.Qt)
-    dPh = -(Ph @ (cc.A1 + cc.H1 @ De) + At_ @ Ph + Sg @ cc.H1 @ Ph
-            + Sg @ (cc.A1 - p.At) + Ps @ (cc.B2 + cc.H2 @ De) - QtG1t)
-    dPs = -(Ps @ (cc.A2 + cc.H2 @ Th) + At_ @ Ps + Sg @ cc.H1 @ Ps
-            + Sg @ cc.B1 + Ph @ (cc.B1 + cc.H1 @ Th))
-    return [dDe, dTh, dSg, dPh, dPs]
+def _chain_rhs(p):
+    """rhs(cc, state): d/dt of the follower chain, a (5, n, n) state
+    [Delta, Theta, Sigma, Phi, Psi], under the closed-loop coefficients cc:
+
+        -dDelta = Delta A1 + A~'Delta + Delta H1 Delta + Theta (B2 + H2 Delta)
+                  + (Q~ - Q~G~1)
+        -dTheta = Theta A2 + A~'Theta + Theta H2 Theta + Delta (B1 + H1 Theta)
+        -dSigma = Sigma A~ + A~'Sigma + Sigma H1 Sigma + Q~
+        -dPhi   = Phi (A1 + H1 Delta) + A~'Phi + Sigma H1 Phi
+                  + Sigma (A1 - A~) + Psi (B2 + H2 Delta) - Q~G~1
+        -dPsi   = Psi (A2 + H2 Theta) + A~'Psi + Sigma H1 Psi + Sigma B1
+                  + Phi (B1 + H1 Theta)
+
+    The first three terms of every equation are one stacked product each;
+    Sigma H1, H2 Delta, H1 Theta, B2 + H2 Delta and B1 + H1 Theta are
+    formed once, and each equation adds its terms in the order written, so
+    every component gets the bits of its own equation.
+    """
+    At, At_ = p.At, p.At.T
+    QG = p.Qt @ p.Gamma1t
+    Q0 = p.Qt - QG
+
+    def rhs(cc: CCCoefficients, state):
+        De, Th, Sg, Ph, Ps = state
+        SgH1 = Sg @ cc.H1
+        BH2 = cc.B2 + cc.H2 @ De
+        BH1 = cc.B1 + cc.H1 @ Th
+        d = state @ np.array((cc.A1, cc.A2, At, cc.A1 + cc.H1 @ De,
+                              cc.A2 + cc.H2 @ Th))
+        d += At_ @ state
+        d += np.array((De @ cc.H1, Th @ cc.H2, SgH1, SgH1, SgH1)) @ state
+        d += np.array((Th @ BH2, De @ BH1, p.Qt, Sg @ (cc.A1 - At),
+                       Sg @ cc.B1))
+        d[3:] += state[4:2:-1] @ np.array((BH2, BH1))    # Psi, Phi
+        d[0] += Q0
+        d[3] -= QG
+        return np.negative(d, out=d)
+
+    return rhs
 
 
 def _gauss_newton(p, form, L0: np.ndarray):
@@ -452,15 +477,13 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
 
     GtG2 = p.Gt @ p.Gamma2t
     zero = np.zeros((p.n, p.n))
-    state = [p.Gt - GtG2, zero, p.Gt.copy(), -GtG2, zero]
+    state = np.stack((p.Gt - GtG2, zero, p.Gt, -GtG2, zero))
     # published node k is fine node 2k
     fine_nodal = _gain_solves(p, *_gain_terms(
-        p, blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2))
+        p, (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)))
     nodal = tuple(a[::2] for a in fine_nodal)
 
-    def rhs(cc, st):
-        return _chain_rhs(p, cc, st)
-
+    rhs = _chain_rhs(p)
     for k in range(M, -1, -1):
         Delta, Theta = state[:2]
         form = _matching_form(p, tuple(a[k] for a in nodal), Delta, Theta)

@@ -1,9 +1,10 @@
 """Leader-side solvers: concavity certificate, critical attenuation level,
 and the coupled four-block Riccati system with its closed-loop gains.
 
-The four blocks (P1, Pi1, P2, Pi2) are coded directly from the displayed
-equations; the same system assembled as a single 2n x 2n Riccati equation is
-integrated independently as a transcription cross-check.  Both runs share a
+The four blocks (P1, Pi1, P2, Pi2) are one stacked state, their displayed
+equations evaluated through products shared over the stack; the same system
+assembled as a single 2n x 2n Riccati equation is integrated independently
+as a transcription cross-check.  Both runs share a
 doubled internal grid so downstream consumers get accurate values at the
 half-steps of the published grid.
 """
@@ -61,29 +62,29 @@ class ConcavityCertificate:
 
 
 def concavity_problem(p: ModelParams, gamma) -> OdeProblem:
-    """The certificate K for one gamma, or for a 1-D stack of k gammas as
-    one (k, n, n) state whose members march independently."""
+    """The certificate K for one gamma, a (1, n, n) state, or for a 1-D
+    stack of k gammas, a (1, k, n, n) state whose members march
+    independently."""
     ERi = p.disturbance_weight
     At_ = p.A.T
     Ct_ = p.C.T
     if np.ndim(gamma) == 0:
         g2 = gamma ** -2
-        G = p.G.copy()
+        G = p.G
     else:
         # Python float powers: numpy's array power can round the last bit
         # differently, and a member must match the same gamma alone
         g2 = np.reshape([float(g) ** -2 for g in gamma], (-1, 1, 1))
         G = np.repeat(p.G[None], len(gamma), axis=0)
 
-    def rhs(t, state):
-        (K,) = state
-        return [-(K @ p.A + At_ @ K + Ct_ @ K @ p.C + p.Q + g2 * (K @ ERi @ K))]
+    def rhs(t, K):
+        return -(K @ p.A + At_ @ K + Ct_ @ K @ p.C + p.Q + g2 * (K @ ERi @ K))
 
     return OdeProblem(
         shapes=(G.shape,),
         rhs=rhs,
         boundary=(G,),
-        poststep=lambda st: [_sym(st[0])],
+        poststep=_sym,
     )
 
 
@@ -231,30 +232,36 @@ class BlockRiccatiSolution:
         return self.P1.values, self.Pi1.values, self.P2.values, self.Pi2.values
 
 
-def _gain_terms(p: ModelParams, P1, Pi1, P2, Pi2):
-    """(S0, V, V2, X, X2), the block terms every gain is built from.
+def _gain_terms(p: ModelParams, blocks):
+    """(S0, V, X), the block terms every gain is built from, from blocks
+    [P1, Pi1, P2, Pi2] stacked on a first axis of 4:
 
-    S0 = R0 + D'P1D weighs the leader's control, V and V2 are its
-    feedthrough on (x0, m), X and X2 the follower control's.  The blocks are
-    one node (n, n) or a stack (K, n, n); broadcasting @ keeps each node of
-    a stack bitwise equal to the same node taken alone (einsum does not
-    once an inner dimension exceeds 1).
+        S0 = R0 + D'P1 D,
+        V  = (B'P1 + H~'P2 + D'P1 C,  B'Pi1 + H~'Pi2),
+        X  = (H'P1 + B~'P2,  H'Pi1 + B~'Pi2).
+
+    S0 weighs the leader's control, the pair V = (V, V2) is its feedthrough
+    on (x0, m) and the pair X = (X, X2) the follower control's, each pair
+    stacked on a first axis of 2.  A block is one node (n, n) or a stack
+    (K, n, n); broadcasting @ keeps each node of a stack, and each member
+    of a pair, bitwise equal to the same product taken alone (einsum does
+    not once an inner dimension exceeds 1).
     """
-    DtP1 = p.D.T @ P1
+    blocks = np.asarray(blocks)
+    DtP1 = p.D.T @ blocks[0]
     S0 = p.R0 + DtP1 @ p.D
-    V = p.B.T @ P1 + p.Ht.T @ P2 + DtP1 @ p.C
-    V2 = p.B.T @ Pi1 + p.Ht.T @ Pi2
-    X = p.H.T @ P1 + p.Bt.T @ P2
-    X2 = p.H.T @ Pi1 + p.Bt.T @ Pi2
-    return S0, V, V2, X, X2
+    V = p.B.T @ blocks[:2] + p.Ht.T @ blocks[2:]
+    V[0] += DtP1 @ p.C
+    X = p.H.T @ blocks[:2] + p.Bt.T @ blocks[2:]
+    return S0, V, X
 
 
-def _gain_solves(p: ModelParams, S0, V, V2, X, X2):
+def _gain_solves(p: ModelParams, S0, V, X):
     """(S0^-1 V, S0^-1 V2, R1^-1 X, R1^-1 X2) from _gain_terms, at one node
     or a stack: the leader's Theta gains up to sign, and the parts of the
     incentive's zeta, eta and matching conditions that do not involve L."""
-    return (np.linalg.solve(S0, V), np.linalg.solve(S0, V2),
-            np.linalg.solve(p.R1, X), np.linalg.solve(p.R1, X2))
+    return (np.linalg.solve(S0, V[0]), np.linalg.solve(S0, V[1]),
+            np.linalg.solve(p.R1, X[0]), np.linalg.solve(p.R1, X[1]))
 
 
 def _check_gain_weight(S0: np.ndarray, nodes=None) -> None:
@@ -271,44 +278,68 @@ def _check_gain_weight(S0: np.ndarray, nodes=None) -> None:
 
 
 def block_riccati_problem(p: ModelParams, gamma: float) -> OdeProblem:
+    """The four coupled blocks as one (4, n, n) state [P1, Pi1, P2, Pi2]:
+
+        -dP1  = P1 A + A'P1 + C'P1 C + Q + P1E P1 - U S0^-1 V - W R1^-1 X
+        -dPi1 = Pi1 AF + A'Pi1 + P1 F - Q G1 + P1E Pi1 - U S0^-1 V2
+                - W R1^-1 X2
+        -dP2  = P2 A + AF'P2 + F'P1 - (Q G1)' + P2E P1 - U2 S0^-1 V
+                - W2 R1^-1 X
+        -dPi2 = Pi2 AF + AF'Pi2 + P2 F + F'Pi1 + G1'Q G1 + P2E Pi1
+                - U2 S0^-1 V2 - W2 R1^-1 X2
+
+    with AF = A~ + F~, (P1E, P2E) = gamma^-2 (P1, P2) E R2^-1 E',
+    U = P1 B + Pi1 H~ + C'P1 D, U2 = P2 B + Pi2 H~, W = P1 H + Pi1 B~,
+    W2 = P2 H + Pi2 B~, and S0 and the pairs (V, V2), (X, X2) from
+    _gain_terms.
+
+    The rhs forms each product that the four equations share once over the
+    stack, and adds the terms of every equation in the order written
+    above, so each block gets the bits of its own equation.  It also takes
+    a (4, K, n, n) stack of K nodes, as residual passes, and keeps nothing
+    between calls.
+    """
     n = p.n
     ERi = p.disturbance_weight
     g2 = gamma ** -2
     AF = p.At + p.Ft          # follower mean drift A~ + F~
-    At_, AFt_, Ct_, Ft_ = p.A.T, AF.T, p.C.T, p.F.T
+    Ct_, Ft_ = p.C.T, p.F.T
     QG1 = p.Q @ p.Gamma1
-    G1QG1 = p.Gamma1.T @ QG1
     R1inv = np.linalg.inv(p.R1)
+    # per block: the right and left drift factors and the constant term
+    drift_r = np.stack((p.A, AF, p.A, AF))[:, None]
+    drift_l = np.stack((p.A.T, p.A.T, AF.T, AF.T))[:, None]
+    const = np.stack((p.Q, -QG1, -QG1.T, p.Gamma1.T @ QG1))[:, None]
 
     def rhs(t, state):
-        P1, Pi1, P2, Pi2 = state
-        S0, V, V2, X, X2 = _gain_terms(p, P1, Pi1, P2, Pi2)
-        CtP1 = Ct_ @ P1
-        U = P1 @ p.B + Pi1 @ p.Ht + CtP1 @ p.D
-        W = P1 @ p.H + Pi1 @ p.Bt
-        U2 = P2 @ p.B + Pi2 @ p.Ht
-        W2 = P2 @ p.H + Pi2 @ p.Bt
-        SiVV2 = np.linalg.solve(S0, np.concatenate((V, V2), axis=-1))
-        SiV, SiV2 = SiVV2[..., :n], SiVV2[..., n:]
-        RiX = R1inv @ X
-        RiX2 = R1inv @ X2
-        P1E = g2 * (P1 @ ERi)
-        P2E = g2 * (P2 @ ERi)
-        dP1 = -(P1 @ p.A + At_ @ P1 + CtP1 @ p.C + p.Q
-                + P1E @ P1 - U @ SiV - W @ RiX)
-        dPi1 = -(Pi1 @ AF + At_ @ Pi1 + P1 @ p.F - QG1
-                 + P1E @ Pi1 - U @ SiV2 - W @ RiX2)
-        dP2 = -(P2 @ p.A + AFt_ @ P2 + Ft_ @ P1 - QG1.T
-                + P2E @ P1 - U2 @ SiV - W2 @ RiX)
-        dPi2 = -(Pi2 @ AF + AFt_ @ Pi2 + P2 @ p.F + Ft_ @ Pi1
-                 + G1QG1 + P2E @ Pi1 - U2 @ SiV2 - W2 @ RiX2)
-        return [dP1, dPi1, dP2, dPi2]
+        S = state.reshape(4, -1, n, n)
+        S0, V, X = _gain_terms(p, S)
+        P12, Pi12 = S[::2], S[1::2]             # (P1, P2), (Pi1, Pi2)
+        CtP1 = Ct_ @ S[0]
+        PF = P12 @ p.F                          # P1 F, P2 F
+        FtP = Ft_ @ S[:2]                       # F'P1, F'Pi1
+        d = S @ drift_r + drift_l @ S
+        d += np.array((CtP1 @ p.C, PF[0], FtP[0], PF[1]))
+        d[3] += FtP[1]
+        d += const
+        PE = g2 * (P12 @ ERi)                   # P1E, P2E
+        d += (PE[:, None] @ S[None, :2]).reshape(d.shape)
+        U = P12 @ p.B + Pi12 @ p.Ht             # U, U2
+        U[0] += CtP1 @ p.D
+        # (S0^-1 V, S0^-1 V2) from one solve, as views stacked on a first
+        # axis of 2
+        SiV = np.linalg.solve(S0, np.concatenate(V, axis=-1)).reshape(
+            -1, p.mL, 2, n).transpose(2, 0, 1, 3)
+        d -= (U[:, None] @ SiV[None]).reshape(d.shape)
+        W = P12 @ p.H + Pi12 @ p.Bt             # W, W2
+        d -= (W[:, None] @ (R1inv @ X)[None]).reshape(d.shape)
+        return np.negative(d, out=d).reshape(state.shape)
 
     GT2 = p.G @ p.Gamma2
     return OdeProblem(
         shapes=((n, n),) * 4,
         rhs=rhs,
-        boundary=(p.G.copy(), -GT2, -GT2.T, p.Gamma2.T @ GT2),
+        boundary=(p.G, -GT2, -GT2.T, p.Gamma2.T @ GT2),
     )
 
 
@@ -332,13 +363,13 @@ def assembled_problem(p: ModelParams, gamma: float) -> OdeProblem:
     Gbar = np.block([[p.G, -GT2], [-GT2.T, p.Gamma2.T @ GT2]])
     Abar_t, Cbar_t, Bbar_t, Dbar_t = Abar.T, Cbar.T, Bbar.T, Dbar.T
 
-    def rhs(t, state):
-        (P,) = state
-        lhs = Rbar + Dbar_t @ P @ Dbar
-        gain = (P @ Bbar + Cbar_t @ P @ Dbar) @ np.linalg.solve(
-            lhs, Bbar_t @ P + Dbar_t @ P @ Cbar)
-        return [-(P @ Abar + Abar_t @ P + Cbar_t @ P @ Cbar + Qbar
-                  + g2 * (P @ ERi @ P) - gain)]
+    def rhs(t, P):
+        DtP = Dbar_t @ P
+        CtP = Cbar_t @ P
+        gain = (P @ Bbar + CtP @ Dbar) @ np.linalg.solve(
+            Rbar + DtP @ Dbar, Bbar_t @ P + DtP @ Cbar)
+        return -(P @ Abar + Abar_t @ P + CtP @ Cbar + Qbar
+                 + g2 * (P @ ERi @ P) - gain)
 
     return OdeProblem(
         shapes=((2 * n, 2 * n),),
@@ -363,7 +394,7 @@ def solve_block_riccati(p: ModelParams):
     if not res_asm.ok:
         return res_asm.escape
     vals = [tr.values for tr in res.trajectories]
-    _check_gain_weight(_gain_terms(p, *vals)[0], fine.nodes)
+    _check_gain_weight(_gain_terms(p, vals)[0], fine.nodes)
     coarse = [MatrixTrajectory(grid, v[::2].copy()) for v in vals]
     asm = MatrixTrajectory(grid, res_asm.trajectories[0].values[::2].copy())
     return BlockRiccatiSolution(
@@ -395,12 +426,12 @@ class LeaderGains:
 def leader_gains(sol: BlockRiccatiSolution, p: ModelParams) -> LeaderGains:
     """The saddle gains at every published node: the Theta gains are the
     negated _gain_solves, the disturbance gains gamma^-2 R2^-1 E'(P1, Pi1)."""
-    P1, Pi1, P2, Pi2 = sol.all_nodes()
-    terms = _gain_terms(p, P1, Pi1, P2, Pi2)
+    blocks = sol.all_nodes()
+    terms = _gain_terms(p, blocks)
     _check_gain_weight(terms[0])
     g2 = sol.gamma ** -2
     mats = [-m for m in _gain_solves(p, *terms)] + [
-        g2 * np.linalg.solve(p.R2, p.E.T @ P) for P in (P1, Pi1)]
+        g2 * np.linalg.solve(p.R2, p.E.T @ P) for P in blocks[:2]]
     return LeaderGains(sol.grid,
                        *(MatrixTrajectory(sol.grid, m) for m in mats))
 

@@ -1,19 +1,25 @@
 """Fixed-step classical RK4 for stacked matrix ODEs on a shared grid.
 
+A problem's state is one ndarray, its components stacked along the first
+axis: (components, rows, cols), or (components, members, rows, cols) for a
+stack of members marched at once.  Every component has the same shape, and
+rhs takes and returns one such array, so an RK4 stage combines the whole
+state in one array operation.
+
 Terminal-value Riccati systems are integrated backward on the same uniform
 grid the simulator uses, with finite-escape detection instead of adaptive
 stepping: a node where some component's Frobenius norm passes ESCAPE_NORM
 (or goes non-finite) truncates the run and is reported, it is not an error.
 One node loop, _march, steps and escape-tests for both integrate, which
-stores the run, and integrate_stack, which marches a stack of such problems
-at once and reports only where each escapes.  The residual diagnostic
+stores the run, and integrate_stack, which marches a stack of members at
+once and reports only where each escapes.  The residual diagnostic
 differentiates a stored trajectory with fourth-order finite differences and
 compares against the right-hand side at all interior nodes at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -51,30 +57,37 @@ class GridMismatch(Exception):
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """Stacked matrix ODE d/dt [X1,...,Xk] = rhs(t, [X1,...,Xk]).
+    """Stacked matrix ODE dX/dt = rhs(t, X), X = [X1, ..., Xc] one array.
 
-    rhs takes one node's components or stacks of them along a leading
-    axis: residual calls it once on every interior node, with t shaped
-    (nodes, 1, 1).  boundary holds the terminal values: every problem
-    here is marched backward from T.  poststep, if given, is applied to
-    the state after every accepted step; the Riccati solvers use it to
-    re-symmetrize.
+    shapes declares each component's shape, one shape for all of them:
+    (rows, cols), or (members, rows, cols) for a stack of members that
+    march independently.  The state is the (c, *shape) array of the
+    components.  rhs takes and returns such an array; residual also calls
+    it on the stack of interior nodes, (c, nodes, rows, cols), with t
+    shaped (nodes, 1, 1).  boundary holds the terminal values, one per
+    component, and is stored stacked: every problem here is marched
+    backward from T.  poststep, if given, maps the state after every
+    accepted step to the state the march goes on from; the Riccati solvers
+    use it to re-symmetrize.
     """
 
-    shapes: tuple[tuple[int, int], ...]
-    rhs: Callable[[float, list[np.ndarray]], Sequence[np.ndarray]]
-    boundary: tuple[np.ndarray, ...]
-    poststep: Callable[[list[np.ndarray]], list[np.ndarray]] | None = None
+    shapes: tuple[tuple[int, ...], ...]
+    rhs: Callable[[Any, np.ndarray], np.ndarray]
+    boundary: np.ndarray
+    poststep: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if len(self.boundary) != len(self.shapes):
+        shapes = tuple(tuple(s) for s in self.shapes)
+        if len(set(shapes)) != 1:
+            raise ValueError(f"components must share one shape, got {shapes}")
+        if len(self.boundary) != len(shapes):
             raise ValueError("boundary and shapes must have the same length")
-        coerced = tuple(np.asarray(b, dtype=float) for b in self.boundary)
-        for b, s in zip(coerced, self.shapes):
-            if b.shape != tuple(s):
-                raise ValueError(f"boundary shape {b.shape} does not match declared {s}")
-        object.__setattr__(self, "boundary", coerced)
-        object.__setattr__(self, "shapes", tuple(tuple(s) for s in self.shapes))
+        boundary = np.asarray(self.boundary, dtype=float)
+        if boundary.shape[1:] != shapes[0]:
+            raise ValueError(f"boundary shape {boundary.shape[1:]} does not "
+                             f"match declared {shapes[0]}")
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "shapes", shapes)
 
 
 @dataclass(frozen=True)
@@ -88,8 +101,8 @@ class Escape:
 class IntegrationResult:
     trajectories: list[MatrixTrajectory] | None
     escape: Escape | None
-    # node values filled in so far, truncated at the escape node (inclusive);
-    # equal to the full trajectory arrays when the run completed
+    # node values filled in so far, (c, nodes, rows, cols) from the escape
+    # node (inclusive) up to T; None when the run completed
     partial: np.ndarray | None = None
     partial_nodes: np.ndarray | None = None
 
@@ -103,15 +116,12 @@ def _escape_test(state):
     norm over the components, inf if one is non-finite, and escaped is
     worst > ESCAPE_NORM.
 
-    Components are (n, n) matrices or (k, n, n) stacks; a stack gives one
-    verdict per member, each bitwise equal to the member's own, because
-    vecdot takes one dot product per matrix.
+    A (c, k, n, n) state gives one verdict per member, each bitwise equal
+    to the member's own, because vecdot takes one dot product per matrix
+    and the max over the components is exact.
     """
-    sq = 0.0
-    for x in state:
-        v = x.reshape(*x.shape[:-2], -1)
-        sq = np.maximum(sq, np.vecdot(v, v))
-    worst = np.sqrt(sq)
+    v = state.reshape(*state.shape[:-2], -1)
+    worst = np.sqrt(np.max(np.vecdot(v, v), axis=0))
     hit = ~(worst <= ESCAPE_NORM)              # NaN escapes too
     if hit.any():
         worst = np.where(np.isnan(worst), np.inf, worst)
@@ -120,18 +130,23 @@ def _escape_test(state):
 
 def _clean_rhs(problem: OdeProblem, t, state):
     """The rhs at a vetted node value (a step's first stage): a non-finite
-    output there means the rhs itself is broken, so NonFiniteRhs."""
+    output there means the rhs itself is broken, so NonFiniteRhs, naming
+    the first non-finite component.  Finite entries whose sum overflows
+    are not broken: the march goes on and escapes."""
     out = problem.rhs(t, state)
-    for i, a in enumerate(out):
-        if not np.isfinite(np.sum(a)):
-            raise NonFiniteRhs(t, i)
+    finite = np.isfinite(out)
+    if not finite.all():
+        ok = finite.reshape(len(out), -1).all(axis=1)
+        raise NonFiniteRhs(t, int(np.argmin(ok)))
     return out
 
 
 def rk4_step(rhs, state, s, at, k1=None):
     """One classical RK4 step of size s (negative to step backward).
 
-    at holds rhs's first argument at the start, the midpoint and the end of
+    state is one array of stacked components, and rhs(at_i, state) returns
+    its derivative as one array, so each stage is one array operation.  at
+    holds rhs's first argument at the start, the midpoint and the end of
     the step: the times, or whatever the caller samples there (the
     incentive sweeps pass coefficient matrices read off a doubled grid).
     The two midpoint stages share at[1].  k1, if given, is the derivative
@@ -140,38 +155,35 @@ def rk4_step(rhs, state, s, at, k1=None):
     half = 0.5 * s
     if k1 is None:
         k1 = rhs(at[0], state)
-    k2 = rhs(at[1], [x + half * d for x, d in zip(state, k1)])
-    k3 = rhs(at[1], [x + half * d for x, d in zip(state, k2)])
-    k4 = rhs(at[2], [x + s * d for x, d in zip(state, k3)])
-    sixth = s / 6.0
-    return [x + sixth * (a + 2.0 * (b + c) + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    k2 = rhs(at[1], state + half * k1)
+    k3 = rhs(at[1], state + half * k2)
+    k4 = rhs(at[2], state + s * k3)
+    return state + s / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def _march(problem: OdeProblem, grid: TimeGrid,
-           store: list[np.ndarray] | None = None) -> list[Escape | None]:
+           store: np.ndarray | None = None) -> list[Escape | None]:
     """Step the problem backward across the grid by RK4 and return each
     member's first Escape, or None where it reaches t = 0.
 
-    Components of shape (k, n, n) stack k members along their leading axis;
-    (n, n) components make one member.  At every node the state is written
-    to store (if given), then escape-tested; an escaped member is zeroed, so
-    the rhs stays finite, and its later verdicts are ignored.  The march
-    ends at node 0, or at the node where every member has escaped.
-    A member far past its pole may overflow within a step; it escapes at
-    that step's end node, so the overflow is not warned about.
+    A (c, k, n, n) state stacks k members along its second axis; a
+    (c, n, n) state is one member.  At every node the state is written to
+    store[:, node] (if given), then escape-tested; an escaped member is
+    zeroed, so the rhs stays finite, and its later verdicts are ignored.
+    The march ends at node 0, or at the node where every member has
+    escaped.  A member far past its pole may overflow within a step; it
+    escapes at that step's end node, so the overflow is not warned about.
     """
     nodes = grid.nodes
     s = -grid.h
     node = grid.steps
-    state = [b.copy() for b in problem.boundary]
-    out: list[Escape | None] = [None] * (len(state[0]) if state[0].ndim == 3
+    state = problem.boundary.copy()
+    out: list[Escape | None] = [None] * (state.shape[1] if state.ndim == 4
                                          else 1)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             if store is not None:
-                for dst, x in zip(store, state):
-                    dst[node] = x
+                store[:, node] = state
             hit, worst = _escape_test(state)
             if hit.any():
                 for i in np.flatnonzero(hit):
@@ -180,15 +192,14 @@ def _march(problem: OdeProblem, grid: TimeGrid,
                                         float(worst.flat[i]), node)
                 if None not in out:
                     break
-                for x in state:
-                    x[hit] = 0.0
+                state[:, hit] = 0.0
             if node == 0:
                 break
             t = nodes[node]
             state = rk4_step(problem.rhs, state, s, (t, t + 0.5 * s, t + s),
                              k1=_clean_rhs(problem, t, state))
             if problem.poststep is not None:
-                state = list(problem.poststep(state))
+                state = problem.poststep(state)
             node -= 1
     return out
 
@@ -203,21 +214,22 @@ def integrate(problem: OdeProblem, grid: TimeGrid) -> IntegrationResult:
     blow-up.
     """
     M = grid.steps
-    store = [np.empty((M + 1,) + s) for s in problem.shapes]
+    # component-major, so each component's trajectory is contiguous
+    store = np.empty((len(problem.shapes), M + 1) + problem.shapes[0])
     (esc,) = _march(problem, grid, store)
     if esc is None:
         return IntegrationResult([MatrixTrajectory(grid, s) for s in store],
                                  None)
     # keep everything from T down to and including the bad node
     sl = slice(esc.node, M + 1)
-    return IntegrationResult(None, esc, [s[sl].copy() for s in store],
+    return IntegrationResult(None, esc, store[:, sl].copy(),
                              grid.nodes[sl].copy())
 
 
 def integrate_stack(problem: OdeProblem, grid: TimeGrid) -> list[Escape | None]:
-    """March a problem whose components stack k members along a leading
-    axis; return each member's Escape, or None where it reaches the far end
-    of the grid.
+    """March a problem whose components stack k members, a (c, k, n, n)
+    state; return each member's Escape, or None where it reaches the far
+    end of the grid.
 
     Escape and NonFiniteRhs are judged as in integrate; with an rhs written
     in broadcasting @, each member gets the bits it would get alone.
@@ -242,13 +254,15 @@ def _stencil(weights, rows) -> np.ndarray:
 
 
 def _fd_derivatives(values: np.ndarray, M: int, h: float) -> np.ndarray:
-    """Fourth-order first derivative at the interior nodes 1..M-1: the
-    biased stencils at nodes 1 and M-1, the symmetric one at the nodes
-    between, each as one slice over those nodes."""
-    mid = _stencil(_CENTER, [values[2 + off:M - 1 + off]
+    """Fourth-order first derivative of (c, M+1, rows, cols) trajectories
+    at the interior nodes 1..M-1: the biased stencils at nodes 1 and M-1,
+    the symmetric one at the nodes between, each as one slice over those
+    nodes."""
+    mid = _stencil(_CENTER, [values[:, 2 + off:M - 1 + off]
                              for off in range(-2, 3)])
-    return np.concatenate([_stencil(_LEFT, values[:5])[None], mid,
-                           _stencil(_RIGHT, values[M - 4:])[None]]) / h
+    left = _stencil(_LEFT, [values[:, j] for j in range(5)])
+    right = _stencil(_RIGHT, [values[:, j] for j in range(M - 4, M + 1)])
+    return np.concatenate([left[:, None], mid, right[:, None]], axis=1) / h
 
 
 def residual(trajectories: Sequence[MatrixTrajectory], problem: OdeProblem,
@@ -257,10 +271,12 @@ def residual(trajectories: Sequence[MatrixTrajectory], problem: OdeProblem,
 
     D_h is a fourth-order finite difference so that the diagnostic measures
     equation error rather than the second-order noise of a plain centered
-    difference; a corrupted node still shows up at O(1/h).  The rhs is
-    called once, on the stack of interior nodes, with their times shaped
-    to broadcast against it; an output that does not depend on the state
-    may come back as one node's value.
+    difference; a corrupted node still shows up at O(1/h).  The
+    trajectories, one per component, are stacked once, and the rhs is
+    called once, on the (c, M-1, rows, cols) stack of interior nodes, with
+    their times shaped to broadcast against it; an output that does not
+    depend on the state may come back in any shape that broadcasts against
+    that stack.
     """
     if len(trajectories) != len(problem.shapes):
         raise GridMismatch("trajectory count does not match problem")
@@ -270,14 +286,17 @@ def residual(trajectories: Sequence[MatrixTrajectory], problem: OdeProblem,
     M = grid.steps
     if M < 4:
         raise GridMismatch("residual needs at least 4 grid steps")
-    f = problem.rhs(grid.nodes[1:M, None, None],
-                    [tr.values[1:M] for tr in trajectories])
-    num = den = 0.0
-    for tr, fk in zip(trajectories, f):
-        fk = np.broadcast_to(np.asarray(fk, dtype=float), tr.values[1:M].shape)
-        d = _fd_derivatives(tr.values, M, grid.h)
-        num = num + np.sum(((d - fk) ** 2).reshape(M - 1, -1), axis=1)
-        den = den + np.sum((fk * fk).reshape(M - 1, -1), axis=1)
+    values = np.stack([tr.values for tr in trajectories])
+    inner = values[:, 1:M]
+    f = np.broadcast_to(np.asarray(
+        problem.rhs(grid.nodes[1:M, None, None], inner), dtype=float),
+        inner.shape)
+    d = _fd_derivatives(values, M, grid.h)
+    c = len(values)
+    # each component's squares summed per node, then added up over the
+    # components in their order
+    num = sum(np.sum(((d - f) ** 2).reshape(c, M - 1, -1), axis=2))
+    den = sum(np.sum((f * f).reshape(c, M - 1, -1), axis=2))
     r = np.sqrt(num) / (1.0 + np.sqrt(den))
     # fmax skips the nodes whose residual is NaN
     return float(np.fmax.reduce(r, initial=0.0))

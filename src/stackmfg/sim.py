@@ -689,9 +689,10 @@ def exact_mean_field_gap(p: ModelParams, N: int) -> float:
     estimates this value."""
     h = p.grid().h
     Phi = np.eye(p.n) + h * (p.At + p.Ft)
+    noise = h * p.Sigma @ p.Sigma.T
     Pi, sup = np.zeros((p.n, p.n)), 0.0
     for _ in range(p.grid_steps):
-        Pi = Phi @ Pi @ Phi.T + h * p.Sigma @ p.Sigma.T
+        Pi = Phi @ Pi @ Phi.T + noise
         sup = max(sup, float(np.trace(Pi)))
     return sup / N
 

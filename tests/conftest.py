@@ -109,6 +109,33 @@ def n2_square_params() -> ModelParams:
     )
 
 
+def drawn_params(seed: int, n: int, mL: int, mF: int, nv: int) -> ModelParams:
+    """A random config of the given dimensions, drawn the way the multidim
+    benchmark draws its base: N(0, 0.4^2) coefficients, state weights
+    M M' + 0.1 I and control weights M M' + 0.5 I.  Nothing about it is
+    certified; it feeds right-hand sides at drawn states, not solves."""
+    rng = np.random.default_rng(seed)
+
+    def mat(r, c):
+        return 0.4 * rng.standard_normal((r, c))
+
+    def gram(k, floor):
+        M = mat(k, k)
+        return M @ M.T + floor * np.eye(k)
+
+    return ModelParams(
+        n=n, mL=mL, mF=mF, nv=nv,
+        A=mat(n, n), B=mat(n, mL), F=mat(n, n), H=mat(n, mF), E=mat(n, nv),
+        C=mat(n, n), D=mat(n, mL), At=mat(n, n), Bt=mat(n, mF),
+        Ft=mat(n, n), Ht=mat(n, mL), Sigma=mat(n, n), Q=gram(n, 0.1),
+        Gamma1=mat(n, n), R0=gram(mL, 0.5), R1=gram(mF, 0.5),
+        R2=gram(nv, 0.5), Gamma2=mat(n, n), G=gram(n, 0.1), Qt=gram(n, 0.1),
+        Gamma1t=mat(n, n), R0t=gram(mL, 0.5), R1t=gram(mF, 0.5),
+        Gamma2t=mat(n, n), Gt=gram(n, 0.1), xi=mat(1, n)[0],
+        x0init=mat(1, n)[0], T=2.0, gamma=10.0, grid_steps=40,
+    )
+
+
 def _solve_chain(p: ModelParams) -> SimpleNamespace:
     blocks = leader.solve_block_riccati(p)
     assert isinstance(blocks, BlockRiccatiSolution)
@@ -138,6 +165,18 @@ def n2() -> ModelParams:
 @pytest.fixture(scope="session")
 def n2_sol(n2):
     return _solve_chain(n2)
+
+
+@pytest.fixture(scope="session")
+def drawn_md() -> ModelParams:
+    """A drawn config of the multidim benchmark's dimensions."""
+    return drawn_params(7, n=2, mL=4, mF=1, nv=2)
+
+
+@pytest.fixture(scope="session")
+def drawn_n3() -> ModelParams:
+    """A drawn config with n = 3 and a matrix L (mL = mF = 2)."""
+    return drawn_params(7, n=3, mL=2, mF=2, nv=1)
 
 
 @pytest.fixture(scope="session")

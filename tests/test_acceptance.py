@@ -158,9 +158,8 @@ def test_criterion_12_degenerate_oracles(table1, decoupled, gains1):
     At_ = pE0.A.T
     Ct_ = pE0.C.T
 
-    def lyap_rhs(t, state):
-        (k,) = state
-        return [-(k @ pE0.A + At_ @ k + Ct_ @ k @ pE0.C + pE0.Q)]
+    def lyap_rhs(t, k):
+        return -(k @ pE0.A + At_ @ k + Ct_ @ k @ pE0.C + pE0.Q)
 
     lyap = integrate(OdeProblem(((1, 1),), lyap_rhs, (pE0.G.copy(),)),
                      table1.grid())
@@ -176,13 +175,12 @@ def test_criterion_12_degenerate_oracles(table1, decoupled, gains1):
     ERi = p.E @ np.linalg.solve(p.R2, p.E.T)
     g2 = p.gamma ** -2
 
-    def single_rhs(t, state):
-        (P,) = state
+    def single_rhs(t, P):
         S0 = p.R0 + p.D.T @ P @ p.D
         U = P @ p.B + p.C.T @ P @ p.D
         V = p.B.T @ P + p.D.T @ P @ p.C
-        return [-(P @ p.A + p.A.T @ P + p.C.T @ P @ p.C + p.Q
-                  + g2 * (P @ ERi @ P) - U @ np.linalg.solve(S0, V))]
+        return -(P @ p.A + p.A.T @ P + p.C.T @ P @ p.C + p.Q
+                 + g2 * (P @ ERi @ P) - U @ np.linalg.solve(S0, V))
 
     # the block solver marches on the internally doubled grid, so the
     # standalone comparison integrates at the same half step

@@ -227,6 +227,21 @@ def test_sweep_n_and_env_seed_override(tmp_path, monkeypatch):
         [point] * 6
 
 
+@pytest.mark.parametrize("name", ["square", "n2"])
+def test_reproduce_paper_passes_every_check_where_theory_holds(
+        name, request, tmp_path, capsys):
+    # square matching, certified gamma: the whole check list holds, on the
+    # config's own grid; n2 runs the n = 2 path end to end
+    cfg = tmp_path / "config.json"
+    save_config(request.getfixturevalue(name), cfg)
+    out = tmp_path / "out"
+    assert cli.main(["reproduce-paper", "--config", str(cfg), "--out",
+                     str(out), "--seed", "42", "--threads", "1"]) == 0
+    checks = read_json(out / "summary.json")["checks"]
+    assert len(checks) == 11
+    assert [k for k, ok in checks.items() if not ok] == []
+
+
 def test_reproduce_paper_fail_path(table1, tmp_path, capsys):
     # blocks escape at gamma=2: the pipeline must stop at solve-leader,
     # leave a FAILED manifest and still write the partial summary

@@ -16,7 +16,7 @@ TERM = (np.array([[1.0]]), np.array([[-0.01]]),
 
 def _nodal(p, *blocks):
     """The L-free terms of zeta, eta and the matching conditions."""
-    return leader._gain_solves(p, *leader._gain_terms(p, *blocks))
+    return leader._gain_solves(p, *leader._gain_terms(p, blocks))
 
 
 def _zeta_eta(p, L, *blocks):
@@ -441,3 +441,37 @@ def test_relation_violated_on_tampered_input(name, table1, blocks1, inc1):
         dtheta.grid, getattr(dtheta, name).values + 1.0)})
     with pytest.raises(RelationViolated):
         incentive.solve_sigma_phi_psi(table1, blocks1, bad, inc1.inc)
+
+
+def _chain_rhs_per_component(p, cc, De, Th, Sg, Ph, Ps):
+    """The five chain equations written one component at a time, each
+    product formed where its equation uses it."""
+    At_ = p.At.T
+    QtG1t = p.Qt @ p.Gamma1t
+    dDe = -(De @ cc.A1 + At_ @ De + De @ cc.H1 @ De
+            + Th @ (cc.B2 + cc.H2 @ De) + (p.Qt - QtG1t))
+    dTh = -(Th @ cc.A2 + At_ @ Th + Th @ cc.H2 @ Th
+            + De @ (cc.B1 + cc.H1 @ Th))
+    dSg = -(Sg @ p.At + At_ @ Sg + Sg @ cc.H1 @ Sg + p.Qt)
+    dPh = -(Ph @ (cc.A1 + cc.H1 @ De) + At_ @ Ph + Sg @ cc.H1 @ Ph
+            + Sg @ (cc.A1 - p.At) + Ps @ (cc.B2 + cc.H2 @ De) - QtG1t)
+    dPs = -(Ps @ (cc.A2 + cc.H2 @ Th) + At_ @ Ps + Sg @ cc.H1 @ Ps
+            + Sg @ cc.B1 + Ph @ (cc.B1 + cc.H1 @ Th))
+    return [dDe, dTh, dSg, dPh, dPs]
+
+
+@pytest.mark.parametrize("name", ["table1", "square", "n2",
+                                  "drawn_md", "drawn_n3"])
+def test_chain_rhs_equals_the_equations_one_by_one(name, request):
+    # the stacked chain rhs forms its shared products once; every
+    # component must still get its own equation's bits
+    p = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    rhs = incentive._chain_rhs(p)
+    for _ in range(3):
+        blocks = 0.5 * rng.standard_normal((4, p.n, p.n))
+        L = rng.standard_normal((p.mL, p.mF))
+        cc = incentive.cc_coefficients(p, p.gamma, L, *blocks)
+        state = 0.5 * rng.standard_normal((5, p.n, p.n))
+        want = np.array(_chain_rhs_per_component(p, cc, *state))
+        assert np.array_equal(rhs(cc, state), want)

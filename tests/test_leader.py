@@ -251,7 +251,7 @@ def test_n2_chain_properties(n2, data):
     dtheta, inc = incentive.solve_cc_incentive(p, blocks)
     assert inc.newton_converged.all()
     fine = (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)
-    nodal = leader._gain_solves(p, *leader._gain_terms(p, *fine))
+    nodal = leader._gain_solves(p, *leader._gain_terms(p, fine))
     for a, theta in zip(nodal, (gains.Theta11, gains.Theta12,
                                 gains.Theta21, gains.Theta22)):
         assert np.array_equal(a[::2], -theta.values)
@@ -297,7 +297,7 @@ def _no_minimum_tail_stops(p, blocks):
     except incentive.NoIncentiveSolution as err:
         dtheta, inc = err.partial
     fine = (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)
-    nodal = leader._gain_solves(p, *leader._gain_terms(p, *fine))
+    nodal = leader._gain_solves(p, *leader._gain_terms(p, fine))
     L = inc.L.values
     eps = np.finfo(float).eps
     fired, tail_stops = [], []
@@ -487,3 +487,61 @@ def test_singular_gain_weight_is_refused(square, square_sol):
         leader.solve_block_riccati(p)
     with pytest.raises(leader.SingularGain):
         leader.leader_gains(square_sol.blocks, p)
+
+
+def _block_rhs_per_block(p, gamma, P1, Pi1, P2, Pi2):
+    """The four block equations written one block at a time, each product
+    formed where its equation uses it."""
+    n = p.n
+    ERi = p.disturbance_weight
+    g2 = gamma ** -2
+    AF = p.At + p.Ft
+    QG1 = p.Q @ p.Gamma1
+    R1inv = np.linalg.inv(p.R1)
+    DtP1 = p.D.T @ P1
+    S0 = p.R0 + DtP1 @ p.D
+    V = p.B.T @ P1 + p.Ht.T @ P2 + DtP1 @ p.C
+    V2 = p.B.T @ Pi1 + p.Ht.T @ Pi2
+    X = p.H.T @ P1 + p.Bt.T @ P2
+    X2 = p.H.T @ Pi1 + p.Bt.T @ Pi2
+    CtP1 = p.C.T @ P1
+    U = P1 @ p.B + Pi1 @ p.Ht + CtP1 @ p.D
+    W = P1 @ p.H + Pi1 @ p.Bt
+    U2 = P2 @ p.B + Pi2 @ p.Ht
+    W2 = P2 @ p.H + Pi2 @ p.Bt
+    SiVV2 = np.linalg.solve(S0, np.concatenate((V, V2), axis=-1))
+    SiV, SiV2 = SiVV2[..., :n], SiVV2[..., n:]
+    RiX = R1inv @ X
+    RiX2 = R1inv @ X2
+    P1E = g2 * (P1 @ ERi)
+    P2E = g2 * (P2 @ ERi)
+    dP1 = -(P1 @ p.A + p.A.T @ P1 + CtP1 @ p.C + p.Q
+            + P1E @ P1 - U @ SiV - W @ RiX)
+    dPi1 = -(Pi1 @ AF + p.A.T @ Pi1 + P1 @ p.F - QG1
+             + P1E @ Pi1 - U @ SiV2 - W @ RiX2)
+    dP2 = -(P2 @ p.A + AF.T @ P2 + p.F.T @ P1 - QG1.T
+            + P2E @ P1 - U2 @ SiV - W2 @ RiX)
+    dPi2 = -(Pi2 @ AF + AF.T @ Pi2 + P2 @ p.F + p.F.T @ Pi1
+             + p.Gamma1.T @ QG1 + P2E @ Pi1 - U2 @ SiV2 - W2 @ RiX2)
+    return [dP1, dPi1, dP2, dPi2]
+
+
+@pytest.mark.parametrize("name", ["table1", "square", "n2",
+                                  "drawn_md", "drawn_n3"])
+def test_block_rhs_equals_the_equations_block_by_block(name, request):
+    # the stacked rhs shares its products over the blocks; every block
+    # must still get its own equation's bits, at one node and on the
+    # (4, K, n, n) stack of nodes that residual passes
+    p = request.getfixturevalue(name)
+    rng = np.random.default_rng(3)
+    rhs = leader.block_riccati_problem(p, p.gamma).rhs
+    for _ in range(3):
+        node = 0.5 * rng.standard_normal((4, p.n, p.n))
+        want = np.array(_block_rhs_per_block(p, p.gamma, *node))
+        assert np.array_equal(rhs(0.0, node), want)
+    K = 7
+    nodes = 0.5 * rng.standard_normal((4, K, p.n, p.n))
+    got = rhs(np.linspace(0.0, p.T, K)[:, None, None], nodes)
+    want = np.array([_block_rhs_per_block(p, p.gamma, *nodes[:, k])
+                     for k in range(K)])
+    assert np.array_equal(got, np.swapaxes(want, 0, 1))

@@ -1,4 +1,7 @@
-"""RK4 integrator: exactness, escape detection, residual diagnostic."""
+"""RK4 integrator: exactness, escape detection, residual diagnostic.
+
+A problem's state is one array, its components stacked on the first axis,
+and every rhs here takes and returns such an array."""
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ def scalar_problem(rhs, terminal=1.0):
 
 
 def test_zero_rhs_constant_trajectory():
-    prob = scalar_problem(lambda t, s: [np.zeros((1, 1))])
+    prob = scalar_problem(lambda t, s: np.zeros_like(s))
     res = integrate(prob, TimeGrid(10.0, 100))
     assert res.ok
     assert np.all(res.trajectories[0].values == 1.0)
@@ -23,7 +26,7 @@ def test_zero_rhs_constant_trajectory():
 
 def test_constant_rhs_exact():
     # dK/dt = -1, K(T) = 0 over [0, 10]: K(0) = 10 exactly
-    prob = scalar_problem(lambda t, s: [-np.ones((1, 1))], terminal=0.0)
+    prob = scalar_problem(lambda t, s: -np.ones_like(s), terminal=0.0)
     res = integrate(prob, TimeGrid(10.0, 1000))
     assert res.trajectories[0].values[0, 0, 0] == pytest.approx(10.0, abs=1e-12)
 
@@ -35,19 +38,20 @@ def test_rk4_step_is_the_classical_polynomial():
 
     def rhs(at, st):
         seen.append(at)
-        return [0.5 * st[0]]
+        return 0.5 * st
 
     s = -0.1
-    (x,) = rk4_step(rhs, [np.array([[2.0]])], s, ("start", "mid", "end"))
+    x = rk4_step(rhs, np.array([[[2.0]]]), s, ("start", "mid", "end"))
     z = 0.5 * s
-    assert x[0, 0] == pytest.approx(
+    assert x.shape == (1, 1, 1)
+    assert x[0, 0, 0] == pytest.approx(
         2.0 * (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24), rel=1e-15)
     assert seen == ["start", "mid", "mid", "end"]
 
 
 def test_quadratic_blowup_escapes_near_closed_form():
     # dk/dt = -k^2 backward from k(10) = 1: k(t) = 1/(t - 9) blows up at 9
-    prob = scalar_problem(lambda t, s: [-(s[0] @ s[0])])
+    prob = scalar_problem(lambda t, s: -(s @ s))
     grid = TimeGrid(10.0, 1000)
     res = integrate(prob, grid)
     assert not res.ok
@@ -56,13 +60,13 @@ def test_quadratic_blowup_escapes_near_closed_form():
     assert ESCAPE_NORM == 1e8
     assert res.escape.norm > ESCAPE_NORM
     # truncated node values are still reported for diagnostics
-    assert res.partial is not None
+    assert res.partial.shape == (1, len(res.partial_nodes), 1, 1)
     assert res.partial_nodes[0] == pytest.approx(res.escape.t_escape)
     assert res.partial_nodes[-1] == pytest.approx(grid.T)
 
 
 def test_exponential_residual_small():
-    prob = scalar_problem(lambda t, s: [-s[0]])
+    prob = scalar_problem(lambda t, s: -s)
     grid = TimeGrid(10.0, 1000)
     res = integrate(prob, grid)
     assert residual(res.trajectories, prob, grid) <= 1e-5
@@ -72,7 +76,7 @@ def test_exponential_residual_small():
 
 def test_residual_tiny_for_constant_solution():
     # FD stencil coefficients cancel only to roundoff, amplified by 1/h
-    prob = scalar_problem(lambda t, s: [np.zeros((1, 1))])
+    prob = scalar_problem(lambda t, s: np.zeros_like(s))
     grid = TimeGrid(1.0, 50)
     res = integrate(prob, grid)
     assert residual(res.trajectories, prob, grid) <= 1e-12
@@ -87,7 +91,8 @@ def _residual_per_node(trajectories, problem, grid):
     worst = 0.0
     for k in range(1, M):
         w, off = stencils.get(k, (odeint._CENTER, range(k - 2, k + 3)))
-        f = problem.rhs(grid.nodes[k], [tr.values[k] for tr in trajectories])
+        f = problem.rhs(grid.nodes[k],
+                        np.array([tr.values[k] for tr in trajectories]))
         num = den = 0.0
         for tr, fk in zip(trajectories, f):
             d = np.zeros_like(tr.values[k])
@@ -111,7 +116,7 @@ def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol):
                       leader.block_riccati_problem(p, sol.gamma), sol.grid))
     asm = leader.assembled_problem(n2, n2_sol.blocks.gamma)
     cases.append(([n2_sol.blocks.assembled], asm, n2.grid()))
-    prob = scalar_problem(lambda t, s: [-s[0]])
+    prob = scalar_problem(lambda t, s: -s)
     grid = TimeGrid(10.0, 1000)
     vals = integrate(prob, grid).trajectories[0].values.copy()
     vals[500] += 1.0
@@ -122,7 +127,7 @@ def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol):
 
 
 def test_residual_detects_perturbed_node():
-    prob = scalar_problem(lambda t, s: [-s[0]])
+    prob = scalar_problem(lambda t, s: -s)
     grid = TimeGrid(10.0, 1000)
     res = integrate(prob, grid)
     vals = res.trajectories[0].values.copy()
@@ -132,7 +137,7 @@ def test_residual_detects_perturbed_node():
 
 
 def test_residual_grid_mismatch():
-    prob = scalar_problem(lambda t, s: [np.zeros((1, 1))])
+    prob = scalar_problem(lambda t, s: np.zeros_like(s))
     res = integrate(prob, TimeGrid(1.0, 50))
     with pytest.raises(GridMismatch):
         residual(res.trajectories, prob, TimeGrid(1.0, 100))
@@ -140,7 +145,7 @@ def test_residual_grid_mismatch():
 
 def test_order_four_convergence():
     # halving h on dk/dt = -k cuts the endpoint error about 2^4 times
-    prob = scalar_problem(lambda t, s: [-s[0]])
+    prob = scalar_problem(lambda t, s: -s)
     errs = []
     for M in (100, 200):
         res = integrate(prob, TimeGrid(1.0, M))
@@ -149,7 +154,7 @@ def test_order_four_convergence():
 
 
 def test_integrate_deterministic():
-    prob = scalar_problem(lambda t, s: [-(s[0] @ s[0]) * 0.1])
+    prob = scalar_problem(lambda t, s: -(s @ s) * 0.1)
     grid = TimeGrid(5.0, 500)
     a = integrate(prob, grid).trajectories[0].values
     b = integrate(prob, grid).trajectories[0].values
@@ -157,9 +162,29 @@ def test_integrate_deterministic():
 
 
 def test_nonfinite_rhs_raises():
-    prob = scalar_problem(lambda t, s: [np.full((1, 1), np.nan)])
+    prob = scalar_problem(lambda t, s: np.full_like(s, np.nan))
     with pytest.raises(NonFiniteRhs):
         integrate(prob, TimeGrid(1.0, 10))
+    # the error names the first non-finite component
+    bad = np.array([[[0.0]], [[np.inf]], [[np.nan]]])
+    prob = OdeProblem(shapes=((1, 1),) * 3, rhs=lambda t, s: bad,
+                      boundary=(np.ones((1, 1)),) * 3)
+    with pytest.raises(NonFiniteRhs) as err:
+        integrate(prob, TimeGrid(1.0, 10))
+    assert err.value.component == 1
+
+
+def test_finite_rhs_whose_sum_overflows_escapes():
+    # every entry is finite, but the four sum past the float maximum: the
+    # rhs is not broken, the march overflows within the step and escapes
+    prob = OdeProblem(shapes=((2, 2),),
+                      rhs=lambda t, s: np.full((1, 2, 2), 1e308),
+                      boundary=(np.zeros((2, 2)),))
+    grid = TimeGrid(1.0, 10)
+    res = integrate(prob, grid)
+    assert not res.ok
+    assert res.escape.node == grid.steps - 1
+    assert res.escape.norm == np.inf
 
 
 def test_boundary_shape_guard():
@@ -169,23 +194,38 @@ def test_boundary_shape_guard():
 
 
 def test_stacked_components_and_poststep():
-    # two components advanced together; poststep sees both
+    # two components advanced together as one (2, 2, 2) state; poststep
+    # sees both
+    rate = np.array([-1.0, 0.0])[:, None, None]
+
     def rhs(t, s):
-        return [-s[0], s[1] * 0.0]
+        assert s.shape == (2, 2, 2)
+        return rate * s
 
     calls = []
 
     def post(st):
-        calls.append(1)
+        calls.append(st.shape)
         return st
 
-    prob = OdeProblem(shapes=((1, 1), (2, 2)), rhs=rhs,
-                      boundary=(np.array([[1.0]]), np.eye(2)),
+    prob = OdeProblem(shapes=((2, 2), (2, 2)), rhs=rhs,
+                      boundary=(2.0 * np.eye(2), np.eye(2)),
                       poststep=post)
-    res = integrate(prob, TimeGrid(1.0, 20))
+    assert prob.boundary.shape == (2, 2, 2)
+    grid = TimeGrid(1.0, 20)
+    res = integrate(prob, grid)
     assert res.ok
     assert np.all(res.trajectories[1].values == np.eye(2))
-    assert len(calls) == 20
+    alone = integrate(scalar_problem(lambda t, s: -s, 2.0), grid)
+    assert np.array_equal(res.trajectories[0].values[:, 0, :1],
+                          alone.trajectories[0].values[:, 0])
+    assert calls == [(2, 2, 2)] * 20
+
+
+def test_components_of_unequal_shapes_are_refused():
+    with pytest.raises(ValueError):
+        OdeProblem(shapes=((1, 1), (2, 2)), rhs=lambda t, s: s,
+                   boundary=(np.array([[1.0]]), np.eye(2)))
 
 
 def test_stack_stops_once_every_member_has_escaped():
@@ -195,7 +235,7 @@ def test_stack_stops_once_every_member_has_escaped():
 
     def rhs(t, s):
         calls.append(t)
-        return [-(s[0] @ s[0])]
+        return -(s @ s)
 
     terminals = [1.0, 2.0, 4.0]
     prob = OdeProblem(shapes=((3, 1, 1),), rhs=rhs,
@@ -203,8 +243,7 @@ def test_stack_stops_once_every_member_has_escaped():
     grid = TimeGrid(10.0, 1000)
     escapes = integrate_stack(prob, grid)
     for c, esc in zip(terminals, escapes):
-        alone = integrate(scalar_problem(lambda t, s: [-(s[0] @ s[0])], c),
-                          grid)
+        alone = integrate(scalar_problem(lambda t, s: -(s @ s), c), grid)
         assert esc == alone.escape
     first = min(e.node for e in escapes)
     assert len(calls) == 4 * (grid.steps - first) < 4 * grid.steps
