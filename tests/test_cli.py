@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, artifacts, manifest bookkeeping."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stackmfg
 from stackmfg import cli, incentive, leader, sim
 from stackmfg.model import MatrixTrajectory, save_config
 
@@ -19,6 +24,17 @@ def test_validate_benchmark_ok(capsys):
     out = capsys.readouterr().out
     assert "all assumptions hold" in out
     assert "BAD" not in out
+
+
+def test_python_m_stackmfg_runs_the_cli(tmp_path):
+    # the package the tests import runs as a module
+    src = str(Path(stackmfg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "stackmfg", "validate"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "all assumptions hold" in done.stdout
 
 
 def test_validate_reports_matching_size(square, tmp_path, capsys):

@@ -54,11 +54,50 @@ def test_rng_stream_independence():
     assert not np.array_equal(a[1], b[1])
 
 
-def test_rng_index_bounds():
+def test_rng_index_bounds(monkeypatch):
     with pytest.raises(ValueError):
         rng.stream(1, 2 ** 32, 0)
     with pytest.raises(ValueError):
         rng.stream(1, 0, -1)
+
+    # every index is checked before the first re-key, so a bad one costs
+    # no draw: a re-key here fails at once instead of reading 2^32 streams
+    def rekey(bg, key):
+        raise AssertionError(f"re-keyed to {key} before the index check")
+
+    monkeypatch.setattr(rng, "_rekey", rekey)
+    with pytest.raises(ValueError, match="agent index"):
+        rng.stream(1, 0, 2 ** 32, rng.pool(1)[0])
+    for paths, Ns, name in (([0, 2 ** 32], [3], "path"),
+                            ([0, -1], [3], "path"),
+                            ([0], [2, 2 ** 32], "agent")):
+        with pytest.raises(ValueError, match=f"{name} index"):
+            rng.increment_sums(1, paths, Ns, 5, 0.01)
+
+
+def test_rng_rekey_restores_the_fresh_state():
+    # a generator with a part-used buffer and a buffered uint32, re-keyed to
+    # the edge key, holds a fresh generator's state field by field, as
+    # ints, and draws what the fresh generator draws next
+    def ints(state):
+        if isinstance(state, dict):
+            return {k: ints(v) for k, v in state.items()}
+        return state if isinstance(state, str) else \
+            [int(x) for x in np.ravel(state)]
+
+    seed, path, agent = 2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32 - 1
+    gen = rng.stream(5, 3, 1)
+    gen.standard_normal(2)
+    gen.integers(2 ** 32, dtype=np.uint32)
+    used = gen.bit_generator.state
+    assert 0 < used["buffer_pos"] < 4 and used["has_uint32"] == 1
+    assert rng.stream(seed, path, agent, gen) is gen
+    fresh = rng.stream(seed, path, agent)
+    assert ints(gen.bit_generator.state) == ints(fresh.bit_generator.state)
+    assert (gen.integers(2 ** 32, dtype=np.uint32)
+            == fresh.integers(2 ** 32, dtype=np.uint32))
+    assert np.array_equal(gen.standard_normal(1000),
+                          fresh.standard_normal(1000))
 
 
 def test_rng_rekeyed_rows_match_fresh_streams():
