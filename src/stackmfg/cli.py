@@ -198,7 +198,7 @@ class _Run:
         self.cmd = cmd
         self.p = _load(args)
         self.seed = args.seed
-        self.tol = getattr(args, "tol", GAMMA_HAT_TOL)
+        self.tol = leader._bracket_tol(getattr(args, "tol", GAMMA_HAT_TOL))
         # reproduce-paper has none of the simulate or sweep-n flags
         if "simulate" in cmd.stages:
             self.sim_cfg = sim.SimConfig(
@@ -270,39 +270,48 @@ def _concavity_stage(run: _Run):
     return {"rk4_steps": steps}
 
 
+def _escapes(what: str, esc: odeint.Escape, gamma: float) -> RuntimeError:
+    return RuntimeError(f"{what} escapes at t={esc.t_escape:.6g} "
+                        f"(norm {esc.norm:.3e}) for gamma={gamma:g}")
+
+
 def _leader_stage(run: _Run):
-    """The block system and its assembled cross-check, each marched over
-    the doubled grid, then the gains.  Returns the RK4 steps of both."""
+    """The block march, the gains and, where the command writes them, the
+    leader checks.  Returns the RK4 steps of each march it ran."""
     p, man = run.p, run.man
     sol = leader.solve_block_riccati(p)
     if not isinstance(sol, BlockRiccatiSolution):
-        raise RuntimeError(
-            f"block Riccati system escapes at t={sol.t_escape:.6g} "
-            f"(norm {sol.norm:.3e}) for gamma={p.gamma:g}")
+        raise _escapes("block Riccati system", sol, p.gamma)
     gains = leader.leader_gains(sol, p)
-    V0 = leader.leader_value(sol, p)
+    # a march escaping ends the stage, so each one counted ran to t = 0
+    work = {"block_rk4_steps": sol.fine_grid.steps}
+    if run.cmd.leader_checks:
+        run.summary["leader_checks"] = _leader_checks(p, sol, gains)
+        work["assembled_rk4_steps"] = sol.fine_grid.steps
     _series_csv(man, "riccati_blocks.csv", sol.grid,
                 zip(("P1", "Pi1", "P2", "Pi2"), sol.all_nodes()))
     _series_csv(man, "gains.csv", sol.grid,
                 [(name, getattr(gains, name).values) for name in
                  ("Theta11", "Theta12", "Theta21", "Theta22", "Vx", "Vm")])
     run.sol, run.gains = sol, gains
-    run.summary["V0"] = V0
-    if run.cmd.leader_checks:
-        run.summary["leader_checks"] = _leader_checks(p, sol, gains)
-    # either march escaping ends the stage above, so both ran to t = 0
-    return {"block_rk4_steps": sol.fine_grid.steps,
-            "assembled_rk4_steps": sol.fine_grid.steps}
+    run.summary["V0"] = leader.leader_value(sol, p)
+    return work
 
 
 def _leader_checks(p: ModelParams, sol, gains) -> dict:
+    """The leader checks; the assembled 2n x 2n cross-check is marched
+    here, over the blocks' doubled grid, and read at the published nodes."""
+    res = odeint.integrate(leader.assembled_problem(p, sol.gamma),
+                           sol.fine_grid)
+    if not res.ok:
+        raise _escapes("assembled 2n x 2n cross-check", res.escape, sol.gamma)
     block_res = odeint.residual(
         [sol.P1, sol.Pi1, sol.P2, sol.Pi2],
         leader.block_riccati_problem(p, sol.gamma), sol.grid)
     pi1_p2 = float(np.max(np.abs(
         np.swapaxes(sol.Pi1.values, 1, 2) - sol.P2.values)))
     pi1_p2_tol = STRUCT_TOL * (1.0 + float(np.max(np.abs(sol.P2.values))))
-    asm = sol.assembled.values
+    asm = res.trajectories[0].values[::2]
     stacked = np.block([[sol.P1.values, sol.Pi1.values],
                         [sol.P2.values, sol.Pi2.values]])
     asm_gap = float(np.max(np.abs(asm - stacked)))

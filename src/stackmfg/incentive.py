@@ -435,7 +435,7 @@ def _cc_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L, k: int):
     do not depend on the node come out unstacked and are shared."""
     js = [2 * k, 2 * k - 1, 2 * k - 2]
     cc = _cc(p, blocks.gamma, L, tuple(a[js] for a in fine_nodal),
-             blocks.fine_P1[js], blocks.fine_Pi1[js])
+             blocks.fine[0, js], blocks.fine[1, js])
     fields = vars(cc).values()
     return tuple(CCCoefficients(*(f[i] if f.ndim == 3 else f
                                   for f in fields))
@@ -479,8 +479,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     zero = np.zeros((p.n, p.n))
     state = np.stack((p.Gt - GtG2, zero, p.Gt, -GtG2, zero))
     # published node k is fine node 2k
-    fine_nodal = _gain_solves(p, *_gain_terms(
-        p, (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)))
+    fine_nodal = _gain_solves(p, *_gain_terms(p, blocks.fine))
     nodal = tuple(a[::2] for a in fine_nodal)
 
     rhs = _chain_rhs(p)

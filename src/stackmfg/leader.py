@@ -2,11 +2,11 @@
 and the coupled four-block Riccati system with its closed-loop gains.
 
 The four blocks (P1, Pi1, P2, Pi2) are one stacked state, their displayed
-equations evaluated through products shared over the stack; the same system
-assembled as a single 2n x 2n Riccati equation is integrated independently
-as a transcription cross-check.  Both runs share a
+equations evaluated through products shared over the stack, marched on a
 doubled internal grid so downstream consumers get accurate values at the
-half-steps of the published grid.
+half-steps of the published grid.  The same system written as a single
+2n x 2n Riccati equation (assembled_problem) is a transcription
+cross-check, marched only where its gap is reported.
 """
 from __future__ import annotations
 
@@ -131,6 +131,14 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
             + _midpoints(mid, hi, tol, depth - 1))
 
 
+def _bracket_tol(tol: float) -> float:
+    """tol, refused unless finite and > 0."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"gamma-hat tolerance must be finite and > 0, "
+                         f"got {tol!r}")
+    return tol
+
+
 def estimate_gamma_hat(p: ModelParams,
                        bracket_tol: float = 1e-4) -> GammaHatResult:
     """Bisect the attenuation level on solvability of the concavity equation,
@@ -138,7 +146,8 @@ def estimate_gamma_hat(p: ModelParams,
 
     The bracket is bisection's: double up from gamma=1 until solvable, halve
     down until escape, then halve the bracket until it is narrower than
-    bracket_tol.  If even LO_FLOOR is solvable the critical level is
+    bracket_tol (finite and > 0, else ValueError) or no float lies between
+    its ends.  If even LO_FLOOR is solvable the critical level is
     reported as 0; if HI_CAP is reached without a solvable level the search
     aborts with NotSolvableAtCap.  The gammas are probed in passes, each one
     stacked march (odeint.integrate_stack):
@@ -154,6 +163,7 @@ def estimate_gamma_hat(p: ModelParams,
     one-at-a-time bisection's bit for bit.  trace lists every gamma marched,
     once, in pass order and ascending within a pass.
     """
+    _bracket_tol(bracket_tol)
     grid = p.grid()
     trace = []
     known = {}
@@ -190,8 +200,7 @@ def estimate_gamma_hat(p: ModelParams,
                      "attenuation constraint is never binding",
             )
         lo *= 0.5
-    while hi - lo > bracket_tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > bracket_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid not in known:
             march(_midpoints(lo, hi, bracket_tol, _KSECTION_DEPTH))
         if known[mid]:
@@ -205,9 +214,10 @@ def estimate_gamma_hat(p: ModelParams,
 class BlockRiccatiSolution:
     """Coupled-block solution published on the model grid.
 
-    fine_* arrays hold the same solution on the internally doubled grid
-    (2M+1 nodes) so the incentive solver can read exact block values at the
-    half-steps of its own RK4 sweep.
+    fine is the march on the internally doubled grid, read-only, shape
+    (4, 2M+1, n, n) in block order [P1, Pi1, P2, Pi2], so the incentive
+    solver can read exact block values at the half-steps of its own RK4
+    sweep.  P1 to Pi2 are its even nodes, copied.
     """
 
     gamma: float
@@ -216,12 +226,8 @@ class BlockRiccatiSolution:
     Pi1: MatrixTrajectory
     P2: MatrixTrajectory
     Pi2: MatrixTrajectory
-    assembled: MatrixTrajectory
     fine_grid: TimeGrid
-    fine_P1: np.ndarray
-    fine_Pi1: np.ndarray
-    fine_P2: np.ndarray
-    fine_Pi2: np.ndarray
+    fine: np.ndarray
 
     def blocks_at_node(self, k: int):
         return (self.P1.values[k], self.Pi1.values[k],
@@ -379,30 +385,24 @@ def assembled_problem(p: ModelParams, gamma: float) -> OdeProblem:
 
 
 def solve_block_riccati(p: ModelParams):
-    """Integrate the four coupled blocks; returns the solution or an Escape.
+    """March the four coupled blocks over the doubled grid; returns the
+    solution or the march's Escape.
 
     Solvability below the critical attenuation level is the caller's
     responsibility; a violation that actually destabilizes the system shows
     up here as the returned Escape.
     """
     g, grid = p.gamma, p.grid()
-    fine = grid.refined()
-    res = integrate(block_riccati_problem(p, g), fine)
+    fine_grid = grid.refined()
+    res = integrate(block_riccati_problem(p, g), fine_grid)
     if not res.ok:
         return res.escape
-    res_asm = integrate(assembled_problem(p, g), fine)
-    if not res_asm.ok:
-        return res_asm.escape
-    vals = [tr.values for tr in res.trajectories]
-    _check_gain_weight(_gain_terms(p, vals)[0], fine.nodes)
-    coarse = [MatrixTrajectory(grid, v[::2].copy()) for v in vals]
-    asm = MatrixTrajectory(grid, res_asm.trajectories[0].values[::2].copy())
+    fine = np.stack([tr.values for tr in res.trajectories])
+    fine.setflags(write=False)
+    _check_gain_weight(_gain_terms(p, fine)[0], fine_grid.nodes)
     return BlockRiccatiSolution(
-        gamma=g, grid=grid,
-        P1=coarse[0], Pi1=coarse[1], P2=coarse[2], Pi2=coarse[3],
-        assembled=asm, fine_grid=fine,
-        fine_P1=vals[0], fine_Pi1=vals[1], fine_P2=vals[2], fine_Pi2=vals[3],
-    )
+        g, grid, *(MatrixTrajectory(grid, v[::2].copy()) for v in fine),
+        fine_grid, fine)
 
 
 @dataclass(frozen=True)

@@ -312,11 +312,30 @@ _SECTION_KEYS = {
 }
 
 
+def _value(key: str, value, kind):
+    """A config value as kind: int (a whole JSON number), float (a JSON
+    number) or np.ndarray (a number or nested list of numbers, as floats).
+    Anything else raises ParseError naming the key."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if kind is np.ndarray:
+            return np.asarray(value, dtype=float)
+        if number and not (kind is int and value % 1):
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    what = {int: "a whole number", float: "a number"}.get(
+        kind, "a number or a nested list of numbers")
+    raise ParseError(f"config key {key!r} must be {what}, got {value!r}")
+
+
 def load_config(path) -> ModelParams:
     """Read a JSON model config; see docs/config_schema.json for the layout.
 
-    Raises ParseError for malformed JSON or missing keys, DimensionError for
-    shape mismatches, and ValueError when the standing assumptions fail.
+    Raises ParseError for malformed JSON, missing keys, a section that is
+    not an object or a value of the wrong type (a dimension or grid_steps
+    that is not whole among them), DimensionError for shape mismatches,
+    and ValueError when the standing assumptions fail.
     """
     path = Path(path)
     try:
@@ -330,22 +349,21 @@ def load_config(path) -> ModelParams:
 
     kw = {}
     try:
-        dims = raw["dimensions"]
-        for key in _SECTION_KEYS["dimensions"]:
-            kw[key] = int(dims[key])
         for section, keys in _SECTION_KEYS.items():
-            if section == "dimensions":
-                continue
             block = raw[section]
+            if not isinstance(block, dict):
+                raise ParseError(f"config section {section!r} must be a "
+                                 f"JSON object, got {block!r}")
+            kind = int if section == "dimensions" else np.ndarray
             for key in keys:
-                kw[key] = block[key]
-        kw["T"] = float(raw["horizon"])
-        kw["gamma"] = float(raw["gamma"])
-        kw["grid_steps"] = int(raw["grid_steps"])
+                kw[key] = _value(key, block[key], kind)
+        kw["T"] = _value("horizon", raw["horizon"], float)
+        kw["gamma"] = _value("gamma", raw["gamma"], float)
+        kw["grid_steps"] = _value("grid_steps", raw["grid_steps"], int)
     except KeyError as e:
         raise ParseError(f"config {path} is missing key {e}") from e
     if "pd_floor" in raw:
-        kw["pd_floor"] = float(raw["pd_floor"])
+        kw["pd_floor"] = _value("pd_floor", raw["pd_floor"], float)
 
     p = ModelParams(**kw)
     report = validate_assumptions(p)

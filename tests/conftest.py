@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stackmfg import incentive, leader, sim
+from stackmfg import incentive, leader, odeint, sim
 from stackmfg.leader import BlockRiccatiSolution
 from stackmfg.model import ModelParams, load_config
 
@@ -34,6 +34,19 @@ def blocks1(table1) -> BlockRiccatiSolution:
     sol = leader.solve_block_riccati(table1)
     assert isinstance(sol, BlockRiccatiSolution)
     return sol
+
+
+@pytest.fixture(scope="session")
+def march_assembled():
+    """The assembled 2n x 2n cross-check of a block solution, marched over
+    its doubled grid and read at the published nodes, as the solve-leader
+    stage's checks march it: march_assembled(p, blocks) -> (M+1, 2n, 2n)."""
+    def march(p, blocks):
+        res = odeint.integrate(leader.assembled_problem(p, blocks.gamma),
+                               blocks.fine_grid)
+        assert res.ok
+        return res.trajectories[0].values[::2]
+    return march
 
 
 @pytest.fixture(scope="session")

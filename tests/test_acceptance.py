@@ -40,13 +40,14 @@ def test_criterion_01_riccati_residuals(table1, blocks1):
              f"blocks residual {block_res:.3e} (ok={block_ok}); {k_detail}")
 
 
-def test_criterion_02_structural_identities(table1, blocks1):
+def test_criterion_02_structural_identities(table1, blocks1,
+                                            march_assembled):
     Pi1T = np.transpose(blocks1.Pi1.values, (0, 2, 1))
     tg = np.abs(Pi1T - blocks1.P2.values).max()
     t_tol = 1e-8 * (1.0 + np.abs(blocks1.P2.values).max())
     stacked = np.block([[blocks1.P1.values, blocks1.Pi1.values],
                         [blocks1.P2.values, blocks1.Pi2.values]])
-    ag = np.abs(blocks1.assembled.values - stacked).max()
+    ag = np.abs(march_assembled(table1, blocks1) - stacked).max()
     _verdict(2, tg <= t_tol and ag <= 1e-8,
              f"Pi1^T-P2 gap {tg:.3e} (tol {t_tol:.1e}), "
              f"assembled-vs-blocks gap {ag:.3e}")

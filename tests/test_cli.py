@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stackmfg
-from stackmfg import cli, incentive, leader, sim
+from stackmfg import cli, incentive, leader, odeint, sim
 from stackmfg.model import MatrixTrajectory, save_config
 
 
@@ -305,8 +305,9 @@ def test_seed_and_threads_default_in_the_parser():
     ["sweep-n", "--seed", "-1", "--ns", "4,8,16"],
     ["gamma-hat", "--threads", "0"],
     ["solve-leader", "--threads", "0"],
+    ["gamma-hat", "--tol", "0"],
 ], ids=["threads", "grid-steps", "gamma", "seed", "gamma-hat-threads",
-        "solve-leader-threads"])
+        "solve-leader-threads", "gamma-hat-tol"])
 def test_zero_valued_flags_reach_the_checks(argv, tmp_path, capsys):
     out = tmp_path / "z"
     assert cli.main(argv + ["--out", str(out)]) == 1
@@ -346,6 +347,39 @@ def test_stage_failure_leaves_failed_manifest(tmp_path, capsys):
     assert [s["name"] for s in man["stages"]] == ["config", "solve-leader"]
     assert set(man["outputs"]) | {"manifest.json"} == \
         {f.name for f in out.iterdir()}
+
+
+def test_cross_check_escape_fails_only_where_it_is_written(
+        tmp_path, capsys, monkeypatch):
+    # an assembled cross-check that escapes while the blocks do not: the
+    # stage that writes the leader checks fails on it, and a command that
+    # writes none never marches it
+    def escaping(p, gamma):
+        shape = (2 * p.n, 2 * p.n)
+        return odeint.OdeProblem(shapes=(shape,),
+                                 rhs=lambda t, P: np.full_like(P, 1e12),
+                                 boundary=(np.zeros(shape),))
+
+    monkeypatch.setattr(leader, "assembled_problem", escaping)
+    out = tmp_path / "lead"
+    assert cli.main(["solve-leader", "--grid-steps", "40",
+                     "--out", str(out)]) == 1
+    man = read_json(out / "manifest.json")
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"solve-leader failed at stage solve-leader: {man['error']}"]
+    assert man["status"] == "FAILED"
+    assert man["failed_stage"] == "solve-leader"
+    assert man["error"].startswith(
+        "RuntimeError: assembled 2n x 2n cross-check escapes")
+    assert set(man["outputs"]) | {"manifest.json"} == \
+        {f.name for f in out.iterdir()}
+    out = tmp_path / "inc"
+    assert cli.main(["solve-incentive", "--grid-steps", "40",
+                     "--out", str(out)]) == 3
+    stage = [s for s in read_json(out / "manifest.json")["stages"]
+             if s["name"] == "solve-leader"]
+    assert stage[0]["block_rk4_steps"] == 80
+    assert "assembled_rk4_steps" not in stage[0]
 
 
 STAGED_RUNS = {

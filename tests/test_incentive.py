@@ -123,15 +123,13 @@ def test_hoisted_cc_stages_equal_per_node(table1, blocks1, inc1, n2, n2_sol):
              (n2, n2_sol.blocks, n2_sol.inc, range(1, n2.grid_steps + 1)))
     names = ("A1", "B1", "H1", "A2", "B2", "H2", "A3", "B3", "H3")
     for p, blocks, inc, nodes in cases:
-        fine_nodal = _nodal(p, blocks.fine_P1, blocks.fine_Pi1,
-                            blocks.fine_P2, blocks.fine_Pi2)
+        fine_nodal = _nodal(p, *blocks.fine)
         for k in nodes:
             L = inc.L.values[k]
             stages = incentive._cc_stages(p, blocks, fine_nodal, L, k)
             for j, cc in zip((2 * k, 2 * k - 1, 2 * k - 2), stages):
                 want = incentive.cc_coefficients(
-                    p, blocks.gamma, L, blocks.fine_P1[j], blocks.fine_Pi1[j],
-                    blocks.fine_P2[j], blocks.fine_Pi2[j])
+                    p, blocks.gamma, L, *blocks.fine[:, j])
                 for name in names:
                     assert np.array_equal(getattr(cc, name),
                                           getattr(want, name))
@@ -170,8 +168,7 @@ def test_square_stored_L_is_locally_stationary(square, square_sol):
     blocks = square_sol.blocks
     dsol, inc = square_sol.dtheta, square_sol.inc
     for k in (0, 100, 200):
-        blk = (blocks.fine_P1[2 * k], blocks.fine_Pi1[2 * k],
-               blocks.fine_P2[2 * k], blocks.fine_Pi2[2 * k])
+        blk = tuple(blocks.fine[:, 2 * k])
         D, T = dsol.Delta.values[k], dsol.Theta.values[k]
         r1, r2 = incentive.matching_residual(square, inc.L.values[k],
                                              *blk, D, T)
@@ -283,8 +280,7 @@ def _benchmark_seed_runs(table1, blocks1, inc1, k):
     candidates.  On the bundled config no run reaches the tolerance, so
     every seed runs."""
     M = table1.grid_steps
-    nodal = _nodal(table1, blocks1.fine_P1[2 * k], blocks1.fine_Pi1[2 * k],
-                   blocks1.fine_P2[2 * k], blocks1.fine_Pi2[2 * k])
+    nodal = _nodal(table1, *blocks1.fine[:, 2 * k])
     form = incentive._matching_form(table1, nodal,
                                     inc1.dtheta.Delta.values[k],
                                     inc1.dtheta.Theta.values[k])

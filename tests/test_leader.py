@@ -250,8 +250,7 @@ def test_n2_chain_properties(n2, data):
     assert leader.stationarity_residual(blocks, gains, p) <= 1e-10
     dtheta, inc = incentive.solve_cc_incentive(p, blocks)
     assert inc.newton_converged.all()
-    fine = (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)
-    nodal = leader._gain_solves(p, *leader._gain_terms(p, fine))
+    nodal = leader._gain_solves(p, *leader._gain_terms(p, blocks.fine))
     for a, theta in zip(nodal, (gains.Theta11, gains.Theta12,
                                 gains.Theta21, gains.Theta22)):
         assert np.array_equal(a[::2], -theta.values)
@@ -296,8 +295,7 @@ def _no_minimum_tail_stops(p, blocks):
         dtheta, inc = incentive.solve_cc_incentive(p, blocks)
     except incentive.NoIncentiveSolution as err:
         dtheta, inc = err.partial
-    fine = (blocks.fine_P1, blocks.fine_Pi1, blocks.fine_P2, blocks.fine_Pi2)
-    nodal = leader._gain_solves(p, *leader._gain_terms(p, fine))
+    nodal = leader._gain_solves(p, *leader._gain_terms(p, blocks.fine))
     L = inc.L.values
     eps = np.finfo(float).eps
     fired, tail_stops = [], []
@@ -358,6 +356,27 @@ def test_gamma_hat_zero_without_disturbance_channel(table1):
     assert "never binding" in res.note
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_gamma_hat_refuses_a_tolerance_it_cannot_reach(table1, tol,
+                                                       monkeypatch):
+    def no_march(*args):
+        raise AssertionError("marched before the tolerance was checked")
+
+    monkeypatch.setattr(leader, "integrate_stack", no_march)
+    with pytest.raises(ValueError, match="tolerance"):
+        leader.estimate_gamma_hat(table1, bracket_tol=tol)
+
+
+def test_gamma_hat_stops_at_adjacent_floats(table1):
+    # below the spacing of floats the midpoint rounds onto an end, and
+    # bisection stops there instead of looping
+    res = leader.estimate_gamma_hat(table1.with_updates(grid_steps=125),
+                                    bracket_tol=1e-300)
+    lo, hi = res.bracket
+    assert hi == np.nextafter(lo, np.inf)
+    assert res.gamma_hat in res.bracket
+
+
 # ------------------------------------------------------------ block Riccati
 
 def test_block_terminal_values(table1, blocks1):
@@ -368,18 +387,20 @@ def test_block_terminal_values(table1, blocks1):
     assert np.array_equal(blocks1.Pi2.terminal, table1.Gamma2.T @ GT2)
 
 
-def test_block_transpose_coupling(blocks1, n2_sol):
-    for blocks in (blocks1, n2_sol.blocks):
+def test_block_transpose_coupling(blocks1, square_sol, n2_sol):
+    for blocks in (blocks1, square_sol.blocks, n2_sol.blocks):
         Pi1 = blocks.Pi1.values
         P2 = blocks.P2.values
         scale = 1.0 + np.abs(Pi1).max()
         assert np.abs(P2 - np.transpose(Pi1, (0, 2, 1))).max() <= 1e-8 * scale
 
 
-def test_assembled_matches_blocks(table1, blocks1, n2, n2_sol):
-    for p, blocks in ((table1, blocks1), (n2, n2_sol.blocks)):
+def test_assembled_matches_blocks(table1, blocks1, square, square_sol, n2,
+                                  n2_sol, march_assembled):
+    for p, blocks in ((table1, blocks1), (square, square_sol.blocks),
+                      (n2, n2_sol.blocks)):
         n = p.n
-        asm = blocks.assembled.values
+        asm = march_assembled(p, blocks)
         gap = 0.0
         for k in range(p.grid_steps + 1):
             P1, Pi1, P2, Pi2 = blocks.blocks_at_node(k)
@@ -391,9 +412,32 @@ def test_assembled_matches_blocks(table1, blocks1, n2, n2_sol):
 
 def test_fine_grid_is_doubled_and_consistent(table1, blocks1):
     assert blocks1.fine_grid.steps == 2 * table1.grid_steps
+    assert blocks1.fine.shape == (4, 2 * table1.grid_steps + 1, 1, 1)
+    assert blocks1.fine.flags.c_contiguous
+    assert not blocks1.fine.flags.writeable
     for k in range(0, table1.grid_steps + 1, 100):
-        assert np.array_equal(blocks1.fine_P1[2 * k], blocks1.P1.values[k])
-        assert np.array_equal(blocks1.fine_Pi2[2 * k], blocks1.Pi2.values[k])
+        assert np.array_equal(blocks1.fine[0, 2 * k], blocks1.P1.values[k])
+        assert np.array_equal(blocks1.fine[3, 2 * k], blocks1.Pi2.values[k])
+
+
+def test_one_march_per_block_solve(table1, n2, monkeypatch):
+    # the assembled cross-check is marched only by the checks that read it
+    fields = {f.name for f in dataclasses.fields(leader.BlockRiccatiSolution)}
+    assert not fields & {"assembled", "fine_P1", "fine_Pi1", "fine_P2",
+                         "fine_Pi2"}
+    marches = []
+    integrate = leader.integrate
+
+    def counted(problem, grid):
+        marches.append(grid.steps)
+        return integrate(problem, grid)
+
+    monkeypatch.setattr(leader, "integrate", counted)
+    for p in (table1, n2):
+        marches.clear()
+        assert isinstance(leader.solve_block_riccati(p),
+                          leader.BlockRiccatiSolution)
+        assert marches == [2 * p.grid_steps]
 
 
 def test_blocks_vanish_without_state_costs(table1):

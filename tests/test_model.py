@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from stackmfg import cli
 from stackmfg.model import (DimensionError, MatrixTrajectory, ModelParams,
                             ParseError, TimeGrid, load_config, save_config,
                             validate_assumptions)
@@ -53,6 +54,27 @@ def test_load_config_missing_key(tmp_path, benchmark_path):
     f.write_text(json.dumps(raw))
     with pytest.raises(ParseError):
         load_config(f)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.update(dimensions=[1, 1, 1, 1]),
+    lambda raw: raw["dimensions"].update(n=None),
+    lambda raw: raw.update(leader_dynamics=[]),
+    lambda raw: raw.update(horizon=[10.0]),
+    lambda raw: raw.update(grid_steps=100.5),
+    lambda raw: raw["dimensions"].update(nv=1.5),
+    lambda raw: raw["leader_cost"].update(Q={"value": 1.0}),
+], ids=["dimensions-list", "dimension-null", "section-list", "horizon-list",
+        "grid-steps-fraction", "dimension-fraction", "matrix-object"])
+def test_malformed_config_is_one_line(edit, tmp_path, benchmark_path,
+                                      capsys):
+    raw = json.loads(open(benchmark_path).read())
+    edit(raw)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    assert cli.main(["validate", "--config", str(f)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("ParseError: ")
 
 
 def test_shape_mismatch_raises(table1):

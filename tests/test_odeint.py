@@ -106,7 +106,8 @@ def _residual_per_node(trajectories, problem, grid):
     return worst
 
 
-def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol):
+def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol,
+                                       march_assembled):
     # one rhs call on the stacked nodes and slice stencils round every
     # node as the loop does: the block systems (1 x 1 and 2 x 2 blocks),
     # the assembled 4 x 4 system of n2 and a spiked node
@@ -115,7 +116,9 @@ def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol):
         cases.append(([sol.P1, sol.Pi1, sol.P2, sol.Pi2],
                       leader.block_riccati_problem(p, sol.gamma), sol.grid))
     asm = leader.assembled_problem(n2, n2_sol.blocks.gamma)
-    cases.append(([n2_sol.blocks.assembled], asm, n2.grid()))
+    asm_traj = MatrixTrajectory(n2.grid(),
+                                march_assembled(n2, n2_sol.blocks))
+    cases.append(([asm_traj], asm, n2.grid()))
     prob = scalar_problem(lambda t, s: -s)
     grid = TimeGrid(10.0, 1000)
     vals = integrate(prob, grid).trajectories[0].values.copy()
