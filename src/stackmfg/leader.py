@@ -6,7 +6,8 @@ equations evaluated through products shared over the stack, marched on a
 doubled internal grid so downstream consumers get accurate values at the
 half-steps of the published grid.  The same system written as a single
 2n x 2n Riccati equation (assembled_problem) is a transcription
-cross-check, marched only where its gap is reported.
+cross-check; the pipeline never marches it, but evaluates its right-hand
+side on the stored blocks.
 """
 from __future__ import annotations
 

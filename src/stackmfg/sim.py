@@ -138,10 +138,11 @@ class SimConfig:
     em_substeps: ClassVar[int] = 1
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+        for name, low in (("N", 1), ("n_paths", 1), ("store_followers", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {value!r}")
         if self.disturbance not in ("worst", "zero"):
             raise ValueError(f"unknown disturbance mode {self.disturbance!r}")
         if not 0 <= self.master_seed < 2 ** 64:

@@ -39,8 +39,9 @@ def blocks1(table1) -> BlockRiccatiSolution:
 @pytest.fixture(scope="session")
 def march_assembled():
     """The assembled 2n x 2n cross-check of a block solution, marched over
-    its doubled grid and read at the published nodes, as the solve-leader
-    stage's checks march it: march_assembled(p, blocks) -> (M+1, 2n, 2n)."""
+    its doubled grid and read at the published nodes: the marched reference
+    beside the pipeline's identity check, which never marches it.
+    march_assembled(p, blocks) -> (M+1, 2n, 2n)."""
     def march(p, blocks):
         res = odeint.integrate(leader.assembled_problem(p, blocks.gamma),
                                blocks.fine_grid)

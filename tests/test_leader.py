@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stackmfg import incentive, leader, sim
+from stackmfg import cli, incentive, leader, odeint, sim
 from stackmfg.model import ModelParams
 from stackmfg.odeint import integrate_stack, residual
 from stackmfg.sim import SimConfig
@@ -421,7 +421,7 @@ def test_fine_grid_is_doubled_and_consistent(table1, blocks1):
 
 
 def test_one_march_per_block_solve(table1, n2, monkeypatch):
-    # the assembled cross-check is marched only by the checks that read it
+    # a block solve marches the four blocks alone and stores them once
     fields = {f.name for f in dataclasses.fields(leader.BlockRiccatiSolution)}
     assert not fields & {"assembled", "fine_P1", "fine_Pi1", "fine_P2",
                          "fine_Pi2"}
@@ -438,6 +438,22 @@ def test_one_march_per_block_solve(table1, n2, monkeypatch):
         assert isinstance(leader.solve_block_riccati(p),
                           leader.BlockRiccatiSolution)
         assert marches == [2 * p.grid_steps]
+
+
+def test_one_march_per_solve_leader_command(tmp_path, capsys, monkeypatch):
+    # the command's leader checks read the block march and march nothing
+    # of their own: every march passes through odeint's one node loop
+    marches = []
+    march = odeint._march
+
+    def counted(problem, grid, store=None):
+        marches.append(grid.steps)
+        return march(problem, grid, store)
+
+    monkeypatch.setattr(odeint, "_march", counted)
+    assert cli.main(["solve-leader", "--grid-steps", "40",
+                     "--out", str(tmp_path / "lead")]) == 0
+    assert marches == [80]
 
 
 def test_blocks_vanish_without_state_costs(table1):

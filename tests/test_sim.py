@@ -15,8 +15,9 @@ from stackmfg.sim import SimConfig
 
 def test_simconfig_validation():
     for bad in (dict(N=0), dict(n_paths=0), dict(disturbance="bang"),
-                dict(master_seed=-1)):
-        with pytest.raises(ValueError):
+                dict(master_seed=-1), dict(store_followers=-1), dict(N=2.5),
+                dict(n_paths=2.0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             SimConfig(**bad)
 
 
