@@ -258,6 +258,25 @@ def test_reproduce_paper_passes_every_check_where_theory_holds(
     assert [k for k, ok in checks.items() if not ok] == []
 
 
+def test_reproduce_paper_artifacts_match_committed_digests(tmp_path):
+    # the seed-42 data artifacts at 125 steps, byte for byte: the SHA-256 of
+    # config.json, every CSV and summary.json against the digests committed
+    # beside this file.  A change that moves an artifact on purpose updates
+    # its digest and says why
+    pinned = read_json(Path(__file__).with_name("reproduce_digests.json"))
+    out = tmp_path / "out"
+    assert cli.main(pinned["argv"] + ["--out", str(out)]) == 0
+    names = [f.name for f in out.glob("*.csv")] + ["config.json",
+                                                   "summary.json"]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in names}
+    want = pinned["sha256"]
+    moved = sorted(name for name in got.keys() | want.keys()
+                   if got.get(name) != want.get(name))
+    assert not moved, (f"artifacts moved: {moved}; the digests were taken "
+                       f"with {pinned['environment']}")
+
+
 def test_reproduce_paper_fail_path(table1, tmp_path, capsys):
     # blocks escape at gamma=2: the pipeline must stop at solve-leader,
     # leave a FAILED manifest and still write the partial summary
