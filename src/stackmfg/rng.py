@@ -7,13 +7,12 @@ paths are grouped into chunks and adding followers never perturbs the
 streams of existing ones.
 
 Bulk draws re-key one Philox bit generator per call instead of building a
-generator for every stream; the draws are bitwise those of a fresh one.
-A pool of generators, each re-keyed to one stream and left open, reads
-the streams in consecutive blocks: a stream's blocks concatenate to the
-bits of one full draw, so a caller can bound its noise buffer without
-changing a result.  The population average needs only the sum of the
-followers' increments: increment_sums() reads each follower stream once
-and returns its running sums over agents 1..N for several N at once.
+generator for every stream, and read each stream whole, in one draw; the
+draws are bitwise those of a fresh generator.  The population average
+needs only the sum of the followers' increments: increment_sums() reads
+each follower stream once, returns its running sums over agents 1..N for
+several N at once, and hands back the rows of the first followers as it
+draws them, so a follower that is also stepped alone is not read twice.
 
 A stream costs a fixed part, the re-key and the Python around its draw,
 plus about 20 ns per normal drawn and summed.  The state a re-key sets
@@ -31,7 +30,7 @@ import functools
 import numpy as np
 
 __all__ = ["stream", "normals", "increments", "brownian_increments",
-           "increment_sums", "pool", "draw"]
+           "increment_sums"]
 
 _U32 = 1 << 32
 _U64 = (1 << 64) - 1
@@ -114,21 +113,29 @@ def brownian_increments(master_seed: int, path: int, agents, nsteps: int,
                       nsteps, dt)
 
 
-def increment_sums(master_seed: int, paths, Ns, nsteps: int,
-                   dt: float) -> np.ndarray:
-    """Sums of the increments() rows of agents 1..N, one per path and N:
-    out[i, r] adds the rows of agents 1..Ns[r] of paths[i] in agent order,
-    as np.cumsum adds them along the agent axis.  A sum is therefore the
-    same whichever other Ns are asked for.  One generator serves the
-    whole call, and each stream is read once, whole.  Every index is
-    checked before the first draw."""
+def increment_sums(master_seed: int, paths, Ns, nsteps: int, dt: float,
+                   keep: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, rows): sums of the increments() rows of agents 1..N, one per
+    path and N, and the rows of agents 1..keep themselves.
+
+    sums[i, r] adds the rows of agents 1..Ns[r] of paths[i] in agent
+    order, as np.cumsum adds them along the agent axis, so a sum is the
+    same whichever other Ns are asked for.  rows[i, j - 1] is agent j's
+    increments() row of paths[i], bitwise.  One generator serves the whole
+    call, and each stream is read once, whole.  Every index, and keep
+    against [0, max(Ns)], is checked before the first draw."""
     paths, Ns = list(paths), list(Ns)
     if not Ns or min(Ns) < 1:
         raise ValueError("each N must be at least 1")
     top = max(Ns)
+    if not 0 <= keep <= top:
+        raise ValueError(f"keep {keep} outside [0, {top}]")
     for path in paths:
         _check_indices(path, top)
-    out = np.empty((len(paths), len(Ns), nsteps))
+    # rows and sums share one allocation: as two, they fragmented the heap
+    # and raised a 125-step reproduce-paper run's peak RSS by 1.5 MB
+    out = np.empty((len(paths), keep + len(Ns), nsteps))
+    kept, sums = out[:, :keep], out[:, keep:]
     rows = np.empty((max(1, min(top, _SUM_BLOCK_FLOATS // nsteps)), nsteps))
     carry = np.empty(nsteps)
     gen = _blank()
@@ -143,27 +150,13 @@ def increment_sums(master_seed: int, paths, Ns, nsteps: int,
                 rekey(bg, (seed, high | agent))
                 fill(out=row)
             block *= scale
+            if first <= keep:
+                kept[i, first - 1:][:len(block)] = block[:keep + 1 - first]
             if first > 1:
                 block[0] += carry
             np.cumsum(block, axis=0, out=block)
             carry[:] = block[-1]
             for r, N in enumerate(Ns):
                 if first <= N < first + len(block):
-                    out[i, r] = block[N - first]
-    return out
-
-
-def pool(size: int) -> list[np.random.Generator]:
-    """size Philox generators, to be re-keyed to their streams by stream()."""
-    return [_blank() for _ in range(size)]
-
-
-def draw(gens, count: int, dt: float) -> np.ndarray:
-    """The next count increments of each open stream in gens, one row per
-    generator, scaled to variance dt per step.  Consecutive draws from a
-    stream concatenate to its row of increments()."""
-    out = np.empty((len(gens), count))
-    for row, gen in zip(out, gens):
-        gen.standard_normal(out=row)
-    out *= np.sqrt(dt)
-    return out
+                    sums[i, r] = block[N - first]
+    return sums, kept

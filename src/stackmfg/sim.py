@@ -50,14 +50,13 @@ One Euler-Maruyama step spans one grid interval.  A chunk holds about
 _VECTOR_FLOATS noise floats per step, so each numpy call of the stepping
 loop works on a wide array, and is never narrower than one whose whole
 noise fits _CHUNK_FLOATS floats (2 MB); chunks run one after another.
-The followers' sums are drawn whole.  The common noise and the stored
-followers' own rows are drawn whole when they fit that budget; otherwise
-one Philox stream stays open per (path, agent) and the noise is drawn in
-time blocks, each as many steps as fit _CHUNK_FLOATS beside the open
-generators.  A stream's blocks concatenate to its whole draw, so the
-block length changes no bit.  The two N-sweeps (mean-field gap and
-optimality-gap proxy) read one population run per N, and one pass over
-the largest population's streams gives every N's sums.
+Each stream of a chunk is read once, whole: the common noise through
+rng.increments, the followers' sums and the stored followers' own rows
+through one rng.increment_sums call, so a chunk's noise is about
+max(2^11 M, 2^18) floats, dropped before the next chunk's is drawn.  The
+two N-sweeps (mean-field gap and optimality-gap proxy) read one
+population run per N, and one pass over the largest population's streams
+gives every N's sums.
 """
 from __future__ import annotations
 
@@ -92,13 +91,12 @@ __all__ = [
     "sweep_optimality_gap",
 ]
 
-# per-chunk noise budget in floats (2 MB), open generators included
+# 2 MB of floats: a chunk is never narrower than one whose whole noise fits
+# them, and the cost quadrature takes paths in blocks of about as many
 _CHUNK_FLOATS = 1 << 18
 # a chunk's state arrays hold about this many elements, enough to repay the
 # fixed cost of each numpy call in the stepping loop
 _VECTOR_FLOATS = 1 << 11
-# one open Philox generator (608 B), in floats
-_GENERATOR_FLOATS = 76
 # saddle_check's perturbation sizes; the control-side margin should grow
 # quadratically from the first to the second
 PERTURB_EPS = (0.1, 0.5)
@@ -138,15 +136,16 @@ class SimConfig:
     em_substeps: ClassVar[int] = 1
 
     def __post_init__(self):
-        for name, low in (("N", 1), ("n_paths", 1), ("store_followers", 0)):
+        for name, low, high in (("N", 1, np.inf), ("n_paths", 1, np.inf),
+                                ("store_followers", 0, np.inf),
+                                ("master_seed", 0, 2 ** 64)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, "
-                                 f"got {value!r}")
+            if not (isinstance(value, (int, np.integer))
+                    and low <= value < high):
+                raise ValueError(f"{name} must be an integer in [{low}, "
+                                 f"{high}), got {value!r}")
         if self.disturbance not in ("worst", "zero"):
             raise ValueError(f"unknown disturbance mode {self.disturbance!r}")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError("master_seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -360,25 +359,9 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     width = 1 + (1 + stored) * n if N else 1
     chunk = min(P, max(1, round(_VECTOR_FLOATS / width),
                        _CHUNK_FLOATS // (M * width)))
-    if chunk * M * width <= _CHUNK_FLOATS:
-        # one block: each stream is read whole through one re-keyed generator
-        block, gens = M, None
-    else:
-        # the common and stored streams stay open from block to block; a
-        # block fits _CHUNK_FLOATS beside the open generators
-        gens = rng.pool(chunk * (1 + stored))
-        block = max(1, (_CHUNK_FLOATS - len(gens) * _GENERATOR_FLOATS)
-                    // (chunk * width))
-    recorded = ("x0", "m", "xN") if N else ("x0", "m")
     for a in range(0, P, chunk):
         b = min(a + chunk, P)
         C = b - a
-        keys0 = [(i, 0) for i in range(a, b)]
-        keysF = [(i, j) for i in range(a, b) for j in range(1, stored + 1)]
-        if gens is not None:
-            live = [rng.stream(seed, i, j, gen)
-                    for (i, j), gen in zip(keys0 + keysF, gens)]
-            live0, liveF = live[:C], live[C:]
         # every array is stepped in place, so the views below stay bound
         w = np.zeros((igx + mF if N else izx, C))
         w[:n], w[n:2 * n] = p.xi[:, None], p.x0init[:, None]
@@ -388,6 +371,8 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         # leader and the mean state
         values = {"x0": x0, "m": w[n:2 * n], "u0bar": w[iu0:iu1],
                   "u1bar": w[iu1:izx], "v": w[iv:iu0]}
+        # each stream of the chunk is read once, whole
+        dW = rng.increments(seed, [(i, 0) for i in range(a, b)], M, h)
         if N:
             # agent 0 is xN, stepped as one state driven by the mean of the
             # N followers' increments (module docstring)
@@ -397,69 +382,66 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             xN = agents[:, 0]
             drift_a = np.empty((n, 1 + stored, C))
             field, noise = np.empty((n, C)), np.empty((n, stored, C))
-            sums = wsum[a:b] if wsum is not None else rng.increment_sums(
-                seed, range(a, b), [N], M * n, h).reshape(C, M, n)
-            dWbar = np.divide(sums.transpose(1, 2, 0), N,
+            if wsum is None:
+                sums, dWi = rng.increment_sums(seed, range(a, b), [N], M * n,
+                                               h, keep=stored)
+            else:
+                sums, dWi = wsum[a:b], rng.increments(
+                    seed, [(i, j) for i in range(a, b)
+                           for j in range(1, stored + 1)], M * n, h)
+            dWbar = np.divide(sums.reshape(C, M, n).transpose(1, 2, 0), N,
                               out=np.empty((M, n, C)))
+            dWi = dWi.reshape(C, stored, M, n)
             # the agents' law drives the agents; agent 0's controls are
             # u0bar and u1bar
             values.update(u0bar=u0a[:, 0], u1bar=u1a[:, 0], xN=xN,
                           xi=agents[:, 1:], u0i=u0a[:, 1:], u1i=u1a[:, 1:])
         # each series' columns of this chunk, written node by node
         record = [(mem[name][..., a:b], val) for name, val in values.items()]
-        for k0 in range(0, M, block):
-            k1 = min(k0 + block, M)
-            if gens is None:
-                dW = rng.increments(seed, keys0, M, h)
+        for k in range(M + 1):
+            if override is not None:
+                for i, arr in zip((iu0, iu1, iv), override):
+                    w[i:i + arr.shape[2]] = arr[a:b, k].T
             else:
-                dW = rng.draw(live0, k1 - k0, h)
+                _mac(w[iK:], K[k], z)
             if N:
-                dWi = rng.increments(seed, keysF, M * n, h) if gens is None \
-                    else rng.draw(liveF, (k1 - k0) * n, h)
-                dWi = dWi.reshape(C, stored, k1 - k0, n)
-            for k in range(k0, k1 + (k1 == M)):
-                if override is not None:
-                    for i, arr in zip((iu0, iu1, iv), override):
-                        w[i:i + arr.shape[2]] = arr[a:b, k].T
-                else:
-                    _mac(w[iK:], K[k], z)
-                if N:
-                    _mac(u1a, Gc[k], agents)
-                    u1a += w[igx:, None]
-                    _mac(u0a, La[k], u1a)
-                    u0a += w[izx:igx, None]
-                for series, val in record:
-                    series[..., k, :] = val
-                if k == M:
-                    break
-                if nxl:
-                    w[2 * n:iv] = xN
-                _mac(drift, dyn, w[:izx])
-                if N:
-                    # the aggregate noise joins agent 0, the stored
-                    # followers' own the rest
-                    _mac(drift_a, dyn_agents, wa)
-                    drift_a += _mac(field, Ft, xN)[:, None]
-                    agents += h * drift_a
-                    agents[:, 0] += _mac(field, sigma, dWbar[k])
-                    agents[:, 1:] += _mac(noise, sigma[..., None],
-                                          dWi[:, :, k - k0].T)
-                z += h * drift[:2 * n]
-                x0 += drift[2 * n:] * dW[:, k - k0]
-            # a non-finite state stays non-finite under these steps, so the
-            # block's last state tells whether one of its nodes went bad
-            if np.isfinite(z).all() and (not N or np.isfinite(xN).all()):
-                continue
-            last = M + 1 if k1 == M else k1
+                _mac(u1a, Gc[k], agents)
+                u1a += w[igx:, None]
+                _mac(u0a, La[k], u1a)
+                u0a += w[izx:igx, None]
+            for series, val in record:
+                series[..., k, :] = val
+            if k == M:
+                break
+            if nxl:
+                w[2 * n:iv] = xN
+            _mac(drift, dyn, w[:izx])
+            if N:
+                # the aggregate noise joins agent 0, the stored followers'
+                # own the rest
+                _mac(drift_a, dyn_agents, wa)
+                drift_a += _mac(field, Ft, xN)[:, None]
+                agents += h * drift_a
+                agents[:, 0] += _mac(field, sigma, dWbar[k])
+                agents[:, 1:] += _mac(noise, sigma[..., None],
+                                      dWi[:, :, k].T)
+            z += h * drift[:2 * n]
+            x0 += drift[2 * n:] * dW[:, k]
+        # a non-finite state stays non-finite under these steps, so the
+        # chunk's last state tells whether one of its nodes went bad
+        if not (np.isfinite(z).all() and (not N or np.isfinite(xN).all())):
             finite = np.logical_and.reduce(
-                [np.isfinite(out[name][a:b, k0:last]).all(axis=(0, 2))
-                 for name in recorded])
-            bad = k1 if finite.all() else k0 + int(np.argmin(finite))
-            raise NonFiniteState(grid.nodes[bad], "population state"
-                                 if N else "limit state")
+                [np.isfinite(out[name][a:b]).all(axis=(0, 2))
+                 for name in ("x0", "m", "xN") if name in out])
+            raise NonFiniteState(grid.nodes[int(np.argmin(finite))],
+                                 "population state" if N else "limit state")
+        # the chunk's noise goes before the next chunk's is drawn
+        del dW
+        if N:
+            del sums, dWi, dWbar
 
     work = Work(path_steps=P * M, follower_steps=P * M * stored,
-                streams_read=P * (1 + stored + (wsum is None) * N))
+                streams_read=P * (1 + (N if wsum is None else stored)))
     return PathBundle(grid, cfg, follower_ids=tuple(range(1, stored + 1)),
                       work=work, **out)
 
@@ -761,8 +743,8 @@ def sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
     J_lim, work = _j0_per_path(lim, p), lim.work
     del lim
     P, M = cfg.n_paths, gains.grid.steps
-    sums = rng.increment_sums(cfg.master_seed, range(P), Ns, M * p.n,
-                              gains.grid.h)
+    sums, _ = rng.increment_sums(cfg.master_seed, range(P), Ns, M * p.n,
+                                 gains.grid.h)
     sums = sums.reshape(P, len(Ns), M, p.n)
     work += Work(streams_read=P * Ns[-1])
     mf, opt = [], []

@@ -469,14 +469,14 @@ def test_sweep_stage_records_exact_mean_field_gap(table1, tmp_path):
 
 def test_simulation_stages_record_their_work(tmp_path):
     # 40 steps over 4 paths: 160 path-steps per run.  simulate: the limit,
-    # the population (6 followers stored, streams: common, 6 summed, 6
-    # stored) and the saddle battery's 5 limit runs; sweep-n: the limit,
-    # one pass over 16 followers' streams, then 3 populations that step
-    # no follower individually
+    # the population (6 followers stored, streams: common and 6 followers,
+    # each read once) and the saddle battery's 5 limit runs; sweep-n: the
+    # limit, one pass over 16 followers' streams, then 3 populations that
+    # step no follower individually
     runs = {
         "simulate": (["simulate", "--n", "6", "--paths", "4"],
                      dict(path_steps=7 * 160, follower_steps=6 * 160,
-                          streams_read=4 + 4 * 13 + 5 * 4)),
+                          streams_read=4 + 4 * 7 + 5 * 4)),
         "sweep-n": (["sweep-n", "--ns", "4,8,16", "--paths", "4"],
                     dict(path_steps=4 * 160, follower_steps=0,
                          streams_read=4 + 4 * 16 + 3 * 4)),

@@ -1,6 +1,7 @@
 """Monte Carlo machinery: path simulation, cost quadrature, saddle
 perturbation battery, population sweeps."""
 import copy
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,8 @@ from stackmfg.sim import SimConfig
 
 def test_simconfig_validation():
     for bad in (dict(N=0), dict(n_paths=0), dict(disturbance="bang"),
-                dict(master_seed=-1), dict(store_followers=-1), dict(N=2.5),
+                dict(master_seed=-1), dict(master_seed=2 ** 64),
+                dict(master_seed=1.5), dict(store_followers=-1), dict(N=2.5),
                 dict(n_paths=2.0)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SimConfig(**bad)
@@ -68,12 +70,14 @@ def test_rng_index_bounds(monkeypatch):
 
     monkeypatch.setattr(rng, "_rekey", rekey)
     with pytest.raises(ValueError, match="agent index"):
-        rng.stream(1, 0, 2 ** 32, rng.pool(1)[0])
+        rng.stream(1, 0, 2 ** 32, rng._blank())
     for paths, Ns, name in (([0, 2 ** 32], [3], "path"),
                             ([0, -1], [3], "path"),
                             ([0], [2, 2 ** 32], "agent")):
         with pytest.raises(ValueError, match=f"{name} index"):
             rng.increment_sums(1, paths, Ns, 5, 0.01)
+    with pytest.raises(ValueError, match="keep"):
+        rng.increment_sums(1, [0], [2, 3], 5, 0.01, keep=4)
 
 
 def test_rng_rekey_restores_the_fresh_state():
@@ -120,45 +124,30 @@ def test_rng_rekeyed_rows_match_fresh_streams():
             row, rng.normals(2 ** 63, path, agent, 20) * np.sqrt(dt))
 
 
-def test_rng_block_draws_match_full_horizon():
-    # pooled generators re-keyed to their streams and read in blocks give
-    # each stream's increments() row bitwise, whatever the block lengths
-    seed, dt = 2 ** 63 + 5, 0.01
-    keys = [(3, 0), (3, 7), (2 ** 32 - 1, 2 ** 32 - 1)]
-    full = rng.increments(seed, keys, 1000, dt)
-    gens = rng.pool(len(keys))
-    for blocks in ([1] * 1000, [7] * 142 + [6], [337, 663], [1000]):
-        live = [rng.stream(seed, path, agent, gen)
-                for (path, agent), gen in zip(keys, gens)]
-        assert live == gens
-        got = np.concatenate([rng.draw(live, k, dt) for k in blocks], axis=1)
-        assert np.array_equal(got, full)
-    # re-keying partway through a stream restarts at the key's first normal
-    gen = gens[0]
-    for path, agent in keys:
-        rng.draw([gen], 337, dt)
-        rng.stream(seed, path, agent, gen)
-        assert np.array_equal(rng.draw([gen], 1000, dt)[0],
-                              full[keys.index((path, agent))])
-
-
 def test_rng_increment_sums_match_running_sums(monkeypatch):
     # running sums over agents 1..N of increments() rows, for several N at
-    # once, drawn in one block of rows, in blocks of 3 and of 1
+    # once, and the kept rows of agents 1..keep, drawn in one block of rows,
+    # in blocks of 3 and of 1, so the kept rows span several blocks
     seed, dt, steps, top = 2 ** 63 + 7, 0.01, 20, 11
     paths = [4, 0, 2 ** 32 - 1]
-    running = np.cumsum(np.stack([
+    rows = np.stack([
         rng.increments(seed, [(path, j) for j in range(1, top + 1)], steps, dt)
-        for path in paths]), axis=1)
+        for path in paths])
+    running = np.cumsum(rows, axis=1)
     for block in (rng._SUM_BLOCK_FLOATS, 3 * steps, 1):
         monkeypatch.setattr(rng, "_SUM_BLOCK_FLOATS", block)
-        for Ns in ([top], [1, 3, 4, 11], [7, 2]):
-            got = rng.increment_sums(seed, paths, Ns, steps, dt)
+        for Ns, keep in (([top], top), ([1, 3, 4, 11], 3), ([7, 2], 1),
+                         ([5], 0)):
+            got, kept = rng.increment_sums(seed, paths, Ns, steps, dt,
+                                           keep=keep)
             assert got.shape == (len(paths), len(Ns), steps)
             for r, N in enumerate(Ns):
                 assert np.array_equal(got[:, r], running[:, N - 1])
-    with pytest.raises(ValueError):
-        rng.increment_sums(seed, paths, [0, 3], steps, dt)
+            assert kept.shape == (len(paths), keep, steps)
+            assert np.array_equal(kept, rows[:, :keep])
+    for Ns, keep in (([0, 3], 0), ([2, 3], 4), ([3], -1)):
+        with pytest.raises(ValueError):
+            rng.increment_sums(seed, paths, Ns, steps, dt, keep=keep)
 
 
 # ------------------------------------------------------------ limit paths
@@ -181,7 +170,7 @@ def test_thread_count_does_not_change_paths(table1, gains1, n2, n2_sol,
     for p, gains in ((table1, gains1), (n2, n2_sol.gains)):
         wide = sim.simulate_limit(p, gains, cfg)
         with monkeypatch.context() as mp:
-            mp.setattr(sim, "_CHUNK_FLOATS", 7 * p.grid_steps)
+            _chunks_of(mp, 7, 1)
             narrow = sim.simulate_limit(p, gains, cfg)
         assert np.array_equal(wide.x0, narrow.x0)
         assert np.array_equal(wide.m, narrow.m)
@@ -374,13 +363,21 @@ def test_incentive_mode_runs(square, square_sol):
 _BUNDLE_FIELDS = ("x0", "m", "u0bar", "u1bar", "v", "xN", "xi", "u0i", "u1i")
 
 
+def _chunks_of(monkeypatch, per_chunk, width):
+    """Set the kernel's chunk width to per_chunk paths, for a run whose
+    noise per path and step is width floats."""
+    monkeypatch.setattr(sim, "_CHUNK_FLOATS", 1)
+    monkeypatch.setattr(sim, "_VECTOR_FLOATS", per_chunk * width)
+
+
 def _population_layouts(monkeypatch, p, gains, cfg, per_chunk, **modes):
     """The same population run with the default chunk size and over chunks
     of per_chunk paths."""
-    floats = p.grid_steps * (1 + cfg.N * p.n) * per_chunk
+    stored = cfg.N if cfg.store_all_followers else min(cfg.N,
+                                                       cfg.store_followers)
     runs = [sim.simulate_population(p, gains, cfg, **modes)]
     with monkeypatch.context() as mp:
-        mp.setattr(sim, "_CHUNK_FLOATS", floats)
+        _chunks_of(mp, per_chunk, 1 + (1 + stored) * p.n)
         runs.append(sim.simulate_population(p, gains, cfg, **modes))
     return runs
 
@@ -459,18 +456,17 @@ def _nan_at(traj, k):
     return bad
 
 
-@pytest.mark.parametrize("floats", [1, 3000])
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
 def test_nonfinite_state_names_first_bad_node(table1, gains1, fg1, inc1, n2,
-                                              n2_sol, monkeypatch, floats):
-    # a NaN control at node k first reaches the state at node k + 1; a
-    # 1-float noise budget gives one-step noise blocks, 3000 floats give
-    # 66-step blocks to the table1 population and one block elsewhere
-    monkeypatch.setattr(sim, "_CHUNK_FLOATS", floats)
+                                              n2_sol, monkeypatch, per_chunk):
+    # a NaN control at node k first reaches the state at node k + 1, over
+    # chunks of 1, 2 and all 3 paths
     cfg = SimConfig(N=6, n_paths=3, master_seed=5)
     for p, gains, fg, inc, k in ((table1, gains1, fg1, inc1.inc, 137),
                                  (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc,
                                   23)):
         t = gains.grid.nodes[k + 1]
+        _chunks_of(monkeypatch, per_chunk, 1)
         base = sim.simulate_limit(p, gains, cfg)
         u0 = base.u0bar.copy()
         u0[-1, k] = np.nan
@@ -478,6 +474,7 @@ def test_nonfinite_state_names_first_bad_node(table1, gains1, fg1, inc1, n2,
             sim.simulate_limit(p, gains, cfg,
                                controls_override=(u0, base.u1bar, base.v))
         assert (err.value.t, err.value.what) == (t, "limit state")
+        _chunks_of(monkeypatch, per_chunk, 1 + (1 + cfg.N) * p.n)
         runs = ((replace(gains, Theta21=_nan_at(gains.Theta21, k)), {}),
                 (gains, {"fgains": replace(fg, Gxi=_nan_at(fg.Gxi, k)),
                          "inc": inc}))
@@ -487,34 +484,52 @@ def test_nonfinite_state_names_first_bad_node(table1, gains1, fg1, inc1, n2,
             assert (err.value.t, err.value.what) == (t, "population state")
 
 
-def test_paths_independent_of_noise_blocks(n2, n2_sol, monkeypatch):
-    # noise blocks of the whole horizon, 7 steps and 1 step, the last also
-    # over chunks of 1 and of 2 paths
+def test_paths_independent_of_chunk_width(n2, n2_sol, monkeypatch):
+    # chunks of 1, 2 and all 5 paths, for populations in both modes and
+    # for the limit system
     p, gains = n2, n2_sol.gains
     cfg = SimConfig(N=8, n_paths=5, master_seed=6, store_all_followers=True)
-    C, width = cfg.n_paths, 1 + cfg.N * p.n
-    seven = sim._GENERATOR_FLOATS * C * (1 + cfg.N) + 7 * C * width
-    layouts = ((sim._CHUNK_FLOATS, sim._VECTOR_FLOATS),
-               (seven, sim._VECTOR_FLOATS), (1, sim._VECTOR_FLOATS),
-               (1, 1), (1, 2 * width))
 
-    def layout_runs(run):
+    def layout_runs(run, width):
         runs = []
-        for floats, vector in layouts:
+        for per_chunk in (1, 2, cfg.n_paths):
             with monkeypatch.context() as mp:
-                mp.setattr(sim, "_CHUNK_FLOATS", floats)
-                mp.setattr(sim, "_VECTOR_FLOATS", vector)
+                _chunks_of(mp, per_chunk, width)
                 runs.append(run())
         return runs
 
     for modes in ({}, {"fgains": n2_sol.fg, "inc": n2_sol.inc}):
         _assert_bitwise(layout_runs(
-            lambda: sim.simulate_population(p, gains, cfg, **modes)))
-    runs = layout_runs(lambda: sim.simulate_limit(p, gains, cfg))
+            lambda: sim.simulate_population(p, gains, cfg, **modes),
+            1 + (1 + cfg.N) * p.n))
+    runs = layout_runs(lambda: sim.simulate_limit(p, gains, cfg), 1)
     for name in ("x0", "m", "u0bar", "u1bar", "v"):
         for other in runs[1:]:
             assert np.array_equal(getattr(runs[0], name),
                                   getattr(other, name)), name
+
+
+def test_population_reads_each_stream_once(n2, n2_sol, monkeypatch):
+    # every (path, agent) stream, agent 0 the common noise and agents 1..N
+    # the followers, is re-keyed exactly once per population run, the
+    # stored followers' among them, in team and in incentive mode
+    cfg = SimConfig(N=6, n_paths=5, master_seed=6, store_followers=3)
+    want = Counter((cfg.master_seed, (i << 32) | j)
+                   for i in range(cfg.n_paths) for j in range(cfg.N + 1))
+    rekey = rng._rekey
+    for modes in ({}, {"fgains": n2_sol.fg, "inc": n2_sol.inc}):
+        keys = Counter()
+
+        def counting(bg, key):
+            keys[key] += 1
+            rekey(bg, key)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(rng, "_rekey", counting)
+            bundle = sim.simulate_population(n2, n2_sol.gains, cfg, **modes)
+        assert bundle.xi.shape[1] == 3
+        assert keys == want
+        assert bundle.work.streams_read == len(want)
 
 
 def _reference_run(p, gains, cfg, N=0, fgains=None, inc=None,
@@ -565,8 +580,8 @@ def _reference_run(p, gains, cfg, N=0, fgains=None, inc=None,
     for i in range(P):
         dW0 = rng.increments(seed, [(i, 0)], M, h)[0]
         if N:
-            dWbar = rng.increment_sums(seed, [i], [N], M * p.n,
-                                       h)[0, 0].reshape(M, p.n) / N
+            sums, _ = rng.increment_sums(seed, [i], [N], M * p.n, h)
+            dWbar = sums[0, 0].reshape(M, p.n) / N
             dWi = rng.increments(seed, [(i, j) for j in range(1, stored + 1)],
                                  M * p.n, h).reshape(stored, M, p.n)
         x0, m = p.xi.copy(), p.x0init.copy()
