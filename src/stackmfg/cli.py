@@ -388,6 +388,9 @@ def _incentive_stage(run: _Run):
 def _simulate_stage(run: _Run):
     """Cost statistics over all paths, figure series from path 0 of the
     same runs; incentive-mode population (the incentive stage ran).
+    The limit run is held whole until its costs are taken; the population
+    is costed chunk by chunk (sim.population_costs), so the stage never
+    holds its followers' series beyond one chunk of paths and path 0.
     Returns the simulation work of the stage."""
     p, man, gains, cfg = run.p, run.man, run.gains, run.sim_cfg
     # each run's costs are taken and its arrays freed before the next run
@@ -401,8 +404,8 @@ def _simulate_stage(run: _Run):
                     ("u1_limit", lim.u1bar[0].copy()),
                     ("v_limit", lim.v[0].copy())]
     del lim
-    pop = sim.simulate_population(p, gains, cfg, fgains=run.fg, inc=run.inc)
-    pop_costs = sim.eval_costs(pop, p)
+    pop_costs, pop = sim.population_costs(p, gains, cfg, fgains=run.fg,
+                                          inc=run.inc)
     work += pop.work
     _series_csv(man, "controls.csv", grid, lim_controls + [
         ("u0_pop", pop.u0bar[0]), ("u1_pop", pop.u1bar[0]),
@@ -411,7 +414,6 @@ def _simulate_stage(run: _Run):
                 [("x0", pop.x0[0]), ("m", pop.m[0]), ("xN", pop.xN[0])]
                 + [(f"x{i}", pop.xi[0, j])
                    for j, i in enumerate(pop.follower_ids)])
-    del pop
     run.summary["costs"] = {
         "limit": _set_fields(lim_costs),
         "population": _set_fields(pop_costs) | {"mode": "incentive"},

@@ -46,6 +46,14 @@ and (dim, stored, M+1, paths), behind (paths, M+1, dim) and
 (paths, stored, M+1, dim) views: a node's write copies one contiguous
 row per component, and the costs read the components' rows.
 
+The kernel hands each finished chunk to its caller, and the callers
+differ only in where a chunk's series live.  simulate_limit and
+simulate_population record every chunk in the run's memory and return the
+whole run.  population_costs records each chunk in one allocation of its
+own, costs its paths, keeps path 0's series and drops the chunk, so it
+holds one chunk's series at a time; a path's cost does not depend on its
+chunk, so its report equals eval_costs of the whole run bitwise.
+
 One Euler-Maruyama step spans one grid interval.  A chunk holds about
 _VECTOR_FLOATS noise floats per step, so each numpy call of the stepping
 loop works on a wide array, and is never narrower than one whose whole
@@ -83,6 +91,7 @@ __all__ = [
     "simulate_limit",
     "simulate_population",
     "eval_costs",
+    "population_costs",
     "saddle_check",
     "incentive_match",
     "exact_mean_field_gap",
@@ -180,12 +189,13 @@ class PathBundle:
 
     def consistency_gap(self) -> float:
         """Max deviation of the stepped average xN from the mean of the
-        stored individuals.
-
-        Meaningful only when every follower is stored: it then checks the
-        aggregate step against the individual ones."""
-        if self.xi is None or self.xN is None:
-            return 0.0
+        individual followers: the aggregate step checked against the
+        individual ones.  Refused unless every follower is stored, as
+        under store_all_followers."""
+        if len(self.follower_ids) != self.cfg.N:
+            raise ValueError(
+                f"consistency_gap needs all {self.cfg.N} followers stored, "
+                f"got {len(self.follower_ids)}")
         return float(np.max(np.abs(self.xN - self.xi.mean(axis=1))))
 
 
@@ -270,7 +280,7 @@ def _columns(mats: np.ndarray, lead: int = 1) -> np.ndarray:
 def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     N: int = 0, fgains: FollowerGains | None = None,
                     inc: IncentiveMatrices | None = None, override=None,
-                    wsum: np.ndarray | None = None) -> PathBundle:
+                    wsum: np.ndarray | None = None, on_chunk=None):
     """The one Euler-Maruyama kernel: the limit system when N = 0, else
     the N-follower population (team mode, or incentive mode with fgains
     and inc).
@@ -283,7 +293,15 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     one step per grid interval.  override = (u0, u1, v) node series (limit
     only) replaces the leader's feedback; wsum replaces the followers'
     summed increments with given (paths, M, n) sums over agents 1..N.
+
+    The series are recorded in the run's memory and the run's PathBundle
+    is returned.  With on_chunk, each chunk's series are recorded in
+    memory of the chunk's own instead: on_chunk(bundle of the chunk's
+    paths) is called once the chunk is stepped, the chunk is then
+    dropped, and the run's Work is returned.
     """
+    if fgains is not None and inc is None:
+        raise ValueError("incentive mode needs both fgains and inc")
     grid = gains.grid
     M, P, h = grid.steps, cfg.n_paths, grid.h
     n, mL, mF, nv = p.n, p.mL, p.mF, p.nv
@@ -342,14 +360,18 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
     # every series is held component-major, (dim, M+1, paths) and
     # (dim, stored, M+1, paths), so a node's write copies one contiguous
-    # row per component; the bundle gets (paths, ..., M+1, dim) views
-    mem = {name: np.empty((d, M + 1, P)) for name, d in (
-        ("x0", n), ("m", n), ("u0bar", mL), ("u1bar", mF), ("v", nv))}
+    # row per component; the bundles get (paths, ..., M+1, dim) views
+    shapes = {"x0": (n, M + 1), "m": (n, M + 1), "u0bar": (mL, M + 1),
+              "u1bar": (mF, M + 1), "v": (nv, M + 1)}
     if N:
-        mem["xN"] = np.empty((n, M + 1, P))
-        mem.update((name, np.empty((d, stored, M + 1, P)))
-                   for name, d in (("xi", n), ("u0i", mL), ("u1i", mF)))
-    out = {name: np.swapaxes(arr, 0, -1) for name, arr in mem.items()}
+        shapes.update(xN=(n, M + 1), xi=(n, stored, M + 1),
+                      u0i=(mL, stored, M + 1), u1i=(mF, stored, M + 1))
+    # the run's memory gives each series an allocation of its own (one
+    # allocation for the whole run raised multidim's peak RSS by 11 MB);
+    # a chunk's own memory is one allocation (_series_memory)
+    run = None if on_chunk else {name: np.empty(shape + (P,))
+                                 for name, shape in shapes.items()}
+    follower_ids = tuple(range(1, stored + 1))
 
     # noise floats per path and step: the common noise, then for a
     # population the followers' summed increments and the stored
@@ -397,7 +419,9 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             values.update(u0bar=u0a[:, 0], u1bar=u1a[:, 0], xN=xN,
                           xi=agents[:, 1:], u0i=u0a[:, 1:], u1i=u1a[:, 1:])
         # each series' columns of this chunk, written node by node
-        record = [(mem[name][..., a:b], val) for name, val in values.items()]
+        mem = (_series_memory(shapes, C) if on_chunk else
+               {name: arr[..., a:b] for name, arr in run.items()})
+        record = [(mem[name], val) for name, val in values.items()]
         for k in range(M + 1):
             if override is not None:
                 for i, arr in zip((iu0, iu1, iv), override):
@@ -427,23 +451,47 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                                       dWi[:, :, k].T)
             z += h * drift[:2 * n]
             x0 += drift[2 * n:] * dW[:, k]
+        # the chunk's noise goes first, so on_chunk's costs run without it
+        del dW
+        if N:
+            del sums, dWi, dWbar
         # a non-finite state stays non-finite under these steps, so the
         # chunk's last state tells whether one of its nodes went bad
         if not (np.isfinite(z).all() and (not N or np.isfinite(xN).all())):
             finite = np.logical_and.reduce(
-                [np.isfinite(out[name][a:b]).all(axis=(0, 2))
-                 for name in ("x0", "m", "xN") if name in out])
+                [np.isfinite(mem[name]).all(axis=(0, 2))
+                 for name in ("x0", "m", "xN") if name in mem])
             raise NonFiniteState(grid.nodes[int(np.argmin(finite))],
                                  "population state" if N else "limit state")
-        # the chunk's noise goes before the next chunk's is drawn
-        del dW
-        if N:
-            del sums, dWi, dWbar
+        if on_chunk:
+            on_chunk(_bundle(grid, cfg, mem, follower_ids))
+        # the chunk's series go before the next chunk's are allocated
+        del mem, record
 
     work = Work(path_steps=P * M, follower_steps=P * M * stored,
                 streams_read=P * (1 + (N if wsum is None else stored)))
-    return PathBundle(grid, cfg, follower_ids=tuple(range(1, stored + 1)),
-                      work=work, **out)
+    if on_chunk:
+        return work
+    return _bundle(grid, cfg, run, follower_ids, work)
+
+
+def _series_memory(shapes: dict, paths: int) -> dict:
+    """Component-major memory for paths paths of each named series, an
+    array of shape shapes[name] + (paths,), all carved from one
+    allocation."""
+    sizes = [paths * int(np.prod(shape)) for shape in shapes.values()]
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape + (paths,))
+            for (name, shape), part in zip(shapes.items(), parts)}
+
+
+def _bundle(grid: TimeGrid, cfg: SimConfig, mem: dict, follower_ids: tuple,
+            work: Work = Work()) -> PathBundle:
+    """The PathBundle of component-major series: (paths, ..., M+1, dim)
+    views of mem."""
+    return PathBundle(grid, cfg, follower_ids=follower_ids, work=work,
+                      **{name: np.swapaxes(arr, 0, -1)
+                         for name, arr in mem.items()})
 
 
 def simulate_limit(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
@@ -490,8 +538,6 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     L u1i + zeta x0 + eta m; the leader state then couples to the mean
     field m rather than the empirical average, as in the limiting analysis.
     """
-    if fgains is not None and inc is None:
-        raise ValueError("incentive mode needs both fgains and inc")
     if wsum_increments is not None:
         want = (cfg.n_paths, gains.grid.steps, p.n)
         wsum_increments = np.asarray(wsum_increments, dtype=float)
@@ -530,13 +576,18 @@ def _trapz(f: np.ndarray, h: float) -> np.ndarray:
     return h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
 
 
+def _series(bundle: PathBundle) -> dict:
+    """The bundle's recorded series, by field name."""
+    return {f.name: getattr(bundle, f.name) for f in fields(bundle)
+            if isinstance(getattr(bundle, f.name), np.ndarray)}
+
+
 def _by_path_blocks(cost):
     """cost(bundle, p), one row per path, evaluated over blocks of paths
     whose recorded series hold about _CHUNK_FLOATS floats each, so that the
     quadrature's temporaries stay bounded whatever the bundle's size."""
     def blocked(bundle: PathBundle, p: ModelParams) -> np.ndarray:
-        series = {f.name: getattr(bundle, f.name) for f in fields(bundle)
-                  if isinstance(getattr(bundle, f.name), np.ndarray)}
+        series = _series(bundle)
         step = max(1, _CHUNK_FLOATS // max(x[0].size for x in series.values()))
         return np.concatenate([
             cost(replace(bundle, **{k: x[a:a + step]
@@ -579,17 +630,53 @@ def _stderr(x: np.ndarray, axis=None):
     return float(se) if axis is None else se
 
 
-def eval_costs(bundle: PathBundle, p: ModelParams,
-               V0: float | None = None) -> CostReport:
-    """Trapezoidal cost quadrature per path, averaged with standard errors."""
-    J0 = _j0_per_path(bundle, p)
+def _cost_report(J0: np.ndarray, Ji: np.ndarray | None,
+                 V0: float | None) -> CostReport:
+    """Means and standard errors of per-path costs: J0 (paths,), and Ji
+    (paths, stored) or None."""
     Ji_mean = Ji_se = None
-    if bundle.xi is not None and len(bundle.follower_ids):
-        Ji = _ji_per_path(bundle, p)            # (paths, stored)
+    if Ji is not None:
         Ji_mean, Ji_se = Ji.mean(axis=0), _stderr(Ji, axis=0)
     return CostReport(J0_mean=float(J0.mean()), J0_stderr=_stderr(J0),
                       n_paths=J0.size, V0=V0, Ji_mean=Ji_mean,
                       Ji_stderr=Ji_se)
+
+
+def eval_costs(bundle: PathBundle, p: ModelParams,
+               V0: float | None = None) -> CostReport:
+    """Trapezoidal cost quadrature per path, averaged with standard errors."""
+    Ji = (_ji_per_path(bundle, p)
+          if bundle.xi is not None and len(bundle.follower_ids) else None)
+    return _cost_report(_j0_per_path(bundle, p), Ji, V0)
+
+
+def population_costs(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
+                     fgains: FollowerGains | None = None,
+                     inc: IncentiveMatrices | None = None
+                     ) -> tuple[CostReport, PathBundle]:
+    """eval_costs(simulate_population(p, gains, cfg, fgains, inc), p) and
+    the run's path 0, bitwise, without holding the run.
+
+    Each chunk of paths is costed as soon as it is stepped and then
+    dropped, so the run holds one chunk's series at a time; a path's cost
+    does not depend on which paths share its chunk.  Returns the cost
+    report and a one-path bundle of path 0's series whose work is the
+    whole run's."""
+    J0, Ji, first = [], [], []
+
+    def cost(chunk: PathBundle):
+        if not first:
+            first.append(replace(chunk, **{k: x[:1].copy() for k, x
+                                           in _series(chunk).items()}))
+        J0.append(_j0_per_path(chunk, p))
+        if chunk.follower_ids:
+            Ji.append(_ji_per_path(chunk, p))
+
+    work = _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc,
+                           on_chunk=cost)
+    report = _cost_report(np.concatenate(J0),
+                          np.concatenate(Ji) if Ji else None, None)
+    return report, replace(first[0], work=work)
 
 
 def _bump(grid: TimeGrid) -> np.ndarray:

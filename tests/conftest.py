@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stackmfg import incentive, leader, odeint, sim
+from stackmfg import cli, incentive, leader, odeint, sim
 from stackmfg.leader import BlockRiccatiSolution
 from stackmfg.model import ModelParams, load_config
 
@@ -231,3 +231,14 @@ def mf_sweep(sweeps):
 @pytest.fixture(scope="session")
 def opt_sweep(sweeps):
     return sweeps[1]
+
+
+@pytest.fixture(scope="session")
+def reproduce_threads1(tmp_path_factory):
+    """The default-grid seed-42 reproduce-paper run at one thread, made
+    once for criterion 11's thread comparison and the default-grid digest
+    test: its argv, exit code and output directory."""
+    argv = ["reproduce-paper", "--seed", "42", "--threads", "1"]
+    out = tmp_path_factory.mktemp("reproduce") / "threads1"
+    code = cli.main(argv + ["--out", str(out)])
+    return SimpleNamespace(argv=argv, code=code, out=out)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -221,6 +222,36 @@ def test_simulate_small_run(tmp_path, capsys):
     assert lines[1].startswith("limit,") and lines[2].startswith("population,")
 
 
+def test_simulate_stage_does_not_hold_the_population(tmp_path, monkeypatch):
+    # the incentive-mode population is costed chunk by chunk: the simulate
+    # stage's traced peak at 125 steps, 500 paths, N = 100 and 16 stored
+    # followers stays below what the stored followers' three series of a
+    # whole-run bundle would take alone
+    peaks = []
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            return cli._simulate_stage(run)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "STAGES", tuple(
+        (name, traced if name == "simulate" else fn)
+        for name, fn in cli.STAGES))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--grid-steps", "125", "--seed", "42",
+                     "--out", str(out)]) == 0
+    cfg = sim.SimConfig()
+    assert (cli.SIM_N, cli.SIM_PATHS, cfg.store_followers) == (100, 500, 16)
+    p = read_json(out / "config.json")["dimensions"]
+    follower_series = (8 * (p["n"] + p["mL"] + p["mF"]) * cfg.store_followers
+                       * (125 + 1) * cli.SIM_PATHS)
+    assert len(peaks) == 1
+    assert peaks[0] < follower_series, (peaks[0] / 1e6, follower_series / 1e6)
+
+
 def test_sweep_n_and_env_seed_override(tmp_path, monkeypatch):
     args = ["sweep-n", "--ns", "4,8,16", "--paths", "4"]
     out_a = tmp_path / "a"
@@ -258,23 +289,42 @@ def test_reproduce_paper_passes_every_check_where_theory_holds(
     assert [k for k, ok in checks.items() if not ok] == []
 
 
+PINNED = read_json(Path(__file__).with_name("reproduce_digests.json"))
+
+
+def _moved_artifacts(out: Path, want: dict) -> list:
+    """The data artifacts of a run in out (config.json, every CSV and
+    summary.json) whose SHA-256 differs from want's, or that only one side
+    has."""
+    names = [f.name for f in out.glob("*.csv")] + ["config.json",
+                                                   "summary.json"]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in names}
+    return sorted(name for name in got.keys() | want.keys()
+                  if got.get(name) != want.get(name))
+
+
 def test_reproduce_paper_artifacts_match_committed_digests(tmp_path):
     # the seed-42 data artifacts at 125 steps, byte for byte: the SHA-256 of
     # config.json, every CSV and summary.json against the digests committed
     # beside this file.  A change that moves an artifact on purpose updates
     # its digest and says why
-    pinned = read_json(Path(__file__).with_name("reproduce_digests.json"))
     out = tmp_path / "out"
-    assert cli.main(pinned["argv"] + ["--out", str(out)]) == 0
-    names = [f.name for f in out.glob("*.csv")] + ["config.json",
-                                                   "summary.json"]
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in names}
-    want = pinned["sha256"]
-    moved = sorted(name for name in got.keys() | want.keys()
-                   if got.get(name) != want.get(name))
+    assert cli.main(PINNED["argv"] + ["--out", str(out)]) == 0
+    moved = _moved_artifacts(out, PINNED["sha256"])
     assert not moved, (f"artifacts moved: {moved}; the digests were taken "
-                       f"with {pinned['environment']}")
+                       f"with {PINNED['environment']}")
+
+
+def test_default_grid_artifacts_match_committed_digests(reproduce_threads1):
+    # the same at the default grid, from the session's threads-1 run that
+    # criterion 11 compares with four threads
+    pinned = PINNED["default_grid"]
+    assert reproduce_threads1.argv == pinned["argv"]
+    assert reproduce_threads1.code == 0
+    moved = _moved_artifacts(reproduce_threads1.out, pinned["sha256"])
+    assert not moved, (f"artifacts moved: {moved}; the digests were taken "
+                       f"with {PINNED['environment']}")
 
 
 def test_reproduce_paper_fail_path(table1, tmp_path, capsys):

@@ -232,6 +232,23 @@ def test_population_consistency_and_costs(table1, blocks1, gains1):
     assert np.all(np.isfinite(rep.Ji_mean))
 
 
+def test_consistency_gap_needs_every_follower(table1, gains1):
+    # the mean of some stored followers is not the population average, so
+    # the gap is refused unless all N are stored
+    cfg = SimConfig(N=5, n_paths=2, master_seed=4)
+    for run in (sim.simulate_limit(table1, gains1, cfg),
+                sim.simulate_population(table1, gains1,
+                                        replace(cfg, store_followers=0)),
+                sim.simulate_population(table1, gains1,
+                                        replace(cfg, store_followers=3))):
+        with pytest.raises(ValueError, match="all 5 followers"):
+            run.consistency_gap()
+    # store_followers = N stores every follower too
+    full = sim.simulate_population(table1, gains1,
+                                   replace(cfg, store_followers=5))
+    assert full.consistency_gap() <= 1e-12
+
+
 def test_population_independent_of_stored_followers(table1, gains1, fg1,
                                                    inc1, n2, n2_sol):
     # xN steps as one state, so neither the population nor its leader cost
@@ -389,6 +406,41 @@ def _assert_bitwise(runs):
                                   getattr(other, name)), name
 
 
+def test_population_costs_equal_the_full_run(table1, gains1, fg1, inc1,
+                                             n2, n2_sol, monkeypatch):
+    # the chunk-by-chunk costs and path 0 equal eval_costs of the whole
+    # bundle and its path 0, bitwise, in both modes, for 0, 3 and all
+    # followers stored, over chunks of 1, 2 and all 5 paths
+    cfg = SimConfig(N=7, n_paths=5, master_seed=12)
+    for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
+        for modes in ({}, {"fgains": fg, "inc": inc}):
+            for store in (dict(store_followers=0), dict(store_followers=3),
+                          dict(store_all_followers=True)):
+                run_cfg = replace(cfg, **store)
+                full = sim.simulate_population(p, gains, run_cfg, **modes)
+                want = sim.eval_costs(full, p)
+                stored = len(full.follower_ids)
+                for per_chunk in (1, 2, cfg.n_paths):
+                    with monkeypatch.context() as mp:
+                        _chunks_of(mp, per_chunk, 1 + (1 + stored) * p.n)
+                        got, first = sim.population_costs(p, gains, run_cfg,
+                                                          **modes)
+                    assert ((got.J0_mean, got.J0_stderr, got.n_paths, got.V0)
+                            == (want.J0_mean, want.J0_stderr, want.n_paths,
+                                want.V0))
+                    assert (got.Ji_mean is None) == (stored == 0)
+                    if stored:
+                        assert np.array_equal(got.Ji_mean, want.Ji_mean)
+                        assert np.array_equal(got.Ji_stderr, want.Ji_stderr)
+                    assert first.n_paths == 1
+                    assert first.follower_ids == full.follower_ids
+                    assert first.work == full.work
+                    for name in _BUNDLE_FIELDS:
+                        assert np.array_equal(getattr(first, name),
+                                              getattr(full, name)[:1]), name
+
+
 def test_team_mode_is_the_incentive_law_with_zero_gains(table1, gains1, n2,
                                                         n2_sol):
     # team mode is the incentive law with no own-state gain and L = 0, the
@@ -479,9 +531,11 @@ def test_nonfinite_state_names_first_bad_node(table1, gains1, fg1, inc1, n2,
                 (gains, {"fgains": replace(fg, Gxi=_nan_at(fg.Gxi, k)),
                          "inc": inc}))
         for run_gains, modes in runs:
-            with pytest.raises(sim.NonFiniteState) as err:
-                sim.simulate_population(p, run_gains, cfg, **modes)
-            assert (err.value.t, err.value.what) == (t, "population state")
+            for run in (sim.simulate_population, sim.population_costs):
+                with pytest.raises(sim.NonFiniteState) as err:
+                    run(p, run_gains, cfg, **modes)
+                assert (err.value.t, err.value.what) == (t,
+                                                         "population state")
 
 
 def test_paths_independent_of_chunk_width(n2, n2_sol, monkeypatch):
