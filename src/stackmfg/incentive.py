@@ -145,8 +145,9 @@ class DeltaThetaSolution:
 class CCCoefficients:
     """Closed-loop coefficient matrices entering the follower-side chain.
 
-    A1/B1/H1 drive the mean-state block, A2/B2/H2 the leader-state block and
-    A3/B3/H3 the leader diffusion block.
+    A1/B1/H1 drive the mean-state block and A2/B2/H2 the leader-state
+    block; these are all the chain reads (_chain_rhs), as none of its
+    equations has a diffusion term.
     """
 
     A1: np.ndarray
@@ -155,9 +156,6 @@ class CCCoefficients:
     A2: np.ndarray
     B2: np.ndarray
     H2: np.ndarray
-    A3: np.ndarray
-    B3: np.ndarray
-    H3: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -257,7 +255,6 @@ def _cc(p: ModelParams, gamma: float, L, nodal, P1, Pi1) -> CCCoefficients:
     ERi = p.disturbance_weight
     SL, BL, LtR0 = _L_terms(p, L)  # BL: follower-side input map
     GL = p.H + p.B @ L            # leader-side counterpart
-    DL = p.D @ L
     LtR0z = np.linalg.solve(SL, LtR0 @ zeta)
     LtR0e = np.linalg.solve(SL, LtR0 @ eta)
     SLBL = np.linalg.solve(SL, np.swapaxes(BL, -1, -2))
@@ -267,10 +264,7 @@ def _cc(p: ModelParams, gamma: float, L, nodal, P1, Pi1) -> CCCoefficients:
     A2 = p.A + g2 * (ERi @ P1) + p.B @ zeta - GL @ LtR0z
     B2 = p.F + g2 * (ERi @ Pi1) + p.B @ eta - GL @ LtR0e
     H2 = -GL @ SLBL
-    A3 = p.C + p.D @ zeta - DL @ LtR0z
-    B3 = p.D @ eta - DL @ LtR0e
-    H3 = -DL @ SLBL
-    return CCCoefficients(A1, B1, H1, A2, B2, H2, A3, B3, H3)
+    return CCCoefficients(A1, B1, H1, A2, B2, H2)
 
 
 def _chain_rhs(p):

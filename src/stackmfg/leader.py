@@ -82,7 +82,6 @@ def concavity_problem(p: ModelParams, gamma) -> OdeProblem:
         return -(K @ p.A + At_ @ K + Ct_ @ K @ p.C + p.Q + g2 * (K @ ERi @ K))
 
     return OdeProblem(
-        shapes=(G.shape,),
         rhs=rhs,
         boundary=(G,),
         poststep=_sym,
@@ -344,7 +343,6 @@ def block_riccati_problem(p: ModelParams, gamma: float) -> OdeProblem:
 
     GT2 = p.G @ p.Gamma2
     return OdeProblem(
-        shapes=((n, n),) * 4,
         rhs=rhs,
         boundary=(p.G, -GT2, -GT2.T, p.Gamma2.T @ GT2),
     )
@@ -379,7 +377,6 @@ def assembled_problem(p: ModelParams, gamma: float) -> OdeProblem:
                  + g2 * (P @ ERi @ P) - gain)
 
     return OdeProblem(
-        shapes=((2 * n, 2 * n),),
         rhs=rhs,
         boundary=(Gbar,),
     )

@@ -59,35 +59,32 @@ class GridMismatch(Exception):
 class OdeProblem:
     """Stacked matrix ODE dX/dt = rhs(t, X), X = [X1, ..., Xc] one array.
 
-    shapes declares each component's shape, one shape for all of them:
-    (rows, cols), or (members, rows, cols) for a stack of members that
-    march independently.  The state is the (c, *shape) array of the
-    components.  rhs takes and returns such an array; residual also calls
-    it on the stack of interior nodes, (c, nodes, rows, cols), with t
-    shaped (nodes, 1, 1).  boundary holds the terminal values, one per
-    component, and is stored stacked: every problem here is marched
-    backward from T.  poststep, if given, maps the state after every
-    accepted step to the state the march goes on from; the Riccati solvers
-    use it to re-symmetrize.
+    boundary holds the terminal values, one per component, all of one
+    shape: (rows, cols), or (members, rows, cols) for a stack of members
+    that march independently.  It is stored stacked, as the (c, *shape)
+    array that is the state, and it alone gives the problem's shape: every
+    problem here is marched backward from T.  rhs takes and returns such an
+    array; residual also calls it on the stack of interior nodes,
+    (c, nodes, rows, cols), with t shaped (nodes, 1, 1).  poststep, if
+    given, maps the state after every accepted step to the state the march
+    goes on from; the Riccati solvers use it to re-symmetrize.
     """
 
-    shapes: tuple[tuple[int, ...], ...]
     rhs: Callable[[Any, np.ndarray], np.ndarray]
     boundary: np.ndarray
     poststep: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        shapes = tuple(tuple(s) for s in self.shapes)
-        if len(set(shapes)) != 1:
+        shapes = {np.shape(b) for b in self.boundary}
+        if len(shapes) != 1:
             raise ValueError(f"components must share one shape, got {shapes}")
-        if len(self.boundary) != len(shapes):
-            raise ValueError("boundary and shapes must have the same length")
         boundary = np.asarray(self.boundary, dtype=float)
-        if boundary.shape[1:] != shapes[0]:
-            raise ValueError(f"boundary shape {boundary.shape[1:]} does not "
-                             f"match declared {shapes[0]}")
+        if boundary.ndim < 3:
+            raise ValueError(
+                "boundary must stack the components' terminal values, "
+                "(components, rows, cols) or (components, members, rows, "
+                f"cols), got shape {boundary.shape}")
         object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "shapes", shapes)
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,8 @@ def integrate(problem: OdeProblem, grid: TimeGrid) -> IntegrationResult:
     """
     M = grid.steps
     # component-major, so each component's trajectory is contiguous
-    store = np.empty((len(problem.shapes), M + 1) + problem.shapes[0])
+    store = np.empty((len(problem.boundary), M + 1)
+                     + problem.boundary.shape[1:])
     (esc,) = _march(problem, grid, store)
     if esc is None:
         return IntegrationResult([MatrixTrajectory(grid, s) for s in store],
@@ -278,7 +276,7 @@ def residual(trajectories: Sequence[MatrixTrajectory], problem: OdeProblem,
     depend on the state may come back in any shape that broadcasts against
     that stack.
     """
-    if len(trajectories) != len(problem.shapes):
+    if len(trajectories) != len(problem.boundary):
         raise GridMismatch("trajectory count does not match problem")
     for tr in trajectories:
         if tr.grid.steps != grid.steps or tr.grid.T != grid.T:

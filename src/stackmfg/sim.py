@@ -290,9 +290,13 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     leader's and mean's components are the rows of one (rows, chunk)
     array w, the agents' the rows of one (rows, 1 + stored, chunk) array
     whose agent 0 is xN.  Feedback is evaluated and recorded at the nodes,
-    one step per grid interval.  override = (u0, u1, v) node series (limit
-    only) replaces the leader's feedback; wsum replaces the followers'
-    summed increments with given (paths, M, n) sums over agents 1..N.
+    one step per grid interval.  override = (u0, u1, v), float node series
+    of shapes (paths, M+1, mL), (paths, M+1, mF) and (paths, M+1, nv),
+    replaces the leader's feedback in a limit run (saddle_check's replays).
+    wsum, (paths, M, n) sums of agents 1..N's increments, replaces the
+    followers' streams in a population run (sweep_gaps, which reads every
+    N's sums in one pass); its caller stores no followers, so such a run
+    reads only the common noise.  Neither is checked here.
 
     The series are recorded in the run's memory and the run's PathBundle
     is returned.  With on_chunk, each chunk's series are recorded in
@@ -408,9 +412,7 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                 sums, dWi = rng.increment_sums(seed, range(a, b), [N], M * n,
                                                h, keep=stored)
             else:
-                sums, dWi = wsum[a:b], rng.increments(
-                    seed, [(i, j) for i in range(a, b)
-                           for j in range(1, stored + 1)], M * n, h)
+                sums, dWi = wsum[a:b], np.empty((C, 0, M * n))
             dWbar = np.divide(sums.reshape(C, M, n).transpose(1, 2, 0), N,
                               out=np.empty((M, n, C)))
             dWi = dWi.reshape(C, stored, M, n)
@@ -469,7 +471,7 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         del mem, record
 
     work = Work(path_steps=P * M, follower_steps=P * M * stored,
-                streams_read=P * (1 + (N if wsum is None else stored)))
+                streams_read=P * (1 + (N if wsum is None else 0)))
     if on_chunk:
         return work
     return _bundle(grid, cfg, run, follower_ids, work)
@@ -494,39 +496,23 @@ def _bundle(grid: TimeGrid, cfg: SimConfig, mem: dict, follower_ids: tuple,
                          for name, arr in mem.items()})
 
 
-def simulate_limit(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
-                   controls_override=None) -> PathBundle:
+def simulate_limit(p: ModelParams, gains: LeaderGains,
+                   cfg: SimConfig) -> PathBundle:
     """Euler-Maruyama paths of the limiting closed-loop pair (x0*, m*).
 
     The mean state is advanced by the same stepper with zero diffusion.
-    With controls_override = (u0, u1, v) node series the dynamics replay
-    those controls open-loop instead of evaluating the feedback; a replay
-    of a run's own recorded controls reproduces it bitwise, which anchors
-    the perturbation margins at exactly zero for eps = 0.
     """
-    if controls_override is not None:
-        controls_override = [np.asarray(arr, dtype=float)
-                             for arr in controls_override]
-        for arr, d, what in zip(controls_override, (p.mL, p.mF, p.nv),
-                                ("u0", "u1", "v")):
-            want = (cfg.n_paths, gains.grid.steps + 1, d)
-            if arr.shape != want:
-                raise ValueError(f"override {what} must have shape {want}, "
-                                 f"got {arr.shape}")
-    return _euler_maruyama(p, gains, cfg, override=controls_override)
+    return _euler_maruyama(p, gains, cfg)
 
 
 def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                         fgains: FollowerGains | None = None,
-                        inc: IncentiveMatrices | None = None,
-                        wsum_increments=None) -> PathBundle:
+                        inc: IncentiveMatrices | None = None) -> PathBundle:
     """N followers with idiosyncratic noise plus the common noise.
 
     The population average xN is stepped as one state, driven by the mean
     of the N followers' increments; only the stored followers are stepped
-    individually, each reading xN.  wsum_increments, shape (paths, M, n),
-    replaces the sums of followers 1..N's increments that the run would
-    read from their streams (rng.increment_sums).
+    individually, each reading xN.
 
     With fgains/inc omitted every agent plays the decentralized team
     strategies (pure gain feedback on the centralized pair); the mean-state
@@ -538,13 +524,7 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     L u1i + zeta x0 + eta m; the leader state then couples to the mean
     field m rather than the empirical average, as in the limiting analysis.
     """
-    if wsum_increments is not None:
-        want = (cfg.n_paths, gains.grid.steps, p.n)
-        wsum_increments = np.asarray(wsum_increments, dtype=float)
-        if wsum_increments.shape != want:
-            raise ValueError(f"wsum_increments must have shape {want}")
-    return _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc,
-                           wsum=wsum_increments)
+    return _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc)
 
 
 def _quad(x: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -695,11 +675,14 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     nonnegative and the disturbance-side ones nonpositive within Monte
     Carlo resolution.
 
-    Under a replay the dynamics are affine in (u0, u1, v) and J0 is a
-    quadratic form, so per path J(eps) - J_base = eps a + eps^2 b.  Each
-    direction is replayed once, at the first of PERTURB_EPS; b is J0 of the
-    replay's difference from the baseline over eps^2, and the margins at
-    the other sizes are read off a and b.
+    A replay hands the kernel the controls as its override, under the
+    baseline's seed; a replay of the baseline's own recorded controls
+    reproduces it bitwise, which anchors the margins at exactly zero for
+    eps = 0.  Under a replay the dynamics are affine in (u0, u1, v) and J0
+    is a quadratic form, so per path J(eps) - J_base = eps a + eps^2 b.
+    Each direction is replayed once, at the first of PERTURB_EPS; b is J0
+    of the replay's difference from the baseline over eps^2, and the
+    margins at the other sizes are read off a and b.
     """
     base = simulate_limit(p, gains, cfg)
     J_base = _j0_per_path(base, p)
@@ -717,7 +700,7 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
             # the shifted series keep the baseline's layout, and live only
             # as long as the replay
             shift = eps1 * direction[None, :, None]
-            pert = simulate_limit(p, gains, cfg, controls_override=(
+            pert = _euler_maruyama(p, gains, cfg, override=(
                 (base.u0bar + shift, base.u1bar + shift, base.v)
                 if target == "u" else
                 (base.u0bar, base.u1bar, base.v + shift)))
@@ -837,10 +820,10 @@ def sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
     mf, opt = [], []
     for r, N in enumerate(Ns):
         # the reports read no individual follower, so none is stored
-        bundle = simulate_population(
+        bundle = _euler_maruyama(
             p, gains, replace(cfg, N=N, store_followers=0,
-                              store_all_followers=False),
-            wsum_increments=sums[:, r])
+                              store_all_followers=False), N=N,
+            wsum=sums[:, r])
         work += bundle.work
         sq = np.sum((bundle.xN - bundle.m) ** 2, axis=2)   # (paths, M+1)
         curve = sq.mean(axis=0)

@@ -162,7 +162,7 @@ def test_criterion_12_degenerate_oracles(table1, decoupled, gains1):
     def lyap_rhs(t, k):
         return -(k @ pE0.A + At_ @ k + Ct_ @ k @ pE0.C + pE0.Q)
 
-    lyap = integrate(OdeProblem(((1, 1),), lyap_rhs, (pE0.G.copy(),)),
+    lyap = integrate(OdeProblem(lyap_rhs, (pE0.G.copy(),)),
                      table1.grid())
     gap_a = np.abs(K.values - lyap.trajectories[0].values).max()
     ok_a = est.gamma_hat == 0.0 and bool(est.note) and gap_a <= 1e-10
@@ -185,7 +185,7 @@ def test_criterion_12_degenerate_oracles(table1, decoupled, gains1):
 
     # the block solver marches on the internally doubled grid, so the
     # standalone comparison integrates at the same half step
-    fine = integrate(OdeProblem(((1, 1),), single_rhs, (p.G.copy(),)),
+    fine = integrate(OdeProblem(single_rhs, (p.G.copy(),)),
                      TimeGrid(p.T, 2 * p.grid_steps))
     gap_b = np.abs(fine.trajectories[0].values[::2] - sol.P1.values).max()
     ok_b = off <= 1e-10 and gap_b <= 1e-10

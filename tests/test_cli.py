@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,26 +293,64 @@ def test_reproduce_paper_passes_every_check_where_theory_holds(
 PINNED = read_json(Path(__file__).with_name("reproduce_digests.json"))
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _moved(got: dict, want: dict) -> list:
+    """The names whose digest differs between got and want, or that only
+    one side has."""
+    return sorted(name for name in got.keys() | want.keys()
+                  if got.get(name) != want.get(name))
+
+
 def _moved_artifacts(out: Path, want: dict) -> list:
     """The data artifacts of a run in out (config.json, every CSV and
     summary.json) whose SHA-256 differs from want's, or that only one side
     has."""
     names = [f.name for f in out.glob("*.csv")] + ["config.json",
                                                    "summary.json"]
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in names}
-    return sorted(name for name in got.keys() | want.keys()
-                  if got.get(name) != want.get(name))
+    return _moved({name: _sha256((out / name).read_bytes())
+                   for name in names}, want)
 
 
-def test_reproduce_paper_artifacts_match_committed_digests(tmp_path):
+def _manifest_digests(out: Path) -> dict:
+    """The SHA-256 of each key of out's manifest.json.
+
+    Dropped first is what differs between two runs of one command: the
+    start and finish times, flags.out and every stage's wall_s.  Each
+    top-level key is digested as canonical JSON (sorted keys, no spaces),
+    and each stage apart, as stages.<name>, so a moved work counter is
+    named by its stage."""
+    man = read_json(out / "manifest.json")
+    del man["started"], man["finished"], man["flags"]["out"]
+    parts = {f"stages.{stage.pop('name')}": stage
+             for stage in man.pop("stages")}
+    for stage in parts.values():
+        del stage["wall_s"]
+    parts.update(man)
+    return {key: _sha256(json.dumps(value, sort_keys=True,
+                                    separators=(",", ":")).encode())
+            for key, value in parts.items()}
+
+
+@pytest.fixture(scope="module")
+def reproduce_125(tmp_path_factory):
+    """The seed-42 reproduce-paper run at 125 steps and one thread that
+    the committed digests pin, made once for the artifact and the
+    manifest checks: its exit code and output directory."""
+    out = tmp_path_factory.mktemp("reproduce") / "grid125"
+    code = cli.main(PINNED["argv"] + ["--out", str(out)])
+    return SimpleNamespace(code=code, out=out)
+
+
+def test_reproduce_paper_artifacts_match_committed_digests(reproduce_125):
     # the seed-42 data artifacts at 125 steps, byte for byte: the SHA-256 of
     # config.json, every CSV and summary.json against the digests committed
     # beside this file.  A change that moves an artifact on purpose updates
     # its digest and says why
-    out = tmp_path / "out"
-    assert cli.main(PINNED["argv"] + ["--out", str(out)]) == 0
-    moved = _moved_artifacts(out, PINNED["sha256"])
+    assert reproduce_125.code == 0
+    moved = _moved_artifacts(reproduce_125.out, PINNED["sha256"])
     assert not moved, (f"artifacts moved: {moved}; the digests were taken "
                        f"with {PINNED['environment']}")
 
@@ -325,6 +364,19 @@ def test_default_grid_artifacts_match_committed_digests(reproduce_threads1):
     moved = _moved_artifacts(reproduce_threads1.out, pinned["sha256"])
     assert not moved, (f"artifacts moved: {moved}; the digests were taken "
                        f"with {PINNED['environment']}")
+
+
+@pytest.mark.parametrize("run, pinned", [
+    ("reproduce_125", PINNED), ("reproduce_threads1", PINNED["default_grid"])],
+    ids=["grid125", "default_grid"])
+def test_manifest_matches_committed_digests(run, pinned, request):
+    # the normalized manifest of both pinned runs: its config digest,
+    # flags, outputs, status, warnings and every stage's work counters
+    run = request.getfixturevalue(run)
+    assert run.code == 0
+    moved = _moved(_manifest_digests(run.out), pinned["manifest_sha256"])
+    assert not moved, (f"manifest keys moved: {moved}; the digests were "
+                       f"taken with {PINNED['environment']}")
 
 
 def test_reproduce_paper_fail_path(table1, tmp_path, capsys):

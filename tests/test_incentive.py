@@ -109,11 +109,11 @@ def test_cc_coefficients_formula(square, square_sol, n2, n2_sol):
         SLi = np.linalg.inv(p.R1t + L.T @ p.R0t @ L)
         BL = p.Bt + p.Ht @ L
         A1 = p.At + p.Ft + p.Ht @ e - BL @ SLi @ (L.T @ p.R0t @ e)
+        B1 = p.Ht @ z - BL @ SLi @ (L.T @ p.R0t @ z)
         H1 = -BL @ SLi @ BL.T
-        A3 = p.C + p.D @ z - p.D @ L @ SLi @ (L.T @ p.R0t @ z)
         assert np.abs(cc.A1 - A1).max() <= 1e-12
+        assert np.abs(cc.B1 - B1).max() <= 1e-12
         assert np.abs(cc.H1 - H1).max() <= 1e-12
-        assert np.abs(cc.A3 - A3).max() <= 1e-12
 
 
 def test_hoisted_cc_stages_equal_per_node(table1, blocks1, inc1, n2, n2_sol):
@@ -121,7 +121,7 @@ def test_hoisted_cc_stages_equal_per_node(table1, blocks1, inc1, n2, n2_sol):
     # stage must round exactly like cc_coefficients at that one fine node
     cases = ((table1, blocks1, inc1.inc, range(1, 1001, 37)),
              (n2, n2_sol.blocks, n2_sol.inc, range(1, n2.grid_steps + 1)))
-    names = ("A1", "B1", "H1", "A2", "B2", "H2", "A3", "B3", "H3")
+    names = ("A1", "B1", "H1", "A2", "B2", "H2")
     for p, blocks, inc, nodes in cases:
         fine_nodal = _nodal(p, *blocks.fine)
         for k in nodes:

@@ -13,8 +13,7 @@ from stackmfg.odeint import (ESCAPE_NORM, GridMismatch, NonFiniteRhs,
 
 
 def scalar_problem(rhs, terminal=1.0):
-    return OdeProblem(shapes=((1, 1),), rhs=rhs,
-                      boundary=(np.array([[terminal]]),))
+    return OdeProblem(rhs=rhs, boundary=(np.array([[terminal]]),))
 
 
 def test_zero_rhs_constant_trajectory():
@@ -170,8 +169,7 @@ def test_nonfinite_rhs_raises():
         integrate(prob, TimeGrid(1.0, 10))
     # the error names the first non-finite component
     bad = np.array([[[0.0]], [[np.inf]], [[np.nan]]])
-    prob = OdeProblem(shapes=((1, 1),) * 3, rhs=lambda t, s: bad,
-                      boundary=(np.ones((1, 1)),) * 3)
+    prob = OdeProblem(rhs=lambda t, s: bad, boundary=(np.ones((1, 1)),) * 3)
     with pytest.raises(NonFiniteRhs) as err:
         integrate(prob, TimeGrid(1.0, 10))
     assert err.value.component == 1
@@ -180,20 +178,13 @@ def test_nonfinite_rhs_raises():
 def test_finite_rhs_whose_sum_overflows_escapes():
     # every entry is finite, but the four sum past the float maximum: the
     # rhs is not broken, the march overflows within the step and escapes
-    prob = OdeProblem(shapes=((2, 2),),
-                      rhs=lambda t, s: np.full((1, 2, 2), 1e308),
+    prob = OdeProblem(rhs=lambda t, s: np.full((1, 2, 2), 1e308),
                       boundary=(np.zeros((2, 2)),))
     grid = TimeGrid(1.0, 10)
     res = integrate(prob, grid)
     assert not res.ok
     assert res.escape.node == grid.steps - 1
     assert res.escape.norm == np.inf
-
-
-def test_boundary_shape_guard():
-    with pytest.raises(ValueError):
-        OdeProblem(shapes=((2, 2),), rhs=lambda t, s: s,
-                   boundary=(np.zeros((1, 1)),))
 
 
 def test_stacked_components_and_poststep():
@@ -211,8 +202,7 @@ def test_stacked_components_and_poststep():
         calls.append(st.shape)
         return st
 
-    prob = OdeProblem(shapes=((2, 2), (2, 2)), rhs=rhs,
-                      boundary=(2.0 * np.eye(2), np.eye(2)),
+    prob = OdeProblem(rhs=rhs, boundary=(2.0 * np.eye(2), np.eye(2)),
                       poststep=post)
     assert prob.boundary.shape == (2, 2, 2)
     grid = TimeGrid(1.0, 20)
@@ -226,9 +216,16 @@ def test_stacked_components_and_poststep():
 
 
 def test_components_of_unequal_shapes_are_refused():
-    with pytest.raises(ValueError):
-        OdeProblem(shapes=((1, 1), (2, 2)), rhs=lambda t, s: s,
+    with pytest.raises(ValueError, match="one shape"):
+        OdeProblem(rhs=lambda t, s: s,
                    boundary=(np.array([[1.0]]), np.eye(2)))
+
+
+def test_boundary_must_stack_its_components():
+    # a bare matrix would read as its rows, components of one axis each
+    for bare in (np.eye(2), np.ones(3), [[1.0]]):
+        with pytest.raises(ValueError, match=r"\(components, rows, cols\)"):
+            OdeProblem(rhs=lambda t, s: s, boundary=bare)
 
 
 def test_stack_stops_once_every_member_has_escaped():
@@ -241,8 +238,7 @@ def test_stack_stops_once_every_member_has_escaped():
         return -(s @ s)
 
     terminals = [1.0, 2.0, 4.0]
-    prob = OdeProblem(shapes=((3, 1, 1),), rhs=rhs,
-                      boundary=(np.reshape(terminals, (3, 1, 1)),))
+    prob = OdeProblem(rhs=rhs, boundary=(np.reshape(terminals, (3, 1, 1)),))
     grid = TimeGrid(10.0, 1000)
     escapes = integrate_stack(prob, grid)
     for c, esc in zip(terminals, escapes):

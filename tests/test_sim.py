@@ -31,15 +31,6 @@ def test_sweep_input_validation(table1, gains1):
         sim.sweep_optimality_gap(table1, gains1, [4, 4, 8], cfg)
 
 
-def test_override_shape_guard(table1, gains1):
-    cfg = SimConfig(n_paths=2)
-    good = sim.simulate_limit(table1, gains1, cfg)
-    with pytest.raises(ValueError, match="override u0"):
-        sim.simulate_limit(table1, gains1, cfg,
-                           controls_override=(good.u0bar[:, :-1],
-                                              good.u1bar, good.v))
-
-
 def test_incentive_mode_needs_matrices(square, square_sol):
     with pytest.raises(ValueError):
         sim.simulate_population(square, square_sol.gains, SimConfig(N=2),
@@ -180,9 +171,8 @@ def test_thread_count_does_not_change_paths(table1, gains1, n2, n2_sol,
 def test_replay_of_recorded_controls_is_bitwise(table1, gains1):
     cfg = SimConfig(n_paths=8, master_seed=11)
     base = sim.simulate_limit(table1, gains1, cfg)
-    rep = sim.simulate_limit(
-        table1, gains1, cfg,
-        controls_override=(base.u0bar, base.u1bar, base.v))
+    rep = sim._euler_maruyama(table1, gains1, cfg,
+                              override=(base.u0bar, base.u1bar, base.v))
     assert np.array_equal(base.x0, rep.x0)
     assert np.array_equal(base.m, rep.m)
 
@@ -328,7 +318,9 @@ def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
                                            n2_sol, monkeypatch):
     # the kernel records every series as a view of component-major memory;
     # the costs and the sweep statistics read the same values from
-    # C-contiguous copies
+    # C-contiguous copies.  The sweep reaches the kernel directly for its
+    # population runs, so the kernel is what hands out the copies, once for
+    # the limit run and once per N
     def contiguous(bundle):
         return replace(bundle, **{k: np.ascontiguousarray(v)
                                   for k, v in _series(bundle).items()})
@@ -351,11 +343,16 @@ def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
                 assert np.array_equal(got.Ji_stderr, want.Ji_stderr)
         Ns = [4, 8, 16]
         got = sim.sweep_gaps(p, gains, Ns, cfg)
-        for name in ("simulate_limit", "simulate_population"):
-            monkeypatch.setattr(sim, name, lambda *a, _f=getattr(sim, name),
-                                **kw: contiguous(_f(*a, **kw)))
+        wrapped = []
+
+        def kernel(*a, _f=sim._euler_maruyama, **kw):
+            wrapped.append(kw.get("N", 0))
+            return contiguous(_f(*a, **kw))
+
+        monkeypatch.setattr(sim, "_euler_maruyama", kernel)
         want = sim.sweep_gaps(p, gains, Ns, cfg)
         monkeypatch.undo()
+        assert wrapped == [0] + Ns
         for g, w in zip(got, want):
             for a, b in zip(g.points, w.points):
                 assert a.N == b.N
@@ -523,8 +520,8 @@ def test_nonfinite_state_names_first_bad_node(table1, gains1, fg1, inc1, n2,
         u0 = base.u0bar.copy()
         u0[-1, k] = np.nan
         with pytest.raises(sim.NonFiniteState) as err:
-            sim.simulate_limit(p, gains, cfg,
-                               controls_override=(u0, base.u1bar, base.v))
+            sim._euler_maruyama(p, gains, cfg,
+                                override=(u0, base.u1bar, base.v))
         assert (err.value.t, err.value.what) == (t, "limit state")
         _chunks_of(monkeypatch, per_chunk, 1 + (1 + cfg.N) * p.n)
         runs = ((replace(gains, Theta21=_nan_at(gains.Theta21, k)), {}),
@@ -677,13 +674,30 @@ def _reference_run(p, gains, cfg, N=0, fgains=None, inc=None,
     return {name: np.array(v) for name, v in out.items()}
 
 
+def _partial_chain(p):
+    """Gains of the whole chain for a config whose incentive sweep misses
+    its tolerance: the sweep's best effort, as conftest.inc1 takes it.
+    The kernel needs only finite gains."""
+    blocks = leader.solve_block_riccati(p)
+    try:
+        dtheta, inc = incentive.solve_cc_incentive(p, blocks)
+    except incentive.NoIncentiveSolution as err:
+        dtheta, inc = err.partial
+    spp = incentive.solve_sigma_phi_psi(p, blocks, dtheta, inc)
+    return (leader.leader_gains(blocks, p),
+            incentive.follower_gains(p, blocks, inc, dtheta, spp), inc)
+
+
 def test_kernel_matches_reference_stepper(table1, gains1, fg1, inc1, n2,
-                                          n2_sol):
+                                          n2_sol, drawn_n3):
     # the component-major kernel against the model's equations stepped
     # path by path: the limit run in both disturbance modes, a replay of
-    # perturbed controls, and team and incentive populations
+    # perturbed controls, and team and incentive populations.  drawn_n3
+    # (n = 3, mL = mF = 2) gives the kernel a matrix L and several rows of
+    # own-state gains per agent
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
-                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc),
+                              (drawn_n3, *_partial_chain(drawn_n3))):
         cfg = SimConfig(N=5, n_paths=3, master_seed=13, store_followers=3)
         base = sim.simulate_limit(p, gains, cfg)
         override = (base.u0bar + 0.1, base.u1bar - 0.2, base.v + 0.3)
@@ -692,7 +706,7 @@ def test_kernel_matches_reference_stepper(table1, gains1, fg1, inc1, n2,
                  _reference_run(p, gains, cfg)),
                 (sim.simulate_limit(p, gains, zero),
                  _reference_run(p, gains, zero)),
-                (sim.simulate_limit(p, gains, cfg, controls_override=override),
+                (sim._euler_maruyama(p, gains, cfg, override=override),
                  _reference_run(p, gains, cfg, override=override)),
                 (sim.simulate_population(p, gains, cfg),
                  _reference_run(p, gains, cfg, N=5)),
@@ -805,9 +819,8 @@ def test_saddle_margins_match_replays(table1, gains1):
         step = e.eps * shapes[e.shape][None, :, None]
         for arr in ((u0, u1) if e.target == "u" else (v,)):
             arr += step
-        diff = sim._j0_per_path(sim.simulate_limit(
-            table1, gains1, cfg, controls_override=(u0, u1, v)),
-            table1) - J_base
+        diff = sim._j0_per_path(sim._euler_maruyama(
+            table1, gains1, cfg, override=(u0, u1, v)), table1) - J_base
         se = diff.std(ddof=1) / np.sqrt(cfg.n_paths)
         if e.eps == sim.PERTURB_EPS[0]:
             assert (e.margin, e.stderr) == (diff.mean(), se)
