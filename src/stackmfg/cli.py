@@ -398,12 +398,13 @@ def _simulate_stage(run: _Run):
     lim_costs = sim.eval_costs(lim, p)
     work = lim.work
     grid = lim.grid
+    # path 0's controls are derived from its states alone
+    first = lim._paths(0, 1)
     _series_csv(man, "limit_states.csv", grid,
-                [("x0", lim.x0[0]), ("m", lim.m[0])])
-    lim_controls = [("u0_limit", lim.u0bar[0].copy()),
-                    ("u1_limit", lim.u1bar[0].copy()),
-                    ("v_limit", lim.v[0].copy())]
-    del lim
+                [("x0", first.x0[0]), ("m", first.m[0])])
+    lim_controls = [("u0_limit", first.u0bar[0]),
+                    ("u1_limit", first.u1bar[0]), ("v_limit", first.v[0])]
+    del lim, first
     pop_costs, pop = sim.population_costs(p, gains, cfg, fgains=run.fg,
                                           inc=run.inc)
     work += pop.work

@@ -28,23 +28,32 @@ followers read the field of xN.
 A chunk is held component-major, with the path axis innermost: the
 leader's and the mean's components are the rows of one (rows, chunk)
 array, and the agents' the rows of one (rows, 1 + S, chunk) array whose
-agent 0 is xN.  A node's step is then two products.  The law's stacked
-per-node gains give the controls: one product on (x0, m) gives the
-leader's (with L folded into its u0 gains) and the followers' terms gx
-and zx, then Gxi and L give the agents'.  One fixed dynamics matrix
-acting on [x0, m, xl, v, u0, u1] gives the leader's drift, the mean's
-drift and the leader's diffusion coefficient, and [At, Bt, Ht] with
-Ft xN the agents' drift.  A replay
-feeds its override controls into the same dynamics product, so replaying
-the recorded controls is bitwise.  Each product is a sequential sum: one
-elementwise multiply forms its terms, which are added in a fixed order.
-A BLAS product may round a row differently with the number of rows, and
-einsum changes its summation order when a chunk holds one path, so either
+agent 0 is xN.  A node's step is then two products.  The run's feedback
+law (_feedback_law, built once: the stacked per-node gains) gives the
+controls through _feedback: one product on (x0, m) gives the leader's
+(with L folded into its u0 gains) and the followers' terms gx and zx,
+then Gxi and L give the agents'.  One fixed dynamics matrix acting on
+[x0, m, xl, v, u0, u1] gives the leader's drift, the mean's drift and
+the leader's diffusion coefficient, and [At, Bt, Ht] with Ft xN the
+agents' drift.  Each product is a sequential sum: one elementwise
+multiply forms its terms, which are added in a fixed order.  A BLAS
+product may round a row differently with the number of rows, and einsum
+changes its summation order when a chunk holds one path, so either
 would make a path's values depend on its chunk; an elementwise sum does
-not.  The recorded series are component-major memory, (dim, M+1, paths)
-and (dim, stored, M+1, paths), behind (paths, M+1, dim) and
-(paths, stored, M+1, dim) views: a node's write copies one contiguous
-row per component, and the costs read the components' rows.
+not, and neither does it depend on how many nodes share the call.
+
+So a run records states only: x0 and m, and for a population xN and the
+stored followers' xi.  Every control is its law's product of those
+states, and PathBundle derives u0bar, u1bar, v, u0i and u1i on each
+read through the same _feedback, over blocks of nodes, bitwise equal to
+what the kernel played; nothing is cached.  A replay is the one run
+whose controls are not its law's: it feeds its override controls, plus
+a per-node shift, into the same dynamics product and records them, and
+replaying a run's own controls reproduces it bitwise.  The series are
+component-major memory, (dim, M+1, paths) and (dim, stored, M+1, paths),
+behind (paths, M+1, dim) and (paths, stored, M+1, dim) views: a node's
+write copies one contiguous row per component, and the costs read the
+components' rows.
 
 The kernel hands each finished chunk to its caller, and the callers
 differ only in where a chunk's series live.  simulate_limit and
@@ -53,6 +62,7 @@ whole run.  population_costs records each chunk in one allocation of its
 own, costs its paths, keeps path 0's series and drops the chunk, so it
 holds one chunk's series at a time; a path's cost does not depend on its
 chunk, so its report equals eval_costs of the whole run bitwise.
+saddle_check costs each replay the same way.
 
 One Euler-Maruyama step spans one grid interval.  A chunk holds about
 _VECTOR_FLOATS noise floats per step, so each numpy call of the stepping
@@ -68,7 +78,7 @@ gives every N's sums.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -157,35 +167,97 @@ class SimConfig:
             raise ValueError(f"unknown disturbance mode {self.disturbance!r}")
 
 
+# the controls a limit run records or derives, in a replay's order
+_LEADER = ("u0bar", "u1bar", "v")
+
+
+@dataclass(frozen=True, eq=False)
+class _Law:
+    """A run's feedback law, node by node, as the columns _mac reads.
+
+    K holds the gains on z = [x0; m] of every control row the law gives:
+    v (worst-case disturbance only), the leader's u0 (with L folded in)
+    and u1, and for a population the followers' terms zx and gx; rows
+    names each one's rows of K, in the kernel's order.  Gc and La hold
+    the agents' own-state gain Gxi and L, so that an agent in state x
+    plays u1 = Gxi x + gx and u0 = L u1 + zx.  Every stack keeps the node
+    axis second to last: K (2n, rows, M+1, 1), Gc (n, mF, 1, M+1, 1) and
+    La (mF, mL, 1, M+1, 1)."""
+
+    K: np.ndarray
+    rows: dict
+    Gc: np.ndarray
+    La: np.ndarray
+    nv: int
+
+
 @dataclass(frozen=True)
 class PathBundle:
-    """Recorded node-level series of one simulation batch.
+    """The node-level series of one simulation batch.
 
-    Shapes: states (paths, M+1, n), controls (paths, M+1, m).  xN and the
-    per-follower blocks are None for limit-system runs; follower_ids are
-    the 1-based stream indices of the stored individuals.
+    A run records states only: x0 and m, and for a population xN and the
+    stored followers' xi.  Its controls u0bar, u1bar and v, and the
+    stored followers' u0i and u1i, are its feedback law applied to those
+    states node by node; each read derives them afresh, bitwise equal to
+    what the kernel played, and nothing is cached.  A replay, whose
+    controls are not its law's, records them instead (replayed).  In a
+    population u0bar and u1bar are the controls of the population
+    average xN.
 
-    The kernel's series are views of component-major memory (module
-    docstring); copy one with order="K" to keep that layout.
+    Shapes: states (paths, M+1, n), controls (paths, M+1, m), and the
+    stored followers' (paths, stored, M+1, dim).  xN and the follower
+    series are None for limit-system runs; follower_ids are the 1-based
+    stream indices of the stored individuals.  The series are views of
+    component-major memory (module docstring); copy one with order="K"
+    to keep that layout.
     """
 
     grid: TimeGrid
     cfg: SimConfig
     x0: np.ndarray
     m: np.ndarray
-    u0bar: np.ndarray
-    u1bar: np.ndarray
-    v: np.ndarray
     xN: np.ndarray | None = None
     xi: np.ndarray | None = None           # (paths, stored, M+1, n)
-    u0i: np.ndarray | None = None
-    u1i: np.ndarray | None = None
     follower_ids: tuple = ()
     work: Work = Work()
+    law: _Law | None = None
+    replayed: tuple | None = None          # a replay's (u0bar, u1bar, v)
 
     @property
     def n_paths(self) -> int:
         return self.x0.shape[0]
+
+    u0bar = property(lambda self: self._controls("u0bar")["u0bar"],
+                     doc="The leader's control u0, of xN in a population.")
+    u1bar = property(lambda self: self._controls("u1bar")["u1bar"],
+                     doc="The followers' control u1, of xN in a population.")
+    v = property(lambda self: self._controls("v")["v"],
+                 doc="The disturbance.")
+    u0i = property(lambda self: self._controls("u0i").get("u0i"),
+                   doc="u0 of each stored follower; None for a limit run.")
+    u1i = property(lambda self: self._controls("u1i").get("u1i"),
+                   doc="u1 of each stored follower; None for a limit run.")
+
+    def _controls(self, *names: str) -> dict:
+        """The named controls, read from a replay or derived from the
+        states; a limit run has no u0i or u1i."""
+        if self.replayed is not None:
+            return {k: x for k, x in zip(_LEADER, self.replayed)
+                    if k in names}
+        return _derive(self, names)
+
+    def _paths(self, a: int, b: int, copy: bool = False) -> "PathBundle":
+        """Paths a..b-1 of the batch: every recorded series, the states
+        and a replay's controls, sliced (copied with copy, in its layout),
+        the law kept and nothing derived."""
+        def cut(x):
+            return x[a:b].copy(order="K") if copy else x[a:b]
+
+        cuts = {k: cut(getattr(self, k)) for k in ("x0", "m", "xN", "xi")
+                if getattr(self, k) is not None}
+        if self.replayed is not None:
+            cuts["replayed"] = tuple(map(cut, self.replayed))
+        return replace(self, **cuts)
 
     def consistency_gap(self) -> float:
         """Max deviation of the stepped average xN from the mean of the
@@ -254,13 +326,13 @@ def _mac(out: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """out = sum over j of cols[j] * rows[j], added in the order of j.
 
     The kernel's matrix product with the path axis innermost: cols holds
-    a matrix's columns, each (k, 1) or (k, 1, 1), and rows the components
-    it acts on, each a row of paths, (C,) or (A, C).  One multiply forms
-    every term and the terms are then added one after another, elementwise,
-    so a path's value does not depend on how many paths share the call.
-    BLAS may round a row differently with the row count, and einsum and
-    numpy's reductions change their summation order when the path axis has
-    length 1."""
+    a matrix's columns, or a stack of them over nodes, each broadcasting
+    against rows[j], the component it acts on: a row of paths, or of
+    nodes and paths.  One multiply forms every term and the terms are
+    then added one after another, elementwise, so a value does not depend
+    on how many nodes or paths share the call.  BLAS may round a row
+    differently with the row count, and einsum and numpy's reductions
+    change their summation order when the path axis has length 1."""
     if len(cols) == 1:
         return np.multiply(cols[0], rows[0], out=out)
     terms = cols * rows[:, None]
@@ -277,10 +349,69 @@ def _columns(mats: np.ndarray, lead: int = 1) -> np.ndarray:
     return cols.reshape(cols.shape + (1,) * lead)
 
 
+def _node_columns(mats: np.ndarray, agents: bool = False) -> np.ndarray:
+    """An (M+1, k, j) stack of per-node matrices as its columns,
+    contiguous, with the node axis second to last: (j, k, M+1, 1), or
+    (j, k, 1, M+1, 1) to act on agents."""
+    j, k = mats.shape[2], mats.shape[1]
+    return np.ascontiguousarray(mats.transpose(2, 1, 0)).reshape(
+        (j, k) + (1,) * agents + (len(mats), 1))
+
+
+def _feedback_law(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
+                  N: int, fgains: FollowerGains | None,
+                  inc: IncentiveMatrices | None) -> _Law:
+    """The law every agent of a run plays (module docstring); team mode
+    is the incentive form with no own-state gain and L = 0."""
+    M = gains.grid.steps
+    if fgains is None:
+        pairs = ((gains.Theta21, gains.Theta22),
+                 (gains.Theta11, gains.Theta12),
+                 (gains.Theta21, gains.Theta22))
+        Gxi, L = np.zeros((M + 1, p.mF, p.n)), np.zeros((M + 1, p.mL, p.mF))
+    else:
+        pairs = ((fgains.Gx0bar, fgains.Gmbar), (inc.zeta, inc.eta),
+                 (fgains.Gx0, fgains.Gm))
+        Gxi, L = fgains.Gxi.values, inc.L.values
+    # the gains on z = [x0; m] of the leader's u1 and the followers' zx
+    # and gx; the leader's u0 = L u1 + zx
+    u1l, zx, gx = (np.concatenate([x.values, y.values], axis=2)
+                   for x, y in pairs)
+    worst = cfg.disturbance == "worst"
+    blocks = ([("v", np.concatenate([gains.Vx.values, gains.Vm.values],
+                                    axis=2))] * worst
+              + [("u0", L @ u1l + zx), ("u1", u1l)]
+              + [("zx", zx), ("gx", gx)] * (N > 0))
+    rows, at = {}, 0
+    for name, g in blocks:
+        rows[name] = slice(at, at + g.shape[1])
+        at += g.shape[1]
+    return _Law(_node_columns(np.concatenate([g for _, g in blocks], axis=1)),
+                rows, _node_columns(Gxi, True), _node_columns(L, True), p.nv)
+
+
+def _feedback(law: _Law, nodes: slice, z: np.ndarray, out: np.ndarray,
+              agents: np.ndarray | None = None, u1: np.ndarray | None = None,
+              u0: np.ndarray | None = None) -> None:
+    """The law at nodes: out = K z, the law's control rows on
+    z = [x0; m], and for agents in states x their u1 = Gxi x + gx and
+    u0 = L u1 + zx.  Shapes: z (2n, nodes, paths), out (rows, nodes,
+    paths), agents (n, A, nodes, paths), u1 and u0 (dim, A, nodes,
+    paths).  The kernel calls it at one node, PathBundle over blocks of
+    nodes; _mac makes each value the same either way."""
+    _mac(out, law.K[..., nodes, :], z)
+    if agents is not None:
+        _mac(u1, law.Gc[..., nodes, :], agents)
+        u1 += out[law.rows["gx"]][:, None]
+        _mac(u0, law.La[..., nodes, :], u1)
+        u0 += out[law.rows["zx"]][:, None]
+
+
 def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     N: int = 0, fgains: FollowerGains | None = None,
                     inc: IncentiveMatrices | None = None, override=None,
-                    wsum: np.ndarray | None = None, on_chunk=None):
+                    shift=(None, None, None), wsum: np.ndarray | None = None,
+                    on_chunk=None):
     """The one Euler-Maruyama kernel: the limit system when N = 0, else
     the N-follower population (team mode, or incentive mode with fgains
     and inc).
@@ -289,20 +420,23 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     steps at once, component-major with the path axis innermost: the
     leader's and mean's components are the rows of one (rows, chunk)
     array w, the agents' the rows of one (rows, 1 + stored, chunk) array
-    whose agent 0 is xN.  Feedback is evaluated and recorded at the nodes,
-    one step per grid interval.  override = (u0, u1, v), float node series
-    of shapes (paths, M+1, mL), (paths, M+1, mF) and (paths, M+1, nv),
-    replaces the leader's feedback in a limit run (saddle_check's replays).
-    wsum, (paths, M, n) sums of agents 1..N's increments, replaces the
+    whose agent 0 is xN.  Feedback is evaluated at the nodes, one step
+    per grid interval, by _feedback.  override = (u0, u1, v), float node
+    series of shapes (paths, M+1, mL), (paths, M+1, mF) and
+    (paths, M+1, nv), replaces the leader's feedback in a limit run
+    (saddle_check's replays); shift holds, for each of the three, None
+    or an (M+1,) node series added to every path's override.  wsum,
+    (paths, M, n) sums of agents 1..N's increments, replaces the
     followers' streams in a population run (sweep_gaps, which reads every
     N's sums in one pass); its caller stores no followers, so such a run
-    reads only the common noise.  Neither is checked here.
+    reads only the common noise.  None of these is checked here.
 
-    The series are recorded in the run's memory and the run's PathBundle
-    is returned.  With on_chunk, each chunk's series are recorded in
-    memory of the chunk's own instead: on_chunk(bundle of the chunk's
-    paths) is called once the chunk is stepped, the chunk is then
-    dropped, and the run's Work is returned.
+    A run records its states (PathBundle), and a replay its controls
+    too, in the run's memory, and the run's PathBundle is returned.  With
+    on_chunk, each chunk's series are recorded in memory of the chunk's
+    own instead: on_chunk(bundle of the chunk's paths) is called once the
+    chunk is stepped, the chunk is then dropped, and the run's Work is
+    returned.
     """
     if fgains is not None and inc is None:
         raise ValueError("incentive mode needs both fgains and inc")
@@ -310,44 +444,24 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     M, P, h = grid.steps, cfg.n_paths, grid.h
     n, mL, mF, nv = p.n, p.mL, p.mF, p.nv
     seed = cfg.master_seed
-    worst = cfg.disturbance == "worst"
-
-    # the law: team mode is the incentive form with no own-state gain and
-    # L = 0
-    if fgains is None:
-        pairs = ((gains.Theta21, gains.Theta22),
-                 (gains.Theta11, gains.Theta12),
-                 (gains.Theta21, gains.Theta22))
-        Gxi, L = np.zeros((M + 1, mF, n)), np.zeros((M + 1, mL, mF))
-    else:
-        pairs = ((fgains.Gx0bar, fgains.Gmbar), (inc.zeta, inc.eta),
-                 (fgains.Gx0, fgains.Gm))
-        Gxi, L = fgains.Gxi.values, inc.L.values
-    # the gains on z = [x0; m] of the leader's u1 and the followers' zx
-    # and gx
-    u1l, zx, gx = (np.concatenate([x.values, y.values], axis=2)
-                   for x, y in pairs)
+    law = _feedback_law(p, gains, cfg, N, fgains, inc)
     # the leader's drift reads the population average in team mode, the
     # mean field in incentive mode, as in the limiting analysis
     lead_reads_xN = N > 0 and fgains is None
     # the rows of w: [x0, m, xl, v, u0, u1, zx, gx].  xl, the state the
     # leader's coupling term reads, has rows of its own only in team mode,
     # where it is a copy of xN; the followers' zx and gx only for a
-    # population.  One product of the law's gains on z = [x0; m] fills
-    # w[iK:], with L folded into the leader's u0 = L u1 + zx, and one of
-    # the dynamics on w[:izx] gives the leader's drift, the mean's drift
-    # and the leader's diffusion coefficient
+    # population.  w[iK:] holds the law's rows (_feedback), v's zero rows
+    # before them under no disturbance, and one product of the dynamics
+    # on w[:izx] gives the leader's drift, the mean's drift and the
+    # leader's diffusion coefficient
     nxl = n if lead_reads_xN else 0
     iv = 2 * n + nxl
-    iu0 = iv + nv
-    iu1 = iu0 + mL
-    izx = iu1 + mF
-    igx = izx + mL
-    iK = iv if worst else iu0
-    K = _columns(np.concatenate(
-        [np.concatenate([gains.Vx.values, gains.Vm.values], axis=2)] * worst
-        + [L @ u1l + zx, u1l] + [zx, gx] * (N > 0), axis=1))
-    Gc, La = _columns(Gxi, 2), _columns(L, 2)
+    iK = iv + nv - law.rows["u0"].start
+    row = {name: slice(iK + s.start, iK + s.stop)
+           for name, s in law.rows.items()}
+    row["v"] = slice(iv, iv + nv)
+    izx = row["u1"].stop
     # the dynamics' column blocks by the component they act on, in its rows
     # [x0's drift; m's drift; x0's diffusion coefficient]
     O, Ov, Of = np.zeros((n, n)), np.zeros((n, nv)), np.zeros((n, mF))
@@ -364,12 +478,13 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
     # every series is held component-major, (dim, M+1, paths) and
     # (dim, stored, M+1, paths), so a node's write copies one contiguous
-    # row per component; the bundles get (paths, ..., M+1, dim) views
-    shapes = {"x0": (n, M + 1), "m": (n, M + 1), "u0bar": (mL, M + 1),
-              "u1bar": (mF, M + 1), "v": (nv, M + 1)}
+    # row per component; the bundles get (paths, ..., M+1, dim) views.
+    # The states are recorded, and a replay's controls
+    shapes = {"x0": (n, M + 1), "m": (n, M + 1)}
+    if override is not None:
+        shapes.update(u0bar=(mL, M + 1), u1bar=(mF, M + 1), v=(nv, M + 1))
     if N:
-        shapes.update(xN=(n, M + 1), xi=(n, stored, M + 1),
-                      u0i=(mL, stored, M + 1), u1i=(mF, stored, M + 1))
+        shapes.update(xN=(n, M + 1), xi=(n, stored, M + 1))
     # the run's memory gives each series an allocation of its own (one
     # allocation for the whole run raised multidim's peak RSS by 11 MB);
     # a chunk's own memory is one allocation (_series_memory)
@@ -389,14 +504,17 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         b = min(a + chunk, P)
         C = b - a
         # every array is stepped in place, so the views below stay bound
-        w = np.zeros((igx + mF if N else izx, C))
+        w = np.zeros((iK + law.K.shape[1], C))
         w[:n], w[n:2 * n] = p.xi[:, None], p.x0init[:, None]
         z, x0 = w[:2 * n], w[:n]
         drift = np.empty((3 * n, C))
-        # the recorded value of each series; w's u0 and u1 drive the
-        # leader and the mean state
-        values = {"x0": x0, "m": w[n:2 * n], "u0bar": w[iu0:iu1],
-                  "u1bar": w[iu1:izx], "v": w[iv:iu0]}
+        # _feedback's arrays at one node; the recorded value of each
+        # series
+        at_node = (z[:, None], w[iK:, None])
+        values = {"x0": x0, "m": w[n:2 * n]}
+        if override is not None:
+            values.update(u0bar=w[row["u0"]], u1bar=w[row["u1"]],
+                          v=w[row["v"]])
         # each stream of the chunk is read once, whole
         dW = rng.increments(seed, [(i, 0) for i in range(a, b)], M, h)
         if N:
@@ -416,25 +534,20 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             dWbar = np.divide(sums.reshape(C, M, n).transpose(1, 2, 0), N,
                               out=np.empty((M, n, C)))
             dWi = dWi.reshape(C, stored, M, n)
-            # the agents' law drives the agents; agent 0's controls are
-            # u0bar and u1bar
-            values.update(u0bar=u0a[:, 0], u1bar=u1a[:, 0], xN=xN,
-                          xi=agents[:, 1:], u0i=u0a[:, 1:], u1i=u1a[:, 1:])
+            at_node += tuple(x[:, :, None] for x in (agents, u1a, u0a))
+            values.update(xN=xN, xi=agents[:, 1:])
         # each series' columns of this chunk, written node by node
         mem = (_series_memory(shapes, C) if on_chunk else
                {name: arr[..., a:b] for name, arr in run.items()})
         record = [(mem[name], val) for name, val in values.items()]
         for k in range(M + 1):
             if override is not None:
-                for i, arr in zip((iu0, iu1, iv), override):
-                    w[i:i + arr.shape[2]] = arr[a:b, k].T
+                for name, arr, s in zip(("u0", "u1", "v"), override, shift):
+                    w[row[name]] = arr[a:b, k].T
+                    if s is not None:
+                        w[row[name]] += s[k]
             else:
-                _mac(w[iK:], K[k], z)
-            if N:
-                _mac(u1a, Gc[k], agents)
-                u1a += w[igx:, None]
-                _mac(u0a, La[k], u1a)
-                u0a += w[izx:igx, None]
+                _feedback(law, slice(k, k + 1), *at_node)
             for series, val in record:
                 series[..., k, :] = val
             if k == M:
@@ -466,7 +579,7 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             raise NonFiniteState(grid.nodes[int(np.argmin(finite))],
                                  "population state" if N else "limit state")
         if on_chunk:
-            on_chunk(_bundle(grid, cfg, mem, follower_ids))
+            on_chunk(_bundle(grid, cfg, mem, follower_ids, law))
         # the chunk's series go before the next chunk's are allocated
         del mem, record
 
@@ -474,7 +587,7 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                 streams_read=P * (1 + (N if wsum is None else 0)))
     if on_chunk:
         return work
-    return _bundle(grid, cfg, run, follower_ids, work)
+    return _bundle(grid, cfg, run, follower_ids, law, work)
 
 
 def _series_memory(shapes: dict, paths: int) -> dict:
@@ -488,12 +601,75 @@ def _series_memory(shapes: dict, paths: int) -> dict:
 
 
 def _bundle(grid: TimeGrid, cfg: SimConfig, mem: dict, follower_ids: tuple,
-            work: Work = Work()) -> PathBundle:
+            law: _Law, work: Work = Work()) -> PathBundle:
     """The PathBundle of component-major series: (paths, ..., M+1, dim)
-    views of mem."""
+    views of mem.  A replay's bundle holds its recorded controls and no
+    law."""
+    series = {name: np.swapaxes(arr, 0, -1) for name, arr in mem.items()}
+    replayed = (tuple(series.pop(k) for k in _LEADER) if "v" in series
+                else None)
     return PathBundle(grid, cfg, follower_ids=follower_ids, work=work,
-                      **{name: np.swapaxes(arr, 0, -1)
-                         for name, arr in mem.items()})
+                      law=None if replayed else law, replayed=replayed,
+                      **series)
+
+
+def _derive(bundle: PathBundle, names) -> dict:
+    """The named controls of a run that played its law, from its states:
+    _feedback over blocks of nodes, each block's products over every path
+    holding about _CHUNK_FLOATS floats, written straight into
+    component-major memory of the whole run.  Blocks of nodes keep the
+    path axis, the innermost, whole.  Only the law's rows that the named
+    controls need are formed; a row's value does not depend on which
+    others are.  A population's u0bar and u1bar are its agent xN's."""
+    law = bundle.law
+    x0, m = (np.swapaxes(x, 0, -1) for x in (bundle.x0, bundle.m))
+    n, nodes, P = x0.shape
+    mF, mL = law.La.shape[:2]
+    pop = bundle.xN is not None
+    # the agents asked for: xN for a population's u0bar and u1bar, the
+    # stored followers for u0i and u1i
+    bars = pop and not {"u0bar", "u1bar"}.isdisjoint(names)
+    own = pop and not {"u0i", "u1i"}.isdisjoint(names)
+    agents = [np.swapaxes(x, 0, -1) for x, asked in
+              ((bundle.xN[:, None] if bars else None, bars),
+               (bundle.xi, own)) if asked]
+    # the law's rows needed, in its order: v, and the agents' terms zx and
+    # gx or a limit run's own u0 and u1
+    asked = set(names) & {"v"} | ({"zx", "gx"} if agents else {
+        k[:2] for k in names if k in ("u0bar", "u1bar")})
+    rows, at = {}, 0
+    for k, r in law.rows.items():
+        if k in asked:
+            rows[k] = slice(at, at + r.stop - r.start)
+            at += r.stop - r.start
+    law = replace(law, rows=rows, K=law.K[:, [
+        i for k in rows for i in range(law.rows[k].start, law.rows[k].stop)]])
+    w = np.empty((at, nodes, P))
+    on_agents, agent_floats = (), 0
+    if agents:
+        states = (agents[0] if len(agents) == 1
+                  else np.concatenate(agents, axis=1))
+        A = states.shape[1]
+        on_agents = (states, np.empty((mF, A, nodes, P)),
+                     np.empty((mL, A, nodes, P)))
+        agent_floats = A * mF * max(n, mL)
+    step = max(1, _CHUNK_FLOATS // (P * max(1, 2 * n * at, agent_floats)))
+    for a in range(0, nodes, step):
+        s = slice(a, a + step)
+        _feedback(law, s, np.concatenate([x0[..., s, :], m[..., s, :]]),
+                  w[:, s], *(x[..., s, :] for x in on_agents))
+    out = {}
+    if "v" in names:
+        # with no disturbance v has no rows, and is zero
+        out["v"] = (w[rows["v"]] if "v" in rows
+                    else np.zeros((law.nv, nodes, P)))
+    for k in set(names) & {"u0bar", "u1bar", "u0i", "u1i"}:
+        if agents:
+            x = on_agents[1 if k[:2] == "u1" else 2]
+            out[k] = x[:, 0] if k.endswith("bar") else x[:, int(bars):]
+        elif k.endswith("bar"):
+            out[k] = w[rows[k[:2]]]
+    return {k: np.swapaxes(x, 0, -1) for k, x in out.items()}
 
 
 def simulate_limit(p: ModelParams, gains: LeaderGains,
@@ -556,46 +732,58 @@ def _trapz(f: np.ndarray, h: float) -> np.ndarray:
     return h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
 
 
-def _series(bundle: PathBundle) -> dict:
-    """The bundle's recorded series, by field name."""
-    return {f.name: getattr(bundle, f.name) for f in fields(bundle)
-            if isinstance(getattr(bundle, f.name), np.ndarray)}
-
-
 def _by_path_blocks(cost):
-    """cost(bundle, p), one row per path, evaluated over blocks of paths
-    whose recorded series hold about _CHUNK_FLOATS floats each, so that the
-    quadrature's temporaries stay bounded whatever the bundle's size."""
-    def blocked(bundle: PathBundle, p: ModelParams) -> np.ndarray:
-        series = _series(bundle)
-        step = max(1, _CHUNK_FLOATS // max(x[0].size for x in series.values()))
+    """cost(*bundles, p), one row per path of bundles over the same paths,
+    evaluated over blocks of paths whose series, recorded or derived, hold
+    about _CHUNK_FLOATS floats each, so that the quadrature's temporaries
+    stay bounded whatever the bundles' size."""
+    def blocked(*args) -> np.ndarray:
+        *bundles, p = args
+        first = bundles[0]
+        # floats per path of the widest series
+        per_path = (max(p.n, p.mL, p.mF, p.nv) * (first.grid.steps + 1)
+                    * max(1, len(first.follower_ids)))
+        step = max(1, _CHUNK_FLOATS // per_path)
         return np.concatenate([
-            cost(replace(bundle, **{k: x[a:a + step]
-                                    for k, x in series.items()}), p)
-            for a in range(0, bundle.n_paths, step)])
+            cost(*(b._paths(a, a + step) for b in bundles), p)
+            for a in range(0, first.n_paths, step)])
     return blocked
 
 
-@_by_path_blocks
-def _j0_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
+def _j0(bundle: PathBundle, p: ModelParams) -> np.ndarray:
     """Leader cost per path; the population average is replaced by the mean
     state for limit-system bundles."""
     xN = bundle.m if bundle.xN is None else bundle.xN
+    u = bundle._controls(*_LEADER)
     # summed in place, so that one term's temporaries are freed before the
     # next term is formed
     run = _quad(bundle.x0 - _times(xN, p.Gamma1), p.Q)
-    run += _quad(bundle.u0bar, p.R0)
-    run += _quad(bundle.u1bar, p.R1)
-    run -= p.gamma ** 2 * _quad(bundle.v, p.R2)
+    run += _quad(u["u0bar"], p.R0)
+    run += _quad(u["u1bar"], p.R1)
+    run -= p.gamma ** 2 * _quad(u["v"], p.R2)
     term = bundle.x0[:, -1] - (xN[:, -1] @ p.Gamma2.T)
     return _trapz(run, bundle.grid.h) + _quad(term, p.G)
 
 
+_j0_per_path = _by_path_blocks(_j0)
+
+
+@_by_path_blocks
+def _j0_of_difference(pert: PathBundle, base: PathBundle,
+                      p: ModelParams) -> np.ndarray:
+    """J0 of the path-wise difference of two limit-system replays."""
+    return _j0(PathBundle(pert.grid, pert.cfg, pert.x0 - base.x0,
+                          pert.m - base.m, replayed=tuple(
+                              x - y for x, y in zip(pert.replayed,
+                                                    base.replayed))), p)
+
+
 @_by_path_blocks
 def _ji_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
+    u = bundle._controls("u0i", "u1i")
     run = _quad(bundle.xi - _times(bundle.xN[:, None], p.Gamma1t), p.Qt)
-    run += _quad(bundle.u0i, p.R0t)
-    run += _quad(bundle.u1i, p.R1t)
+    run += _quad(u["u0i"], p.R0t)
+    run += _quad(u["u1i"], p.R1t)
     term = bundle.xi[:, :, -1] - bundle.xN[:, None, -1] @ p.Gamma2t.T
     return _trapz(run, bundle.grid.h) + _quad(term, p.Gt)
 
@@ -646,8 +834,7 @@ def population_costs(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
 
     def cost(chunk: PathBundle):
         if not first:
-            first.append(replace(chunk, **{k: x[:1].copy() for k, x
-                                           in _series(chunk).items()}))
+            first.append(chunk._paths(0, 1, copy=True))
         J0.append(_j0_per_path(chunk, p))
         if chunk.follower_ids:
             Ji.append(_ji_per_path(chunk, p))
@@ -675,41 +862,51 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     nonnegative and the disturbance-side ones nonpositive within Monte
     Carlo resolution.
 
-    A replay hands the kernel the controls as its override, under the
-    baseline's seed; a replay of the baseline's own recorded controls
-    reproduces it bitwise, which anchors the margins at exactly zero for
-    eps = 0.  Under a replay the dynamics are affine in (u0, u1, v) and J0
-    is a quadratic form, so per path J(eps) - J_base = eps a + eps^2 b.
-    Each direction is replayed once, at the first of PERTURB_EPS; b is J0
-    of the replay's difference from the baseline over eps^2, and the
-    margins at the other sizes are read off a and b.
+    A replay hands the kernel the baseline's controls, derived once, as
+    its override and the direction as its shift, under the baseline's
+    seed; a replay of the baseline's own controls reproduces it bitwise,
+    which anchors the margins at exactly zero for eps = 0.  Under a
+    replay the dynamics are affine in (u0, u1, v) and J0 is a quadratic
+    form, so per path J(eps) - J_base = eps a + eps^2 b.  Each direction
+    is replayed once, at the first of PERTURB_EPS, and each chunk of the
+    replay is costed as soon as it is stepped; b is J0 of the replay's
+    difference from the baseline over eps^2, taken in blocks of paths,
+    and the margins at the other sizes are read off a and b.
     """
     base = simulate_limit(p, gains, cfg)
+    # the baseline as a replay of its own controls, derived once
+    u = base._controls(*_LEADER)
+    base = PathBundle(base.grid, cfg, base.x0, base.m, work=base.work,
+                      replayed=tuple(u[k] for k in _LEADER))
     J_base = _j0_per_path(base, p)
     const = np.ones(base.grid.steps + 1)
     bump = _bump(base.grid)
     P = cfg.n_paths
     eps1, *others = PERTURB_EPS
-    states = ("x0", "m", "u0bar", "u1bar", "v")
 
     entries = []
     u_margins = {}
     work = base.work
     for shape, direction in (("const", const), ("bump", bump)):
         for target in ("u", "v"):
-            # the shifted series keep the baseline's layout, and live only
-            # as long as the replay
-            shift = eps1 * direction[None, :, None]
-            pert = _euler_maruyama(p, gains, cfg, override=(
-                (base.u0bar + shift, base.u1bar + shift, base.v)
-                if target == "u" else
-                (base.u0bar, base.u1bar, base.v + shift)))
-            work += pert.work
-            diff1 = _j0_per_path(pert, p) - J_base
-            # the difference bundle lives only as long as its cost
-            b = _j0_per_path(replace(pert, **{
-                k: getattr(pert, k) - getattr(base, k) for k in states}),
-                p) / eps1 ** 2
+            # the kernel adds the shift to the override's rows; each chunk
+            # of the replay is costed, and its difference from the
+            # baseline, as soon as it is stepped
+            shift = eps1 * direction
+            J, B = [], []
+
+            def cost(chunk: PathBundle):
+                start = sum(map(len, J))
+                J.append(_j0_per_path(chunk, p))
+                B.append(_j0_of_difference(
+                    chunk, base._paths(start, start + chunk.n_paths), p))
+
+            work += _euler_maruyama(
+                p, gains, cfg, override=base.replayed, on_chunk=cost,
+                shift=(shift, shift, None) if target == "u"
+                else (None, None, shift))
+            diff1 = np.concatenate(J) - J_base
+            b = np.concatenate(B) / eps1 ** 2
             a = (diff1 - eps1 ** 2 * b) / eps1
             diffs = [diff1] + [eps * a + eps ** 2 * b for eps in others]
             for eps, diff in zip(PERTURB_EPS, diffs):

@@ -1,6 +1,7 @@
 """Monte Carlo machinery: path simulation, cost quadrature, saddle
 perturbation battery, population sweeps."""
 import copy
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -316,14 +317,16 @@ def test_quad_equals_einsum_bitwise(n2):
 
 def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
                                            n2_sol, monkeypatch):
-    # the kernel records every series as a view of component-major memory;
-    # the costs and the sweep statistics read the same values from
-    # C-contiguous copies.  The sweep reaches the kernel directly for its
-    # population runs, so the kernel is what hands out the copies, once for
-    # the limit run and once per N
+    # the kernel records every state as a view of component-major memory,
+    # and the controls are derived into it; the costs and the sweep
+    # statistics read the same values from C-contiguous copies of the
+    # states.  The sweep reaches the kernel directly for its population
+    # runs, so the kernel is what hands out the copies, once for the limit
+    # run and once per N
     def contiguous(bundle):
         return replace(bundle, **{k: np.ascontiguousarray(v)
-                                  for k, v in _series(bundle).items()})
+                                  for k, v in _series(bundle).items()
+                                  if k in _STATES})
 
     cfg = SimConfig(N=6, n_paths=20, master_seed=21, store_followers=3)
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
@@ -375,6 +378,7 @@ def test_incentive_mode_runs(square, square_sol):
 
 
 _BUNDLE_FIELDS = ("x0", "m", "u0bar", "u1bar", "v", "xN", "xi", "u0i", "u1i")
+_STATES = ("x0", "m", "xN", "xi")
 
 
 def _chunks_of(monkeypatch, per_chunk, width):
@@ -854,3 +858,125 @@ def test_mini_saddle_battery(table1, gains1):
     # margins scale like eps^2: eps 0.1 -> 0.5 is a factor 25
     for shape, ratio in sr.u_ratios:
         assert 20.0 <= ratio <= 30.0
+
+
+def _five_runs(p, gains, fg, inc, cfg):
+    """The five kinds of run, as (label, thunk): the limit system with the
+    worst and with zero disturbance, a replay of shifted controls, and
+    team and incentive populations."""
+    base = sim.simulate_limit(p, gains, cfg)
+    override = (base.u0bar, base.u1bar, base.v)
+    shift = np.linspace(-0.5, 0.5, gains.grid.steps + 1)
+    zero = replace(cfg, disturbance="zero")
+    return (("limit", lambda: sim.simulate_limit(p, gains, cfg)),
+            ("zero", lambda: sim.simulate_limit(p, gains, zero)),
+            ("replay", lambda: sim._euler_maruyama(
+                p, gains, cfg, override=override,
+                shift=(shift, None, 2 * shift))),
+            ("team", lambda: sim.simulate_population(p, gains, cfg)),
+            ("incentive", lambda: sim.simulate_population(
+                p, gains, cfg, fgains=fg, inc=inc))), override, shift
+
+
+def test_derived_controls_equal_the_law_node_by_node(
+        table1, gains1, fg1, inc1, n2, n2_sol, drawn_n3, monkeypatch):
+    # a run records states only; the controls it derives on each read,
+    # over blocks of nodes, equal bitwise those the kernel played one node
+    # at a time, for 7 paths derived in blocks of 1 node, of about 3 and
+    # of every node.  A replay records what it played: its override plus
+    # its shift
+    feedback = sim._feedback
+    for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc),
+                              (drawn_n3, *_partial_chain(drawn_n3))):
+        cfg = SimConfig(N=5, n_paths=7, master_seed=19, store_followers=3)
+        nodes = gains.grid.steps + 1
+        runs, override, shift = _five_runs(p, gains, fg, inc, cfg)
+        for label, run in runs:
+            played = []
+
+            def recording(law, at, z, out, *agents):
+                feedback(law, at, z, out, *agents)
+                if at.start is not None:
+                    played.append([x.copy() for x in (out,) + agents[1:]])
+
+            with monkeypatch.context() as mp:
+                mp.setattr(sim, "_feedback", recording)
+                bundle = run()
+            if label == "replay":
+                assert not played and bundle.law is None
+                want = {"u0bar": override[0] + shift[:, None],
+                        "u1bar": override[1],
+                        "v": override[2] + 2 * shift[:, None]}
+            else:
+                # the kernel steps the 7 paths as one chunk
+                assert len(played) == nodes
+                w, *agents = (np.concatenate(x, axis=-2)
+                              for x in zip(*played))
+                rows = bundle.law.rows
+                v = (w[rows["v"]] if "v" in rows
+                     else np.zeros((p.nv, nodes, cfg.n_paths)))
+                if bundle.xN is None:
+                    u0, u1 = w[rows["u0"]], w[rows["u1"]]
+                    want = {}
+                else:
+                    u1a, u0a = agents
+                    u0, u1 = u0a[:, 0], u1a[:, 0]
+                    want = {"u0i": np.swapaxes(u0a[:, 1:], 0, -1),
+                            "u1i": np.swapaxes(u1a[:, 1:], 0, -1)}
+                want.update({k: np.swapaxes(x, 0, -1) for k, x in
+                             (("u0bar", u0), ("u1bar", u1), ("v", v))})
+            K = bundle.law.K if bundle.law else np.zeros((1, 1))
+            for floats in (sim._CHUNK_FLOATS, 1,
+                           3 * cfg.n_paths * K.shape[0] * K.shape[1]):
+                with monkeypatch.context() as mp:
+                    mp.setattr(sim, "_CHUNK_FLOATS", floats)
+                    # one control per read, and all in one derivation
+                    together = bundle._controls(*want)
+                    for name, x in want.items():
+                        for got in (getattr(bundle, name), together[name]):
+                            assert got.shape == x.shape, (label, name)
+                            assert np.array_equal(got, x), (label, name,
+                                                            floats)
+
+
+def test_replaced_and_sliced_bundles_derive_their_controls(n2, n2_sol):
+    # a path slice keeps the law and derives the slice's controls; a
+    # bundle whose states are replaced derives its controls from the new
+    # states: the law is linear, so doubled states give doubled controls,
+    # bitwise
+    cfg = SimConfig(N=5, n_paths=7, master_seed=23, store_followers=3)
+    runs, _, _ = _five_runs(n2, n2_sol.gains, n2_sol.fg, n2_sol.inc, cfg)
+    for label, run in runs:
+        bundle = run()
+        names = [k for k in _BUNDLE_FIELDS if getattr(bundle, k) is not None]
+        whole = {k: getattr(bundle, k) for k in names}
+        for part in (bundle._paths(2, 5), bundle._paths(2, 5, copy=True)):
+            assert part.n_paths == 3 and part.law is bundle.law
+            for k in names:
+                assert np.array_equal(getattr(part, k), whole[k][2:5]), k
+        if label == "replay":
+            continue
+        doubled = replace(bundle, **{k: 2 * whole[k] for k in _STATES
+                                     if k in whole})
+        for k in names:
+            assert np.array_equal(getattr(doubled, k), 2 * whole[k]), (
+                label, k)
+
+
+def test_limit_run_holds_no_controls(table1, gains1):
+    # a limit run records x0 and m and derives its controls on each read:
+    # its traced peak stays below the bytes of its states and controls
+    # together, which a run that stored its controls would pass with its
+    # noise alone
+    cfg = SimConfig(n_paths=200, master_seed=5)
+    p, nodes = table1, gains1.grid.steps + 1
+    tracemalloc.start()
+    try:
+        bundle = sim.simulate_limit(p, gains1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    series = 8 * cfg.n_paths * nodes * (2 * p.n + p.mL + p.mF + p.nv)
+    assert bundle.n_paths == cfg.n_paths
+    assert peak < series, (peak / 1e6, series / 1e6)
