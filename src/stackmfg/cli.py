@@ -216,6 +216,7 @@ class _Run:
         self.man = _Manifest(out, args.subcommand, vars(args))
         self.summary = {}
         self.ghat = self.sol = self.gains = self.inc = self.fg = None
+        self.head = None
 
 
 # ------------------------------------------------------------------- stages
@@ -405,8 +406,17 @@ def _simulate_stage(run: _Run):
     lim_controls = [("u0_limit", first.u0bar[0]),
                     ("u1_limit", first.u1bar[0]), ("v_limit", first.v[0])]
     del lim, first
+    # the battery runs before the population, so that the sweep's head
+    # (below) is not held through the battery's peak
+    battery = sim.saddle_check(p, gains, cfg)
+    # reproduce-paper's sweep reads the same seed's streams over its first
+    # paths: the population run hands it their sums (sim._SweepHead), so
+    # the sweep draws only the followers beyond N
+    if "sweep-n" in run.cmd.stages and run.sweep_cfg.n_paths <= cfg.n_paths:
+        run.head = sim._sweep_head(run.Ns, cfg.N, run.sweep_cfg.n_paths,
+                                   grid.steps * p.n)
     pop_costs, pop = sim.population_costs(p, gains, cfg, fgains=run.fg,
-                                          inc=run.inc)
+                                          inc=run.inc, _head=run.head)
     work += pop.work
     _series_csv(man, "controls.csv", grid, lim_controls + [
         ("u0_pop", pop.u0bar[0]), ("u1_pop", pop.u1bar[0]),
@@ -419,7 +429,6 @@ def _simulate_stage(run: _Run):
         "limit": _set_fields(lim_costs),
         "population": _set_fields(pop_costs) | {"mode": "incentive"},
     }
-    battery = sim.saddle_check(p, gains, cfg)
     # the battery's work goes to the manifest
     saddle = run.summary["saddle"] = _set_fields(battery, "work") | {
         "u_ratios": [{"shape": sh, "ratio": r} for sh, r in battery.u_ratios],
@@ -446,7 +455,10 @@ def _sweep_summary(rep: sim.SweepReport, band) -> dict:
 
 def _sweep_stage(run: _Run):
     man = run.man
-    mf, og = sim.sweep_gaps(run.p, run.gains, run.Ns, run.sweep_cfg)
+    # the head is taken from the run inside the call, so that only the
+    # sweep holds it, and frees it once read
+    mf, og = sim.sweep_gaps(run.p, run.gains, run.Ns, run.sweep_cfg,
+                            _head=vars(run).pop("head"))
     man.write_csv("sweep.csv", ["series", "N", "gap", "stderr"],
                   [[series, pt.N, pt.gap, pt.stderr]
                    for series, rep in (("mean_field", mf), ("optimality", og))

@@ -10,18 +10,26 @@ Bulk draws re-key one Philox bit generator per call instead of building a
 generator for every stream, and read each stream whole, in one draw; the
 draws are bitwise those of a fresh generator.  The population average
 needs only the sum of the followers' increments: increment_sums() reads
-each follower stream once, returns its running sums over agents 1..N for
-several N at once, and hands back the rows of the first followers as it
-draws them, so a follower that is also stepped alone is not read twice.
+each follower stream once, returns its sums over agents 1..N for several
+N at once, and hands back the rows of the first followers as it draws
+them, so a follower that is also stepped alone is not read twice.  A call
+may resume after agent S from each path's sum of agents 1..S and draw only
+agents S+1 on; a stream's bits depend on its key alone, so the resumed
+sums equal the one-pass sums bitwise, and two callers that share streams
+can read them once between them.
 
 A stream costs a fixed part, the re-key and the Python around its draw,
-plus about 20 ns per normal drawn and summed.  The state a re-key sets
-holds plain ints, which numpy's Philox state setter reads in half the time
-it takes for uint64 arrays, and increment_sums(), which reads most
-streams, re-keys in its own loop rather than through stream().  So the
-fixed part is about 1 us, a quarter of a 125-step stream (numpy 2.4, one
-core of a 2-core x86 virtual machine); at 1000 steps the draw is nearly
-all of a stream.
+plus about 20 ns per normal drawn and summed.  The sum forms no
+running-sum array: each block of drawn rows is reduced over the segments
+between the requested N, each segment's first row taking the sum so far,
+so the rows are added in np.cumsum's order at about an 18th of its cost
+(a block of one column, which numpy reduces pairwise, keeps cumsum).
+The state a re-key sets holds plain ints, which numpy's Philox state
+setter reads in half the time it takes for uint64 arrays, and
+increment_sums(), which reads most streams, re-keys in its own loop
+rather than through stream().  So the fixed part is about 1 us, a quarter
+of a 125-step stream (numpy 2.4, one core of a 2-core x86 virtual
+machine); at 1000 steps the draw is nearly all of a stream.
 """
 from __future__ import annotations
 
@@ -113,38 +121,73 @@ def brownian_increments(master_seed: int, path: int, agents, nsteps: int,
                       nsteps, dt)
 
 
+def _sum_rows(seg: np.ndarray, out: np.ndarray) -> None:
+    """out = the rows of seg added first to last, as np.cumsum adds them
+    along the agent axis.  np.add.reduce adds a block's rows in that order
+    at a fraction of cumsum's cost, but a block of one column is reduced
+    pairwise, so that one is summed by cumsum, in place."""
+    if seg.shape[1] == 1:
+        out[:] = np.cumsum(seg, axis=0, out=seg)[-1]
+    else:
+        np.add.reduce(seg, axis=0, out=out)
+
+
 def increment_sums(master_seed: int, paths, Ns, nsteps: int, dt: float,
-                   keep: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                   keep: int = 0, after: int = 0,
+                   carry: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """(sums, rows): sums of the increments() rows of agents 1..N, one per
     path and N, and the rows of agents 1..keep themselves.
 
     sums[i, r] adds the rows of agents 1..Ns[r] of paths[i] in agent
     order, as np.cumsum adds them along the agent axis, so a sum is the
-    same whichever other Ns are asked for.  rows[i, j - 1] is agent j's
-    increments() row of paths[i], bitwise.  One generator serves the whole
-    call, and each stream is read once, whole.  Every index, and keep
-    against [0, max(Ns)], is checked before the first draw."""
+    same whichever other Ns are asked for.  A call resumes after agent
+    `after` from carry, (paths, nsteps), each path's sum of agents
+    1..after as an earlier call returned it: only agents after+1..max(Ns)
+    are drawn, and each sum equals the one-pass sum bitwise.  rows[i, j - 1]
+    is agent j's increments() row of paths[i], bitwise.  One generator
+    serves the whole call, and each stream is read once, whole.  Every
+    index, keep against [0, max(Ns)] and a resume (each N above after, no
+    keep, carry's shape) are checked before the first draw."""
     paths, Ns = list(paths), list(Ns)
     if not Ns or min(Ns) < 1:
         raise ValueError("each N must be at least 1")
     top = max(Ns)
     if not 0 <= keep <= top:
         raise ValueError(f"keep {keep} outside [0, {top}]")
+    if after or carry is not None:
+        if not 0 < after < min(Ns):
+            raise ValueError(f"resume after agent {after} outside "
+                             f"[1, {min(Ns)})")
+        if keep:
+            raise ValueError("keep needs a call from agent 1, not a resume")
+        if np.shape(carry) != (len(paths), nsteps):
+            raise ValueError(f"carry of shape {np.shape(carry)}, not "
+                             f"{(len(paths), nsteps)}")
     for path in paths:
         _check_indices(path, top)
     # rows and sums share one allocation: as two, they fragmented the heap
     # and raised a 125-step reproduce-paper run's peak RSS by 1.5 MB
     out = np.empty((len(paths), keep + len(Ns), nsteps))
     kept, sums = out[:, :keep], out[:, keep:]
-    rows = np.empty((max(1, min(top, _SUM_BLOCK_FLOATS // nsteps)), nsteps))
-    carry = np.empty(nsteps)
+    # the rows of sums each N fills, by N in increasing order: the ends of
+    # the segments a block's rows are summed over
+    fills = {}
+    for r, N in enumerate(Ns):
+        fills.setdefault(N, []).append(r)
+    cuts = sorted(fills)
+    rows = np.empty((max(1, min(top - after, _SUM_BLOCK_FLOATS // nsteps)),
+                     nsteps))
+    total = np.empty(nsteps)
     gen = _blank()
     bg, fill, rekey = gen.bit_generator, gen.standard_normal, _rekey
     seed = master_seed & _U64
     scale = np.sqrt(dt)
     for i, path in enumerate(paths):
         high = path << 32
-        for first in range(1, top + 1, len(rows)):
+        if after:
+            total[:] = carry[i]
+        for first in range(after + 1, top + 1, len(rows)):
             block = rows[:min(len(rows), top + 1 - first)]
             for row, agent in zip(block, range(first, top + 1)):
                 rekey(bg, (seed, high | agent))
@@ -152,11 +195,17 @@ def increment_sums(master_seed: int, paths, Ns, nsteps: int, dt: float,
             block *= scale
             if first <= keep:
                 kept[i, first - 1:][:len(block)] = block[:keep + 1 - first]
-            if first > 1:
-                block[0] += carry
-            np.cumsum(block, axis=0, out=block)
-            carry[:] = block[-1]
-            for r, N in enumerate(Ns):
-                if first <= N < first + len(block):
-                    sums[i, r] = block[N - first]
+            # segments end at each N in the block and at its last agent; the
+            # sum of the agents before a segment joins its first row, so the
+            # rows are added in cumsum's order
+            last = first + len(block) - 1
+            lo = first
+            for N in [N for N in cuts if first <= N < last] + [last]:
+                seg = block[lo - first:N + 1 - first]
+                if lo > 1:
+                    seg[0] += total
+                _sum_rows(seg, total)
+                for r in fills.get(N, ()):
+                    sums[i, r] = total
+                lo = N + 1
     return sums, kept

@@ -62,7 +62,8 @@ whole run.  population_costs records each chunk in one allocation of its
 own, costs its paths, keeps path 0's series and drops the chunk, so it
 holds one chunk's series at a time; a path's cost does not depend on its
 chunk, so its report equals eval_costs of the whole run bitwise.
-saddle_check costs each replay the same way.
+saddle_check costs each replay the same way, and sweep_gaps reduces each
+N's run to its per-path squared gaps and J0.
 
 One Euler-Maruyama step spans one grid interval.  A chunk holds about
 _VECTOR_FLOATS noise floats per step, so each numpy call of the stepping
@@ -74,7 +75,11 @@ through one rng.increment_sums call, so a chunk's noise is about
 max(2^11 M, 2^18) floats, dropped before the next chunk's is drawn.  The
 two N-sweeps (mean-field gap and optimality-gap proxy) read one
 population run per N, and one pass over the largest population's streams
-gives every N's sums.
+gives every N's sums.  A population run over the sweep's seed and at
+least its paths can fill a _SweepHead on the way, the sums of those
+paths at the sweep's sizes up to its own N; the sweep then reads those
+sizes from it and resumes the pass after N, so the followers the two
+share are drawn once.
 """
 from __future__ import annotations
 
@@ -189,6 +194,26 @@ class _Law:
     Gc: np.ndarray
     La: np.ndarray
     nv: int
+
+
+@dataclass(frozen=True, eq=False)
+class _SweepHead:
+    """What a population run of N followers hands a later sweep over the
+    same seed and its first len(sums) paths, read in the run's own pass
+    over their streams: sums[i, j] is path i's sum of the increments of
+    agents 1..Ns[j], at each of the sweep's sizes below N and last at N,
+    after which the sweep resumes the draw (rng.increment_sums)."""
+
+    Ns: tuple
+    sums: np.ndarray
+
+
+def _sweep_head(Ns, N: int, n_paths: int, nsteps: int) -> _SweepHead:
+    """An unfilled head for a sweep over sizes Ns and n_paths paths, to be
+    filled by a population run of N followers over at least as many
+    paths, whose follower streams hold nsteps floats."""
+    sizes = tuple(k for k in Ns if k < N) + (N,)
+    return _SweepHead(sizes, np.empty((n_paths, len(sizes), nsteps)))
 
 
 @dataclass(frozen=True)
@@ -411,7 +436,7 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     N: int = 0, fgains: FollowerGains | None = None,
                     inc: IncentiveMatrices | None = None, override=None,
                     shift=(None, None, None), wsum: np.ndarray | None = None,
-                    on_chunk=None):
+                    head: _SweepHead | None = None, on_chunk=None):
     """The one Euler-Maruyama kernel: the limit system when N = 0, else
     the N-follower population (team mode, or incentive mode with fgains
     and inc).
@@ -429,7 +454,10 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     (paths, M, n) sums of agents 1..N's increments, replaces the
     followers' streams in a population run (sweep_gaps, which reads every
     N's sums in one pass); its caller stores no followers, so such a run
-    reads only the common noise.  None of these is checked here.
+    reads only the common noise.  head (_SweepHead), for a population run
+    that draws its own sums over at least the head's paths, is filled
+    with those paths' sums at its sizes in the same pass.  None of these
+    is checked here.
 
     A run records its states (PathBundle), and a replay its controls
     too, in the run's memory, and the run's PathBundle is returned.  With
@@ -527,8 +555,14 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             drift_a = np.empty((n, 1 + stored, C))
             field, noise = np.empty((n, C)), np.empty((n, stored, C))
             if wsum is None:
-                sums, dWi = rng.increment_sums(seed, range(a, b), [N], M * n,
-                                               h, keep=stored)
+                # the head's paths of the chunk also give the head its sums
+                filled = max(0, min(b, len(head.sums)) - a) if head else 0
+                sums, dWi = rng.increment_sums(
+                    seed, range(a, b), head.Ns if filled else [N], M * n, h,
+                    keep=stored)
+                if filled:
+                    head.sums[a:a + filled] = sums[:filled]
+                sums = sums[:, -1]
             else:
                 sums, dWi = wsum[a:b], np.empty((C, 0, M * n))
             dWbar = np.divide(sums.reshape(C, M, n).transpose(1, 2, 0), N,
@@ -820,7 +854,8 @@ def eval_costs(bundle: PathBundle, p: ModelParams,
 
 def population_costs(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                      fgains: FollowerGains | None = None,
-                     inc: IncentiveMatrices | None = None
+                     inc: IncentiveMatrices | None = None,
+                     _head: _SweepHead | None = None
                      ) -> tuple[CostReport, PathBundle]:
     """eval_costs(simulate_population(p, gains, cfg, fgains, inc), p) and
     the run's path 0, bitwise, without holding the run.
@@ -829,7 +864,8 @@ def population_costs(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     dropped, so the run holds one chunk's series at a time; a path's cost
     does not depend on which paths share its chunk.  Returns the cost
     report and a one-path bundle of path 0's series whose work is the
-    whole run's."""
+    whole run's.  _head, a _SweepHead over at most cfg.n_paths paths, is
+    filled from the run's own draw for a later sweep_gaps."""
     J0, Ji, first = [], [], []
 
     def cost(chunk: PathBundle):
@@ -840,7 +876,7 @@ def population_costs(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             Ji.append(_ji_per_path(chunk, p))
 
     work = _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc,
-                           on_chunk=cost)
+                           head=_head, on_chunk=cost)
     report = _cost_report(np.concatenate(J0),
                           np.concatenate(Ji) if Ji else None, None)
     return report, replace(first[0], work=work)
@@ -999,35 +1035,76 @@ def _sweep_sizes(Ns) -> list[int]:
     return Ns
 
 
-def sweep_gaps(p: ModelParams, gains: LeaderGains, Ns,
-               cfg: SimConfig) -> tuple[SweepReport, SweepReport]:
+def _sweep_points(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
+                  N: int, wsum: np.ndarray, J_lim: np.ndarray):
+    """The mean-field gap and optimality-gap points of one team-mode run of
+    N followers driven by their summed increments wsum, and the run's
+    Work.  The run is reduced chunk by chunk to its per-path squared gaps
+    |xN - m|^2 at each node and its per-path J0."""
+    sqs, J0s = [], []
+
+    def reduce(chunk: PathBundle):
+        # node-major, as a whole run's series are, so that the mean over
+        # paths adds them in the same order
+        sqs.append(np.sum((chunk.xN - chunk.m) ** 2, axis=2).T)
+        J0s.append(_j0_per_path(chunk, p))
+
+    # the reports read no individual follower, so none is stored
+    work = _euler_maruyama(
+        p, gains, replace(cfg, N=N, store_followers=0,
+                          store_all_followers=False), N=N, wsum=wsum,
+        on_chunk=reduce)
+    sq = np.concatenate(sqs, axis=1).T                      # (paths, M+1)
+    curve = sq.mean(axis=0)
+    kstar = int(np.argmax(curve))
+    diff = np.concatenate(J0s) - J_lim
+    return (SweepPoint(N, float(curve[kstar]), _stderr(sq[:, kstar])),
+            SweepPoint(N, float(abs(diff.mean())), _stderr(diff)), work)
+
+
+def sweep_gaps(p: ModelParams, gains: LeaderGains, Ns, cfg: SimConfig,
+               _head: _SweepHead | None = None
+               ) -> tuple[SweepReport, SweepReport]:
     """Both N-sweeps from one team-mode population run per N: the
     mean-field gap report and the optimality-gap proxy report.  The
     followers' summed increments for every N are read in one pass over
-    the streams of the largest population."""
+    the streams of the largest population.  With _head, a population
+    run's sums over the same seed and paths (_SweepHead), the sizes it
+    holds are read from it and the pass resumes after its N, bitwise as
+    if it had started at agent 1.  Each N's run is reduced chunk by chunk
+    (_sweep_points), so no run is held whole."""
     Ns = _sweep_sizes(Ns)
     lim = simulate_limit(p, gains, cfg)
     J_lim, work = _j0_per_path(lim, p), lim.work
     del lim
-    P, M = cfg.n_paths, gains.grid.steps
-    sums, _ = rng.increment_sums(cfg.master_seed, range(P), Ns, M * p.n,
-                                 gains.grid.h)
-    sums = sums.reshape(P, len(Ns), M, p.n)
-    work += Work(streams_read=P * Ns[-1])
+    P, M, n = cfg.n_paths, gains.grid.steps, p.n
+    # each size's summed increments, (paths, M n), by size
+    sums = {}
+    if _head is not None:
+        if len(_head.sums) != P:
+            raise ValueError(f"a head over {len(_head.sums)} paths for a "
+                             f"sweep over {P}")
+        sums.update(zip(_head.Ns, np.swapaxes(_head.sums, 0, 1)))
+        del _head
+    after = max(sums, default=0)
+    rest = [N for N in Ns if N > after]
+    if rest:
+        drawn, _ = rng.increment_sums(cfg.master_seed, range(P), rest, M * n,
+                                      gains.grid.h, after=after,
+                                      carry=sums.get(after))
+        sums.update(zip(rest, np.swapaxes(drawn, 0, 1)))
+        del drawn
+        work += Work(streams_read=P * (rest[-1] - after))
+    # each size's sums are dropped once its run has read them, and the head
+    # with the last of them
+    sums = {N: sums[N] for N in Ns}
     mf, opt = [], []
-    for r, N in enumerate(Ns):
-        # the reports read no individual follower, so none is stored
-        bundle = _euler_maruyama(
-            p, gains, replace(cfg, N=N, store_followers=0,
-                              store_all_followers=False), N=N,
-            wsum=sums[:, r])
-        work += bundle.work
-        sq = np.sum((bundle.xN - bundle.m) ** 2, axis=2)   # (paths, M+1)
-        curve = sq.mean(axis=0)
-        kstar = int(np.argmax(curve))
-        mf.append(SweepPoint(N, float(curve[kstar]), _stderr(sq[:, kstar])))
-        diff = _j0_per_path(bundle, p) - J_lim
-        opt.append(SweepPoint(N, float(abs(diff.mean())), _stderr(diff)))
+    for N in Ns:
+        mf_point, opt_point, run_work = _sweep_points(
+            p, gains, cfg, N, sums.pop(N).reshape(P, M, n), J_lim)
+        mf.append(mf_point)
+        opt.append(opt_point)
+        work += run_work
     return (_report("mean-field gap", Ns, mf, work),
             _report("optimality-gap proxy", Ns, opt, work,
                     caveat=_OPT_CAVEAT))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import stackmfg
-from stackmfg import cli, incentive, leader, sim
+from stackmfg import cli, incentive, leader, rng, sim
 from stackmfg.model import MatrixTrajectory, save_config
 
 
@@ -591,3 +592,32 @@ def test_simulation_stages_record_their_work(tmp_path):
                  if s["name"] == name]
         assert len(stage) == 1
         assert {k: stage[0][k] for k in work} == work
+
+
+def test_reproduce_paper_reads_each_follower_stream_once(tmp_path,
+                                                         monkeypatch):
+    # the simulate stage's population (500 paths, N = 100) and the sweep
+    # (200 paths, N up to 640) share the followers of the sweep's paths:
+    # the population run hands the sweep their sums, so every follower
+    # stream (agent >= 1) of the whole pipeline is re-keyed exactly once.
+    # Every stream read, the common noise's too, is in one stage's count
+    keys = Counter()
+    rekey = rng._rekey
+
+    def counting(bg, key):
+        keys[key] += 1
+        rekey(bg, key)
+
+    monkeypatch.setattr(rng, "_rekey", counting)
+    out = tmp_path / "out"
+    assert cli.main(["reproduce-paper", "--grid-steps", "20", "--seed", "42",
+                     "--threads", "1", "--out", str(out)]) == 0
+    followers = Counter({key: n for key, n in keys.items()
+                         if key[1] & 0xFFFFFFFF})
+    top = max(map(int, cli.SWEEP_NS.split(",")))
+    assert len(followers) == (cli.SIM_PATHS * cli.SIM_N
+                              + cli.SWEEP_PATHS * (top - cli.SIM_N))
+    twice = [key for key, n in followers.items() if n != 1]
+    assert not twice, f"{len(twice)} of {len(followers)} read more than once"
+    stages = read_json(out / "manifest.json")["stages"]
+    assert sum(s.get("streams_read", 0) for s in stages) == keys.total()

@@ -70,6 +70,20 @@ def test_rng_index_bounds(monkeypatch):
             rng.increment_sums(1, paths, Ns, 5, 0.01)
     with pytest.raises(ValueError, match="keep"):
         rng.increment_sums(1, [0], [2, 3], 5, 0.01, keep=4)
+    # a resume: every N above its point, no kept rows, one carried sum of
+    # the streams' length per path
+    carry = np.zeros((2, 5))
+    for kw, what in ((dict(Ns=[3, 2], after=2), "resume after agent 2"),
+                     (dict(Ns=[3], after=3), "resume after agent 3"),
+                     (dict(Ns=[3], after=-1), "resume after agent -1"),
+                     (dict(Ns=[3], after=1, keep=1), "keep"),
+                     (dict(Ns=[3], after=1, carry=carry[:1]), "carry"),
+                     (dict(Ns=[3], after=1, carry=carry[:, :4]), "carry"),
+                     (dict(Ns=[3], after=1, carry=None), "carry"),
+                     (dict(Ns=[3], after=0), "resume after agent 0")):
+        args = dict(carry=carry) | kw
+        with pytest.raises(ValueError, match=what):
+            rng.increment_sums(1, [0, 1], args.pop("Ns"), 5, 0.01, **args)
 
 
 def test_rng_rekey_restores_the_fresh_state():
@@ -119,27 +133,51 @@ def test_rng_rekeyed_rows_match_fresh_streams():
 def test_rng_increment_sums_match_running_sums(monkeypatch):
     # running sums over agents 1..N of increments() rows, for several N at
     # once, and the kept rows of agents 1..keep, drawn in one block of rows,
-    # in blocks of 3 and of 1, so the kept rows span several blocks
-    seed, dt, steps, top = 2 ** 63 + 7, 0.01, 20, 11
+    # in blocks of 3 and of 1, so the kept rows span several blocks and
+    # N = 3 and 6 end a block of 3.  Rows of one float keep cumsum's
+    # sequential sum, which numpy's reduction of one column, pairwise,
+    # need not: the segments of up to 65 rows tell them apart
+    seed, dt, top = 2 ** 63 + 7, 0.01, 65
     paths = [4, 0, 2 ** 32 - 1]
-    rows = np.stack([
-        rng.increments(seed, [(path, j) for j in range(1, top + 1)], steps, dt)
-        for path in paths])
-    running = np.cumsum(rows, axis=1)
-    for block in (rng._SUM_BLOCK_FLOATS, 3 * steps, 1):
-        monkeypatch.setattr(rng, "_SUM_BLOCK_FLOATS", block)
-        for Ns, keep in (([top], top), ([1, 3, 4, 11], 3), ([7, 2], 1),
-                         ([5], 0)):
-            got, kept = rng.increment_sums(seed, paths, Ns, steps, dt,
-                                           keep=keep)
-            assert got.shape == (len(paths), len(Ns), steps)
-            for r, N in enumerate(Ns):
-                assert np.array_equal(got[:, r], running[:, N - 1])
-            assert kept.shape == (len(paths), keep, steps)
-            assert np.array_equal(kept, rows[:, :keep])
+    for steps in (1, 2, 20):
+        rows = np.stack([
+            rng.increments(seed, [(path, j) for j in range(1, top + 1)],
+                           steps, dt)
+            for path in paths])
+        running = np.cumsum(rows, axis=1)
+        for block in (rng._SUM_BLOCK_FLOATS, 3 * steps, 1):
+            monkeypatch.setattr(rng, "_SUM_BLOCK_FLOATS", block)
+            for Ns, keep in (([top], top), ([1, 3, 4, 11], 3), ([7, 2], 1),
+                             ([5], 0), ([1], 1), ([6, 3, 6, 1, 40, top], 2)):
+                got, kept = rng.increment_sums(seed, paths, Ns, steps, dt,
+                                               keep=keep)
+                assert got.shape == (len(paths), len(Ns), steps)
+                for r, N in enumerate(Ns):
+                    assert np.array_equal(got[:, r], running[:, N - 1])
+                assert kept.shape == (len(paths), keep, steps)
+                assert np.array_equal(kept, rows[:, :keep])
     for Ns, keep in (([0, 3], 0), ([2, 3], 4), ([3], -1)):
         with pytest.raises(ValueError):
-            rng.increment_sums(seed, paths, Ns, steps, dt, keep=keep)
+            rng.increment_sums(seed, paths, Ns, 20, dt, keep=keep)
+
+
+def test_rng_resumed_sums_equal_one_pass(monkeypatch):
+    # a call that resumes after agent S from the sums of agents 1..S gives
+    # the one-pass sums bitwise, whatever S and the block size
+    seed, dt, top = 9, 0.01, 11
+    paths = [2, 0, 5]
+    Ns = [top, 4, 9, 6]
+    for steps in (1, 2, 20):
+        for block in (rng._SUM_BLOCK_FLOATS, 3 * steps, 1):
+            monkeypatch.setattr(rng, "_SUM_BLOCK_FLOATS", block)
+            whole, _ = rng.increment_sums(seed, paths, Ns, steps, dt)
+            for after in (1, 3, 4):
+                head, _ = rng.increment_sums(seed, paths, [after], steps, dt)
+                rest = [N for N in Ns if N > after]
+                got, _ = rng.increment_sums(seed, paths, rest, steps, dt,
+                                            after=after, carry=head[:, 0])
+                for r, N in enumerate(rest):
+                    assert np.array_equal(got[:, r], whole[:, Ns.index(N)])
 
 
 # ------------------------------------------------------------ limit paths
@@ -321,8 +359,8 @@ def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
     # and the controls are derived into it; the costs and the sweep
     # statistics read the same values from C-contiguous copies of the
     # states.  The sweep reaches the kernel directly for its population
-    # runs, so the kernel is what hands out the copies, once for the limit
-    # run and once per N
+    # runs, so the kernel is what hands out the copies: of the limit run,
+    # and of each chunk that each N's run hands its caller
     def contiguous(bundle):
         return replace(bundle, **{k: np.ascontiguousarray(v)
                                   for k, v in _series(bundle).items()
@@ -348,9 +386,11 @@ def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
         got = sim.sweep_gaps(p, gains, Ns, cfg)
         wrapped = []
 
-        def kernel(*a, _f=sim._euler_maruyama, **kw):
+        def kernel(*a, _f=sim._euler_maruyama, on_chunk=None, **kw):
             wrapped.append(kw.get("N", 0))
-            return contiguous(_f(*a, **kw))
+            if on_chunk is None:
+                return contiguous(_f(*a, **kw))
+            return _f(*a, on_chunk=lambda c: on_chunk(contiguous(c)), **kw)
 
         monkeypatch.setattr(sim, "_euler_maruyama", kernel)
         want = sim.sweep_gaps(p, gains, Ns, cfg)
@@ -759,6 +799,34 @@ def test_shared_sweep_matches_standalone_sweeps(table1, gains1):
         assert mf_pt.gap == float(sq.max())
         J_pop = sim.eval_costs(pop, table1).J0_mean
         assert opt_pt.gap == pytest.approx(abs(J_pop - J_lim), rel=1e-9)
+
+
+def test_sweep_resumed_from_a_population_head_is_bitwise(n2, n2_sol,
+                                                        monkeypatch):
+    # a population run of N followers hands the sweep its sums over the
+    # sweep's paths (sim._SweepHead), in chunks of 2 paths, so one chunk
+    # holds the head's last path and one that is not the head's; the sweep
+    # then draws only the followers beyond N, and its reports equal those
+    # of a sweep that draws every follower
+    pop_cfg = SimConfig(N=6, n_paths=5, master_seed=4, store_followers=2)
+    cfg = SimConfig(n_paths=3, master_seed=4)
+    M = n2_sol.gains.grid.steps
+    _chunks_of(monkeypatch, 2, 1 + 3 * n2.n)
+    for Ns in ([2, 4, 9, 16], [3, 6, 8], [2, 3, 5]):
+        head = sim._sweep_head(Ns, pop_cfg.N, cfg.n_paths, M * n2.n)
+        sim.population_costs(n2, n2_sol.gains, pop_cfg, fgains=n2_sol.fg,
+                             inc=n2_sol.inc, _head=head)
+        want = sim.sweep_gaps(n2, n2_sol.gains, Ns, cfg)
+        got = sim.sweep_gaps(n2, n2_sol.gains, Ns, cfg, _head=head)
+        assert [replace(r, work=None) for r in got] == \
+            [replace(r, work=None) for r in want]
+        # the sweep counts only the follower streams it draws
+        drawn = cfg.n_paths * max(0, Ns[-1] - pop_cfg.N)
+        saved = cfg.n_paths * Ns[-1] - drawn
+        assert got[0].work.streams_read == want[0].work.streams_read - saved
+    with pytest.raises(ValueError, match="head over 3 paths"):
+        sim.sweep_gaps(n2, n2_sol.gains, [2, 4, 8], replace(cfg, n_paths=4),
+                       _head=head)
 
 
 def test_mean_field_gap_matches_exact_moment(table1, mf_sweep):
