@@ -43,17 +43,18 @@ would make a path's values depend on its chunk; an elementwise sum does
 not, and neither does it depend on how many nodes share the call.
 
 So a run records states only: x0 and m, and for a population xN and the
-stored followers' xi.  Every control is its law's product of those
-states, and PathBundle derives u0bar, u1bar, v, u0i and u1i on each
-read through the same _feedback, over blocks of nodes, bitwise equal to
-what the kernel played; nothing is cached.  A replay is the one run
-whose controls are not its law's: it feeds its override controls, plus
-a per-node shift, into the same dynamics product and records them, and
-replaying a run's own controls reproduces it bitwise.  The series are
-component-major memory, (dim, M+1, paths) and (dim, stored, M+1, paths),
-behind (paths, M+1, dim) and (paths, stored, M+1, dim) views: a node's
-write copies one contiguous row per component, and the costs read the
-components' rows.
+stored followers' xi, as component-major memory, (dim, M+1, paths) and
+(dim, stored, M+1, paths), behind (paths, M+1, dim) and
+(paths, stored, M+1, dim) views, so a node's write copies one contiguous
+row per component.  A replay feeds its override controls plus a per-node
+shift into the same dynamics product and records them; replaying a
+run's own controls reproduces it bitwise.  PathBundle derives a run's
+u0bar, u1bar, v, u0i and u1i on each read through the same _feedback,
+bitwise equal to what the kernel played.  No cost derives them: each
+control is a gain times the states, so u'Ru = y'(U'RU)y, and
+_feedback_law builds J0's and Ji's weights on the states once per run
+(_weights), while a replay's weigh its recorded controls.  One
+quadrature (_quad) forms y'Wy from the components' rows and sums it.
 
 The kernel hands each finished chunk to its caller, and the callers
 differ only in where a chunk's series live.  simulate_limit and
@@ -187,13 +188,16 @@ class _Law:
     the agents' own-state gain Gxi and L, so that an agent in state x
     plays u1 = Gxi x + gx and u0 = L u1 + zx.  Every stack keeps the node
     axis second to last: K (2n, rows, M+1, 1), Gc (n, mF, 1, M+1, 1) and
-    La (mF, mL, 1, M+1, 1)."""
+    La (mF, mL, 1, M+1, 1).  j0 and ji (a population's) are the costs'
+    weights on the states (_weights)."""
 
     K: np.ndarray
     rows: dict
     Gc: np.ndarray
     La: np.ndarray
     nv: int
+    j0: tuple
+    ji: tuple | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +228,9 @@ class PathBundle:
     stored followers' xi.  Its controls u0bar, u1bar and v, and the
     stored followers' u0i and u1i, are its feedback law applied to those
     states node by node; each read derives them afresh, bitwise equal to
-    what the kernel played, and nothing is cached.  A replay, whose
-    controls are not its law's, records them instead (replayed).  In a
-    population u0bar and u1bar are the controls of the population
-    average xN.
+    what the kernel played, and nothing is cached.  The costs read the
+    states and the law's weights instead.  A replay records its controls
+    (replayed).  In a population u0bar and u1bar are xN's.
 
     Shapes: states (paths, M+1, n), controls (paths, M+1, m), and the
     stored followers' (paths, stored, M+1, dim).  xN and the follower
@@ -403,16 +406,44 @@ def _feedback_law(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     u1l, zx, gx = (np.concatenate([x.values, y.values], axis=2)
                    for x, y in pairs)
     worst = cfg.disturbance == "worst"
-    blocks = ([("v", np.concatenate([gains.Vx.values, gains.Vm.values],
-                                    axis=2))] * worst
-              + [("u0", L @ u1l + zx), ("u1", u1l)]
+    V = np.concatenate([gains.Vx.values, gains.Vm.values], axis=2)
+    blocks = ([("v", V)] * worst + [("u0", L @ u1l + zx), ("u1", u1l)]
               + [("zx", zx), ("gx", gx)] * (N > 0))
-    rows, at = {}, 0
-    for name, g in blocks:
-        rows[name] = slice(at, at + g.shape[1])
-        at += g.shape[1]
+    ends = np.cumsum([g.shape[1] for _, g in blocks]).tolist()
+    rows = {k: slice(e - g.shape[1], e) for (k, g), e in zip(blocks, ends)}
+    # the costs' weights on the states (_weights), from the gains on
+    # y = (x0, m, xN, xi) of what each weighs: J0's on (x0, m), or on
+    # (x0, m, xN) with xN an agent in m's place; Ji's on all of y
+    x0, m, xN, xi = y = np.split(np.eye(4 * p.n), 4)
+    z = np.vstack(y[:2])
+    u1 = [gx @ z + Gxi @ own for own in (xN, xi)] if N else [u1l @ z]
+    u0 = [L @ g + zx @ z for g in u1]
+    j0 = _weights(p, "", x0, xN if N else m, u0[0], u1[0],
+                  V @ z if worst else None)
+    ji = _weights(p, "t", xi, xN, u0[1], u1[1]) if N else None
+    d = (3 if N else 2) * p.n
     return _Law(_node_columns(np.concatenate([g for _, g in blocks], axis=1)),
-                rows, _node_columns(Gxi, True), _node_columns(L, True), p.nv)
+                rows, _node_columns(Gxi, True), _node_columns(L, True), p.nv,
+                tuple(w[:d, :d] for w in j0), ji)
+
+
+def _weights(p: ModelParams, t: str, x: np.ndarray, xl: np.ndarray,
+             u0: np.ndarray, u1: np.ndarray, v: np.ndarray | None = None
+             ) -> tuple:
+    """A cost's weights on y as _quad reads them, from the gains on y of
+    the cost's own state x (x0 or xi), of the state xl its Gamma terms
+    read and of the controls (v None under no disturbance), each a matrix
+    or an (M+1, k, d) stack: S'QS + u0'R0u0 + u1'R1u1 - gamma^2 v'R2v,
+    S = x - Gamma1 xl, and the terminal S2'GS2, S2 = x - Gamma2 xl; t = "t"
+    reads the followers' matrices (Qt, Gamma1t, ...)."""
+    Q, G1, G2, G, R0, R1 = (getattr(p, k + t) for k in (
+        "Q", "Gamma1", "Gamma2", "G", "R0", "R1"))
+    S, S2 = x - G1 @ xl, x - G2 @ xl
+    W = S.T @ Q @ S + sum(np.swapaxes(U, -1, -2) @ R @ U for U, R in (
+        (u0, R0), (u1, R1), (v, -p.gamma ** 2 * p.R2)) if U is not None)
+    if W.ndim == 3:
+        W = np.ascontiguousarray(np.moveaxis(W, 0, -1))
+    return W, S2.T @ G @ S2
 
 
 def _feedback(law: _Law, nodes: slice, z: np.ndarray, out: np.ndarray,
@@ -737,89 +768,60 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     return _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc)
 
 
-def _quad(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x' W x over the last axis, from the rows x[..., i]: the terms
-    (x_i W_ij) x_j are added in einsum's order, i outer and j inner, so
-    the value equals np.einsum("...i,ij,...j->...", x, W, x) bitwise
-    whatever x's memory order.  The terms are formed in the rows' memory
-    order and the sum is returned C-ordered, because numpy's reductions,
-    such as the quadrature's sum over nodes, add in an order that follows
-    the memory order."""
-    rows = [x[..., i] for i in range(x.shape[-1])]
-    out = np.zeros_like(rows[0])
-    for i, xi in enumerate(rows):
-        for j, xj in enumerate(rows):
-            out += xi * W[i, j] * xj
-    return np.ascontiguousarray(out)
+def _quad(rows: list, W: np.ndarray, end: np.ndarray, h: float,
+          base: list | None = None) -> np.ndarray:
+    """Per path, the trapezoid sum over nodes of y'Wy plus y'(end)y at
+    the last node, y's components the rows, (paths, ..., M+1) arrays, less
+    base's if given; W (d, d, M+1) over nodes or (d, d) (_weights).  The
+    terms (y_i W_ij) y_j are formed in the rows' memory order and added i
+    outer, j inner, so a node's form equals einsum's bitwise in any memory
+    order; a W_ij zero at every node forms none.  The form is summed over
+    nodes C-ordered (numpy's reductions follow the memory order), over
+    blocks of paths whose rows hold about _CHUNK_FLOATS floats."""
+    def form(ys, W):
+        out = np.zeros_like(max(ys, key=np.size))
+        for i, j in zip(*np.nonzero(np.any(W, axis=tuple(range(2, W.ndim))))):
+            out += ys[i] * W[i, j] * ys[j]
+        return np.ascontiguousarray(out)
+
+    step = max(1, _CHUNK_FLOATS // sum(r[0].size for r in rows))
+    costs = []
+    for a in range(0, len(rows[0]), step):
+        ys = [r[a:a + step] for r in rows]
+        if base is not None:
+            ys = [y - r[a:a + step] for y, r in zip(ys, base)]
+        f = form(ys, W)
+        costs.append(h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
+                     + form([y[..., -1] for y in ys], end))
+    return np.concatenate(costs)
 
 
-def _times(x: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """x @ G.T over the last axis, as one product of G with x's components
-    as rows, in x's layout.  On component-major series the rows are
-    contiguous, and x @ G.T on their views runs several times slower."""
-    rows = np.swapaxes(x, 0, -1)
-    out = G @ rows.reshape(len(rows), -1)
-    return np.swapaxes(out.reshape(rows.shape), 0, -1)
+def _j0_per_path(bundle: PathBundle, p: ModelParams,
+                 base: PathBundle | None = None) -> np.ndarray:
+    """Leader cost per path (xN read as m in a limit run), by the law's
+    weights on a run's states or the cost's own on a replay's states and
+    controls; with base, of the path-wise difference of two replays."""
+    def rows(b):
+        return [x[..., i] for x in (b.x0, b.m, *(b.replayed or (b.xN,)))
+                if x is not None for i in range(x.shape[-1])]
+
+    # a replay's y = (x0, m, u0, u1, v), whose blocks select each of them
+    W, end = bundle.law.j0 if bundle.replayed is None else _weights(
+        p, "", *np.split(np.eye(2 * p.n + p.mL + p.mF + p.nv),
+                         np.cumsum([p.n, p.n, p.mL, p.mF])))
+    return _quad(rows(bundle), W, end, bundle.grid.h,
+                 None if base is None else rows(base))
 
 
-def _trapz(f: np.ndarray, h: float) -> np.ndarray:
-    return h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
-
-
-def _by_path_blocks(cost):
-    """cost(*bundles, p), one row per path of bundles over the same paths,
-    evaluated over blocks of paths whose series, recorded or derived, hold
-    about _CHUNK_FLOATS floats each, so that the quadrature's temporaries
-    stay bounded whatever the bundles' size."""
-    def blocked(*args) -> np.ndarray:
-        *bundles, p = args
-        first = bundles[0]
-        # floats per path of the widest series
-        per_path = (max(p.n, p.mL, p.mF, p.nv) * (first.grid.steps + 1)
-                    * max(1, len(first.follower_ids)))
-        step = max(1, _CHUNK_FLOATS // per_path)
-        return np.concatenate([
-            cost(*(b._paths(a, a + step) for b in bundles), p)
-            for a in range(0, first.n_paths, step)])
-    return blocked
-
-
-def _j0(bundle: PathBundle, p: ModelParams) -> np.ndarray:
-    """Leader cost per path; the population average is replaced by the mean
-    state for limit-system bundles."""
-    xN = bundle.m if bundle.xN is None else bundle.xN
-    u = bundle._controls(*_LEADER)
-    # summed in place, so that one term's temporaries are freed before the
-    # next term is formed
-    run = _quad(bundle.x0 - _times(xN, p.Gamma1), p.Q)
-    run += _quad(u["u0bar"], p.R0)
-    run += _quad(u["u1bar"], p.R1)
-    run -= p.gamma ** 2 * _quad(u["v"], p.R2)
-    term = bundle.x0[:, -1] - (xN[:, -1] @ p.Gamma2.T)
-    return _trapz(run, bundle.grid.h) + _quad(term, p.G)
-
-
-_j0_per_path = _by_path_blocks(_j0)
-
-
-@_by_path_blocks
-def _j0_of_difference(pert: PathBundle, base: PathBundle,
-                      p: ModelParams) -> np.ndarray:
-    """J0 of the path-wise difference of two limit-system replays."""
-    return _j0(PathBundle(pert.grid, pert.cfg, pert.x0 - base.x0,
-                          pert.m - base.m, replayed=tuple(
-                              x - y for x, y in zip(pert.replayed,
-                                                    base.replayed))), p)
-
-
-@_by_path_blocks
-def _ji_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
-    u = bundle._controls("u0i", "u1i")
-    run = _quad(bundle.xi - _times(bundle.xN[:, None], p.Gamma1t), p.Qt)
-    run += _quad(u["u0i"], p.R0t)
-    run += _quad(u["u1i"], p.R1t)
-    term = bundle.xi[:, :, -1] - bundle.xN[:, None, -1] @ p.Gamma2t.T
-    return _trapz(run, bundle.grid.h) + _quad(term, p.Gt)
+def _ji_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray | None:
+    """Each stored follower's cost per path, (paths, stored), by the law's
+    weights on (x0, m, xN) and its state; None if none is stored."""
+    if not bundle.follower_ids:
+        return None
+    series = (bundle.x0[:, None], bundle.m[:, None], bundle.xN[:, None],
+              bundle.xi)
+    return _quad([x[..., i] for x in series for i in range(p.n)],
+                 *bundle.law.ji, bundle.grid.h)
 
 
 def _stderr(x: np.ndarray, axis=None):
@@ -847,9 +849,7 @@ def _cost_report(J0: np.ndarray, Ji: np.ndarray | None,
 def eval_costs(bundle: PathBundle, p: ModelParams,
                V0: float | None = None) -> CostReport:
     """Trapezoidal cost quadrature per path, averaged with standard errors."""
-    Ji = (_ji_per_path(bundle, p)
-          if bundle.xi is not None and len(bundle.follower_ids) else None)
-    return _cost_report(_j0_per_path(bundle, p), Ji, V0)
+    return _cost_report(_j0_per_path(bundle, p), _ji_per_path(bundle, p), V0)
 
 
 def population_costs(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
@@ -860,9 +860,9 @@ def population_costs(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     """eval_costs(simulate_population(p, gains, cfg, fgains, inc), p) and
     the run's path 0, bitwise, without holding the run.
 
-    Each chunk of paths is costed as soon as it is stepped and then
-    dropped, so the run holds one chunk's series at a time; a path's cost
-    does not depend on which paths share its chunk.  Returns the cost
+    Each chunk of paths is costed from its states as soon as it is
+    stepped and then dropped, so the run holds one chunk's series at a
+    time; a path's cost does not depend on its chunk.  Returns the cost
     report and a one-path bundle of path 0's series whose work is the
     whole run's.  _head, a _SweepHead over at most cfg.n_paths paths, is
     filled from the run's own draw for a later sweep_gaps."""
@@ -872,13 +872,12 @@ def population_costs(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         if not first:
             first.append(chunk._paths(0, 1, copy=True))
         J0.append(_j0_per_path(chunk, p))
-        if chunk.follower_ids:
-            Ji.append(_ji_per_path(chunk, p))
+        Ji.append(_ji_per_path(chunk, p))
 
     work = _euler_maruyama(p, gains, cfg, N=cfg.N, fgains=fgains, inc=inc,
                            head=_head, on_chunk=cost)
-    report = _cost_report(np.concatenate(J0),
-                          np.concatenate(Ji) if Ji else None, None)
+    report = _cost_report(np.concatenate(J0), None if Ji[0] is None
+                          else np.concatenate(Ji), None)
     return report, replace(first[0], work=work)
 
 
@@ -898,22 +897,22 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     nonnegative and the disturbance-side ones nonpositive within Monte
     Carlo resolution.
 
-    A replay hands the kernel the baseline's controls, derived once, as
-    its override and the direction as its shift, under the baseline's
-    seed; a replay of the baseline's own controls reproduces it bitwise,
-    which anchors the margins at exactly zero for eps = 0.  Under a
-    replay the dynamics are affine in (u0, u1, v) and J0 is a quadratic
-    form, so per path J(eps) - J_base = eps a + eps^2 b.  Each direction
-    is replayed once, at the first of PERTURB_EPS, and each chunk of the
+    A replay hands the kernel the baseline's controls, derived once (the
+    one derivation here), as its override and the direction as its shift,
+    under the baseline's seed; a replay of the baseline's own controls
+    reproduces it bitwise, which anchors the margins at exactly zero for
+    eps = 0.  Each J0 here is a replay's, a quadratic form of its states
+    and recorded controls, and the dynamics are affine in (u0, u1, v), so
+    per path J(eps) - J_base = eps a + eps^2 b.  Each direction is
+    replayed once, at the first of PERTURB_EPS, and each chunk of the
     replay is costed as soon as it is stepped; b is J0 of the replay's
-    difference from the baseline over eps^2, taken in blocks of paths,
-    and the margins at the other sizes are read off a and b.
+    difference from the baseline over eps^2, and the margins at the other
+    sizes are read off a and b.
     """
-    base = simulate_limit(p, gains, cfg)
     # the baseline as a replay of its own controls, derived once
-    u = base._controls(*_LEADER)
-    base = PathBundle(base.grid, cfg, base.x0, base.m, work=base.work,
-                      replayed=tuple(u[k] for k in _LEADER))
+    base = simulate_limit(p, gains, cfg)
+    base = replace(base, law=None, replayed=tuple(
+        map(base._controls(*_LEADER).get, _LEADER)))
     J_base = _j0_per_path(base, p)
     const = np.ones(base.grid.steps + 1)
     bump = _bump(base.grid)
@@ -934,8 +933,8 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
             def cost(chunk: PathBundle):
                 start = sum(map(len, J))
                 J.append(_j0_per_path(chunk, p))
-                B.append(_j0_of_difference(
-                    chunk, base._paths(start, start + chunk.n_paths), p))
+                B.append(_j0_per_path(
+                    chunk, p, base._paths(start, start + chunk.n_paths)))
 
             work += _euler_maruyama(
                 p, gains, cfg, override=base.replayed, on_chunk=cost,

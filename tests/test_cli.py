@@ -300,9 +300,11 @@ def _sha256(data: bytes) -> str:
 
 def _moved(got: dict, want: dict) -> list:
     """The names whose digest differs between got and want, or that only
-    one side has."""
-    return sorted(name for name in got.keys() | want.keys()
-                  if got.get(name) != want.get(name))
+    one side has, each as "name: pinned -> new" with both digests (None
+    for a side that lacks it), so a re-take can be read off a failure."""
+    return [f"{name}: {want.get(name)} -> {got.get(name)}"
+            for name in sorted(got.keys() | want.keys())
+            if got.get(name) != want.get(name)]
 
 
 def _moved_artifacts(out: Path, want: dict) -> list:
@@ -352,8 +354,8 @@ def test_reproduce_paper_artifacts_match_committed_digests(reproduce_125):
     # its digest and says why
     assert reproduce_125.code == 0
     moved = _moved_artifacts(reproduce_125.out, PINNED["sha256"])
-    assert not moved, (f"artifacts moved: {moved}; the digests were taken "
-                       f"with {PINNED['environment']}")
+    assert not moved, (f"artifacts moved (pinned -> new): {moved}; the "
+                       f"digests were taken with {PINNED['environment']}")
 
 
 def test_default_grid_artifacts_match_committed_digests(reproduce_threads1):
@@ -363,8 +365,8 @@ def test_default_grid_artifacts_match_committed_digests(reproduce_threads1):
     assert reproduce_threads1.argv == pinned["argv"]
     assert reproduce_threads1.code == 0
     moved = _moved_artifacts(reproduce_threads1.out, pinned["sha256"])
-    assert not moved, (f"artifacts moved: {moved}; the digests were taken "
-                       f"with {PINNED['environment']}")
+    assert not moved, (f"artifacts moved (pinned -> new): {moved}; the "
+                       f"digests were taken with {PINNED['environment']}")
 
 
 @pytest.mark.parametrize("run, pinned", [
@@ -376,8 +378,8 @@ def test_manifest_matches_committed_digests(run, pinned, request):
     run = request.getfixturevalue(run)
     assert run.code == 0
     moved = _moved(_manifest_digests(run.out), pinned["manifest_sha256"])
-    assert not moved, (f"manifest keys moved: {moved}; the digests were "
-                       f"taken with {PINNED['environment']}")
+    assert not moved, (f"manifest keys moved (pinned -> new): {moved}; the "
+                       f"digests were taken with {PINNED['environment']}")
 
 
 def test_reproduce_paper_fail_path(table1, tmp_path, capsys):

@@ -304,25 +304,36 @@ def test_population_independent_of_stored_followers(table1, gains1, fg1,
             assert runs[2].consistency_gap() <= 1e-12
 
 
-def test_costs_independent_of_path_blocks(table1, gains1, n2, n2_sol,
-                                          monkeypatch):
-    # the cost quadrature over one block of paths, blocks of 3 and of 1
+def test_costs_independent_of_path_blocks(table1, gains1, fg1, inc1, n2,
+                                          n2_sol, monkeypatch):
+    # the cost quadrature over one block of paths, over blocks of a few
+    # and of one: J0 of limit runs and of team and incentive populations,
+    # their Ji, and J0 of a shifted replay and of its difference from the
+    # baseline replay
     cfg = SimConfig(N=6, n_paths=7, master_seed=3, store_all_followers=True)
-    for p, gains in ((table1, gains1), (n2, n2_sol.gains)):
-        pop = sim.simulate_population(p, gains, cfg)
-        for bundle, costs in ((sim.simulate_limit(p, gains, cfg),
-                               (sim._j0_per_path,)),
-                              (pop, (sim._j0_per_path, sim._ji_per_path))):
-            largest = (bundle.x0 if bundle.xi is None else bundle.xi)[0].size
-            for cost in costs:
-                runs = [cost(bundle, p)]
-                for paths in (3, 1):
-                    with monkeypatch.context() as mp:
-                        mp.setattr(sim, "_CHUNK_FLOATS", paths * largest)
-                        runs.append(cost(bundle, p))
-                assert runs[0].shape[0] == cfg.n_paths
-                for other in runs[1:]:
-                    assert np.array_equal(runs[0], other)
+    for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
+        runs, override, _ = _five_runs(p, gains, fg, inc, cfg)
+        base = sim._euler_maruyama(p, gains, cfg, override=override)
+        costs = []
+        for label, run in runs:
+            bundle = run()
+            costs.append(lambda b=bundle: sim._j0_per_path(b, p))
+            if bundle.xi is not None:
+                costs.append(lambda b=bundle: sim._ji_per_path(b, p))
+            if label == "replay":
+                costs.append(lambda b=bundle: sim._j0_per_path(b, p, base))
+        assert len(costs) == 8
+        nodes = gains.grid.steps + 1
+        for cost in costs:
+            got = [cost()]
+            for floats in (12 * nodes, 1):
+                with monkeypatch.context() as mp:
+                    mp.setattr(sim, "_CHUNK_FLOATS", floats)
+                    got.append(cost())
+            assert got[0].shape[0] == cfg.n_paths
+            for other in got[1:]:
+                assert np.array_equal(got[0], other)
 
 
 def _series(bundle):
@@ -331,47 +342,73 @@ def _series(bundle):
 
 
 def test_quad_equals_einsum_bitwise(n2):
-    # the row form of x'Wx adds einsum's terms in einsum's order, on
-    # C-ordered series and on views of component-major memory alike; the
-    # row form of x @ W.T agrees to roundoff
+    # the row form of y'Wy adds einsum's terms in einsum's order, on
+    # C-ordered series and on views of component-major memory alike, for a
+    # constant weight and a per-node stack, and skips no nonzero weight;
+    # the quadrature is the trapezoid sum of the C-ordered form plus the
+    # terminal form
     gen = np.random.default_rng(11)
+    h = 0.1
+
+    def trapz(f):
+        f = np.ascontiguousarray(f)
+        return h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
+
     weights = [gen.standard_normal((d, d)) for d in (1, 2, 3, 4)] + [
         getattr(n2, k) for k in ("Q", "R0", "R1", "R2", "G", "Qt", "R0t")]
     for W in weights:
         d = len(W)
+        end = gen.standard_normal((d, d))
+        stack = gen.standard_normal((9, d, d))
+        # a weight that is zero at every node, and one zero at some
+        stack[:, 0, -1] = 0.0
+        stack[::2, -1, 0] = 0.0
+        per_node = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
         for shape in ((5, 9), (3, 4, 9)):
-            mem = gen.standard_normal((d,) + shape[::-1])
+            mem = gen.standard_normal((d,) + shape[1:] + shape[:1])
             view = np.swapaxes(mem, 0, -1)
             for x in (view, np.ascontiguousarray(view)):
-                assert np.array_equal(
-                    sim._quad(x, W),
-                    np.einsum("...i,ij,...j->...", x, W, x)), (d, shape)
-                # the cost's linear map: one BLAS product either way, but
-                # BLAS may round the two orientations differently
-                want = x @ W.T
-                assert np.abs(sim._times(x, W) - want).max() \
-                    <= 1e-15 * np.abs(want).max() * d, (d, shape)
+                rows = [x[..., i] for i in range(d)]
+                last = np.einsum("...i,ij,...j->...", x[..., -1, :], end,
+                                 x[..., -1, :])
+                for weight, run in (
+                        (W, np.einsum("...i,ij,...j->...", x, W, x)),
+                        (per_node, np.einsum("...ki,kij,...kj->...k", x,
+                                             stack, x))):
+                    assert np.array_equal(sim._quad(rows, weight, end, h),
+                                          trapz(run) + last), (d, shape)
 
 
 def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
                                            n2_sol, monkeypatch):
-    # the kernel records every state as a view of component-major memory,
-    # and the controls are derived into it; the costs and the sweep
-    # statistics read the same values from C-contiguous copies of the
-    # states.  The sweep reaches the kernel directly for its population
-    # runs, so the kernel is what hands out the copies: of the limit run,
-    # and of each chunk that each N's run hands its caller
+    # the kernel records every state, and a replay its controls, as a view
+    # of component-major memory, and the controls are derived into it; the
+    # costs and the sweep statistics read the same values from C-contiguous
+    # copies of the states and of a replay's controls.  The sweep reaches
+    # the kernel directly for its population runs, so the kernel is what
+    # hands out the copies: of the limit run, and of each chunk that each
+    # N's run hands its caller
     def contiguous(bundle):
-        return replace(bundle, **{k: np.ascontiguousarray(v)
-                                  for k, v in _series(bundle).items()
-                                  if k in _STATES})
+        copies = {k: np.ascontiguousarray(v)
+                  for k, v in _series(bundle).items() if k in _STATES}
+        if bundle.replayed is not None:
+            copies["replayed"] = tuple(map(np.ascontiguousarray,
+                                           bundle.replayed))
+        return replace(bundle, **copies)
 
     cfg = SimConfig(N=6, n_paths=20, master_seed=21, store_followers=3)
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
                               (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
+        runs, override, _ = _five_runs(p, gains, fg, inc, cfg)
+        base = sim._euler_maruyama(p, gains, cfg, override=override)
+        replay = dict(runs)["replay"]()
+        # a replay's difference from its baseline, as saddle_check costs it
+        assert np.array_equal(
+            sim._j0_per_path(replay, p, base),
+            sim._j0_per_path(contiguous(replay), p, contiguous(base)))
         for bundle in (sim.simulate_limit(p, gains, cfg),
                        sim.simulate_population(p, gains, cfg, fgains=fg,
-                                               inc=inc)):
+                                               inc=inc), replay):
             for v in _series(bundle).values():
                 assert np.swapaxes(v, 0, -1).flags.c_contiguous
                 assert not v.flags.owndata
@@ -883,7 +920,10 @@ def test_saddle_margins_match_replays(table1, gains1):
     cfg = SimConfig(n_paths=50, master_seed=3)
     sr = sim.saddle_check(table1, gains1, cfg)
     base = sim.simulate_limit(table1, gains1, cfg)
-    J_base = sim._j0_per_path(base, table1)
+    # the baseline as the battery costs it: a replay of its own controls
+    J_base = sim._j0_per_path(sim._euler_maruyama(
+        table1, gains1, cfg, override=(base.u0bar, base.u1bar, base.v)),
+        table1)
     shapes = {"const": np.ones(base.grid.steps + 1),
               "bump": sim._bump(base.grid)}
     for e in sr.entries:
@@ -1048,3 +1088,96 @@ def test_limit_run_holds_no_controls(table1, gains1):
     series = 8 * cfg.n_paths * nodes * (2 * p.n + p.mL + p.mF + p.nv)
     assert bundle.n_paths == cfg.n_paths
     assert peak < series, (peak / 1e6, series / 1e6)
+
+
+def _controls_form(bundle, p, base=None):
+    """The costs as the model writes them: quadratic forms of the state
+    residuals and of the controls, read through the bundle's control
+    properties, by einsum; with base, J0 of the path-wise difference of
+    two replays.  Returns J0 (paths,) and Ji (paths, stored) or None."""
+    def q(x, W):
+        return np.einsum("...i,ij,...j->...", x, W, x)
+
+    def trapz(f):
+        return bundle.grid.h * (f.sum(axis=-1) - 0.5 * (f[..., 0]
+                                                        + f[..., -1]))
+
+    x0, m, u0, u1, v = (getattr(bundle, k) - (0 if base is None else
+                                              getattr(base, k))
+                        for k in ("x0", "m", "u0bar", "u1bar", "v"))
+    xN = m if bundle.xN is None else bundle.xN
+    J0 = trapz(q(x0 - xN @ p.Gamma1.T, p.Q) + q(u0, p.R0) + q(u1, p.R1)
+               - p.gamma ** 2 * q(v, p.R2)) + q(
+        x0[:, -1] - xN[:, -1] @ p.Gamma2.T, p.G)
+    if bundle.xi is None:
+        return J0, None
+    xi, xN = bundle.xi, bundle.xN[:, None]
+    Ji = trapz(q(xi - xN @ p.Gamma1t.T, p.Qt) + q(bundle.u0i, p.R0t)
+               + q(bundle.u1i, p.R1t)) + q(
+        xi[:, :, -1] - xN[:, :, -1] @ p.Gamma2t.T, p.Gt)
+    return J0, Ji
+
+
+def test_costs_equal_the_controls_form(table1, gains1, fg1, inc1, n2, n2_sol,
+                                       drawn_n3):
+    # the costs weigh the recorded states by each control's gains, and a
+    # replay's recorded controls by the cost's own weights; per path they
+    # equal the quadratic forms of the controls within 1e-14 relative to
+    # 1 + |J| (the worst measured here is 1.5e-15, table1's incentive-mode
+    # Ji).  Every kind of run: J0 and Ji of team and incentive populations,
+    # and J0 of a shifted replay and of its difference from the baseline
+    # replay
+    for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc),
+                              (drawn_n3, *_partial_chain(drawn_n3))):
+        cfg = SimConfig(N=5, n_paths=7, master_seed=29, store_followers=3)
+        runs, override, _ = _five_runs(p, gains, fg, inc, cfg)
+        base = sim._euler_maruyama(p, gains, cfg, override=override)
+        checked = []
+        for label, run in runs:
+            bundle = run()
+            J0, Ji = _controls_form(bundle, p)
+            checked.append((label, sim._j0_per_path(bundle, p), J0))
+            if Ji is not None:
+                checked.append((label + " Ji", sim._ji_per_path(bundle, p),
+                                Ji))
+            if label == "replay":
+                checked.append(("difference",
+                                sim._j0_per_path(bundle, p, base),
+                                _controls_form(bundle, p, base)[0]))
+        assert len(checked) == 8
+        for label, got, want in checked:
+            assert got.shape == want.shape, label
+            err = float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
+            assert err <= 1e-14, (label, err)
+
+
+def test_costs_derive_no_control(table1, gains1, fg1, inc1, monkeypatch):
+    # the costs read the recorded states and derive no control; the saddle
+    # battery derives its baseline's controls once, for the replays'
+    # override
+    cfg = SimConfig(N=6, n_paths=5, master_seed=7, store_followers=3)
+    modes = ({}, {"fgains": fg1, "inc": inc1.inc})
+    bundles = [sim.simulate_limit(table1, gains1, cfg)] + [
+        sim.simulate_population(table1, gains1, cfg, **mode)
+        for mode in modes]
+    derive = sim._derive
+
+    def refuse(bundle, names):
+        raise AssertionError(f"derived {names}")
+
+    monkeypatch.setattr(sim, "_derive", refuse)
+    for bundle in bundles:
+        assert np.isfinite(sim.eval_costs(bundle, table1).J0_mean)
+    for mode in modes:
+        sim.population_costs(table1, gains1, cfg, **mode)
+    sim.sweep_gaps(table1, gains1, [4, 8, 16], cfg)
+    derived = []
+
+    def counted(bundle, names):
+        derived.append(names)
+        return derive(bundle, names)
+
+    monkeypatch.setattr(sim, "_derive", counted)
+    sim.saddle_check(table1, gains1, cfg)
+    assert len(derived) == 1
