@@ -46,15 +46,18 @@ So a run records states only: x0 and m, and for a population xN and the
 stored followers' xi, as component-major memory, (dim, M+1, paths) and
 (dim, stored, M+1, paths), behind (paths, M+1, dim) and
 (paths, stored, M+1, dim) views, so a node's write copies one contiguous
-row per component.  A replay feeds its override controls plus a per-node
-shift into the same dynamics product and records them; replaying a
-run's own controls reproduces it bitwise.  PathBundle derives a run's
-u0bar, u1bar, v, u0i and u1i on each read through the same _feedback,
-bitwise equal to what the kernel played.  No cost derives them: each
-control is a gain times the states, so u'Ru = y'(U'RU)y, and
-_feedback_law builds J0's and Ji's weights on the states once per run
-(_weights), while a replay's weigh its recorded controls.  One
-quadrature (_quad) forms y'Wy from the components' rows and sums it.
+row per component.  PathBundle derives a run's u0bar, u1bar, v, u0i and
+u1i on each read through the same _feedback, bitwise equal to what the
+kernel played.  No cost derives them: each control is a gain times the
+states, so u'Ru = y'(U'RU)y, and _feedback_law builds J0's and Ji's
+weights on the states once per run (_weights).  One quadrature (_quad)
+forms y'Wy, or the bilinear y'Wz, from the components' rows and sums it.
+
+The kernel's step is linear in (x0, m, u0, u1, v) with no constant term,
+so a perturbation of a run's controls by eps d moves its states by eps
+times a response: the same scheme under the same noise, started from
+zero and driven by d alone.  A response run plays no law and records
+its states only; saddle_check costs it against the baseline's paths.
 
 The kernel hands each finished chunk to its caller, and the callers
 differ only in where a chunk's series live.  simulate_limit and
@@ -63,8 +66,8 @@ whole run.  population_costs records each chunk in one allocation of its
 own, costs its paths, keeps path 0's series and drops the chunk, so it
 holds one chunk's series at a time; a path's cost does not depend on its
 chunk, so its report equals eval_costs of the whole run bitwise.
-saddle_check costs each replay the same way, and sweep_gaps reduces each
-N's run to its per-path squared gaps and J0.
+saddle_check costs each response the same way, and sweep_gaps reduces
+each N's run to its per-path squared gaps and J0.
 
 One Euler-Maruyama step spans one grid interval.  A chunk holds about
 _VECTOR_FLOATS noise floats per step, so each numpy call of the stepping
@@ -173,10 +176,6 @@ class SimConfig:
             raise ValueError(f"unknown disturbance mode {self.disturbance!r}")
 
 
-# the controls a limit run records or derives, in a replay's order
-_LEADER = ("u0bar", "u1bar", "v")
-
-
 @dataclass(frozen=True, eq=False)
 class _Law:
     """A run's feedback law, node by node, as the columns _mac reads.
@@ -229,8 +228,9 @@ class PathBundle:
     stored followers' u0i and u1i, are its feedback law applied to those
     states node by node; each read derives them afresh, bitwise equal to
     what the kernel played, and nothing is cached.  The costs read the
-    states and the law's weights instead.  A replay records its controls
-    (replayed).  In a population u0bar and u1bar are xN's.
+    states and the law's weights instead.  A response run (saddle_check)
+    plays no law, so its bundle holds none and derives nothing.  In a
+    population u0bar and u1bar are xN's.
 
     Shapes: states (paths, M+1, n), controls (paths, M+1, m), and the
     stored followers' (paths, stored, M+1, dim).  xN and the follower
@@ -249,43 +249,29 @@ class PathBundle:
     follower_ids: tuple = ()
     work: Work = Work()
     law: _Law | None = None
-    replayed: tuple | None = None          # a replay's (u0bar, u1bar, v)
 
     @property
     def n_paths(self) -> int:
         return self.x0.shape[0]
 
-    u0bar = property(lambda self: self._controls("u0bar")["u0bar"],
+    u0bar = property(lambda self: _derive(self, ["u0bar"])["u0bar"],
                      doc="The leader's control u0, of xN in a population.")
-    u1bar = property(lambda self: self._controls("u1bar")["u1bar"],
+    u1bar = property(lambda self: _derive(self, ["u1bar"])["u1bar"],
                      doc="The followers' control u1, of xN in a population.")
-    v = property(lambda self: self._controls("v")["v"],
+    v = property(lambda self: _derive(self, ["v"])["v"],
                  doc="The disturbance.")
-    u0i = property(lambda self: self._controls("u0i").get("u0i"),
+    u0i = property(lambda self: _derive(self, ["u0i"]).get("u0i"),
                    doc="u0 of each stored follower; None for a limit run.")
-    u1i = property(lambda self: self._controls("u1i").get("u1i"),
+    u1i = property(lambda self: _derive(self, ["u1i"]).get("u1i"),
                    doc="u1 of each stored follower; None for a limit run.")
 
-    def _controls(self, *names: str) -> dict:
-        """The named controls, read from a replay or derived from the
-        states; a limit run has no u0i or u1i."""
-        if self.replayed is not None:
-            return {k: x for k, x in zip(_LEADER, self.replayed)
-                    if k in names}
-        return _derive(self, names)
-
     def _paths(self, a: int, b: int, copy: bool = False) -> "PathBundle":
-        """Paths a..b-1 of the batch: every recorded series, the states
-        and a replay's controls, sliced (copied with copy, in its layout),
-        the law kept and nothing derived."""
-        def cut(x):
-            return x[a:b].copy(order="K") if copy else x[a:b]
-
-        cuts = {k: cut(getattr(self, k)) for k in ("x0", "m", "xN", "xi")
-                if getattr(self, k) is not None}
-        if self.replayed is not None:
-            cuts["replayed"] = tuple(map(cut, self.replayed))
-        return replace(self, **cuts)
+        """Paths a..b-1 of the batch: every recorded state, sliced (copied
+        with copy, in its layout), the law kept and nothing derived."""
+        return replace(self, **{
+            k: x[a:b].copy(order="K") if copy else x[a:b]
+            for k in ("x0", "m", "xN", "xi")
+            if (x := getattr(self, k)) is not None})
 
     def consistency_gap(self) -> float:
         """Max deviation of the stepped average xN from the mean of the
@@ -411,20 +397,21 @@ def _feedback_law(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
               + [("zx", zx), ("gx", gx)] * (N > 0))
     ends = np.cumsum([g.shape[1] for _, g in blocks]).tolist()
     rows = {k: slice(e - g.shape[1], e) for (k, g), e in zip(blocks, ends)}
-    # the costs' weights on the states (_weights), from the gains on
-    # y = (x0, m, xN, xi) of what each weighs: J0's on (x0, m), or on
-    # (x0, m, xN) with xN an agent in m's place; Ji's on all of y
-    x0, m, xN, xi = y = np.split(np.eye(4 * p.n), 4)
+    # the costs' weights on the states (_weights), from the gains on the
+    # states y of what each weighs: a limit run's J0 on y = (x0, m); a
+    # population's on y = (x0, m, xN, xi), J0's cut to (x0, m, xN) with xN
+    # an agent in m's place, and Ji's on all of y
+    x0, m, *agents = y = np.split(np.eye((4 if N else 2) * p.n),
+                                  4 if N else 2)
     z = np.vstack(y[:2])
-    u1 = [gx @ z + Gxi @ own for own in (xN, xi)] if N else [u1l @ z]
+    u1 = [gx @ z + Gxi @ own for own in agents] if N else [u1l @ z]
     u0 = [L @ g + zx @ z for g in u1]
-    j0 = _weights(p, "", x0, xN if N else m, u0[0], u1[0],
+    j0 = _weights(p, "", x0, agents[0] if N else m, u0[0], u1[0],
                   V @ z if worst else None)
-    ji = _weights(p, "t", xi, xN, u0[1], u1[1]) if N else None
-    d = (3 if N else 2) * p.n
+    ji = _weights(p, "t", agents[1], agents[0], u0[1], u1[1]) if N else None
     return _Law(_node_columns(np.concatenate([g for _, g in blocks], axis=1)),
                 rows, _node_columns(Gxi, True), _node_columns(L, True), p.nv,
-                tuple(w[:d, :d] for w in j0), ji)
+                tuple(w[:3 * p.n, :3 * p.n] for w in j0) if N else j0, ji)
 
 
 def _weights(p: ModelParams, t: str, x: np.ndarray, xl: np.ndarray,
@@ -465,8 +452,8 @@ def _feedback(law: _Law, nodes: slice, z: np.ndarray, out: np.ndarray,
 
 def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                     N: int = 0, fgains: FollowerGains | None = None,
-                    inc: IncentiveMatrices | None = None, override=None,
-                    shift=(None, None, None), wsum: np.ndarray | None = None,
+                    inc: IncentiveMatrices | None = None, response=None,
+                    wsum: np.ndarray | None = None,
                     head: _SweepHead | None = None, on_chunk=None):
     """The one Euler-Maruyama kernel: the limit system when N = 0, else
     the N-follower population (team mode, or incentive mode with fgains
@@ -477,25 +464,23 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     leader's and mean's components are the rows of one (rows, chunk)
     array w, the agents' the rows of one (rows, 1 + stored, chunk) array
     whose agent 0 is xN.  Feedback is evaluated at the nodes, one step
-    per grid interval, by _feedback.  override = (u0, u1, v), float node
-    series of shapes (paths, M+1, mL), (paths, M+1, mF) and
-    (paths, M+1, nv), replaces the leader's feedback in a limit run
-    (saddle_check's replays); shift holds, for each of the three, None
-    or an (M+1,) node series added to every path's override.  wsum,
-    (paths, M, n) sums of agents 1..N's increments, replaces the
-    followers' streams in a population run (sweep_gaps, which reads every
-    N's sums in one pass); its caller stores no followers, so such a run
-    reads only the common noise.  head (_SweepHead), for a population run
-    that draws its own sums over at least the head's paths, is filled
-    with those paths' sums at its sizes in the same pass.  None of these
-    is checked here.
+    per grid interval, by _feedback.  response = (u0, u1, v), each None
+    (zero) or an (M+1,) node series, makes a limit run a response
+    (saddle_check's): it starts from zero, builds and plays no law, and
+    each node's u0, u1 and v are the series' values, the same for every
+    component and path.  wsum, (paths, M, n) sums of agents 1..N's
+    increments, replaces the followers' streams in a population run
+    (sweep_gaps, which reads every N's sums in one pass); its caller
+    stores no followers, so such a run reads only the common noise.  head
+    (_SweepHead), for a population run that draws its own sums over at
+    least the head's paths, is filled with those paths' sums at its sizes
+    in the same pass.  None of these is checked here.
 
-    A run records its states (PathBundle), and a replay its controls
-    too, in the run's memory, and the run's PathBundle is returned.  With
-    on_chunk, each chunk's series are recorded in memory of the chunk's
-    own instead: on_chunk(bundle of the chunk's paths) is called once the
-    chunk is stepped, the chunk is then dropped, and the run's Work is
-    returned.
+    A run records its states (PathBundle) in the run's memory, and the
+    run's PathBundle is returned.  With on_chunk, each chunk's series are
+    recorded in memory of the chunk's own instead: on_chunk(bundle of the
+    chunk's paths) is called once the chunk is stepped, the chunk is then
+    dropped, and the run's Work is returned.
     """
     if fgains is not None and inc is None:
         raise ValueError("incentive mode needs both fgains and inc")
@@ -503,7 +488,7 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     M, P, h = grid.steps, cfg.n_paths, grid.h
     n, mL, mF, nv = p.n, p.mL, p.mF, p.nv
     seed = cfg.master_seed
-    law = _feedback_law(p, gains, cfg, N, fgains, inc)
+    law = None if response else _feedback_law(p, gains, cfg, N, fgains, inc)
     # the leader's drift reads the population average in team mode, the
     # mean field in incentive mode, as in the limiting analysis
     lead_reads_xN = N > 0 and fgains is None
@@ -511,16 +496,17 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     # leader's coupling term reads, has rows of its own only in team mode,
     # where it is a copy of xN; the followers' zx and gx only for a
     # population.  w[iK:] holds the law's rows (_feedback), v's zero rows
-    # before them under no disturbance, and one product of the dynamics
-    # on w[:izx] gives the leader's drift, the mean's drift and the
-    # leader's diffusion coefficient
+    # before them under no disturbance, or a response's u0 and u1; one
+    # product of the dynamics on w[:izx] gives the leader's drift, the
+    # mean's drift and the leader's diffusion coefficient
     nxl = n if lead_reads_xN else 0
     iv = 2 * n + nxl
-    iK = iv + nv - law.rows["u0"].start
-    row = {name: slice(iK + s.start, iK + s.stop)
-           for name, s in law.rows.items()}
+    rows = law.rows if law else {"u0": slice(0, mL), "u1": slice(mL, mL + mF)}
+    iK = iv + nv - rows["u0"].start
+    row = {name: slice(iK + s.start, iK + s.stop) for name, s in rows.items()}
     row["v"] = slice(iv, iv + nv)
     izx = row["u1"].stop
+    nw = max(s.stop for s in row.values())
     # the dynamics' column blocks by the component they act on, in its rows
     # [x0's drift; m's drift; x0's diffusion coefficient]
     O, Ov, Of = np.zeros((n, n)), np.zeros((n, nv)), np.zeros((n, mF))
@@ -537,11 +523,8 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
     # every series is held component-major, (dim, M+1, paths) and
     # (dim, stored, M+1, paths), so a node's write copies one contiguous
-    # row per component; the bundles get (paths, ..., M+1, dim) views.
-    # The states are recorded, and a replay's controls
+    # row per component; the bundles get (paths, ..., M+1, dim) views
     shapes = {"x0": (n, M + 1), "m": (n, M + 1)}
-    if override is not None:
-        shapes.update(u0bar=(mL, M + 1), u1bar=(mF, M + 1), v=(nv, M + 1))
     if N:
         shapes.update(xN=(n, M + 1), xi=(n, stored, M + 1))
     # the run's memory gives each series an allocation of its own (one
@@ -563,17 +546,15 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         b = min(a + chunk, P)
         C = b - a
         # every array is stepped in place, so the views below stay bound
-        w = np.zeros((iK + law.K.shape[1], C))
-        w[:n], w[n:2 * n] = p.xi[:, None], p.x0init[:, None]
+        w = np.zeros((nw, C))
+        if law:
+            w[:n], w[n:2 * n] = p.xi[:, None], p.x0init[:, None]
         z, x0 = w[:2 * n], w[:n]
         drift = np.empty((3 * n, C))
         # _feedback's arrays at one node; the recorded value of each
         # series
         at_node = (z[:, None], w[iK:, None])
         values = {"x0": x0, "m": w[n:2 * n]}
-        if override is not None:
-            values.update(u0bar=w[row["u0"]], u1bar=w[row["u1"]],
-                          v=w[row["v"]])
         # each stream of the chunk is read once, whole
         dW = rng.increments(seed, [(i, 0) for i in range(a, b)], M, h)
         if N:
@@ -606,13 +587,12 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                {name: arr[..., a:b] for name, arr in run.items()})
         record = [(mem[name], val) for name, val in values.items()]
         for k in range(M + 1):
-            if override is not None:
-                for name, arr, s in zip(("u0", "u1", "v"), override, shift):
-                    w[row[name]] = arr[a:b, k].T
-                    if s is not None:
-                        w[row[name]] += s[k]
-            else:
+            if law:
                 _feedback(law, slice(k, k + 1), *at_node)
+            else:
+                for name, d in zip(("u0", "u1", "v"), response):
+                    if d is not None:
+                        w[row[name]] = d[k]
             for series, val in record:
                 series[..., k, :] = val
             if k == M:
@@ -666,16 +646,12 @@ def _series_memory(shapes: dict, paths: int) -> dict:
 
 
 def _bundle(grid: TimeGrid, cfg: SimConfig, mem: dict, follower_ids: tuple,
-            law: _Law, work: Work = Work()) -> PathBundle:
+            law: _Law | None, work: Work = Work()) -> PathBundle:
     """The PathBundle of component-major series: (paths, ..., M+1, dim)
-    views of mem.  A replay's bundle holds its recorded controls and no
-    law."""
-    series = {name: np.swapaxes(arr, 0, -1) for name, arr in mem.items()}
-    replayed = (tuple(series.pop(k) for k in _LEADER) if "v" in series
-                else None)
+    views of mem."""
     return PathBundle(grid, cfg, follower_ids=follower_ids, work=work,
-                      law=None if replayed else law, replayed=replayed,
-                      **series)
+                      law=law, **{name: np.swapaxes(arr, 0, -1)
+                                  for name, arr in mem.items()})
 
 
 def _derive(bundle: PathBundle, names) -> dict:
@@ -685,7 +661,8 @@ def _derive(bundle: PathBundle, names) -> dict:
     component-major memory of the whole run.  Blocks of nodes keep the
     path axis, the innermost, whole.  Only the law's rows that the named
     controls need are formed; a row's value does not depend on which
-    others are.  A population's u0bar and u1bar are its agent xN's."""
+    others are.  A population's u0bar and u1bar are its agent xN's; a
+    limit run gives no u0i or u1i."""
     law = bundle.law
     x0, m = (np.swapaxes(x, 0, -1) for x in (bundle.x0, bundle.m))
     n, nodes, P = x0.shape
@@ -769,48 +746,41 @@ def simulate_population(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
 
 
 def _quad(rows: list, W: np.ndarray, end: np.ndarray, h: float,
-          base: list | None = None) -> np.ndarray:
+          other: list | None = None) -> np.ndarray:
     """Per path, the trapezoid sum over nodes of y'Wy plus y'(end)y at
-    the last node, y's components the rows, (paths, ..., M+1) arrays, less
-    base's if given; W (d, d, M+1) over nodes or (d, d) (_weights).  The
-    terms (y_i W_ij) y_j are formed in the rows' memory order and added i
-    outer, j inner, so a node's form equals einsum's bitwise in any memory
-    order; a W_ij zero at every node forms none.  The form is summed over
-    nodes C-ordered (numpy's reductions follow the memory order), over
-    blocks of paths whose rows hold about _CHUNK_FLOATS floats."""
-    def form(ys, W):
-        out = np.zeros_like(max(ys, key=np.size))
+    the last node, y's components the rows, (paths, ..., M+1) arrays; with
+    other, the bilinear y'Wz, z's components other's rows.  W is
+    (d, d, M+1) over nodes or (d, d) (_weights).  The terms
+    (y_i W_ij) z_j are formed in the rows' memory order and added i outer,
+    j inner, so a node's form equals einsum's bitwise in any memory order;
+    a W_ij zero at every node forms none, so a component that only end
+    weighs may hold the last node alone.  The form is summed over nodes
+    C-ordered (numpy's reductions follow the memory order), over blocks
+    of paths whose rows hold about _CHUNK_FLOATS floats."""
+    def form(ys, zs, W):
+        out = np.zeros_like(max(ys + zs, key=np.size))
         for i, j in zip(*np.nonzero(np.any(W, axis=tuple(range(2, W.ndim))))):
-            out += ys[i] * W[i, j] * ys[j]
+            out += ys[i] * W[i, j] * zs[j]
         return np.ascontiguousarray(out)
 
     step = max(1, _CHUNK_FLOATS // sum(r[0].size for r in rows))
     costs = []
     for a in range(0, len(rows[0]), step):
         ys = [r[a:a + step] for r in rows]
-        if base is not None:
-            ys = [y - r[a:a + step] for y, r in zip(ys, base)]
-        f = form(ys, W)
+        zs = ys if other is None else [r[a:a + step] for r in other]
+        f = form(ys, zs, W)
         costs.append(h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
-                     + form([y[..., -1] for y in ys], end))
+                     + form([y[..., -1] for y in ys],
+                            [z[..., -1] for z in zs], end))
     return np.concatenate(costs)
 
 
-def _j0_per_path(bundle: PathBundle, p: ModelParams,
-                 base: PathBundle | None = None) -> np.ndarray:
-    """Leader cost per path (xN read as m in a limit run), by the law's
-    weights on a run's states or the cost's own on a replay's states and
-    controls; with base, of the path-wise difference of two replays."""
-    def rows(b):
-        return [x[..., i] for x in (b.x0, b.m, *(b.replayed or (b.xN,)))
-                if x is not None for i in range(x.shape[-1])]
-
-    # a replay's y = (x0, m, u0, u1, v), whose blocks select each of them
-    W, end = bundle.law.j0 if bundle.replayed is None else _weights(
-        p, "", *np.split(np.eye(2 * p.n + p.mL + p.mF + p.nv),
-                         np.cumsum([p.n, p.n, p.mL, p.mF])))
-    return _quad(rows(bundle), W, end, bundle.grid.h,
-                 None if base is None else rows(base))
+def _j0_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray:
+    """Leader cost per path, by the law's weights on (x0, m), or on
+    (x0, m, xN) in a population."""
+    return _quad([x[..., i] for x in (bundle.x0, bundle.m, bundle.xN)
+                  if x is not None for i in range(p.n)],
+                 *bundle.law.j0, bundle.grid.h)
 
 
 def _ji_per_path(bundle: PathBundle, p: ModelParams) -> np.ndarray | None:
@@ -886,65 +856,95 @@ def _bump(grid: TimeGrid) -> np.ndarray:
     return ((t >= grid.T / 3.0) & (t < 2.0 * grid.T / 3.0)).astype(float)
 
 
+def _residual_rows(p: ModelParams, x0, m, u0, u1, v) -> list:
+    """The rows of y = (S, u0, u1, v, S2) that _response_forms weighs,
+    from (paths, M+1, dim) series: S = x0 - Gamma1 m at every node and
+    S2 = x0 - Gamma2 m at the last alone.  Each residual is an elementwise
+    sum over m's components, so a path's value does not depend on how
+    many paths share the call."""
+    def residual(G, nodes):
+        return [x0[:, nodes, i] - sum(G[i, j] * m[:, nodes, j]
+                                      for j in range(p.n))
+                for i in range(p.n)]
+
+    return (residual(p.Gamma1, slice(None))
+            + [x[..., i] for x in (u0, u1, v) for i in range(x.shape[-1])]
+            + residual(p.Gamma2, slice(-1, None)))
+
+
+def _response_forms(p: ModelParams, y: list, response: PathBundle,
+                    inputs: tuple) -> tuple:
+    """Per path, b = J_W(dy) and a = 2 <y, dy>_W of a response to inputs
+    (_euler_maruyama): dy its _residual_rows, the inputs its controls, and
+    y the baseline's rows of the same paths.  W is the leader cost's own:
+    the running block_diag(Q, R0, R1, -gamma^2 R2) on (S, u0, u1, v) and
+    the terminal G on S2."""
+    C, nodes = response.x0.shape[:2]
+    dy = _residual_rows(p, response.x0, response.m, *(
+        np.broadcast_to(0.0 if d is None else d[:, None], (C, nodes, k))
+        for d, k in zip(inputs, (p.mL, p.mF, p.nv))))
+    at = np.cumsum([0, p.n, p.mL, p.mF, p.nv, p.n])
+    W, end = np.zeros((2, at[-1], at[-1]))
+    for k, (w, block) in enumerate(((W, p.Q), (W, p.R0), (W, p.R1),
+                                    (W, -p.gamma ** 2 * p.R2), (end, p.G))):
+        # a control with no input is zero in dy and adds nothing to either
+        # form, so its block stays zero and _quad forms none of its terms
+        if 0 < k < 4 and inputs[k - 1] is None:
+            continue
+        w[at[k]:at[k + 1], at[k]:at[k + 1]] = block
+    h = response.grid.h
+    return _quad(dy, W, end, h), 2.0 * _quad(y, W, end, h, dy)
+
+
 def saddle_check(p: ModelParams, gains: LeaderGains,
                  cfg: SimConfig) -> SaddleReport:
     """Open-loop perturbation battery around the recorded saddle processes.
 
     The baseline closed-loop run fixes per-path control processes; each
-    battery entry replays them with a deterministic direction added to the
-    controls (resp. the disturbance), under the same common noise.  Margins
-    are mean paired cost differences, so the control-side ones should be
-    nonnegative and the disturbance-side ones nonpositive within Monte
-    Carlo resolution.
+    battery entry adds eps times a deterministic direction to the
+    controls (resp. the disturbance), under the same common noise.
+    Margins are mean paired cost differences, so the control-side ones
+    should be nonnegative and the disturbance-side ones nonpositive within
+    Monte Carlo resolution.
 
-    A replay hands the kernel the baseline's controls, derived once (the
-    one derivation here), as its override and the direction as its shift,
-    under the baseline's seed; a replay of the baseline's own controls
-    reproduces it bitwise, which anchors the margins at exactly zero for
-    eps = 0.  Each J0 here is a replay's, a quadratic form of its states
-    and recorded controls, and the dynamics are affine in (u0, u1, v), so
-    per path J(eps) - J_base = eps a + eps^2 b.  Each direction is
-    replayed once, at the first of PERTURB_EPS, and each chunk of the
-    replay is costed as soon as it is stepped; b is J0 of the replay's
-    difference from the baseline over eps^2, and the margins at the other
-    sizes are read off a and b.
+    The scheme is linear in the states and controls, so the perturbed
+    states are the baseline's plus eps times the direction's response
+    (module docstring), and J0 is a quadratic form: per path
+    J(eps) - J_base = eps a + eps^2 b, with b = J_W(dy) and
+    a = 2 <y, dy>_W.  y is the baseline's residual rows and controls,
+    derived once (the one derivation here), dy the response's, and W the
+    cost's own weights on them (_response_forms).  Each direction's
+    response runs once under the baseline's seed, and each chunk of it is
+    costed as soon as it is stepped, against the baseline's same paths.
+    J_base is the baseline's J0 as eval_costs takes it.
     """
-    # the baseline as a replay of its own controls, derived once
     base = simulate_limit(p, gains, cfg)
-    base = replace(base, law=None, replayed=tuple(
-        map(base._controls(*_LEADER).get, _LEADER)))
-    J_base = _j0_per_path(base, p)
-    const = np.ones(base.grid.steps + 1)
-    bump = _bump(base.grid)
-    P = cfg.n_paths
-    eps1, *others = PERTURB_EPS
+    J_base, work = _j0_per_path(base, p), base.work
+    names = ("u0bar", "u1bar", "v")
+    y = _residual_rows(p, base.x0, base.m,
+                       *map(_derive(base, names).get, names))
+    del base
+    grid = gains.grid
+    shapes = (("const", np.ones(grid.steps + 1)), ("bump", _bump(grid)))
 
     entries = []
     u_margins = {}
-    work = base.work
-    for shape, direction in (("const", const), ("bump", bump)):
+    for shape, direction in shapes:
         for target in ("u", "v"):
-            # the kernel adds the shift to the override's rows; each chunk
-            # of the replay is costed, and its difference from the
-            # baseline, as soon as it is stepped
-            shift = eps1 * direction
-            J, B = [], []
+            inputs = ((direction, direction, None) if target == "u"
+                      else (None, None, direction))
+            forms = []
 
             def cost(chunk: PathBundle):
-                start = sum(map(len, J))
-                J.append(_j0_per_path(chunk, p))
-                B.append(_j0_per_path(
-                    chunk, p, base._paths(start, start + chunk.n_paths)))
+                start = sum(len(b) for b, _ in forms)
+                forms.append(_response_forms(p, [
+                    r[start:start + chunk.n_paths] for r in y], chunk, inputs))
 
-            work += _euler_maruyama(
-                p, gains, cfg, override=base.replayed, on_chunk=cost,
-                shift=(shift, shift, None) if target == "u"
-                else (None, None, shift))
-            diff1 = np.concatenate(J) - J_base
-            b = np.concatenate(B) / eps1 ** 2
-            a = (diff1 - eps1 ** 2 * b) / eps1
-            diffs = [diff1] + [eps * a + eps ** 2 * b for eps in others]
-            for eps, diff in zip(PERTURB_EPS, diffs):
+            work += _euler_maruyama(p, gains, cfg, response=inputs,
+                                    on_chunk=cost)
+            b, a = map(np.concatenate, zip(*forms))
+            for eps in PERTURB_EPS:
+                diff = eps * a + eps ** 2 * b
                 margin, se = float(diff.mean()), _stderr(diff)
                 # a NaN stderr (one path) compares false: not ok
                 ok = margin >= -3.0 * se if target == "u" \
@@ -959,8 +959,8 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
         if u_margins.get((shape, eps_lo))
     )
     return SaddleReport(entries=tuple(entries), u_ratios=ratios,
-                        baseline_mean=float(J_base.mean()), n_paths=P,
-                        work=work)
+                        baseline_mean=float(J_base.mean()),
+                        n_paths=cfg.n_paths, work=work)
 
 
 def exact_mean_field_gap(p: ModelParams, N: int) -> float:

@@ -382,6 +382,16 @@ def test_manifest_matches_committed_digests(run, pinned, request):
                        f"digests were taken with {PINNED['environment']}")
 
 
+@pytest.mark.parametrize("run", ["reproduce_125", "reproduce_threads1"],
+                         ids=["grid125", "default_grid"])
+def test_saddle_baseline_is_the_limit_cost(run, request):
+    # the battery's baseline and the stage's limit costs read the same
+    # config, the same paths and the same J0, so they agree bitwise
+    summary = read_json(request.getfixturevalue(run).out / "summary.json")
+    assert summary["saddle"]["baseline_mean"] == \
+        summary["costs"]["limit"]["J0_mean"]
+
+
 def test_reproduce_paper_fail_path(table1, tmp_path, capsys):
     # blocks escape at gamma=2: the pipeline must stop at solve-leader,
     # leave a FAILED manifest and still write the partial summary

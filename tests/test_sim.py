@@ -4,6 +4,7 @@ import copy
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,15 +208,6 @@ def test_thread_count_does_not_change_paths(table1, gains1, n2, n2_sol,
         assert np.array_equal(wide.u0bar, narrow.u0bar)
 
 
-def test_replay_of_recorded_controls_is_bitwise(table1, gains1):
-    cfg = SimConfig(n_paths=8, master_seed=11)
-    base = sim.simulate_limit(table1, gains1, cfg)
-    rep = sim._euler_maruyama(table1, gains1, cfg,
-                              override=(base.u0bar, base.u1bar, base.v))
-    assert np.array_equal(base.x0, rep.x0)
-    assert np.array_equal(base.m, rep.m)
-
-
 def test_zero_disturbance_mode(table1, gains1):
     cfg = SimConfig(n_paths=4, disturbance="zero")
     b = sim.simulate_limit(table1, gains1, cfg)
@@ -308,21 +300,22 @@ def test_costs_independent_of_path_blocks(table1, gains1, fg1, inc1, n2,
                                           n2_sol, monkeypatch):
     # the cost quadrature over one block of paths, over blocks of a few
     # and of one: J0 of limit runs and of team and incentive populations,
-    # their Ji, and J0 of a shifted replay and of its difference from the
-    # baseline replay
+    # their Ji, and a response's b and a against the limit run
     cfg = SimConfig(N=6, n_paths=7, master_seed=3, store_all_followers=True)
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
                               (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
-        runs, override, _ = _five_runs(p, gains, fg, inc, cfg)
-        base = sim._euler_maruyama(p, gains, cfg, override=override)
+        runs, inputs = _five_runs(p, gains, fg, inc, cfg)
+        base = dict(runs)["limit"]()
         costs = []
         for label, run in runs:
             bundle = run()
-            costs.append(lambda b=bundle: sim._j0_per_path(b, p))
+            if label == "response":
+                costs += [lambda b=bundle, i=i: _response_forms(
+                    p, base, b, inputs)[i] for i in (0, 1)]
+            else:
+                costs.append(lambda b=bundle: sim._j0_per_path(b, p))
             if bundle.xi is not None:
                 costs.append(lambda b=bundle: sim._ji_per_path(b, p))
-            if label == "replay":
-                costs.append(lambda b=bundle: sim._j0_per_path(b, p, base))
         assert len(costs) == 8
         nodes = gains.grid.steps + 1
         for cost in costs:
@@ -337,7 +330,9 @@ def test_costs_independent_of_path_blocks(table1, gains1, fg1, inc1, n2,
 
 
 def _series(bundle):
-    return {name: getattr(bundle, name) for name in _BUNDLE_FIELDS
+    """The bundle's series that are set; a response's states only."""
+    return {name: getattr(bundle, name) for name in
+            (_BUNDLE_FIELDS if bundle.law else _STATES)
             if getattr(bundle, name) is not None}
 
 
@@ -381,37 +376,35 @@ def test_quad_equals_einsum_bitwise(n2):
 
 def test_costs_independent_of_memory_order(table1, gains1, fg1, inc1, n2,
                                            n2_sol, monkeypatch):
-    # the kernel records every state, and a replay its controls, as a view
-    # of component-major memory, and the controls are derived into it; the
-    # costs and the sweep statistics read the same values from C-contiguous
-    # copies of the states and of a replay's controls.  The sweep reaches
-    # the kernel directly for its population runs, so the kernel is what
-    # hands out the copies: of the limit run, and of each chunk that each
-    # N's run hands its caller
+    # the kernel records every state as a view of component-major memory,
+    # and the controls are derived into it; the costs and the sweep
+    # statistics read the same values from C-contiguous copies of the
+    # states.  The sweep reaches the kernel directly for its population
+    # runs, so the kernel is what hands out the copies: of the limit run,
+    # and of each chunk that each N's run hands its caller
     def contiguous(bundle):
-        copies = {k: np.ascontiguousarray(v)
-                  for k, v in _series(bundle).items() if k in _STATES}
-        if bundle.replayed is not None:
-            copies["replayed"] = tuple(map(np.ascontiguousarray,
-                                           bundle.replayed))
-        return replace(bundle, **copies)
+        return replace(bundle, **{k: np.ascontiguousarray(getattr(bundle, k))
+                                  for k in _STATES
+                                  if getattr(bundle, k) is not None})
 
     cfg = SimConfig(N=6, n_paths=20, master_seed=21, store_followers=3)
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
                               (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc)):
-        runs, override, _ = _five_runs(p, gains, fg, inc, cfg)
-        base = sim._euler_maruyama(p, gains, cfg, override=override)
-        replay = dict(runs)["replay"]()
-        # a replay's difference from its baseline, as saddle_check costs it
-        assert np.array_equal(
-            sim._j0_per_path(replay, p, base),
-            sim._j0_per_path(contiguous(replay), p, contiguous(base)))
-        for bundle in (sim.simulate_limit(p, gains, cfg),
-                       sim.simulate_population(p, gains, cfg, fgains=fg,
-                                               inc=inc), replay):
+        runs, inputs = _five_runs(p, gains, fg, inc, cfg)
+        base, response = (dict(runs)[k]() for k in ("limit", "response"))
+        # a response's b and a, as saddle_check costs them
+        for got, want in zip(
+                _response_forms(p, base, response, inputs),
+                _response_forms(p, contiguous(base), contiguous(response),
+                                inputs)):
+            assert np.array_equal(got, want)
+        for bundle in (response, base, sim.simulate_population(
+                p, gains, cfg, fgains=fg, inc=inc)):
             for v in _series(bundle).values():
                 assert np.swapaxes(v, 0, -1).flags.c_contiguous
                 assert not v.flags.owndata
+            if bundle is response:
+                continue
             got, want = (sim.eval_costs(b, p)
                          for b in (bundle, contiguous(bundle)))
             assert got.J0_mean == want.J0_mean
@@ -597,15 +590,17 @@ def test_nonfinite_state_names_first_bad_node(table1, gains1, fg1, inc1, n2,
                                   23)):
         t = gains.grid.nodes[k + 1]
         _chunks_of(monkeypatch, per_chunk, 1)
-        base = sim.simulate_limit(p, gains, cfg)
-        u0 = base.u0bar.copy()
-        u0[-1, k] = np.nan
-        with pytest.raises(sim.NonFiniteState) as err:
-            sim._euler_maruyama(p, gains, cfg,
-                                override=(u0, base.u1bar, base.v))
-        assert (err.value.t, err.value.what) == (t, "limit state")
+        nan_gains = replace(gains, Theta21=_nan_at(gains.Theta21, k))
+        nan_input = np.zeros(gains.grid.steps + 1)
+        nan_input[k] = np.nan
+        for run in (lambda: sim.simulate_limit(p, nan_gains, cfg),
+                    lambda: sim._euler_maruyama(
+                        p, gains, cfg, response=(nan_input, None, None))):
+            with pytest.raises(sim.NonFiniteState) as err:
+                run()
+            assert (err.value.t, err.value.what) == (t, "limit state")
         _chunks_of(monkeypatch, per_chunk, 1 + (1 + cfg.N) * p.n)
-        runs = ((replace(gains, Theta21=_nan_at(gains.Theta21, k)), {}),
+        runs = ((nan_gains, {}),
                 (gains, {"fgains": replace(fg, Gxi=_nan_at(fg.Gxi, k)),
                          "inc": inc}))
         for run_gains, modes in runs:
@@ -772,23 +767,18 @@ def _partial_chain(p):
 def test_kernel_matches_reference_stepper(table1, gains1, fg1, inc1, n2,
                                           n2_sol, drawn_n3):
     # the component-major kernel against the model's equations stepped
-    # path by path: the limit run in both disturbance modes, a replay of
-    # perturbed controls, and team and incentive populations.  drawn_n3
-    # (n = 3, mL = mF = 2) gives the kernel a matrix L and several rows of
-    # own-state gains per agent
+    # path by path: the limit run in both disturbance modes, and team and
+    # incentive populations.  drawn_n3 (n = 3, mL = mF = 2) gives the
+    # kernel a matrix L and several rows of own-state gains per agent
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
                               (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc),
                               (drawn_n3, *_partial_chain(drawn_n3))):
         cfg = SimConfig(N=5, n_paths=3, master_seed=13, store_followers=3)
-        base = sim.simulate_limit(p, gains, cfg)
-        override = (base.u0bar + 0.1, base.u1bar - 0.2, base.v + 0.3)
         zero = replace(cfg, disturbance="zero")
         runs = ((sim.simulate_limit(p, gains, cfg),
                  _reference_run(p, gains, cfg)),
                 (sim.simulate_limit(p, gains, zero),
                  _reference_run(p, gains, zero)),
-                (sim._euler_maruyama(p, gains, cfg, override=override),
-                 _reference_run(p, gains, cfg, override=override)),
                 (sim.simulate_population(p, gains, cfg),
                  _reference_run(p, gains, cfg, N=5)),
                 (sim.simulate_population(p, gains, cfg, fgains=fg, inc=inc),
@@ -798,6 +788,39 @@ def test_kernel_matches_reference_stepper(table1, gains1, fg1, inc1, n2,
                 scale = np.abs(ref).max()
                 assert np.abs(getattr(got, name) - ref).max() \
                     <= 1e-12 * scale, name
+
+
+def test_response_is_the_scaled_difference_of_replays(table1, gains1, n2,
+                                                      n2_sol, drawn_n3):
+    # the kernel's step is linear in the states and controls with no
+    # constant term, so a response to inputs d is (R(c + eps d) - R(c)) /
+    # eps for reference replays R of any controls c under the same noise:
+    # here the limit run's own, with distinct inputs on u0, u1 and v
+    # (drawn_n3, mL = mF = 2, takes each to every component), and around
+    # a run under no disturbance with no input on v
+    for p, gains, dist, three in ((table1, gains1, "worst", True),
+                                  (table1, gains1, "zero", False),
+                                  (n2, n2_sol.gains, "worst", True),
+                                  (drawn_n3, _partial_chain(drawn_n3)[0],
+                                   "worst", True)):
+        cfg = SimConfig(n_paths=3, master_seed=17, disturbance=dist)
+        grid, eps = gains.grid, 0.5
+        shift = np.linspace(-0.5, 0.5, grid.steps + 1)
+        inputs = ((shift, -0.2 * sim._bump(grid), 0.3 + shift) if three
+                  else (shift, shift, None))
+        base = sim.simulate_limit(p, gains, cfg)
+        controls = [base.u0bar, base.u1bar, base.v]
+        moved = [c if d is None else c + eps * d[:, None]
+                 for c, d in zip(controls, inputs)]
+        before, after = (_reference_run(p, gains, cfg, override=c)
+                         for c in (controls, moved))
+        response = sim._euler_maruyama(p, gains, cfg, response=inputs)
+        assert response.law is None
+        for name in ("x0", "m"):
+            want = (after[name] - before[name]) / eps
+            scale = max(np.abs(after[name]).max(), np.abs(want).max())
+            assert np.abs(getattr(response, name) - want).max() \
+                <= 1e-12 * scale, (name, dist)
 
 
 def test_incentive_match_values(gains1, fg1, inc1, square_sol):
@@ -914,31 +937,37 @@ def test_optimality_gap_proxy_shrinks(opt_sweep):
 
 # ----------------------------------------------------------------- saddle
 
-def test_saddle_margins_match_replays(table1, gains1):
-    # one replay per direction: its eps gives the margin of a replay
-    # exactly, the other eps up to roundoff, as J0 is quadratic in eps
-    cfg = SimConfig(n_paths=50, master_seed=3)
-    sr = sim.saddle_check(table1, gains1, cfg)
-    base = sim.simulate_limit(table1, gains1, cfg)
-    # the baseline as the battery costs it: a replay of its own controls
-    J_base = sim._j0_per_path(sim._euler_maruyama(
-        table1, gains1, cfg, override=(base.u0bar, base.u1bar, base.v)),
-        table1)
-    shapes = {"const": np.ones(base.grid.steps + 1),
-              "bump": sim._bump(base.grid)}
-    for e in sr.entries:
-        u0, u1, v = base.u0bar.copy(), base.u1bar.copy(), base.v.copy()
-        step = e.eps * shapes[e.shape][None, :, None]
-        for arr in ((u0, u1) if e.target == "u" else (v,)):
-            arr += step
-        diff = sim._j0_per_path(sim._euler_maruyama(
-            table1, gains1, cfg, override=(u0, u1, v)), table1) - J_base
-        se = diff.std(ddof=1) / np.sqrt(cfg.n_paths)
-        if e.eps == sim.PERTURB_EPS[0]:
-            assert (e.margin, e.stderr) == (diff.mean(), se)
-        else:
-            assert e.margin == pytest.approx(diff.mean(), rel=1e-11)
-            assert e.stderr == pytest.approx(se, rel=1e-11)
+def test_saddle_margins_match_reference_replays(table1, n2, n2_sol):
+    # each entry's margin and stderr against the mean paired difference of
+    # two reference replays under the battery's noise: the baseline's
+    # controls, and those plus eps times the entry's direction, costed as
+    # the model writes the cost.  The baseline is the limit run's J0 as
+    # eval_costs takes it
+    coarse = table1.with_updates(grid_steps=125)
+    coarse_gains = leader.leader_gains(leader.solve_block_riccati(coarse),
+                                       coarse)
+    for p, gains in ((coarse, coarse_gains), (n2, n2_sol.gains)):
+        cfg = SimConfig(n_paths=16, master_seed=3)
+        sr = sim.saddle_check(p, gains, cfg)
+        base = sim.simulate_limit(p, gains, cfg)
+        assert sr.baseline_mean == sim.eval_costs(base, p).J0_mean
+        controls = [base.u0bar, base.u1bar, base.v]
+
+        def cost(override):
+            ref = _reference_run(p, gains, cfg, override=override)
+            return _controls_form(_limit_series(gains.grid, **ref), p)[0]
+
+        J_base = cost(controls)
+        shapes = {"const": np.ones(gains.grid.steps + 1),
+                  "bump": sim._bump(gains.grid)}
+        assert len(sr.entries) == 8
+        for e in sr.entries:
+            step = e.eps * shapes[e.shape][:, None]
+            diff = cost([c + step if (i < 2) == (e.target == "u") else c
+                         for i, c in enumerate(controls)]) - J_base
+            se = diff.std(ddof=1) / np.sqrt(cfg.n_paths)
+            assert e.margin == pytest.approx(diff.mean(), rel=1e-11), e
+            assert e.stderr == pytest.approx(se, rel=1e-11), e
 
 
 def test_one_path_standard_errors_are_nan(table1, gains1, fg1, inc1):
@@ -970,20 +999,27 @@ def test_mini_saddle_battery(table1, gains1):
 
 def _five_runs(p, gains, fg, inc, cfg):
     """The five kinds of run, as (label, thunk): the limit system with the
-    worst and with zero disturbance, a replay of shifted controls, and
-    team and incentive populations."""
-    base = sim.simulate_limit(p, gains, cfg)
-    override = (base.u0bar, base.u1bar, base.v)
+    worst and with zero disturbance, a response to inputs on u0 and v
+    (none on u1), and team and incentive populations; and the inputs."""
     shift = np.linspace(-0.5, 0.5, gains.grid.steps + 1)
+    inputs = (shift, None, 2 * shift)
     zero = replace(cfg, disturbance="zero")
     return (("limit", lambda: sim.simulate_limit(p, gains, cfg)),
             ("zero", lambda: sim.simulate_limit(p, gains, zero)),
-            ("replay", lambda: sim._euler_maruyama(
-                p, gains, cfg, override=override,
-                shift=(shift, None, 2 * shift))),
+            ("response", lambda: sim._euler_maruyama(p, gains, cfg,
+                                                     response=inputs)),
             ("team", lambda: sim.simulate_population(p, gains, cfg)),
             ("incentive", lambda: sim.simulate_population(
-                p, gains, cfg, fgains=fg, inc=inc))), override, shift
+                p, gains, cfg, fgains=fg, inc=inc))), inputs
+
+
+def _response_forms(p, base, response, inputs):
+    """A response's b and a per path around the limit run base, as
+    saddle_check costs them."""
+    names = ("u0bar", "u1bar", "v")
+    return sim._response_forms(p, sim._residual_rows(
+        p, base.x0, base.m, *(getattr(base, k) for k in names)),
+        response, inputs)
 
 
 def test_derived_controls_equal_the_law_node_by_node(
@@ -991,15 +1027,14 @@ def test_derived_controls_equal_the_law_node_by_node(
     # a run records states only; the controls it derives on each read,
     # over blocks of nodes, equal bitwise those the kernel played one node
     # at a time, for 7 paths derived in blocks of 1 node, of about 3 and
-    # of every node.  A replay records what it played: its override plus
-    # its shift
+    # of every node.  A response plays no law and has no controls to derive
     feedback = sim._feedback
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
                               (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc),
                               (drawn_n3, *_partial_chain(drawn_n3))):
         cfg = SimConfig(N=5, n_paths=7, master_seed=19, store_followers=3)
         nodes = gains.grid.steps + 1
-        runs, override, shift = _five_runs(p, gains, fg, inc, cfg)
+        runs, _ = _five_runs(p, gains, fg, inc, cfg)
         for label, run in runs:
             played = []
 
@@ -1011,36 +1046,32 @@ def test_derived_controls_equal_the_law_node_by_node(
             with monkeypatch.context() as mp:
                 mp.setattr(sim, "_feedback", recording)
                 bundle = run()
-            if label == "replay":
+            if label == "response":
                 assert not played and bundle.law is None
-                want = {"u0bar": override[0] + shift[:, None],
-                        "u1bar": override[1],
-                        "v": override[2] + 2 * shift[:, None]}
+                continue
+            # the kernel steps the 7 paths as one chunk
+            assert len(played) == nodes
+            w, *agents = (np.concatenate(x, axis=-2) for x in zip(*played))
+            rows = bundle.law.rows
+            v = (w[rows["v"]] if "v" in rows
+                 else np.zeros((p.nv, nodes, cfg.n_paths)))
+            if bundle.xN is None:
+                u0, u1 = w[rows["u0"]], w[rows["u1"]]
+                want = {}
             else:
-                # the kernel steps the 7 paths as one chunk
-                assert len(played) == nodes
-                w, *agents = (np.concatenate(x, axis=-2)
-                              for x in zip(*played))
-                rows = bundle.law.rows
-                v = (w[rows["v"]] if "v" in rows
-                     else np.zeros((p.nv, nodes, cfg.n_paths)))
-                if bundle.xN is None:
-                    u0, u1 = w[rows["u0"]], w[rows["u1"]]
-                    want = {}
-                else:
-                    u1a, u0a = agents
-                    u0, u1 = u0a[:, 0], u1a[:, 0]
-                    want = {"u0i": np.swapaxes(u0a[:, 1:], 0, -1),
-                            "u1i": np.swapaxes(u1a[:, 1:], 0, -1)}
-                want.update({k: np.swapaxes(x, 0, -1) for k, x in
-                             (("u0bar", u0), ("u1bar", u1), ("v", v))})
-            K = bundle.law.K if bundle.law else np.zeros((1, 1))
+                u1a, u0a = agents
+                u0, u1 = u0a[:, 0], u1a[:, 0]
+                want = {"u0i": np.swapaxes(u0a[:, 1:], 0, -1),
+                        "u1i": np.swapaxes(u1a[:, 1:], 0, -1)}
+            want.update({k: np.swapaxes(x, 0, -1) for k, x in
+                         (("u0bar", u0), ("u1bar", u1), ("v", v))})
+            K = bundle.law.K
             for floats in (sim._CHUNK_FLOATS, 1,
                            3 * cfg.n_paths * K.shape[0] * K.shape[1]):
                 with monkeypatch.context() as mp:
                     mp.setattr(sim, "_CHUNK_FLOATS", floats)
                     # one control per read, and all in one derivation
-                    together = bundle._controls(*want)
+                    together = sim._derive(bundle, list(want))
                     for name, x in want.items():
                         for got in (getattr(bundle, name), together[name]):
                             assert got.shape == x.shape, (label, name)
@@ -1054,97 +1085,128 @@ def test_replaced_and_sliced_bundles_derive_their_controls(n2, n2_sol):
     # states: the law is linear, so doubled states give doubled controls,
     # bitwise
     cfg = SimConfig(N=5, n_paths=7, master_seed=23, store_followers=3)
-    runs, _, _ = _five_runs(n2, n2_sol.gains, n2_sol.fg, n2_sol.inc, cfg)
+    runs, _ = _five_runs(n2, n2_sol.gains, n2_sol.fg, n2_sol.inc, cfg)
     for label, run in runs:
         bundle = run()
-        names = [k for k in _BUNDLE_FIELDS if getattr(bundle, k) is not None]
-        whole = {k: getattr(bundle, k) for k in names}
+        whole = _series(bundle)
         for part in (bundle._paths(2, 5), bundle._paths(2, 5, copy=True)):
             assert part.n_paths == 3 and part.law is bundle.law
-            for k in names:
-                assert np.array_equal(getattr(part, k), whole[k][2:5]), k
-        if label == "replay":
+            for k, x in whole.items():
+                assert np.array_equal(getattr(part, k), x[2:5]), k
+        if label == "response":
             continue
         doubled = replace(bundle, **{k: 2 * whole[k] for k in _STATES
                                      if k in whole})
-        for k in names:
-            assert np.array_equal(getattr(doubled, k), 2 * whole[k]), (
-                label, k)
+        for k, x in whole.items():
+            assert np.array_equal(getattr(doubled, k), 2 * x), (label, k)
 
 
-def test_limit_run_holds_no_controls(table1, gains1):
-    # a limit run records x0 and m and derives its controls on each read:
-    # its traced peak stays below the bytes of its states and controls
+def test_limit_run_holds_no_controls(table1, gains1, monkeypatch):
+    # a limit run records x0 and m and derives its controls on each read,
+    # and a response (saddle_check's) records x0 and m alone: each run's
+    # traced peak stays below the bytes of its states and controls
     # together, which a run that stored its controls would pass with its
-    # noise alone
+    # noise alone.  A response builds no law and no cost weights
     cfg = SimConfig(n_paths=200, master_seed=5)
     p, nodes = table1, gains1.grid.steps + 1
-    tracemalloc.start()
-    try:
-        bundle = sim.simulate_limit(p, gains1, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ones = np.ones(nodes)
     series = 8 * cfg.n_paths * nodes * (2 * p.n + p.mL + p.mF + p.nv)
-    assert bundle.n_paths == cfg.n_paths
-    assert peak < series, (peak / 1e6, series / 1e6)
+    for run in (lambda: sim.simulate_limit(p, gains1, cfg),
+                lambda: sim._euler_maruyama(p, gains1, cfg,
+                                            response=(ones, ones, ones))):
+        tracemalloc.start()
+        try:
+            bundle = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.n_paths == cfg.n_paths
+        assert peak < series, (peak / 1e6, series / 1e6)
+
+    def refuse(*args):
+        raise AssertionError("a response built a law or a cost weight")
+
+    for name in ("_feedback_law", "_weights"):
+        monkeypatch.setattr(sim, name, refuse)
+    assert bundle.law is None and set(_series(bundle)) == {"x0", "m"}
+    assert np.array_equal(bundle.x0, run().x0)
 
 
-def _controls_form(bundle, p, base=None):
+def _controls_form(bundle, p, other=None):
     """The costs as the model writes them: quadratic forms of the state
     residuals and of the controls, read through the bundle's control
-    properties, by einsum; with base, J0 of the path-wise difference of
-    two replays.  Returns J0 (paths,) and Ji (paths, stored) or None."""
-    def q(x, W):
-        return np.einsum("...i,ij,...j->...", x, W, x)
+    properties, by einsum; with other, J0's bilinear form between two
+    limit runs.  Returns J0 (paths,) and Ji (paths, stored) or None."""
+    def q(x, W, y):
+        return np.einsum("...i,ij,...j->...", x, W, y)
 
     def trapz(f):
         return bundle.grid.h * (f.sum(axis=-1) - 0.5 * (f[..., 0]
                                                         + f[..., -1]))
 
-    x0, m, u0, u1, v = (getattr(bundle, k) - (0 if base is None else
-                                              getattr(base, k))
-                        for k in ("x0", "m", "u0bar", "u1bar", "v"))
-    xN = m if bundle.xN is None else bundle.xN
-    J0 = trapz(q(x0 - xN @ p.Gamma1.T, p.Q) + q(u0, p.R0) + q(u1, p.R1)
-               - p.gamma ** 2 * q(v, p.R2)) + q(
-        x0[:, -1] - xN[:, -1] @ p.Gamma2.T, p.G)
+    def parts(b):
+        xN = b.m if b.xN is None else b.xN
+        return (b.x0 - xN @ p.Gamma1.T, b.u0bar, b.u1bar, b.v,
+                b.x0[:, -1] - xN[:, -1] @ p.Gamma2.T)
+
+    (S, u0, u1, v, S2), (T, w0, w1, w, T2) = (
+        parts(bundle), parts(other or bundle))
+    J0 = trapz(q(S, p.Q, T) + q(u0, p.R0, w0) + q(u1, p.R1, w1)
+               - p.gamma ** 2 * q(v, p.R2, w)) + q(S2, p.G, T2)
     if bundle.xi is None:
         return J0, None
     xi, xN = bundle.xi, bundle.xN[:, None]
-    Ji = trapz(q(xi - xN @ p.Gamma1t.T, p.Qt) + q(bundle.u0i, p.R0t)
-               + q(bundle.u1i, p.R1t)) + q(
-        xi[:, :, -1] - xN[:, :, -1] @ p.Gamma2t.T, p.Gt)
+    Ri = xi - xN @ p.Gamma1t.T
+    Ri2 = xi[:, :, -1] - xN[:, :, -1] @ p.Gamma2t.T
+    Ji = trapz(q(Ri, p.Qt, Ri) + q(bundle.u0i, p.R0t, bundle.u0i)
+               + q(bundle.u1i, p.R1t, bundle.u1i)) + q(Ri2, p.Gt, Ri2)
     return J0, Ji
+
+
+def _limit_series(grid, **series):
+    """Limit-run series (x0, m, u0bar, u1bar, v) as _controls_form reads
+    them."""
+    return SimpleNamespace(grid=grid, xN=None, xi=None, **series)
+
+
+def _with_inputs(p, response, inputs):
+    """A response's states with its inputs as its controls."""
+    shape = response.x0.shape[:2]
+    return _limit_series(response.grid, x0=response.x0, m=response.m, **{
+        k: np.broadcast_to(0.0 if d is None else d[:, None], shape + (dim,))
+        for k, d, dim in zip(("u0bar", "u1bar", "v"), inputs,
+                             (p.mL, p.mF, p.nv))})
 
 
 def test_costs_equal_the_controls_form(table1, gains1, fg1, inc1, n2, n2_sol,
                                        drawn_n3):
-    # the costs weigh the recorded states by each control's gains, and a
-    # replay's recorded controls by the cost's own weights; per path they
-    # equal the quadratic forms of the controls within 1e-14 relative to
-    # 1 + |J| (the worst measured here is 1.5e-15, table1's incentive-mode
-    # Ji).  Every kind of run: J0 and Ji of team and incentive populations,
-    # and J0 of a shifted replay and of its difference from the baseline
-    # replay
+    # the costs weigh the recorded states by each control's gains; per
+    # path they equal the quadratic forms of the controls within 1e-14
+    # relative to 1 + |J| (the worst measured here is 1.5e-15, table1's
+    # incentive-mode Ji).  Every kind of run: J0 of limit runs, J0 and Ji
+    # of team and incentive populations, and a response's b, its own form
+    # with its inputs as controls, and a, twice the bilinear form between
+    # the limit run and the response
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
                               (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc),
                               (drawn_n3, *_partial_chain(drawn_n3))):
         cfg = SimConfig(N=5, n_paths=7, master_seed=29, store_followers=3)
-        runs, override, _ = _five_runs(p, gains, fg, inc, cfg)
-        base = sim._euler_maruyama(p, gains, cfg, override=override)
+        runs, inputs = _five_runs(p, gains, fg, inc, cfg)
+        base = dict(runs)["limit"]()
         checked = []
         for label, run in runs:
             bundle = run()
+            if label == "response":
+                b, a = _response_forms(p, base, bundle, inputs)
+                dy = _with_inputs(p, bundle, inputs)
+                checked += [("b", b, _controls_form(dy, p)[0]),
+                            ("a", a, 2.0 * _controls_form(base, p, dy)[0])]
+                continue
             J0, Ji = _controls_form(bundle, p)
             checked.append((label, sim._j0_per_path(bundle, p), J0))
             if Ji is not None:
                 checked.append((label + " Ji", sim._ji_per_path(bundle, p),
                                 Ji))
-            if label == "replay":
-                checked.append(("difference",
-                                sim._j0_per_path(bundle, p, base),
-                                _controls_form(bundle, p, base)[0]))
         assert len(checked) == 8
         for label, got, want in checked:
             assert got.shape == want.shape, label
@@ -1154,8 +1216,8 @@ def test_costs_equal_the_controls_form(table1, gains1, fg1, inc1, n2, n2_sol,
 
 def test_costs_derive_no_control(table1, gains1, fg1, inc1, monkeypatch):
     # the costs read the recorded states and derive no control; the saddle
-    # battery derives its baseline's controls once, for the replays'
-    # override
+    # battery derives its baseline's controls once, for the bilinear forms
+    # against its responses
     cfg = SimConfig(N=6, n_paths=5, master_seed=7, store_followers=3)
     modes = ({}, {"fgains": fg1, "inc": inc1.inc})
     bundles = [sim.simulate_limit(table1, gains1, cfg)] + [
