@@ -191,8 +191,8 @@ class _Run:
     """One staged subcommand run.  Everything a flag can get wrong is
     checked here (--threads already in main), before any stage runs.
     Stages fill the summary (keyed as reproduce-paper's) and leave the
-    solver outputs that later stages read; simulated path bundles are
-    never kept."""
+    solver outputs that later stages read; a simulated path bundle is
+    kept only to be handed on within a stage."""
 
     def __init__(self, args, cmd: "_Command"):
         self.cmd = cmd
@@ -389,16 +389,19 @@ def _incentive_stage(run: _Run):
 def _simulate_stage(run: _Run):
     """Cost statistics over all paths, figure series from path 0 of the
     same runs; incentive-mode population (the incentive stage ran).
-    The limit run is held whole until its costs are taken; the population
-    is costed chunk by chunk (sim.population_costs), so the stage never
-    holds its followers' series beyond one chunk of paths and path 0.
-    Returns the simulation work of the stage."""
+    The limit run is stepped once and each path's J0 taken once: the
+    stage's limit costs, the saddle battery's baseline and, in
+    reproduce-paper, the sweep's limit reference (sim._SweepHead) all
+    read them.  So the limit run is held whole until the battery has
+    derived the baseline's rows from it; the population is costed chunk
+    by chunk (sim.population_costs), so the stage never holds its
+    followers' series beyond one chunk of paths and path 0.  Returns the
+    simulation work of the stage."""
     p, man, gains, cfg = run.p, run.man, run.gains, run.sim_cfg
-    # each run's costs are taken and its arrays freed before the next run
-    lim = sim.simulate_limit(p, gains, cfg)
-    lim_costs = sim.eval_costs(lim, p)
-    work = lim.work
-    grid = lim.grid
+    lim = run.lim = sim.simulate_limit(p, gains, cfg)
+    J0 = sim._j0_per_path(lim, p)
+    lim_costs = sim._cost_report(J0, None, None)
+    work, grid = lim.work, lim.grid
     # path 0's controls are derived from its states alone
     first = lim._paths(0, 1)
     _series_csv(man, "limit_states.csv", grid,
@@ -406,15 +409,22 @@ def _simulate_stage(run: _Run):
     lim_controls = [("u0_limit", first.u0bar[0]),
                     ("u1_limit", first.u1bar[0]), ("v_limit", first.v[0])]
     del lim, first
-    # the battery runs before the population, so that the sweep's head
-    # (below) is not held through the battery's peak
-    battery = sim.saddle_check(p, gains, cfg)
+    # the battery takes the limit run from the run inside the call, so that
+    # only it holds the run, and frees it once it has derived the
+    # baseline's rows (holding it through the responses raised the
+    # benchmark's reproduce peak RSS by 0.6 MB); it runs before the
+    # population, so that the sweep's head (below) is not held through the
+    # battery's peak
+    battery = sim._saddle_battery(p, gains, vars(run).pop("lim"), J0)
     # reproduce-paper's sweep reads the same seed's streams over its first
-    # paths: the population run hands it their sums (sim._SweepHead), so
-    # the sweep draws only the followers beyond N
+    # paths under the same (worst-case) disturbance: the population run
+    # hands it their sums, and the head the limit J0 of those paths
+    # (sim._SweepHead), so the sweep draws only the followers beyond N and
+    # steps no limit run
     if "sweep-n" in run.cmd.stages and run.sweep_cfg.n_paths <= cfg.n_paths:
-        run.head = sim._sweep_head(run.Ns, cfg.N, run.sweep_cfg.n_paths,
+        run.head = sim._sweep_head(run.Ns, cfg.N, J0[:run.sweep_cfg.n_paths],
                                    grid.steps * p.n)
+    del J0
     pop_costs, pop = sim.population_costs(p, gains, cfg, fgains=run.fg,
                                           inc=run.inc, _head=run.head)
     work += pop.work

@@ -57,7 +57,8 @@ The kernel's step is linear in (x0, m, u0, u1, v) with no constant term,
 so a perturbation of a run's controls by eps d moves its states by eps
 times a response: the same scheme under the same noise, started from
 zero and driven by d alone.  A response run plays no law and records
-its states only; saddle_check costs it against the baseline's paths.
+its states only; the saddle battery costs it against the baseline's
+paths, and takes the baseline, the limit run, from its caller.
 
 The kernel hands each finished chunk to its caller, and the callers
 differ only in where a chunk's series live.  simulate_limit and
@@ -66,8 +67,8 @@ whole run.  population_costs records each chunk in one allocation of its
 own, costs its paths, keeps path 0's series and drops the chunk, so it
 holds one chunk's series at a time; a path's cost does not depend on its
 chunk, so its report equals eval_costs of the whole run bitwise.
-saddle_check costs each response the same way, and sweep_gaps reduces
-each N's run to its per-path squared gaps and J0.
+The saddle battery costs each response the same way, and sweep_gaps
+reduces each N's run to its per-path squared gaps and J0.
 
 One Euler-Maruyama step spans one grid interval.  A chunk holds about
 _VECTOR_FLOATS noise floats per step, so each numpy call of the stepping
@@ -83,7 +84,9 @@ gives every N's sums.  A population run over the sweep's seed and at
 least its paths can fill a _SweepHead on the way, the sums of those
 paths at the sweep's sizes up to its own N; the sweep then reads those
 sizes from it and resumes the pass after N, so the followers the two
-share are drawn once.
+share are drawn once.  The head also carries the limit run's J0 over
+those paths, so such a sweep steps no limit run of its own: a pipeline
+steps its limit run once, for its costs, the battery and the sweep.
 """
 from __future__ import annotations
 
@@ -201,22 +204,29 @@ class _Law:
 
 @dataclass(frozen=True, eq=False)
 class _SweepHead:
-    """What a population run of N followers hands a later sweep over the
-    same seed and its first len(sums) paths, read in the run's own pass
-    over their streams: sums[i, j] is path i's sum of the increments of
-    agents 1..Ns[j], at each of the sweep's sizes below N and last at N,
-    after which the sweep resumes the draw (rng.increment_sums)."""
+    """What a pipeline hands a later sweep over the same seed and its
+    first len(sums) paths.  A population run of N followers fills sums in
+    its own pass over their streams: sums[i, j] is path i's sum of the
+    increments of agents 1..Ns[j], at each of the sweep's sizes below N
+    and last at N, after which the sweep resumes the draw
+    (rng.increment_sums).  J0[i] is path i's leader cost in the limit
+    run under the sweep's disturbance, which the sweep then need not
+    step."""
 
     Ns: tuple
     sums: np.ndarray
+    J0: np.ndarray
 
 
-def _sweep_head(Ns, N: int, n_paths: int, nsteps: int) -> _SweepHead:
-    """An unfilled head for a sweep over sizes Ns and n_paths paths, to be
-    filled by a population run of N followers over at least as many
-    paths, whose follower streams hold nsteps floats."""
+def _sweep_head(Ns, N: int, J0: np.ndarray, nsteps: int) -> _SweepHead:
+    """A head for a sweep over sizes Ns and the paths of J0, the limit
+    run's per-path J0 over them (copied, so that the head holds no more
+    of the caller's array), whose sums are to be filled by a population
+    run of N followers over at least as many paths, whose follower
+    streams hold nsteps floats."""
     sizes = tuple(k for k in Ns if k < N) + (N,)
-    return _SweepHead(sizes, np.empty((n_paths, len(sizes), nsteps)))
+    return _SweepHead(sizes, np.empty((len(J0), len(sizes), nsteps)),
+                      J0.copy())
 
 
 @dataclass(frozen=True)
@@ -228,9 +238,9 @@ class PathBundle:
     stored followers' u0i and u1i, are its feedback law applied to those
     states node by node; each read derives them afresh, bitwise equal to
     what the kernel played, and nothing is cached.  The costs read the
-    states and the law's weights instead.  A response run (saddle_check)
-    plays no law, so its bundle holds none and derives nothing.  In a
-    population u0bar and u1bar are xN's.
+    states and the law's weights instead.  A response run (the saddle
+    battery's) plays no law, so its bundle holds none and derives
+    nothing.  In a population u0bar and u1bar are xN's.
 
     Shapes: states (paths, M+1, n), controls (paths, M+1, m), and the
     stored followers' (paths, stored, M+1, dim).  xN and the follower
@@ -465,8 +475,8 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     array w, the agents' the rows of one (rows, 1 + stored, chunk) array
     whose agent 0 is xN.  Feedback is evaluated at the nodes, one step
     per grid interval, by _feedback.  response = (u0, u1, v), each None
-    (zero) or an (M+1,) node series, makes a limit run a response
-    (saddle_check's): it starts from zero, builds and plays no law, and
+    (zero) or an (M+1,) node series, makes a limit run a response (the
+    saddle battery's): it starts from zero, builds and plays no law, and
     each node's u0, u1 and v are the series' values, the same for every
     component and path.  wsum, (paths, M, n) sums of agents 1..N's
     increments, replaces the followers' streams in a population run
@@ -907,6 +917,23 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     should be nonnegative and the disturbance-side ones nonpositive within
     Monte Carlo resolution.
 
+    The baseline is simulate_limit(p, gains, cfg) and J_base its J0 as
+    eval_costs takes it; _saddle_battery runs the rest.  The report's
+    work is the baseline's and the four responses'.
+    """
+    base = [simulate_limit(p, gains, cfg)]
+    J_base, work = _j0_per_path(base[0], p), base[0].work
+    # popped into the call, so that the battery drops the run's states
+    # once it has derived the baseline's rows
+    report = _saddle_battery(p, gains, base.pop(), J_base)
+    return replace(report, work=work + report.work)
+
+
+def _saddle_battery(p: ModelParams, gains: LeaderGains, base: PathBundle,
+                    J_base: np.ndarray) -> SaddleReport:
+    """saddle_check's battery around a baseline limit run base, whose
+    per-path J0 is J_base; its work is the responses' alone.
+
     The scheme is linear in the states and controls, so the perturbed
     states are the baseline's plus eps times the direction's response
     (module docstring), and J0 is a quadratic form: per path
@@ -914,12 +941,13 @@ def saddle_check(p: ModelParams, gains: LeaderGains,
     a = 2 <y, dy>_W.  y is the baseline's residual rows and controls,
     derived once (the one derivation here), dy the response's, and W the
     cost's own weights on them (_response_forms).  Each direction's
-    response runs once under the baseline's seed, and each chunk of it is
-    costed as soon as it is stepped, against the baseline's same paths.
-    J_base is the baseline's J0 as eval_costs takes it.
+    response runs once under base.cfg, the baseline's seed and paths, and
+    each chunk of it is costed as soon as it is stepped, against the
+    baseline's same paths.  base is dropped once those rows are derived,
+    so a caller that hands it over and keeps no reference of its own
+    holds its states no longer.
     """
-    base = simulate_limit(p, gains, cfg)
-    J_base, work = _j0_per_path(base, p), base.work
+    cfg, work = base.cfg, Work()
     names = ("u0bar", "u1bar", "v")
     y = _residual_rows(p, base.x0, base.m,
                        *map(_derive(base, names).get, names))
@@ -1065,24 +1093,28 @@ def sweep_gaps(p: ModelParams, gains: LeaderGains, Ns, cfg: SimConfig,
                _head: _SweepHead | None = None
                ) -> tuple[SweepReport, SweepReport]:
     """Both N-sweeps from one team-mode population run per N: the
-    mean-field gap report and the optimality-gap proxy report.  The
-    followers' summed increments for every N are read in one pass over
-    the streams of the largest population.  With _head, a population
-    run's sums over the same seed and paths (_SweepHead), the sizes it
-    holds are read from it and the pass resumes after its N, bitwise as
-    if it had started at agent 1.  Each N's run is reduced chunk by chunk
-    (_sweep_points), so no run is held whole."""
+    mean-field gap report and the optimality-gap proxy report, whose
+    reference is the limit run's per-path J0.  The followers' summed
+    increments for every N are read in one pass over the streams of the
+    largest population.  With _head, a pipeline's _SweepHead over the
+    same seed and paths, the sizes it holds are read from it and the pass
+    resumes after its N, bitwise as if it had started at agent 1, and
+    the limit J0 is the head's, so no limit run is stepped.  A head over
+    other paths than cfg's is refused before any work.  Each N's run is
+    reduced chunk by chunk (_sweep_points), so no run is held whole."""
     Ns = _sweep_sizes(Ns)
-    lim = simulate_limit(p, gains, cfg)
-    J_lim, work = _j0_per_path(lim, p), lim.work
-    del lim
     P, M, n = cfg.n_paths, gains.grid.steps, p.n
     # each size's summed increments, (paths, M n), by size
     sums = {}
-    if _head is not None:
-        if len(_head.sums) != P:
-            raise ValueError(f"a head over {len(_head.sums)} paths for a "
-                             f"sweep over {P}")
+    if _head is None:
+        lim = simulate_limit(p, gains, cfg)
+        J_lim, work = _j0_per_path(lim, p), lim.work
+        del lim
+    else:
+        if not len(_head.sums) == len(_head.J0) == P:
+            raise ValueError(f"a head over {len(_head.sums)} paths (J0 over "
+                             f"{len(_head.J0)}) for a sweep over {P}")
+        J_lim, work = _head.J0, Work()
         sums.update(zip(_head.Ns, np.swapaxes(_head.sums, 0, 1)))
         del _head
     after = max(sums, default=0)

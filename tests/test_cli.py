@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, manifest bookkeeping."""
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -582,28 +583,49 @@ def test_sweep_stage_records_exact_mean_field_gap(table1, tmp_path):
          sim.exact_mean_field_gap(p, N)) for N in (4, 8, 16)]
 
 
-def test_simulation_stages_record_their_work(tmp_path):
-    # 40 steps over 4 paths: 160 path-steps per run.  simulate: the limit,
-    # the population (6 followers stored, streams: common and 6 followers,
-    # each read once) and the saddle battery's 5 limit runs; sweep-n: the
-    # limit, one pass over 16 followers' streams, then 3 populations that
-    # step no follower individually
+def _limit_runs(monkeypatch) -> list:
+    """A list that gains the path count of every limit run the kernel
+    steps from here on: a call with N = 0 and no response."""
+    runs, kernel = [], sim._euler_maruyama
+    sig = inspect.signature(kernel)
+
+    def counting(*args, **kwargs):
+        call = sig.bind(*args, **kwargs).arguments
+        if not call.get("N") and call.get("response") is None:
+            runs.append(call["cfg"].n_paths)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_euler_maruyama", counting)
+    return runs
+
+
+def test_simulation_stages_record_their_work(tmp_path, monkeypatch):
+    # 40 steps over 4 paths: 160 path-steps per run.  simulate: the limit
+    # run, which the saddle battery reads as its baseline, the battery's 4
+    # responses (each reads the common noise) and the population (6
+    # followers stored, streams: common and 6 followers, each read once);
+    # sweep-n: the limit run, one pass over 16 followers' streams, then 3
+    # populations that step no follower individually.  Each stage steps
+    # one limit run
     runs = {
         "simulate": (["simulate", "--n", "6", "--paths", "4"],
-                     dict(path_steps=7 * 160, follower_steps=6 * 160,
-                          streams_read=4 + 4 * 7 + 5 * 4)),
+                     dict(path_steps=6 * 160, follower_steps=6 * 160,
+                          streams_read=4 + 4 * 7 + 4 * 4)),
         "sweep-n": (["sweep-n", "--ns", "4,8,16", "--paths", "4"],
                     dict(path_steps=4 * 160, follower_steps=0,
                          streams_read=4 + 4 * 16 + 3 * 4)),
     }
+    limit_runs = _limit_runs(monkeypatch)
     for name, (argv, work) in runs.items():
         out = tmp_path / name
+        limit_runs.clear()
         assert cli.main(argv + ["--grid-steps", "40", "--seed", "7",
                                 "--out", str(out)]) == 0
         stage = [s for s in read_json(out / "manifest.json")["stages"]
                  if s["name"] == name]
         assert len(stage) == 1
         assert {k: stage[0][k] for k in work} == work
+        assert limit_runs == [4], name
 
 
 def test_reproduce_paper_reads_each_follower_stream_once(tmp_path,
@@ -612,7 +634,11 @@ def test_reproduce_paper_reads_each_follower_stream_once(tmp_path,
     # (200 paths, N up to 640) share the followers of the sweep's paths:
     # the population run hands the sweep their sums, so every follower
     # stream (agent >= 1) of the whole pipeline is re-keyed exactly once.
-    # Every stream read, the common noise's too, is in one stage's count
+    # The pipeline steps one limit run, which the saddle battery and the
+    # sweep read, so a path's common noise (agent 0) is re-keyed once per
+    # run that steps the path: the limit run, the battery's 4 responses
+    # and the population, and on the sweep's paths its 4 runs.  Every
+    # stream read, the common noise's too, is in one stage's count
     keys = Counter()
     rekey = rng._rekey
 
@@ -621,6 +647,7 @@ def test_reproduce_paper_reads_each_follower_stream_once(tmp_path,
         rekey(bg, key)
 
     monkeypatch.setattr(rng, "_rekey", counting)
+    limit_runs = _limit_runs(monkeypatch)
     out = tmp_path / "out"
     assert cli.main(["reproduce-paper", "--grid-steps", "20", "--seed", "42",
                      "--threads", "1", "--out", str(out)]) == 0
@@ -631,5 +658,12 @@ def test_reproduce_paper_reads_each_follower_stream_once(tmp_path,
                               + cli.SWEEP_PATHS * (top - cli.SIM_N))
     twice = [key for key, n in followers.items() if n != 1]
     assert not twice, f"{len(twice)} of {len(followers)} read more than once"
+    common = Counter({key[1] >> 32: n for key, n in keys.items()
+                      if not key[1] & 0xFFFFFFFF})
+    sweep_runs = len(cli.SWEEP_NS.split(","))
+    assert common == Counter({i: 6 + sweep_runs * (i < cli.SWEEP_PATHS)
+                              for i in range(cli.SIM_PATHS)})
+    assert common.total() == 3800
+    assert limit_runs == [cli.SIM_PATHS]
     stages = read_json(out / "manifest.json")["stages"]
     assert sum(s.get("streams_read", 0) for s in stages) == keys.total()

@@ -865,28 +865,43 @@ def test_sweep_resumed_from_a_population_head_is_bitwise(n2, n2_sol,
                                                         monkeypatch):
     # a population run of N followers hands the sweep its sums over the
     # sweep's paths (sim._SweepHead), in chunks of 2 paths, so one chunk
-    # holds the head's last path and one that is not the head's; the sweep
-    # then draws only the followers beyond N, and its reports equal those
-    # of a sweep that draws every follower
+    # holds the head's last path and one that is not the head's; the head
+    # carries the limit J0 of those paths, taken from a limit run over the
+    # population's paths.  The sweep then draws only the followers beyond
+    # N and steps no limit run, and its reports equal those of a sweep
+    # that draws every follower and steps its own limit run
     pop_cfg = SimConfig(N=6, n_paths=5, master_seed=4, store_followers=2)
     cfg = SimConfig(n_paths=3, master_seed=4)
-    M = n2_sol.gains.grid.steps
+    P, M = cfg.n_paths, n2_sol.gains.grid.steps
     _chunks_of(monkeypatch, 2, 1 + 3 * n2.n)
+    J0 = sim._j0_per_path(sim.simulate_limit(n2, n2_sol.gains, pop_cfg), n2)
     for Ns in ([2, 4, 9, 16], [3, 6, 8], [2, 3, 5]):
-        head = sim._sweep_head(Ns, pop_cfg.N, cfg.n_paths, M * n2.n)
+        head = sim._sweep_head(Ns, pop_cfg.N, J0[:P], M * n2.n)
         sim.population_costs(n2, n2_sol.gains, pop_cfg, fgains=n2_sol.fg,
                              inc=n2_sol.inc, _head=head)
         want = sim.sweep_gaps(n2, n2_sol.gains, Ns, cfg)
         got = sim.sweep_gaps(n2, n2_sol.gains, Ns, cfg, _head=head)
         assert [replace(r, work=None) for r in got] == \
             [replace(r, work=None) for r in want]
-        # the sweep counts only the follower streams it draws
-        drawn = cfg.n_paths * max(0, Ns[-1] - pop_cfg.N)
-        saved = cfg.n_paths * Ns[-1] - drawn
-        assert got[0].work.streams_read == want[0].work.streams_read - saved
-    with pytest.raises(ValueError, match="head over 3 paths"):
-        sim.sweep_gaps(n2, n2_sol.gains, [2, 4, 8], replace(cfg, n_paths=4),
-                       _head=head)
+        # the sweep counts only the follower streams it draws, and steps
+        # no limit run: P M path-steps and P common-noise streams fewer
+        drawn = P * max(0, Ns[-1] - pop_cfg.N)
+        saved = P * Ns[-1] - drawn
+        assert got[0].work == got[1].work == sim.Work(
+            path_steps=want[0].work.path_steps - P * M,
+            streams_read=want[0].work.streams_read - saved - P)
+    # a head over other paths than the sweep's, in its sums or its J0, is
+    # refused before any run is stepped or any stream drawn
+    calls = []
+    monkeypatch.setattr(sim, "_euler_maruyama",
+                        lambda *a, **k: calls.append("kernel"))
+    monkeypatch.setattr(rng, "increment_sums",
+                        lambda *a, **k: calls.append("draw"))
+    for bad, paths in ((head, 4), (replace(head, J0=head.J0[:2]), 3)):
+        with pytest.raises(ValueError, match="head over 3 paths"):
+            sim.sweep_gaps(n2, n2_sol.gains, [2, 4, 8],
+                           replace(cfg, n_paths=paths), _head=bad)
+    assert not calls
 
 
 def test_mean_field_gap_matches_exact_moment(table1, mf_sweep):
@@ -995,6 +1010,26 @@ def test_mini_saddle_battery(table1, gains1):
     # margins scale like eps^2: eps 0.1 -> 0.5 is a factor 25
     for shape, ratio in sr.u_ratios:
         assert 20.0 <= ratio <= 30.0
+
+
+def test_saddle_check_is_the_battery_on_its_limit_run(table1, gains1, n2,
+                                                      n2_sol):
+    # saddle_check steps its baseline, the limit run, and hands it with its
+    # J0 to the battery the simulate stage calls on the stage's own limit
+    # run: every field of the two reports is the same, bitwise, and
+    # saddle_check's work is the baseline's and the four responses'
+    for p, gains in ((table1, gains1), (n2, n2_sol.gains)):
+        for disturbance in ("worst", "zero"):
+            cfg = SimConfig(n_paths=8, master_seed=5, disturbance=disturbance)
+            sr = sim.saddle_check(p, gains, cfg)
+            base = sim.simulate_limit(p, gains, cfg)
+            br = sim._saddle_battery(p, gains, base,
+                                     sim._j0_per_path(base, p))
+            assert replace(sr, work=None) == replace(br, work=None)
+            response = sim.Work(path_steps=8 * gains.grid.steps,
+                                streams_read=8)
+            assert br.work == response + response + response + response
+            assert sr.work == base.work + br.work
 
 
 def _five_runs(p, gains, fg, inc, cfg):
