@@ -25,18 +25,20 @@ Those increments enter only as their sum over agents 1..N, read through
 rng.increment_sums; S = N only for store_all_followers, and the stored
 followers read the field of xN.
 
-A chunk is held component-major, with the path axis innermost: the
-leader's and the mean's components are the rows of one (rows, chunk)
-array, and the agents' the rows of one (rows, 1 + S, chunk) array whose
-agent 0 is xN.  A node's step is then two products.  The run's feedback
-law (_feedback_law, built once: the stacked per-node gains) gives the
-controls through _feedback: one product on (x0, m) gives the leader's
-(with L folded into its u0 gains) and the followers' terms gx and zx,
-then Gxi and L give the agents'.  One fixed dynamics matrix acting on
-[x0, m, xl, v, u0, u1] gives the leader's drift, the mean's drift and
-the leader's diffusion coefficient, and [At, Bt, Ht] with Ft xN the
-agents' drift.  Each product is a sequential sum: one elementwise
-multiply forms its terms, which are added in a fixed order.  A BLAS
+Under the law the system is linear in its states, so one Euler-Maruyama
+step is one per-node matrix applied to the state (Kloeden and Platen,
+Numerical Solution of Stochastic Differential Equations, 1992, ch. 10).
+_feedback_law composes the dynamics with the law once per run: A_cl(k)
+on z = (x0, m) gives the leader's drift, the mean's drift and the
+leader's diffusion coefficient Gamma_k (in team mode F moves from m's
+column to one on xN), and an agent in state x drifts by Aa(k) x plus a
+term Za(k) z + Ft xN that every agent shares.  A chunk is held
+component-major, with the path axis innermost: x0 and m (and a copy of
+xN) are the rows of one (rows, chunk) array, and the agents the rows of
+one (n, 1 + S, chunk) array whose agent 0 is xN.  A node's step is then
+two products, A_cl(k) with the shared term's rows on the first, Aa(k) on
+the second.  Each product is a sequential sum: one elementwise multiply
+forms its terms, which are added in a fixed order (_mac).  A BLAS
 product may round a row differently with the number of rows, and einsum
 changes its summation order when a chunk holds one path, so either
 would make a path's values depend on its chunk; an elementwise sum does
@@ -46,19 +48,21 @@ So a run records states only: x0 and m, and for a population xN and the
 stored followers' xi, as component-major memory, (dim, M+1, paths) and
 (dim, stored, M+1, paths), behind (paths, M+1, dim) and
 (paths, stored, M+1, dim) views, so a node's write copies one contiguous
-row per component.  PathBundle derives a run's u0bar, u1bar, v, u0i and
-u1i on each read through the same _feedback, bitwise equal to what the
-kernel played.  No cost derives them: each control is a gain times the
-states, so u'Ru = y'(U'RU)y, and _feedback_law builds J0's and Ji's
-weights on the states once per run (_weights).  One quadrature (_quad)
-forms y'Wy, or the bilinear y'Wz, from the components' rows and sums it.
+row per component.  The kernel forms no control.  PathBundle derives a
+run's u0bar, u1bar, v, u0i and u1i on each read through _feedback: the
+law applied to the recorded states, bitwise over any blocking of nodes.
+No cost derives them: each control is a gain times the states, so
+u'Ru = y'(U'RU)y, and _feedback_law builds J0's and Ji's weights on the
+states once per run (_weights).  One quadrature (_quad) forms y'Wy, or
+the bilinear y'Wz, from the components' rows and sums it.
 
-The kernel's step is linear in (x0, m, u0, u1, v) with no constant term,
-so a perturbation of a run's controls by eps d moves its states by eps
-times a response: the same scheme under the same noise, started from
-zero and driven by d alone.  A response run plays no law and records
-its states only; the saddle battery costs it against the baseline's
-paths, and takes the baseline, the limit run, from its caller.
+The scheme is linear in (x0, m, u0, u1, v) with no constant term, so a
+perturbation of a run's controls by eps d moves its states by eps times
+a response: the same scheme under the same noise, started from zero and
+driven by d alone.  A response run plays no law: it steps the open-loop
+blocks on z plus one input vector per node, and records its states
+only; the saddle battery costs it against the baseline's paths, and
+takes the baseline, the limit run, from its caller.
 
 The kernel hands each finished chunk to its caller, and the callers
 differ only in where a chunk's series live.  simulate_limit and
@@ -186,18 +190,28 @@ class _Law:
     K holds the gains on z = [x0; m] of every control row the law gives:
     v (worst-case disturbance only), the leader's u0 (with L folded in)
     and u1, and for a population the followers' terms zx and gx; rows
-    names each one's rows of K, in the kernel's order.  Gc and La hold
-    the agents' own-state gain Gxi and L, so that an agent in state x
-    plays u1 = Gxi x + gx and u0 = L u1 + zx.  Every stack keeps the node
-    axis second to last: K (2n, rows, M+1, 1), Gc (n, mF, 1, M+1, 1) and
-    La (mF, mL, 1, M+1, 1).  j0 and ji (a population's) are the costs'
-    weights on the states (_weights)."""
+    names each one's rows of K.  Gc and La hold the agents' own-state
+    gain Gxi and L, so that an agent in state x plays u1 = Gxi x + gx and
+    u0 = L u1 + zx.  These stacks keep the node axis second to last, as
+    _feedback reads them over blocks of nodes: K (2n, rows, M+1, 1), Gc
+    (n, mF, 1, M+1, 1) and La (mF, mL, 1, M+1, 1).
+
+    Acl and Aa are the dynamics composed with the law, which the kernel
+    steps, node-major.  Acl (M+1, cols, rows, 1) acts on (x0, m), or on
+    (x0, m, xN) in a population: its rows are x0's drift, m's drift and
+    x0's diffusion coefficient Gamma_k, and in a population the drift
+    term Za z + Ft xN that every agent shares.  Aa (M+1, n, n, 1, 1), a
+    population's, is an agent's drift matrix on its own state
+    (_feedback_law).  j0 and ji (a population's) are the costs' weights
+    on the states (_weights)."""
 
     K: np.ndarray
     rows: dict
     Gc: np.ndarray
     La: np.ndarray
     nv: int
+    Acl: np.ndarray
+    Aa: np.ndarray | None
     j0: tuple
     ji: tuple | None
 
@@ -236,8 +250,8 @@ class PathBundle:
     A run records states only: x0 and m, and for a population xN and the
     stored followers' xi.  Its controls u0bar, u1bar and v, and the
     stored followers' u0i and u1i, are its feedback law applied to those
-    states node by node; each read derives them afresh, bitwise equal to
-    what the kernel played, and nothing is cached.  The costs read the
+    states node by node; each read derives them afresh, bitwise the same
+    over any blocking of nodes, and nothing is cached.  The costs read the
     states and the law's weights instead.  A response run (the saddle
     battery's) plays no law, so its bundle holds none and derives
     nothing.  In a population u0bar and u1bar are xN's.
@@ -382,12 +396,45 @@ def _node_columns(mats: np.ndarray, agents: bool = False) -> np.ndarray:
         (j, k) + (1,) * agents + (len(mats), 1))
 
 
+def _open_loop(p: ModelParams, N: int = 0, team: bool = False) -> tuple:
+    """The scheme's open-loop blocks, in the rows [x0's drift; m's drift;
+    x0's diffusion coefficient]: on (x0, m), or for a population (N > 0)
+    on (x0, m, xN), the leader's coupling F on xN in team mode and on m
+    otherwise; and each control's column block by name, v, u0 and u1."""
+    n, O = p.n, np.zeros((p.n, p.n))
+    F = [O, p.F] if team else [p.F, O]
+    blocks = np.block([[p.A, *F], [O, p.At + p.Ft, O], [p.C, O, O]])
+    Ov, Of = np.zeros((n, p.nv)), np.zeros((n, p.mF))
+    return blocks[:, :(3 if N else 2) * n], {
+        "v": np.vstack([p.E, Ov, Ov]), "u0": np.vstack([p.B, p.Ht, p.D]),
+        "u1": np.vstack([p.H, p.Bt, Of])}
+
+
+def _response_steps(p: ModelParams, M: int, response: tuple) -> tuple:
+    """What a response to inputs (u0, u1, v) steps: the open-loop blocks
+    on (x0, m), node-major as _Law.Acl, and each node's input vector, the
+    sum over the inputs given of their column block times d(k) on every
+    component, (M+1, 3n, 1)."""
+    ol, inputs = _open_loop(p)
+    c = sum((np.multiply.outer(d, inputs[k].sum(axis=1))
+             for k, d in zip(("u0", "u1", "v"), response) if d is not None),
+            np.zeros((M + 1, 3 * p.n)))
+    cols = _columns(ol)
+    return np.broadcast_to(cols, (M + 1,) + cols.shape), c[..., None]
+
+
 def _feedback_law(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
                   N: int, fgains: FollowerGains | None,
                   inc: IncentiveMatrices | None) -> _Law:
-    """The law every agent of a run plays (module docstring); team mode
-    is the incentive form with no own-state gain and L = 0."""
-    M = gains.grid.steps
+    """The law every agent of a run plays (module docstring), and the
+    dynamics composed with it (_Law); team mode is the incentive form
+    with no own-state gain and L = 0.
+
+    A_cl(k) = the open-loop blocks (_open_loop) + [E; 0; 0] V_k
+    + [B; Ht; D] U0_k + [H; Bt; 0] U1_k, with V, U0 and U1 the law's rows
+    of K.  An agent in state x drifts by Aa(k) x + Za(k) z + Ft xN, with
+    Aa = At + (Bt + Ht L) Gxi and Za = (Bt + Ht L) gx + Ht zx."""
+    M, n = gains.grid.steps, p.n
     if fgains is None:
         pairs = ((gains.Theta21, gains.Theta22),
                  (gains.Theta11, gains.Theta12),
@@ -407,12 +454,23 @@ def _feedback_law(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
               + [("zx", zx), ("gx", gx)] * (N > 0))
     ends = np.cumsum([g.shape[1] for _, g in blocks]).tolist()
     rows = {k: slice(e - g.shape[1], e) for (k, g), e in zip(blocks, ends)}
+    # the leader's and the mean's closed loop, and for a population the
+    # agents' shared term Za z + Ft xN as rows of its own
+    ol, inputs = _open_loop(p, N, N > 0 and fgains is None)
+    Acl = np.broadcast_to(ol, (M + 1,) + ol.shape).copy()
+    Acl[..., :2 * n] += sum(inputs[k] @ g for k, g in blocks if k in inputs)
+    Aa = None
+    if N:
+        BL = p.Bt + p.Ht @ L
+        Za = np.concatenate([BL @ gx + p.Ht @ zx,
+                             np.broadcast_to(p.Ft, (M + 1, n, n))], axis=2)
+        Acl = np.concatenate([Acl, Za], axis=1)
+        Aa = _columns(p.At + BL @ Gxi, 2)
     # the costs' weights on the states (_weights), from the gains on the
     # states y of what each weighs: a limit run's J0 on y = (x0, m); a
     # population's on y = (x0, m, xN, xi), J0's cut to (x0, m, xN) with xN
     # an agent in m's place, and Ji's on all of y
-    x0, m, *agents = y = np.split(np.eye((4 if N else 2) * p.n),
-                                  4 if N else 2)
+    x0, m, *agents = y = np.split(np.eye((4 if N else 2) * n), 4 if N else 2)
     z = np.vstack(y[:2])
     u1 = [gx @ z + Gxi @ own for own in agents] if N else [u1l @ z]
     u0 = [L @ g + zx @ z for g in u1]
@@ -421,7 +479,8 @@ def _feedback_law(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     ji = _weights(p, "t", agents[1], agents[0], u0[1], u1[1]) if N else None
     return _Law(_node_columns(np.concatenate([g for _, g in blocks], axis=1)),
                 rows, _node_columns(Gxi, True), _node_columns(L, True), p.nv,
-                tuple(w[:3 * p.n, :3 * p.n] for w in j0) if N else j0, ji)
+                _columns(Acl), Aa,
+                tuple(w[:3 * n, :3 * n] for w in j0) if N else j0, ji)
 
 
 def _weights(p: ModelParams, t: str, x: np.ndarray, xl: np.ndarray,
@@ -450,8 +509,10 @@ def _feedback(law: _Law, nodes: slice, z: np.ndarray, out: np.ndarray,
     z = [x0; m], and for agents in states x their u1 = Gxi x + gx and
     u0 = L u1 + zx.  Shapes: z (2n, nodes, paths), out (rows, nodes,
     paths), agents (n, A, nodes, paths), u1 and u0 (dim, A, nodes,
-    paths).  The kernel calls it at one node, PathBundle over blocks of
-    nodes; _mac makes each value the same either way."""
+    paths).  PathBundle derives a run's controls through it over blocks
+    of nodes; _mac makes each value the same over any blocking, one node
+    at a time included.  The kernel steps the law composed with the
+    dynamics (_Law.Acl, _Law.Aa) and forms no control."""
     _mac(out, law.K[..., nodes, :], z)
     if agents is not None:
         _mac(u1, law.Gc[..., nodes, :], agents)
@@ -470,15 +531,18 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
     and inc).
 
     One law serves both modes (module docstring).  Each chunk of paths
-    steps at once, component-major with the path axis innermost: the
-    leader's and mean's components are the rows of one (rows, chunk)
-    array w, the agents' the rows of one (rows, 1 + stored, chunk) array
-    whose agent 0 is xN.  Feedback is evaluated at the nodes, one step
-    per grid interval, by _feedback.  response = (u0, u1, v), each None
-    (zero) or an (M+1,) node series, makes a limit run a response (the
-    saddle battery's): it starts from zero, builds and plays no law, and
-    each node's u0, u1 and v are the series' values, the same for every
-    component and path.  wsum, (paths, M, n) sums of agents 1..N's
+    steps at once, component-major with the path axis innermost: x0, m
+    and, in a population, a copy of xN are the rows of one (rows, chunk)
+    array w, the agents the rows of one (n, 1 + stored, chunk) array
+    whose agent 0 is xN.  A step applies the law composed with the
+    dynamics at its left node (_Law): one _mac of Acl(k) on w gives the
+    leader's and the mean's drift, the leader's diffusion coefficient and
+    the agents' shared drift term, and one of Aa(k) on the agents their
+    own-state drift.  response = (u0, u1, v), each None (zero) or an
+    (M+1,) node series, makes a limit run a response (the saddle
+    battery's): it starts from zero, builds and plays no law, and steps
+    the open-loop blocks plus one input vector per node, the same for
+    every path (_response_steps).  wsum, (paths, M, n) sums of agents 1..N's
     increments, replaces the followers' streams in a population run
     (sweep_gaps, which reads every N's sums in one pass); its caller
     stores no followers, so such a run reads only the common noise.  head
@@ -496,39 +560,14 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         raise ValueError("incentive mode needs both fgains and inc")
     grid = gains.grid
     M, P, h = grid.steps, cfg.n_paths, grid.h
-    n, mL, mF, nv = p.n, p.mL, p.mF, p.nv
+    n = p.n
     seed = cfg.master_seed
     law = None if response else _feedback_law(p, gains, cfg, N, fgains, inc)
-    # the leader's drift reads the population average in team mode, the
-    # mean field in incentive mode, as in the limiting analysis
-    lead_reads_xN = N > 0 and fgains is None
-    # the rows of w: [x0, m, xl, v, u0, u1, zx, gx].  xl, the state the
-    # leader's coupling term reads, has rows of its own only in team mode,
-    # where it is a copy of xN; the followers' zx and gx only for a
-    # population.  w[iK:] holds the law's rows (_feedback), v's zero rows
-    # before them under no disturbance, or a response's u0 and u1; one
-    # product of the dynamics on w[:izx] gives the leader's drift, the
-    # mean's drift and the leader's diffusion coefficient
-    nxl = n if lead_reads_xN else 0
-    iv = 2 * n + nxl
-    rows = law.rows if law else {"u0": slice(0, mL), "u1": slice(mL, mL + mF)}
-    iK = iv + nv - rows["u0"].start
-    row = {name: slice(iK + s.start, iK + s.stop) for name, s in rows.items()}
-    row["v"] = slice(iv, iv + nv)
-    izx = row["u1"].stop
-    nw = max(s.stop for s in row.values())
-    # the dynamics' column blocks by the component they act on, in its rows
-    # [x0's drift; m's drift; x0's diffusion coefficient]
-    O, Ov, Of = np.zeros((n, n)), np.zeros((n, nv)), np.zeros((n, mF))
-    on = {"x0": (p.A, O, p.C), "m": (O if nxl else p.F, p.At + p.Ft, O),
-          "xl": (p.F, O, O), "v": (p.E, Ov, Ov), "u0": (p.B, p.Ht, p.D),
-          "u1": (p.H, p.Bt, Of)}
-    dyn = _columns(np.hstack([
-        np.vstack(on[c]) for c in ["x0", "m"] + ["xl"] * bool(nxl)
-        + ["v", "u0", "u1"]]))
-    # the agents' rows [x, u1, u0]; every agent reads the field Ft xN
-    dyn_agents = _columns(np.hstack([p.At, p.Bt, p.Ht]), 2)
-    Ft, sigma = _columns(p.Ft), _columns(p.Sigma)
+    if law:
+        Acl, Aa = law.Acl, law.Aa
+    else:
+        Acl, c = _response_steps(p, M, response)
+    sigma = _columns(p.Sigma)
 
     stored = N if cfg.store_all_followers else min(N, cfg.store_followers)
     # every series is held component-major, (dim, M+1, paths) and
@@ -556,23 +595,20 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
         b = min(a + chunk, P)
         C = b - a
         # every array is stepped in place, so the views below stay bound
-        w = np.zeros((nw, C))
+        w = np.zeros(((3 if N else 2) * n, C))
         if law:
             w[:n], w[n:2 * n] = p.xi[:, None], p.x0init[:, None]
         z, x0 = w[:2 * n], w[:n]
-        drift = np.empty((3 * n, C))
-        # _feedback's arrays at one node; the recorded value of each
-        # series
-        at_node = (z[:, None], w[iK:, None])
+        drift = np.empty(((4 if N else 3) * n, C))
+        # the recorded value of each series
         values = {"x0": x0, "m": w[n:2 * n]}
         # each stream of the chunk is read once, whole
         dW = rng.increments(seed, [(i, 0) for i in range(a, b)], M, h)
         if N:
             # agent 0 is xN, stepped as one state driven by the mean of the
             # N followers' increments (module docstring)
-            wa = np.empty((n + mF + mL, 1 + stored, C))
-            wa[:n] = p.x0init[:, None, None]
-            agents, u1a, u0a = wa[:n], wa[n:n + mF], wa[n + mF:]
+            agents = np.empty((n, 1 + stored, C))
+            agents[:] = p.x0init[:, None, None]
             xN = agents[:, 0]
             drift_a = np.empty((n, 1 + stored, C))
             field, noise = np.empty((n, C)), np.empty((n, stored, C))
@@ -590,37 +626,32 @@ def _euler_maruyama(p: ModelParams, gains: LeaderGains, cfg: SimConfig,
             dWbar = np.divide(sums.reshape(C, M, n).transpose(1, 2, 0), N,
                               out=np.empty((M, n, C)))
             dWi = dWi.reshape(C, stored, M, n)
-            at_node += tuple(x[:, :, None] for x in (agents, u1a, u0a))
             values.update(xN=xN, xi=agents[:, 1:])
         # each series' columns of this chunk, written node by node
         mem = (_series_memory(shapes, C) if on_chunk else
                {name: arr[..., a:b] for name, arr in run.items()})
         record = [(mem[name], val) for name, val in values.items()]
         for k in range(M + 1):
-            if law:
-                _feedback(law, slice(k, k + 1), *at_node)
-            else:
-                for name, d in zip(("u0", "u1", "v"), response):
-                    if d is not None:
-                        w[row[name]] = d[k]
             for series, val in record:
                 series[..., k, :] = val
             if k == M:
                 break
-            if nxl:
-                w[2 * n:iv] = xN
-            _mac(drift, dyn, w[:izx])
             if N:
-                # the aggregate noise joins agent 0, the stored followers'
-                # own the rest
-                _mac(drift_a, dyn_agents, wa)
-                drift_a += _mac(field, Ft, xN)[:, None]
+                w[2 * n:] = xN
+            _mac(drift, Acl[k], w)
+            if response:
+                drift += c[k]
+            if N:
+                # every agent adds the shared term; the aggregate noise
+                # joins agent 0, the stored followers' own the rest
+                _mac(drift_a, Aa[k], agents)
+                drift_a += drift[3 * n:, None]
                 agents += h * drift_a
                 agents[:, 0] += _mac(field, sigma, dWbar[k])
                 agents[:, 1:] += _mac(noise, sigma[..., None],
                                       dWi[:, :, k].T)
             z += h * drift[:2 * n]
-            x0 += drift[2 * n:] * dW[:, k]
+            x0 += drift[2 * n:3 * n] * dW[:, k]
         # the chunk's noise goes first, so on_chunk's costs run without it
         del dW
         if N:

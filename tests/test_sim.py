@@ -823,6 +823,119 @@ def test_response_is_the_scaled_difference_of_replays(table1, gains1, n2,
                 <= 1e-12 * scale, (name, dist)
 
 
+def _composed_reference(p, gains, cfg, N=0, fgains=None, inc=None,
+                        response=None):
+    """The kernel's per-node matrices from the model's equations, written
+    as _reference_run writes them and applied to the identity on
+    y = (x0, m), or (x0, m, xN) in a population.  Returns Acl, whose rows
+    are x0's drift, m's drift and C x0 + D u0, and in a population the
+    agents' shared drift term, an agent's drift at x = 0; Aa, an agent's
+    drift at x = I with every other state zero (None for a limit run); and
+    a response's input vectors c, the drifts at y = 0 under its inputs
+    (None unless response).  Stacks over nodes: (M+1, rows, cols)."""
+    M = gains.grid.steps
+    G = {name: getattr(gains, name).values for name in
+         ("Theta11", "Theta12", "Theta21", "Theta22", "Vx", "Vm")}
+    team = fgains is None
+    d = (3 if N else 2) * p.n
+    x0, m, *xN = np.split(np.eye(d), d // p.n)
+
+    def leader_law(x0, m):
+        v = G["Vx"] @ x0 + G["Vm"] @ m
+        if cfg.disturbance == "zero":
+            v = 0.0 * v
+        if team:
+            return (G["Theta11"] @ x0 + G["Theta12"] @ m,
+                    G["Theta21"] @ x0 + G["Theta22"] @ m, v)
+        u1 = fgains.Gx0bar.values @ x0 + fgains.Gmbar.values @ m
+        return (inc.L.values @ u1 + inc.zeta.values @ x0
+                + inc.eta.values @ m, u1, v)
+
+    def follower_law(x, x0, m):
+        if team:
+            return leader_law(x0, m)[:2]
+        u1 = (fgains.Gxi.values @ x + fgains.Gx0.values @ x0
+              + fgains.Gm.values @ m)
+        return (inc.L.values @ u1 + inc.zeta.values @ x0
+                + inc.eta.values @ m, u1)
+
+    def leader_rows(x0, m, xl, u0, u1, v):
+        return [p.A @ x0 + p.F @ xl + p.B @ u0 + p.H @ u1 + p.E @ v,
+                (p.At + p.Ft) @ m + p.Ht @ u0 + p.Bt @ u1,
+                p.C @ x0 + p.D @ u0]
+
+    def follower_drift(x, u0, u1, xN):
+        return p.At @ x + p.Bt @ u1 + p.Ht @ u0 + p.Ft @ xN
+
+    if response:
+        # the open-loop blocks: every control zero
+        rows = leader_rows(x0, m, m, *(np.zeros((k, d))
+                                       for k in (p.mL, p.mF, p.nv)))
+    else:
+        rows = leader_rows(x0, m, xN[0] if N and team else m,
+                           *leader_law(x0, m))
+    Aa = c = None
+    if N:
+        zero = np.zeros((p.n, d))
+        rows.append(follower_drift(zero, *follower_law(zero, x0, m), xN[0]))
+        eye, O = np.eye(p.n), np.zeros((p.n, p.n))
+        Aa = follower_drift(eye, *follower_law(eye, O, O), O)
+    if response:
+        # each input the same on every component
+        u0, u1, v = (np.zeros((M + 1, k, 1)) if x is None
+                     else np.multiply.outer(x, np.ones((k, 1)))
+                     for x, k in zip(response, (p.mL, p.mF, p.nv)))
+        O = np.zeros((p.n, 1))
+        c = np.concatenate(leader_rows(O, O, O, u0, u1, v), axis=1)
+    Acl = np.concatenate([np.broadcast_to(r, (M + 1, p.n, d)) for r in rows],
+                         axis=1)
+    return Acl, None if Aa is None else np.broadcast_to(
+        Aa, (M + 1, p.n, p.n)), c
+
+
+def test_composed_closed_loop_matches_the_model(table1, gains1, fg1, inc1,
+                                                n2, n2_sol, drawn_n3):
+    # the dynamics composed with the law (sim._feedback_law: Acl, and Aa
+    # for a population) and a response's open-loop blocks and input
+    # vectors, node by node, against the model's equations applied to the
+    # identity: the limit run under worst and zero disturbance, team and
+    # incentive populations, and responses with inputs on all three
+    # controls and on u0 and u1 alone.  drawn_n3 (n = 3, mL = mF = 2)
+    # gives a matrix L.  The worst measured deviation is 1.6e-15 relative
+    # to the largest entry of the reference, drawn_n3's incentive Acl
+    def close(got, want, what):
+        assert got.shape == want.shape, what
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), what
+
+    for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
+                              (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc),
+                              (drawn_n3, *_partial_chain(drawn_n3))):
+        cfg = SimConfig(N=5)
+        zero = replace(cfg, disturbance="zero")
+        for label, run_cfg, N, modes in (
+                ("limit", cfg, 0, {}), ("zero", zero, 0, {}),
+                ("team", cfg, 5, {}),
+                ("incentive", cfg, 5, {"fgains": fg, "inc": inc})):
+            law = sim._feedback_law(p, gains, run_cfg, N, modes.get("fgains"),
+                                    modes.get("inc"))
+            Acl, Aa, _ = _composed_reference(p, gains, run_cfg, N, **modes)
+            close(np.swapaxes(law.Acl[..., 0], -1, -2), Acl, (label, "Acl"))
+            if N:
+                close(np.swapaxes(law.Aa[..., 0, 0], -1, -2), Aa,
+                      (label, "Aa"))
+            else:
+                assert law.Aa is None
+        grid = gains.grid
+        shift = np.linspace(-0.5, 0.5, grid.steps + 1)
+        for inputs in ((shift, -0.2 * sim._bump(grid), 0.3 + shift),
+                       (shift, shift, None)):
+            Acl, c = sim._response_steps(p, grid.steps, inputs)
+            want, _, want_c = _composed_reference(p, gains, cfg,
+                                                  response=inputs)
+            close(np.swapaxes(Acl[..., 0], -1, -2), want, "response Acl")
+            close(c, want_c, "response c")
+
+
 def test_incentive_match_values(gains1, fg1, inc1, square_sol):
     # same quantity as the nodewise matching defect, read off the gains
     assert sim.incentive_match(gains1, fg1) == pytest.approx(inc1.worst,
@@ -1057,49 +1170,60 @@ def _response_forms(p, base, response, inputs):
         response, inputs)
 
 
+def _law_node_by_node(bundle):
+    """The controls of a run that played its law: sim._feedback applied to
+    its recorded states one node at a time, as (paths, ..., M+1, dim)
+    series by name; a limit run's u0i and u1i are absent."""
+    law = bundle.law
+    x0, m = (np.swapaxes(x, 0, -1) for x in (bundle.x0, bundle.m))
+    z = np.concatenate([x0, m])
+    nodes, P = x0.shape[1:]
+    mF, mL = law.La.shape[:2]
+    w = np.empty((law.K.shape[1], nodes, P))
+    on_agents = ()
+    if bundle.xN is not None:
+        agents = np.concatenate([np.swapaxes(bundle.xN, 0, -1)[:, None],
+                                 np.swapaxes(bundle.xi, 0, -1)], axis=1)
+        A = agents.shape[1]
+        on_agents = (agents, np.empty((mF, A, nodes, P)),
+                     np.empty((mL, A, nodes, P)))
+    for k in range(nodes):
+        at = slice(k, k + 1)
+        sim._feedback(law, at, z[:, at], w[:, at],
+                      *(x[..., at, :] for x in on_agents))
+    rows = law.rows
+    v = (w[rows["v"]] if "v" in rows else np.zeros((law.nv, nodes, P)))
+    if on_agents:
+        _, u1a, u0a = on_agents
+        u0, u1 = u0a[:, 0], u1a[:, 0]
+        want = {"u0i": np.swapaxes(u0a[:, 1:], 0, -1),
+                "u1i": np.swapaxes(u1a[:, 1:], 0, -1)}
+    else:
+        u0, u1 = w[rows["u0"]], w[rows["u1"]]
+        want = {}
+    want.update({k: np.swapaxes(x, 0, -1) for k, x in
+                 (("u0bar", u0), ("u1bar", u1), ("v", v))})
+    return want
+
+
 def test_derived_controls_equal_the_law_node_by_node(
         table1, gains1, fg1, inc1, n2, n2_sol, drawn_n3, monkeypatch):
-    # a run records states only; the controls it derives on each read,
-    # over blocks of nodes, equal bitwise those the kernel played one node
-    # at a time, for 7 paths derived in blocks of 1 node, of about 3 and
-    # of every node.  A response plays no law and has no controls to derive
-    feedback = sim._feedback
+    # a run records states only and the kernel forms no control; the
+    # controls a bundle derives on each read, over blocks of nodes, equal
+    # bitwise the law applied one node at a time to the recorded states,
+    # for 7 paths derived in blocks of 1 node, of about 3 and of every
+    # node.  A response plays no law and has no controls to derive
     for p, gains, fg, inc in ((table1, gains1, fg1, inc1.inc),
                               (n2, n2_sol.gains, n2_sol.fg, n2_sol.inc),
                               (drawn_n3, *_partial_chain(drawn_n3))):
         cfg = SimConfig(N=5, n_paths=7, master_seed=19, store_followers=3)
-        nodes = gains.grid.steps + 1
         runs, _ = _five_runs(p, gains, fg, inc, cfg)
         for label, run in runs:
-            played = []
-
-            def recording(law, at, z, out, *agents):
-                feedback(law, at, z, out, *agents)
-                if at.start is not None:
-                    played.append([x.copy() for x in (out,) + agents[1:]])
-
-            with monkeypatch.context() as mp:
-                mp.setattr(sim, "_feedback", recording)
-                bundle = run()
+            bundle = run()
             if label == "response":
-                assert not played and bundle.law is None
+                assert bundle.law is None
                 continue
-            # the kernel steps the 7 paths as one chunk
-            assert len(played) == nodes
-            w, *agents = (np.concatenate(x, axis=-2) for x in zip(*played))
-            rows = bundle.law.rows
-            v = (w[rows["v"]] if "v" in rows
-                 else np.zeros((p.nv, nodes, cfg.n_paths)))
-            if bundle.xN is None:
-                u0, u1 = w[rows["u0"]], w[rows["u1"]]
-                want = {}
-            else:
-                u1a, u0a = agents
-                u0, u1 = u0a[:, 0], u1a[:, 0]
-                want = {"u0i": np.swapaxes(u0a[:, 1:], 0, -1),
-                        "u1i": np.swapaxes(u1a[:, 1:], 0, -1)}
-            want.update({k: np.swapaxes(x, 0, -1) for k, x in
-                         (("u0bar", u0), ("u1bar", u1), ("v", v))})
+            want = _law_node_by_node(bundle)
             K = bundle.law.K
             for floats in (sim._CHUNK_FLOATS, 1,
                            3 * cfg.n_paths * K.shape[0] * K.shape[1]):
