@@ -295,10 +295,13 @@ def _leader_stage(run: _Run):
 
 
 def _leader_checks(p: ModelParams, sol, gains) -> dict:
-    """The leader checks, each read off the stored block march.  The
-    assembled 2n x 2n transcription is an identity, not a march: its rhs on
-    the stacked blocks [[P1, Pi1], [P2, Pi2]] at every published node, and
-    its terminal value, against the block system's stacked the same way."""
+    """The leader checks, each read off the stored march of the assembled
+    2n x 2n equation; none marches anything.  The four-block transcription
+    is the independent reference: the residual differentiates the stored
+    blocks against its rhs, and assembled_gap compares the assembled rhs
+    on the stacked blocks [[P1, Pi1], [P2, Pi2]] at every published node,
+    and its terminal value, with the block system's stacked the same
+    way."""
     blk = leader.block_riccati_problem(p, sol.gamma)
     asm = leader.assembled_problem(p, sol.gamma)
     block_res = odeint.residual([sol.P1, sol.Pi1, sol.P2, sol.Pi2], blk,

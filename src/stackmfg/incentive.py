@@ -24,11 +24,13 @@ only a genuine transcription error, or a tampered chain, can break them.
 
 The sweep steps with odeint.rk4_step, sampling the closed-loop
 coefficients at the three distinct nodes of a step on the block solution's
-doubled grid in one stacked call.  The matching conditions, zeta/eta, the
-closed-loop coefficients and the follower gains share the leader's gain
-algebra (leader._gain_terms); its L-free parts, the solves the leader's
-Theta gains negate (leader._gain_solves), are formed once per sweep, for
-every node of the doubled grid at once.
+doubled grid.  One stacked call (_CCWindow) forms them for a window of
+steps under one L, a window that doubles while L repeats bitwise, so a
+held L costs one call per window, not per step.  The matching conditions,
+zeta/eta, the closed-loop coefficients and the follower gains share the
+leader's gain algebra (leader._gain_terms); its L-free parts, the solves
+the leader's Theta gains negate (leader._gain_solves), are formed once per
+sweep, for every node of the doubled grid at once.
 """
 from __future__ import annotations
 
@@ -211,19 +213,26 @@ def _matching_form(p, nodal, Delta, Theta):
     return C0, W
 
 
+def _residual(p, L, form):
+    """(r, SL^-1, L'R0t): the raw residual r = SL^-1 (C0 + L'W) of both
+    conditions (mF x 2n), with the two factors _matching's Jacobian
+    reuses."""
+    C0, W = form
+    SL, _, LtR0 = _L_terms(p, L)
+    Si = np.linalg.inv(SL)
+    return Si @ (C0 + L.T @ W), Si, LtR0
+
+
 def _matching(p, L, form):
-    """The raw residual r = SL^-1 (C0 + L'W) of both conditions (mF x 2n)
-    and its exact Jacobian in L, rows r.ravel() and columns L.ravel().
+    """The raw residual r of both conditions (_residual) and its exact
+    Jacobian in L, rows r.ravel() and columns L.ravel().
 
     Along dL, dr = SL^-1 (dL'W - (dL'R0t L + L'R0t dL) r); for dL the unit
     matrix at (a, b) that is SL^-1[:, b] G[a] - K[:, a] r[b], with
     G = W - R0t L r and K = SL^-1 L'R0t.
     """
-    C0, W = form
-    SL, _, LtR0 = _L_terms(p, L)
-    Si = np.linalg.inv(SL)
-    r = Si @ (C0 + L.T @ W)
-    G = W - p.R0t @ L @ r
+    r, Si, LtR0 = _residual(p, L, form)
+    G = form[1] - p.R0t @ L @ r
     J = (np.einsum("ib,ac->icab", Si, G)
          - np.einsum("ia,bc->icab", Si @ LtR0, r))
     return r, J.reshape(r.size, L.size)
@@ -238,7 +247,7 @@ def matching_residual(p: ModelParams, L: np.ndarray, P1, Pi1, P2, Pi2,
     """
     nodal = _gain_solves(p, *_gain_terms(p, (P1, Pi1, P2, Pi2)))
     form = _matching_form(p, nodal, Delta, Theta)
-    r = _matching(p, L, form)[0]
+    r = _residual(p, L, form)[0]
     return r[:, :p.n], r[:, p.n:]
 
 
@@ -281,9 +290,10 @@ def _chain_rhs(p):
                   + Phi (B1 + H1 Theta)
 
     The first three terms of every equation are one stacked product each;
-    Sigma H1, H2 Delta, H1 Theta, B2 + H2 Delta and B1 + H1 Theta are
-    formed once, and each equation adds its terms in the order written, so
-    every component gets the bits of its own equation.
+    H1 (Delta, Theta), H2 (Delta, Theta) and Sigma (H1, A1 - A~, B1) are
+    one stacked product each, B2 + H2 Delta and B1 + H1 Theta are formed
+    once, and each equation adds its terms in the order written, so every
+    component gets the bits of its own equation.
     """
     At, At_ = p.At, p.At.T
     QG = p.Qt @ p.Gamma1t
@@ -291,15 +301,16 @@ def _chain_rhs(p):
 
     def rhs(cc: CCCoefficients, state):
         De, Th, Sg, Ph, Ps = state
-        SgH1 = Sg @ cc.H1
-        BH2 = cc.B2 + cc.H2 @ De
-        BH1 = cc.B1 + cc.H1 @ Th
-        d = state @ np.array((cc.A1, cc.A2, At, cc.A1 + cc.H1 @ De,
-                              cc.A2 + cc.H2 @ Th))
+        H1DT = cc.H1 @ state[:2]
+        H2DT = cc.H2 @ state[:2]
+        SgH1, SgA1, SgB1 = Sg @ np.array((cc.H1, cc.A1 - At, cc.B1))
+        BH2 = cc.B2 + H2DT[0]
+        BH1 = cc.B1 + H1DT[1]
+        d = state @ np.array((cc.A1, cc.A2, At, cc.A1 + H1DT[0],
+                              cc.A2 + H2DT[1]))
         d += At_ @ state
         d += np.array((De @ cc.H1, Th @ cc.H2, SgH1, SgH1, SgH1)) @ state
-        d += np.array((Th @ BH2, De @ BH1, p.Qt, Sg @ (cc.A1 - At),
-                       Sg @ cc.B1))
+        d += np.array((Th @ BH2, De @ BH1, p.Qt, SgA1, SgB1))
         d[3:] += state[4:2:-1] @ np.array((BH2, BH1))    # Psi, Phi
         d[0] += Q0
         d[3] -= QG
@@ -420,20 +431,28 @@ def _no_minimum(p, form) -> bool:
     return sum(terms) < -16.0 * np.finfo(float).eps * sum(map(abs, terms))
 
 
-def _cc_stages(p, blocks: BlockRiccatiSolution, fine_nodal, L, k: int):
-    """Closed-loop coefficients with L frozen at the start, midpoint and end
-    of the backward step from node k: fine nodes 2k, 2k-1 and 2k-2 of the
-    block solution's doubled grid, so the half-step is an exact sample.
+class _CCWindow:
+    """Closed-loop coefficients with L frozen at fine nodes lo..hi of the
+    block solution's doubled grid, from one _cc call over the stack of
+    those nodes; each node's coefficients are bitwise cc_coefficients at
+    that node alone, and those that do not depend on the node (H1, H2)
+    come out unstacked and are shared."""
 
-    One _cc call samples the three nodes as a stack; the coefficients that
-    do not depend on the node come out unstacked and are shared."""
-    js = [2 * k, 2 * k - 1, 2 * k - 2]
-    cc = _cc(p, blocks.gamma, L, tuple(a[js] for a in fine_nodal),
-             blocks.fine[0, js], blocks.fine[1, js])
-    fields = vars(cc).values()
-    return tuple(CCCoefficients(*(f[i] if f.ndim == 3 else f
-                                  for f in fields))
-                 for i in range(3))
+    def __init__(self, p, blocks: BlockRiccatiSolution, fine_nodal, L,
+                 lo: int, hi: int):
+        sl = slice(lo, hi + 1)
+        cc = _cc(p, blocks.gamma, L, tuple(a[sl] for a in fine_nodal),
+                 blocks.fine[0, sl], blocks.fine[1, sl])
+        self.L, self.lo = L, lo
+        self.fields = tuple(vars(cc).values())
+
+    def stages(self, k: int):
+        """The coefficients at the start, midpoint and end of the backward
+        step from published node k: fine nodes 2k, 2k-1 and 2k-2, so the
+        half-step is an exact sample."""
+        return tuple(CCCoefficients(*(f[j - self.lo] if f.ndim == 3 else f
+                                      for f in self.fields))
+                     for j in (2 * k, 2 * k - 1, 2 * k - 2))
 
 
 def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
@@ -477,6 +496,10 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
     nodal = tuple(a[::2] for a in fine_nodal)
 
     rhs = _chain_rhs(p)
+    # the coefficients of the steps ahead under the current L, in windows
+    # of span steps that double while L repeats bitwise (a held L, as at
+    # _no_minimum nodes) and restart at one step when it changes
+    window, span = None, 1
     for k in range(M, -1, -1):
         Delta, Theta = state[:2]
         form = _matching_form(p, tuple(a[k] for a in nodal), Delta, Theta)
@@ -502,7 +525,7 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
             # value and report the defect there instead of following the
             # descent to infinity
             Lk = L_store[k + 1]
-            rk = float(np.linalg.norm(_matching(p, Lk, form)[0]))
+            rk = float(np.linalg.norm(_residual(p, Lk, form)[0]))
         L_store[k] = Lk
         resid[k] = rk
         iters[k] = sum(r[2] for r in runs)
@@ -511,8 +534,12 @@ def solve_cc_incentive(p: ModelParams, blocks: BlockRiccatiSolution):
         if k == 0:
             break
         # RK4 step to node k-1 with L frozen
-        state = rk4_step(rhs, state, -h,
-                         _cc_stages(p, blocks, fine_nodal, Lk, k))
+        same = window is not None and np.array_equal(Lk, window.L)
+        if not same or window.lo > 2 * k - 2:
+            span = 2 * span if same else 1
+            window = _CCWindow(p, blocks, fine_nodal, Lk,
+                               max(2 * (k - span), 0), 2 * k)
+        state = rk4_step(rhs, state, -h, window.stages(k))
 
     z_store, e_store = _zeta_eta(L_store, nodal)
     dtheta = DeltaThetaSolution(

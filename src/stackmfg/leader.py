@@ -1,13 +1,13 @@
 """Leader-side solvers: concavity certificate, critical attenuation level,
 and the coupled four-block Riccati system with its closed-loop gains.
 
-The four blocks (P1, Pi1, P2, Pi2) are one stacked state, their displayed
-equations evaluated through products shared over the stack, marched on a
-doubled internal grid so downstream consumers get accurate values at the
-half-steps of the published grid.  The same system written as a single
-2n x 2n Riccati equation (assembled_problem) is a transcription
-cross-check; the pipeline never marches it, but evaluates its right-hand
-side on the stored blocks.
+The four blocks (P1, Pi1, P2, Pi2) are the quadrants of one 2n x 2n
+Riccati equation on the augmented state (x0, m) (assembled_problem),
+marched on a doubled internal grid so downstream consumers get accurate
+values at the half-steps of the published grid.  The blocks' displayed
+equations (block_riccati_problem) are an independent transcription of the
+same system: the leader checks evaluate its right-hand side on the stored
+blocks, and the residual diagnostic differentiates them against it.
 """
 from __future__ import annotations
 
@@ -114,7 +114,9 @@ class GammaHatResult:
 # bisection steps resolved by one stacked pass, which marches the
 # 2**_KSECTION_DEPTH - 1 midpoints those steps could visit.  The result does
 # not depend on it, the run time does: on the bundled config 3, 4, 5, 6 and
-# 7 took 1.06, 0.89, 0.71, 0.73 and 0.72 s (10, 8, 6, 6 and 5 passes)
+# 7 took 0.49, 0.41, 0.32, 0.33 and 0.30 s (10, 8, 6, 6 and 5 passes; min
+# of 8 runs on a 2-core x86-64 host, numpy 2.4.6).  Another depth would
+# change the trace of marched gammas, so it stays
 _KSECTION_DEPTH = 5
 # estimate_gamma_hat's search range
 LO_FLOOR = 1e-6
@@ -214,10 +216,11 @@ def estimate_gamma_hat(p: ModelParams,
 class BlockRiccatiSolution:
     """Coupled-block solution published on the model grid.
 
-    fine is the march on the internally doubled grid, read-only, shape
-    (4, 2M+1, n, n) in block order [P1, Pi1, P2, Pi2], so the incentive
-    solver can read exact block values at the half-steps of its own RK4
-    sweep.  P1 to Pi2 are its even nodes, copied.
+    fine holds the quadrants of the assembled 2n x 2n march on the
+    internally doubled grid, read-only, shape (4, 2M+1, n, n) in block
+    order [P1, Pi1, P2, Pi2], so the incentive solver can read exact block
+    values at the half-steps of its own RK4 sweep.  P1 to Pi2 are its even
+    nodes, copied.
     """
 
     gamma: float
@@ -303,7 +306,8 @@ def block_riccati_problem(p: ModelParams, gamma: float) -> OdeProblem:
     stack, and adds the terms of every equation in the order written
     above, so each block gets the bits of its own equation.  It also takes
     a (4, K, n, n) stack of K nodes, as residual passes, and keeps nothing
-    between calls.
+    between calls.  solve_block_riccati marches assembled_problem, not
+    this; the two are written independently, so each checks the other.
     """
     n = p.n
     ERi = p.disturbance_weight
@@ -349,7 +353,15 @@ def block_riccati_problem(p: ModelParams, gamma: float) -> OdeProblem:
 
 
 def assembled_problem(p: ModelParams, gamma: float) -> OdeProblem:
-    """The same system written as one 2n x 2n Riccati equation."""
+    """The same system written as one 2n x 2n Riccati equation on the
+    augmented state (x0, m), with the multiplicative noise's C'PC term:
+    the equation solve_block_riccati marches, P = [[P1, Pi1], [P2, Pi2]].
+
+        -dP = P A + A'P + C'P C + Q + gamma^-2 P E R2^-1 E'P
+              - (P B + C'P D)(R + D'P D)^-1 (B'P + D'P C)
+
+    with A, B, C, D, E, Q, R and the terminal value G the barred block
+    matrices below."""
     n = p.n
     g2 = gamma ** -2
     Z = np.zeros((n, n))
@@ -383,7 +395,8 @@ def assembled_problem(p: ModelParams, gamma: float) -> OdeProblem:
 
 
 def solve_block_riccati(p: ModelParams):
-    """March the four coupled blocks over the doubled grid; returns the
+    """March the 2n x 2n Riccati equation (assembled_problem) over the
+    doubled grid and read the four blocks off its quadrants; returns the
     solution or the march's Escape.
 
     Solvability below the critical attenuation level is the caller's
@@ -392,10 +405,12 @@ def solve_block_riccati(p: ModelParams):
     """
     g, grid = p.gamma, p.grid()
     fine_grid = grid.refined()
-    res = integrate(block_riccati_problem(p, g), fine_grid)
+    res = integrate(assembled_problem(p, g), fine_grid)
     if not res.ok:
         return res.escape
-    fine = np.stack([tr.values for tr in res.trajectories])
+    n = p.n
+    P = res.trajectories[0].values
+    fine = np.stack((P[:, :n, :n], P[:, :n, n:], P[:, n:, :n], P[:, n:, n:]))
     fine.setflags(write=False)
     _check_gain_weight(_gain_terms(p, fine)[0], fine_grid.nodes)
     return BlockRiccatiSolution(

@@ -40,6 +40,11 @@ __all__ = [
 
 # blow-up is declared where a component's Frobenius norm passes this
 ESCAPE_NORM = 1e8
+# _march's screen: a state whose sum of squares, over every entry of every
+# component, is at most this has no component past ESCAPE_NORM.  The sum
+# bounds each component's squared Frobenius norm, and the factor 4 dwarfs
+# the rounding of either sum, relatively at most (entries) * eps
+_SCREEN = 0.25 * ESCAPE_NORM ** 2
 
 
 class NonFiniteRhs(Exception):
@@ -131,10 +136,12 @@ def _clean_rhs(problem: OdeProblem, t, state):
     the first non-finite component.  Finite entries whose sum overflows
     are not broken: the march goes on and escapes."""
     out = problem.rhs(t, state)
-    finite = np.isfinite(out)
-    if not finite.all():
-        ok = finite.reshape(len(out), -1).all(axis=1)
-        raise NonFiniteRhs(t, int(np.argmin(ok)))
+    # a finite sum of squares leaves no entry non-finite
+    if not np.isfinite(np.vdot(out, out)):
+        finite = np.isfinite(out)
+        if not finite.all():
+            ok = finite.reshape(len(out), -1).all(axis=1)
+            raise NonFiniteRhs(t, int(np.argmin(ok)))
     return out
 
 
@@ -167,9 +174,12 @@ def _march(problem: OdeProblem, grid: TimeGrid,
     (c, n, n) state is one member.  At every node the state is written to
     store[:, node] (if given), then escape-tested; an escaped member is
     zeroed, so the rhs stays finite, and its later verdicts are ignored.
-    The march ends at node 0, or at the node where every member has
-    escaped.  A member far past its pole may overflow within a step; it
-    escapes at that step's end node, so the overflow is not warned about.
+    The test is screened: only a node whose whole state's sum of squares
+    passes _SCREEN, or is not finite, runs _escape_test, so every verdict,
+    node and norm is the full test's.  The march ends at node 0, or at the
+    node where every member has escaped.  A member far past its pole may
+    overflow within a step; it escapes at that step's end node, so the
+    overflow is not warned about.
     """
     nodes = grid.nodes
     s = -grid.h
@@ -181,15 +191,16 @@ def _march(problem: OdeProblem, grid: TimeGrid,
         while True:
             if store is not None:
                 store[:, node] = state
-            hit, worst = _escape_test(state)
-            if hit.any():
-                for i in np.flatnonzero(hit):
-                    if out[i] is None:
-                        out[i] = Escape(float(nodes[node]),
-                                        float(worst.flat[i]), node)
-                if None not in out:
-                    break
-                state[:, hit] = 0.0
+            if not np.vdot(state, state) <= _SCREEN:     # NaN fails too
+                hit, worst = _escape_test(state)
+                if hit.any():
+                    for i in np.flatnonzero(hit):
+                        if out[i] is None:
+                            out[i] = Escape(float(nodes[node]),
+                                            float(worst.flat[i]), node)
+                    if None not in out:
+                        break
+                    state[:, hit] = 0.0
             if node == 0:
                 break
             t = nodes[node]

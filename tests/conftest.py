@@ -37,16 +37,21 @@ def blocks1(table1) -> BlockRiccatiSolution:
 
 
 @pytest.fixture(scope="session")
-def march_assembled():
-    """The assembled 2n x 2n cross-check of a block solution, marched over
-    its doubled grid and read at the published nodes: the marched reference
-    beside the pipeline's identity check, which never marches it.
-    march_assembled(p, blocks) -> (M+1, 2n, 2n)."""
+def march_blocks():
+    """The four-block transcription of a block solution's Riccati system
+    (leader.block_riccati_problem), marched over its doubled grid and read
+    at the published nodes: an independent reference beside the solution,
+    which is the march of the assembled 2n x 2n equation.
+    march_blocks(p, blocks) -> (M+1, 2n, 2n), the blocks stacked as
+    [[P1, Pi1], [P2, Pi2]]."""
     def march(p, blocks):
-        res = odeint.integrate(leader.assembled_problem(p, blocks.gamma),
+        res = odeint.integrate(leader.block_riccati_problem(p, blocks.gamma),
                                blocks.fine_grid)
         assert res.ok
-        return res.trajectories[0].values[::2]
+        (P1, Pi1), (P2, Pi2) = [[tr.values[::2] for tr in pair] for pair
+                                in (res.trajectories[:2],
+                                    res.trajectories[2:])]
+        return np.block([[P1, Pi1], [P2, Pi2]])
     return march
 
 

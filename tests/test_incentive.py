@@ -116,23 +116,79 @@ def test_cc_coefficients_formula(square, square_sol, n2, n2_sol):
         assert np.abs(cc.H1 - H1).max() <= 1e-12
 
 
-def test_hoisted_cc_stages_equal_per_node(table1, blocks1, inc1, n2, n2_sol):
-    # the sweep solves the L-free terms once over the doubled grid; every
-    # stage must round exactly like cc_coefficients at that one fine node
-    cases = ((table1, blocks1, inc1.inc, range(1, 1001, 37)),
-             (n2, n2_sol.blocks, n2_sol.inc, range(1, n2.grid_steps + 1)))
+def _recorded_sweep(p, blocks):
+    """solve_cc_incentive on blocks, best effort, with its RK4 steps and
+    its _cc calls recorded: (inc, the three stages each step read, from
+    node M down, and the number of _cc calls)."""
+    steps, calls = [], []
+    rk4, cc = incentive.rk4_step, incentive._cc
+
+    def rk4_recorded(rhs, state, s, at, k1=None):
+        steps.append(at)
+        return rk4(rhs, state, s, at, k1)
+
+    def cc_counted(*args):
+        calls.append(args)
+        return cc(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(incentive, "rk4_step", rk4_recorded)
+        m.setattr(incentive, "_cc", cc_counted)
+        try:
+            inc = incentive.solve_cc_incentive(p, blocks)[1]
+        except NoIncentiveSolution as err:
+            inc = err.partial[1]
+    return inc, steps, len(calls)
+
+
+@pytest.fixture(scope="module")
+def recorded_sweeps(table1, blocks1, n2, n2_sol, drawn_n3, drawn_md):
+    """name -> (p, blocks, inc, stages, _cc calls) of a recorded sweep:
+    table1 holds one L over nodes 0-890 (its no_minimum nodes), n2 and
+    drawn_md change L at every node, and drawn_n3 holds one matrix L
+    (mL = mF = 2) from T."""
+    cases = {"table1": (table1, blocks1), "n2": (n2, n2_sol.blocks)}
+    for name, p in (("drawn_n3", drawn_n3), ("drawn_md", drawn_md)):
+        cases[name] = (p, leader.solve_block_riccati(p))
+    return {name: (p, blocks, *_recorded_sweep(p, blocks))
+            for name, (p, blocks) in cases.items()}
+
+
+def test_windowed_cc_stages_equal_per_node(recorded_sweeps):
+    # the sweep forms the closed-loop coefficients of a window of steps in
+    # one _cc call while L repeats; every stage a step reads must round
+    # exactly like cc_coefficients at that one fine node under its L
     names = ("A1", "B1", "H1", "A2", "B2", "H2")
-    for p, blocks, inc, nodes in cases:
-        fine_nodal = _nodal(p, *blocks.fine)
-        for k in nodes:
+    for p, blocks, inc, steps, _ in recorded_sweeps.values():
+        M = p.grid_steps
+        assert len(steps) == M
+        for i, stages in enumerate(steps):
+            k = M - i
             L = inc.L.values[k]
-            stages = incentive._cc_stages(p, blocks, fine_nodal, L, k)
             for j, cc in zip((2 * k, 2 * k - 1, 2 * k - 2), stages):
                 want = incentive.cc_coefficients(
                     p, blocks.gamma, L, *blocks.fine[:, j])
                 for name in names:
                     assert np.array_equal(getattr(cc, name),
                                           getattr(want, name))
+    # table1's windows cross its no_gain -> no_minimum boundary
+    stops = recorded_sweeps["table1"][2].newton_stop
+    assert stops[890] == "no_gain" and set(stops[:890]) == {"no_minimum"}
+
+
+def test_sweep_calls_cc_at_most_once_per_step(recorded_sweeps):
+    # one _cc call covers a window of steps that hold one L, and a window
+    # doubles while L repeats: on table1 the 890 steps that hold one L
+    # take 10 calls, and the sweep 120 for its 1000 steps
+    for name, (p, _, inc, steps, calls) in recorded_sweeps.items():
+        L = inc.L.values
+        changes = sum(not np.array_equal(L[k], L[k + 1])
+                      for k in range(p.grid_steps))
+        assert 0 < calls <= len(steps)
+        if changes == p.grid_steps:
+            assert calls == len(steps), name
+    _, _, _, steps, calls = recorded_sweeps["table1"]
+    assert calls <= len(steps) // 5
 
 
 # ------------------------------------------------------------ square model

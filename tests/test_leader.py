@@ -396,18 +396,20 @@ def test_block_transpose_coupling(blocks1, square_sol, n2_sol):
 
 
 def test_assembled_matches_blocks(table1, blocks1, square, square_sol, n2,
-                                  n2_sol, march_assembled):
+                                  n2_sol, march_blocks):
+    # the solution, read off the assembled march, against the four-block
+    # transcription marched on its own
     for p, blocks in ((table1, blocks1), (square, square_sol.blocks),
                       (n2, n2_sol.blocks)):
         n = p.n
-        asm = march_assembled(p, blocks)
+        ref = march_blocks(p, blocks)
         gap = 0.0
         for k in range(p.grid_steps + 1):
             P1, Pi1, P2, Pi2 = blocks.blocks_at_node(k)
             stacked = np.block([[P1, Pi1], [P2, Pi2]])
-            gap = max(gap, np.abs(asm[k] - stacked).max())
-        assert gap <= 1e-8 * (1.0 + np.abs(asm).max())
-        assert asm.shape[1:] == (2 * n, 2 * n)
+            gap = max(gap, np.abs(ref[k] - stacked).max())
+        assert gap <= 1e-8 * (1.0 + np.abs(ref).max())
+        assert ref.shape[1:] == (2 * n, 2 * n)
 
 
 def test_fine_grid_is_doubled_and_consistent(table1, blocks1):
@@ -421,23 +423,42 @@ def test_fine_grid_is_doubled_and_consistent(table1, blocks1):
 
 
 def test_one_march_per_block_solve(table1, n2, monkeypatch):
-    # a block solve marches the four blocks alone and stores them once
+    # a block solve marches the assembled 2n x 2n equation once, reads the
+    # four blocks off its quadrants and stores them once
     fields = {f.name for f in dataclasses.fields(leader.BlockRiccatiSolution)}
     assert not fields & {"assembled", "fine_P1", "fine_Pi1", "fine_P2",
                          "fine_Pi2"}
-    marches = []
-    integrate = leader.integrate
+    built, marches = [], []
+    assembled, integrate = leader.assembled_problem, leader.integrate
+
+    def recorded(p, gamma):
+        built.append(assembled(p, gamma))
+        return built[-1]
 
     def counted(problem, grid):
-        marches.append(grid.steps)
+        marches.append((problem, grid.steps))
         return integrate(problem, grid)
 
+    def refused(p, gamma):
+        raise AssertionError("a block solve marches the assembled problem")
+
+    monkeypatch.setattr(leader, "assembled_problem", recorded)
+    monkeypatch.setattr(leader, "block_riccati_problem", refused)
     monkeypatch.setattr(leader, "integrate", counted)
     for p in (table1, n2):
+        built.clear()
         marches.clear()
-        assert isinstance(leader.solve_block_riccati(p),
-                          leader.BlockRiccatiSolution)
-        assert marches == [2 * p.grid_steps]
+        sol = leader.solve_block_riccati(p)
+        assert isinstance(sol, leader.BlockRiccatiSolution)
+        assert len(built) == 1
+        assert marches == [(built[0], 2 * p.grid_steps)]
+        assert built[0].boundary.shape == (1, 2 * p.n, 2 * p.n)
+        res = integrate(built[0], sol.fine_grid)
+        n = p.n
+        P = res.trajectories[0].values
+        for b, (r, c) in zip(sol.fine, ((0, 0), (0, 1), (1, 0), (1, 1))):
+            assert np.array_equal(
+                b, P[:, r * n:(r + 1) * n, c * n:(c + 1) * n])
 
 
 def test_one_march_per_solve_leader_command(tmp_path, capsys, monkeypatch):

@@ -105,8 +105,7 @@ def _residual_per_node(trajectories, problem, grid):
     return worst
 
 
-def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol,
-                                       march_assembled):
+def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol):
     # one rhs call on the stacked nodes and slice stencils round every
     # node as the loop does: the block systems (1 x 1 and 2 x 2 blocks),
     # the assembled 4 x 4 system of n2 and a spiked node
@@ -114,9 +113,10 @@ def test_residual_equals_per_node_loop(table1, blocks1, n2, n2_sol,
     for p, sol in ((table1, blocks1), (n2, n2_sol.blocks)):
         cases.append(([sol.P1, sol.Pi1, sol.P2, sol.Pi2],
                       leader.block_riccati_problem(p, sol.gamma), sol.grid))
-    asm = leader.assembled_problem(n2, n2_sol.blocks.gamma)
-    asm_traj = MatrixTrajectory(n2.grid(),
-                                march_assembled(n2, n2_sol.blocks))
+    sol = n2_sol.blocks
+    asm = leader.assembled_problem(n2, sol.gamma)
+    asm_traj = MatrixTrajectory(n2.grid(), np.block(
+        [[sol.P1.values, sol.Pi1.values], [sol.P2.values, sol.Pi2.values]]))
     cases.append(([asm_traj], asm, n2.grid()))
     prob = scalar_problem(lambda t, s: -s)
     grid = TimeGrid(10.0, 1000)
@@ -173,6 +173,114 @@ def test_nonfinite_rhs_raises():
     with pytest.raises(NonFiniteRhs) as err:
         integrate(prob, TimeGrid(1.0, 10))
     assert err.value.component == 1
+
+
+def test_nonfinite_first_stage_raises_before_any_other_stage():
+    # the rhs breaks at the first stage of the step from node 990: the
+    # error names that node's time and the component, and no later stage
+    # evaluates the rhs on a state made non-finite by it
+    seen = []
+
+    def rhs(t, s):
+        seen.append(s.copy())
+        out = -0.5 * s
+        if len(seen) == 4 * 10 + 1:
+            out[2, 0, 1] = np.nan
+        return out
+
+    prob = OdeProblem(rhs=rhs, boundary=(np.eye(2),) * 3)
+    grid = TimeGrid(1.0, 1000)
+    with pytest.raises(NonFiniteRhs) as err:
+        integrate(prob, grid)
+    assert err.value.t == grid.nodes[990]
+    assert err.value.component == 2
+    assert len(seen) == 41
+    assert all(np.isfinite(s).all() for s in seen)
+
+
+def _march_unscreened(problem, grid):
+    """_march without its screen, _escape_test run at every node: each
+    member's first Escape, or None where it reaches t = 0."""
+    nodes, s, node = grid.nodes, -grid.h, grid.steps
+    state = problem.boundary.copy()
+    out = [None] * (state.shape[1] if state.ndim == 4 else 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            hit, worst = odeint._escape_test(state)
+            if hit.any():
+                for i in np.flatnonzero(hit):
+                    if out[i] is None:
+                        out[i] = odeint.Escape(float(nodes[node]),
+                                               float(worst.flat[i]), node)
+                if None not in out:
+                    break
+                state[:, hit] = 0.0
+            if node == 0:
+                break
+            t = nodes[node]
+            state = rk4_step(problem.rhs, state, s, (t, t + 0.5 * s, t + s),
+                             k1=odeint._clean_rhs(problem, t, state))
+            if problem.poststep is not None:
+                state = problem.poststep(state)
+            node -= 1
+    return out
+
+
+def test_screened_march_equals_the_full_test_on_gamma_hat_stacks(
+        table1, n2, monkeypatch):
+    # every stacked certificate pass of a gamma-hat search, re-marched with
+    # the full escape test at every node: the same node and norm for every
+    # member, and the same None for every member that reaches t = 0
+    stacks = []
+    march = leader.integrate_stack
+
+    def recorded(problem, grid):
+        stacks.append((problem, grid))
+        return march(problem, grid)
+
+    monkeypatch.setattr(leader, "integrate_stack", recorded)
+    for p in (table1, n2):
+        stacks.clear()
+        leader.estimate_gamma_hat(p)
+        assert stacks
+        escaped = 0
+        for problem, grid in stacks:
+            got = integrate_stack(problem, grid)
+            assert got == _march_unscreened(problem, grid)
+            escaped += sum(e is not None for e in got)
+        assert escaped > 0
+
+
+def test_screen_defers_to_the_full_test_at_the_threshold():
+    # states whose Frobenius norm is ESCAPE_NORM or 1 ulp either side of
+    # it, with a zero rhs so the state is the same at every node: each
+    # escapes at the first node exactly when _escape_test says so
+    def zero(t, s):
+        return np.zeros_like(s)
+
+    above = np.nextafter(ESCAPE_NORM, np.inf)
+    below = np.nextafter(ESCAPE_NORM, 0.0)
+    # 6e7 and 8e7 square and sum exactly to ESCAPE_NORM**2
+    side = np.array([[6e7, 8e7], [0.0, 0.0]])
+    states = [np.array([[x]]) for x in (ESCAPE_NORM, above, below, -above)]
+    for z in (8e7, np.nextafter(8e7, np.inf), np.nextafter(8e7, 0.0)):
+        states.append(np.where(side == 8e7, z, side))
+    grid = TimeGrid(1.0, 4)
+    verdicts = []
+    for state in states:
+        hit, worst = odeint._escape_test(state[None])
+        assert abs(worst - ESCAPE_NORM) <= np.spacing(ESCAPE_NORM)
+        res = integrate(OdeProblem(rhs=zero, boundary=(state,)), grid)
+        assert res.ok == (not hit)
+        if hit:
+            assert (res.escape.node, res.escape.norm) == (4, worst)
+        verdicts.append(res.ok)
+    assert True in verdicts and False in verdicts
+    # one member at the threshold and one 1 ulp past it, stacked
+    pair = np.array([[[ESCAPE_NORM]], [[above]]])
+    escapes = integrate_stack(OdeProblem(rhs=zero, boundary=(pair,)), grid)
+    assert escapes[0] is None
+    assert (escapes[1].node, escapes[1].norm) == (4, above)
 
 
 def test_finite_rhs_whose_sum_overflows_escapes():
